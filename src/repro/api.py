@@ -117,8 +117,7 @@ def parse_policy(policy: PolicyLike) -> MSHRPolicy:
 def engine_names() -> Sequence[str]:
     """Valid ``engine=`` / ``REPRO_ENGINE`` values, ``auto`` included.
 
-    The tiers (reference / fastpath / fused / native / cnative) are
-    catalogued
+    The tiers (reference / fastpath / fused / cnative) are catalogued
     in ``docs/timing_model.md``; ``python -m repro engines`` prints
     the registry with the current resolution.
     """

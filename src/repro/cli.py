@@ -32,7 +32,7 @@ Three subcommands cover the interactive workflows:
 
 ``engines``
     Print the execution-engine registry (reference / fastpath / fused
-    / native) and what the current environment resolves to; see
+    / cnative) and what the current environment resolves to; see
     ``docs/timing_model.md``.  ``simulate`` and ``sweep`` take
     ``--engine`` to pin a tier for the run::
 
@@ -363,7 +363,8 @@ def cmd_engines(_args: argparse.Namespace) -> int:
 
     compiler = ckernel.find_compiler()
     if compiler is None:
-        probe = "none found (cnative degrades to native; set REPRO_CC)"
+        probe = ("none found (cnative degrades to the scalar replay; "
+                 "set REPRO_CC)")
     else:
         probe = compiler
     kstats = ckernel.kernel_cache_stats()

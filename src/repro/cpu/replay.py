@@ -109,10 +109,6 @@ class _KernelShape:
         #: (write-miss-allocate fetches and stalls); 2 -- hits and
         #: misses inline (write-around stores never fetch or install).
         self.smode = 1 if policy.write_allocate_blocking else 2
-        #: Set by :func:`build_replay_fn` when the native lane is in
-        #: play: DM installs then also mirror into the numpy tag array
-        #: the vectorized scan reads (:mod:`repro.cpu.replay_native`).
-        self.native = False
 
 
 def _emit_state_init(w, shape: "_KernelShape", n_loads: int) -> None:
@@ -152,8 +148,6 @@ it = 0
     if shape.dm:
         w.append(f"        tags_ = [None] * {shape.setmask + 1}")
         w.append("        res = set()")
-        if shape.native:
-            w.append("        TAGS = TAGS_PROTO.copy()")
     else:
         w.append(f"        S = [[] for _ in range({shape.setmask + 1})]")
     for j in range(n_loads):
@@ -176,12 +170,11 @@ if dt > 0:
 def _emit_install(w, indent: int, shape: "_KernelShape") -> None:
     """``tags.install(b)`` with eviction counting, block in ``b``."""
     if shape.dm:
-        mirror = "\n    TAGS[i] = b" if shape.native else ""
         _emit(w, indent, f"""
 i = b & {shape.setmask}
 old = tags_[i]
 if old != b:
-    tags_[i] = b{mirror}
+    tags_[i] = b
     if old is not None:
         res.discard(old)
         evictions += 1
@@ -517,8 +510,7 @@ if t < fence:
 
 
 def build_replay_fn(
-    stream: "EventStream", trace: "ExpandedTrace", config: "MachineConfig",
-    native=None,
+    stream: "EventStream", trace: "ExpandedTrace", config: "MachineConfig"
 ) -> Callable:
     """Compile one sibling's replay kernel over ``stream``.
 
@@ -526,16 +518,8 @@ def build_replay_fn(
     replay executions ``0..it1-1`` from a cold machine and return the
     raw counter tuple :func:`run_replay` folds into a
     :class:`~repro.core.stats.MissStats`.
-
-    ``native`` (a lane object from :mod:`repro.cpu.replay_native`,
-    direct-mapped machines only) swaps the scalar turbo lane for the
-    numpy-vectorized quiescent scan and mirrors DM installs into the
-    lane's tag array; the generated slow paths are byte-for-byte the
-    same either way, so the two kernels differ only in how all-hit
-    runs are *detected*, never in what any execution computes.
     """
     shape = _KernelShape(config)
-    shape.native = native is not None
     slots = stream.slots
     n_loads = stream.n_loads
     n_stores = stream.n_stores
@@ -551,16 +535,12 @@ def build_replay_fn(
         byte_bufs = [trace.addresses[s.body_index] for s in slots]
     w.append("    def run(it1):")
     _emit_state_init(w, shape, n_loads)
-    if native is not None:
-        native.emit_state(w, shape, stream)
     _emit_drain(w, shape)
     _emit_miss_load(w, shape)
     if n_stores:
         _emit_slow_store(w, shape)
     w.append("        while it < it1:")
-    if shape.dm and native is not None:
-        native.emit_lane(w, shape, stream)
-    elif shape.dm:
+    if shape.dm:
         # Turbo lane, verbatim from the specialized engine: with no
         # fetch outstanding every lr value is already in the past, so
         # an all-hit execution stalls nothing and advances by exactly
@@ -676,10 +656,7 @@ return (cycle, loads, load_hits, primary, secondary, structural,
         "NO_FETCH_SLOT": StructuralCause.NO_FETCH_SLOT,
         "NO_SET_SLOT": StructuralCause.NO_SET_SLOT,
     }
-    label = "replay-native" if native is not None else "replay"
-    if native is not None:
-        namespace.update(native.namespace())
-    exec(compile(source, f"<{label}:{stream.workload_name}>", "exec"),
+    exec(compile(source, f"<replay:{stream.workload_name}>", "exec"),
          namespace)
     return namespace["_factory"](stream.lines, byte_bufs)
 
@@ -724,7 +701,7 @@ def finish_replay(
 ) -> Tuple[MissStats, int, int, int]:
     """Fold a kernel's raw counter tuple into the result quadruple.
 
-    Shared by the scalar and native tiers -- both kernel families
+    Shared by the scalar and C tiers -- both kernel families
     return the same 22-counter tuple, so the accounting fold (and the
     ``verify_accounting`` identity downstream) is engine-independent.
     """

@@ -1,15 +1,12 @@
 """The ``cnative`` replay tier: compiled-C execution of the full recurrence.
 
-Where the numpy lane (:mod:`repro.cpu.replay_native`) vectorizes only
-the quiescent all-hit spans of a direct-mapped machine, this tier runs
-the *entire* irregular recurrence -- MSHR occupancy, primary/secondary
-merging, structural arbitration, fill scheduling, LRU recency touches
--- inside a C kernel generated and compiled once per policy family
-(:mod:`repro.cpu.ckernel`).  It therefore accepts every cell the
-scalar replay kernel accepts, including exactly the ones the vector
-lane declines: set-associative geometries, store-gated
-(write-miss-allocate) models, and streaming models whose quiescent
-spans never form.
+This tier runs the *entire* irregular recurrence -- MSHR occupancy,
+primary/secondary merging, structural arbitration, fill scheduling,
+LRU recency touches -- inside a C kernel generated and compiled once
+per policy family (:mod:`repro.cpu.ckernel`).  It accepts every cell
+the scalar replay kernel accepts: direct-mapped and set-associative
+geometries, write-around and write-miss-allocate stores, resident and
+streaming models alike.
 
 The stream's static structure (slot kinds, readiness terms, pregaps)
 is flattened once per stream into int64 tables; per-call state (tags,
@@ -88,8 +85,8 @@ def _as_i64(buf) -> np.ndarray:
 def _stream_tables(stream: "EventStream"):
     """Flatten the stream's static structure into C-readable tables.
 
-    Cached on the stream object (like the kernel and native-array
-    caches) so policy siblings share one flattening.
+    Cached on the stream object (like the kernel cache) so policy
+    siblings share one flattening.
     """
     tables = getattr(stream, "_cnative_tables", None)
     if tables is not None:

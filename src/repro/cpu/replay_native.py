@@ -1,330 +1,13 @@
-"""Native replay tier: the numpy-vectorized quiescent lane.
+"""Stub left by the retired numpy replay lane; no simulator code uses it.
 
-The scalar replay kernel (:mod:`repro.cpu.replay`) spends its time in
-two regimes.  When fetches are in flight it walks memory slots one at
-a time -- that part is an irregular recurrence (every issue time is a
-max over data-dependent fill times, every miss mutates MSHR state) and
-stays scalar.  But whenever the machine is *quiescent* (``fence ==
-FAR_FUTURE``: empty fetch FIFO, every ``lr`` value in the past), a run
-of executions whose slots all hit advances the model by pure
-arithmetic: ``cycle += body_len * k`` and the hit counters scale by
-``k``.  The scalar kernel already exploits this through the turbo
-lane, one Python membership test per slot per execution; this module
-replaces that detection loop with a *chunked vector scan*:
-
-* the stream's per-slot line buffers are stacked once per
-  (stream, geometry) into an ``(executions, slots)`` int64 block
-  matrix ``BLK`` with its set projection ``SETS = BLK & setmask``;
-* the kernel mirrors the direct-mapped tag state into a numpy array
-  ``TAGS`` (one extra store per install, on the miss path only);
-* at a quiescent point the lane first confirms a short scalar prefix
-  (8 executions -- miss-dense phases stay on the scalar path and pay
-  nothing for the vector machinery), then classifies whole chunks with
-  ``(TAGS[SETS[i:j]] == BLK[i:j]).all(1)``, doubling the chunk from 64
-  up to 65536 executions, and batch-accounts every all-hit row.
-
-Exactness is inherited from the turbo-lane argument rather than
-re-proved: a row of the scan is *literally* the turbo chain
-(``L[k][it] in res`` for every slot) evaluated against the mirrored
-tags, both lanes stop at the first non-all-hit execution, and neither
-lane touches machine state while scanning -- so the native kernel
-executes the same slow path at the same cycle for every execution the
-scalar kernel would.  The equivalence suite and the hypothesis
-property test assert bit-identity anyway.
-
-The lane needs probe-free residency (a hit must not reorder state),
-which holds for direct-mapped tags only -- an LRU hit performs a
-recency touch, so set-associative cells fall back to the scalar fused
-tier (``engine.native.fallback.associative``).  Policies outside the
-replay envelope itself (finite write buffer, dual issue, perfect
-cache) were never replayable and fall back for the same reasons the
-fused tier does (``engine.native.fallback.policy``).
+Every replayable cell now runs in the C kernels
+(:mod:`repro.cpu.replay_cnative`), with the scalar replay
+(:mod:`repro.cpu.replay`) as the fallback.  ``perfbench/layers.py``
+imports this module by name for its ``replay.native`` layer, and a
+change that claims a gain against the benchmark may not edit the
+benchmark, so the name stays until a later benchmark-only change
+removes that layer; this stub is deleted after it.  Nothing under
+``src/`` may import it.
 """
 
-from __future__ import annotations
-
-from typing import TYPE_CHECKING, Optional, Tuple
-
-import numpy as np
-
-from repro.core.stats import MissStats
-from repro.cpu.replay import (
-    _emit,
-    build_replay_fn,
-    finish_replay,
-    replay_supported,
-)
-from repro.sim.trace import P_LOAD
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.config import MachineConfig
-    from repro.sim.stream import EventStream
-    from repro.sim.trace import ExpandedTrace
-
-#: Longest scalar prefix confirmed before the vector scan engages.
-#: Keeps short batchable runs (1-8 executions, common in miss-dense
-#: phases) on the pure-Python path, where per-chunk numpy overhead
-#: would exceed the membership tests it saves.
-_SCALAR_PREFIX = 8
-
-#: First vector chunk, in executions; grows 4x while rows stay
-#: all-hit, so a run of length R costs O(log R) numpy calls.
-_CHUNK_START = 32
-_CHUNK_GROWTH = 4
-_CHUNK_LIMIT = 32768
-
-
-def native_supported(config: "MachineConfig") -> bool:
-    """Whether the vectorized lane models this cell exactly.
-
-    Everything :func:`repro.cpu.replay.replay_supported` requires,
-    plus direct-mapped tags (the scan needs residency checks with no
-    side effects; an LRU probe reorders the recency stack).
-    """
-    return replay_supported(config) and config.geometry.is_direct_mapped
-
-
-def fallback_cause(config: "MachineConfig") -> str:
-    """The telemetry cause tag for a cell the native lane declines."""
-    if not replay_supported(config):
-        return "policy"
-    return "associative"
-
-
-#: Condition-slot misses per body execution above which the vector
-#: lane declines a cell as *streaming*.  Measured on the SPEC-shaped
-#: workloads: the cells the scan wins (eqntott ~0.25, xlisp ~0.23-0.35,
-#: ora/compress/mdljdp2 ~0.8-1.2 misses per execution) sit well below
-#: it, the cells where the scan regressed in BENCH_native.json
-#: (tomcatv ~7.5, doduc ~5.0, su2cor ~13) sit far above -- quiescent
-#: spans shorter than an execution never amortize a chunk scan.
-STREAM_DECLINE_DENSITY = 2.0
-
-
-def streaming_decline(
-    stream: "EventStream", workload, load_latency: int, scale: float,
-    config: "MachineConfig", unroll_override: int = 0,
-) -> bool:
-    """Stream-shape heuristic: is this cell too miss-dense to batch?
-
-    Uses the functional summary the stream pass already caches (the
-    immediate-install hit/miss classification, vectorized for
-    direct-mapped geometries) to estimate quiescent-span density:
-    misses on *condition* slots -- loads, plus stores under
-    write-miss-allocate -- are the events that end an all-hit span, so
-    their count per execution bounds the average span the chunked scan
-    could ever batch.  Cells above :data:`STREAM_DECLINE_DENSITY`
-    decline to the next tier (``engine.native.fallback.streaming``),
-    where the C kernels -- or the scalar replay -- run the recurrence
-    without paying for scans that never pan out.
-    """
-    from repro.sim import stream as stream_mod
-
-    write_allocate = config.policy.write_allocate_blocking
-    summary = stream_mod.functional_summary(
-        workload, load_latency, scale, config.geometry, write_allocate,
-        unroll_override,
-    )
-    if summary is None:
-        return False
-    misses = summary.load_misses
-    if write_allocate:
-        misses += summary.store_misses
-    return misses > STREAM_DECLINE_DENSITY * stream.executions
-
-
-def _lane_columns(stream: "EventStream", smode: int):
-    """Split slot columns into batch *conditions* and batch *counts*.
-
-    A batched execution must leave machine state untouched, so every
-    slot whose miss would mutate state belongs to the condition set:
-    all loads (a load miss launches a fetch), plus stores under
-    write-miss-allocate (``smode == 1``: a store miss installs and
-    stalls).  Write-around stores (``smode == 2``) are inline and
-    state-invariant either way -- a miss neither fetches nor installs
-    -- so they never gate a batch; the lane only needs their hit/miss
-    *split*, which the scan counts vectorized over the batched span.
-    This is the native lane's structural win over the scalar turbo
-    lane, whose all-slot chain dies on any streaming store.
-    """
-    cond, count = [], []
-    for k, slot in enumerate(stream.slots):
-        if slot.kind == P_LOAD or smode == 1:
-            cond.append(k)
-        else:
-            count.append(k)
-    return tuple(cond), tuple(count)
-
-
-def _native_arrays(stream: "EventStream", num_sets: int, cond, count):
-    """The stacked column matrices for one (stream, geometry, smode).
-
-    Cached on the stream object, keyed by set count and column split,
-    so policy siblings (same geometry, different MSHR limits) reuse
-    them; the raw block matrix is geometry-independent and shared
-    across geometries.
-    """
-    cache = getattr(stream, "_native_arrays", None)
-    if cache is None:
-        cache = {}
-        stream._native_arrays = cache
-    blk = cache.get("blk")
-    if blk is None:
-        blk = np.empty((stream.executions, len(stream.slots)),
-                       dtype=np.int64)
-        for k, buf in enumerate(stream.lines):
-            blk[:, k] = np.frombuffer(buf, dtype=np.int64)
-        cache["blk"] = blk
-    key = (num_sets, cond)
-    arrs = cache.get(key)
-    if arrs is None:
-        mask = num_sets - 1
-        cblk = np.ascontiguousarray(blk[:, list(cond)])
-        sblk = np.ascontiguousarray(blk[:, list(count)])
-        arrs = (cblk, cblk & mask, sblk, sblk & mask,
-                np.full(num_sets, -1, dtype=np.int64))
-        cache[key] = arrs
-    return arrs
-
-
-class NativeLane:
-    """Codegen plug-in handed to :func:`~repro.cpu.replay.build_replay_fn`.
-
-    Emits the vectorized quiescent lane in place of the scalar turbo
-    lane and supplies the numpy arrays the generated code closes over.
-    """
-
-    def __init__(self, cond, count, arrays) -> None:
-        self._cond = cond
-        self._count = count
-        # The scalar prefix trades one first-chunk scan (~2us) against
-        # per-execution chain evaluations (~80ns per condition slot):
-        # narrow bodies need a long run before the scan pays for
-        # itself, wide bodies amortize it after a single execution.
-        self._prefix = max(1, min(_SCALAR_PREFIX, 32 // max(len(cond), 1)))
-        cblk, csets, sblk, ssets, proto = arrays
-        self._namespace = {
-            "CBLK": cblk, "CSETS": csets, "SBLK": sblk, "SSETS": ssets,
-            "TAGS_PROTO": proto,
-        }
-
-    def namespace(self) -> dict:
-        return self._namespace
-
-    def emit_state(self, w, shape, stream) -> None:
-        """Per-run lane state, emitted after the kernel's state init."""
-        _emit(w, 2, f"pfx = {self._prefix}")
-
-    def emit_lane(self, w, shape, stream) -> None:
-        # Same contract as the turbo lane it replaces: from a
-        # quiescent point, advance ``it`` past the maximal run of
-        # batchable executions, account the run in O(1), and arm the
-        # same 32-execution backoff when the very first one fails.
-        cond, count = self._cond, self._count
-        prefix = self._prefix
-        chain = " and ".join(f"L{k}[it] in res" for k in cond) or "True"
-        # ``pfx`` starts at the static prefix and adapts at run time
-        # (emitted below): long vector spans collapse it to 1 so a
-        # hit-dominated phase goes straight to the scan, short spans
-        # restore it.
-        _emit(w, 3, f"""
-if fence == FAR_FUTURE:
-    if skip:
-        skip -= 1
-    else:
-        start = it
-        stop = it + pfx
-        if stop > it1:
-            stop = it1
-        while it < stop and {chain}:
-""")
-        # Scalar-prefix store grading: counted per execution, since
-        # unlike the vector span the hit split isn't batchable here.
-        for k in count:
-            _emit(w, 6, f"""
-if L{k}[it] in res:
-    fast_stores += 1
-else:
-    fast_smiss += 1
-""")
-        _emit(w, 6, "it += 1")
-        _emit(w, 5, f"""
-if it == stop and it < it1:
-    vstart = it
-    chunk = {_CHUNK_START}
-    while it < it1:
-        end = it + chunk
-        if end > it1:
-            end = it1
-        rows = (TAGS[CSETS[it:end]] == CBLK[it:end]).all(1)
-        nbad = int(rows.argmin())
-        if rows[nbad]:
-            it = end
-            if chunk < {_CHUNK_LIMIT}:
-                chunk *= {_CHUNK_GROWTH}
-        else:
-            it += nbad
-            break
-""")
-        if count:
-            # Store hit/miss split over the whole vector span in one
-            # reduction; TAGS is frozen across the span (no installs),
-            # so counting after the fact is exact.
-            _emit(w, 6, f"""
-if it > vstart:
-    sh = int((TAGS[SSETS[vstart:it]] == SBLK[vstart:it]).sum())
-    fast_stores += sh
-    fast_smiss += {len(count)} * (it - vstart) - sh
-""")
-        if prefix > 1:
-            _emit(w, 6, f"""
-v = it - vstart
-if v >= 16:
-    pfx = 1
-elif v < 4:
-    pfx = {prefix}
-""")
-        _emit(w, 5, f"""
-k = it - start
-if k:
-    cycle += {stream.body_len} * k
-""")
-        if stream.n_loads:
-            _emit(w, 6, f"fast_loads += {stream.n_loads} * k")
-        if count == () and stream.n_stores:
-            # smode 1: the chain required every store to hit.
-            _emit(w, 6, f"fast_stores += {stream.n_stores} * k")
-        _emit(w, 6, """
-if it == it1:
-    break
-""")
-        _emit(w, 5, """
-else:
-    skip = 32
-""")
-
-
-def run_native(
-    stream: "EventStream", trace: "ExpandedTrace", config: "MachineConfig"
-) -> Optional[Tuple[MissStats, int, int, int]]:
-    """Replay one machine through the native kernel; ``None`` = fall back.
-
-    Same contract as :func:`repro.cpu.replay.run_replay` -- the result
-    quadruple is bit-identical to every other tier -- and the same
-    per-stream kernel cache, under a tier-distinct key so pinning
-    engines never aliases kernels.
-    """
-    if not native_supported(config):
-        return None
-    key = ("native", config.geometry, config.policy,
-           config.effective_penalty)
-    fn = stream._replay_fns.get(key)
-    if fn is None:
-        smode = 1 if config.policy.write_allocate_blocking else 2
-        cond, count = _lane_columns(stream, smode)
-        arrays = _native_arrays(stream, config.geometry.num_sets,
-                                cond, count)
-        fn = build_replay_fn(stream, trace, config,
-                             native=NativeLane(cond, count, arrays))
-        stream._replay_fns[key] = fn
-    return finish_replay(stream, fn(stream.executions))
+from repro.cpu.replay_cnative import run_cnative as run_native  # noqa: F401

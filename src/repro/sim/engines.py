@@ -1,6 +1,6 @@
 """The execution-engine registry: one resolution path for every tier.
 
-Five engines can execute a sweep cell, ordered slowest to fastest:
+Four engines can execute a sweep cell, ordered slowest to fastest:
 
 ``reference``
     The plain interpreter loops in :mod:`repro.cpu.reference`.  No
@@ -15,25 +15,17 @@ Five engines can execute a sweep cell, ordered slowest to fastest:
     scale, line size) group plus a compiled per-policy replay kernel
     (:mod:`repro.sim.stream`, :mod:`repro.cpu.replay`); blocking
     policies collapse to the functional closed form.
-``native``
-    The fused engine with the numpy-vectorized replay lane
-    (:mod:`repro.cpu.replay_native`): quiescent all-hit execution runs
-    are detected and batch-accounted in chunked vector form instead of
-    Python bytecode.  Cells outside the native envelope (set-
-    associative geometries, finite write buffers, dual issue) fall
-    back to the next tier transparently.
 ``cnative``
-    The native engine plus generated-C replay kernels
+    The fused engine with generated-C replay kernels
     (:mod:`repro.cpu.ckernel`, :mod:`repro.cpu.replay_cnative`):
     compiled once per policy family and dlopen'd from the kernel
-    cache, they execute the *full* irregular recurrence, taking
-    exactly the replayable cells the vector lane declines
-    (set-associative geometries, store-gated and streaming models).
-    Without a C compiler (``REPRO_CC`` override included) every cell
-    degrades to the ``native`` machinery, cause-tagged under
-    ``engine.cnative.fallback.*``.
+    cache, they execute the *full* irregular recurrence for every
+    replayable cell, direct-mapped and set-associative alike.
+    Without a C compiler (``REPRO_CC`` override included) or when a
+    build fails, every cell degrades to the scalar replay of the
+    ``fused`` tier, cause-tagged under ``engine.cnative.fallback.*``.
 
-All five produce **bit-identical** :class:`~repro.sim.stats.SimulationResult`
+All four produce **bit-identical** :class:`~repro.sim.stats.SimulationResult`
 objects -- the engine-matrix CI step and
 ``tests/sim/test_fusion_equivalence.py`` assert it -- so selection is
 purely a performance decision and ``ENGINE_VERSION`` never depends on
@@ -51,11 +43,11 @@ scattered ``REPRO_FASTPATH`` / ``REPRO_FUSION`` probes:
    :class:`DeprecationWarning` pointing at ``REPRO_ENGINE``;
 4. the default, ``auto``: the fastest tier, falling back per cell.
 
-Each tier *includes* its fallbacks: pinning ``native`` still runs
+Each tier *includes* its fallbacks: pinning ``cnative`` still runs
 ineligible cells on the fused/fastpath machinery (counted under
-``engine.native.fallbacks``), while pinning ``fused`` guarantees the
-native lane never runs.  ``python -m repro engines`` prints the
-registry and the current resolution.
+``engine.cnative.fallbacks``), while pinning ``fused`` guarantees no
+C kernel runs.  ``python -m repro engines`` prints the registry and
+the current resolution.
 """
 
 from __future__ import annotations
@@ -71,7 +63,7 @@ from repro.errors import ConfigurationError
 
 @dataclass(frozen=True)
 class Engine:
-    """One execution tier: a named capability quadruple."""
+    """One execution tier: a named capability triple."""
 
     name: str
     description: str
@@ -80,8 +72,6 @@ class Engine:
     fast_path: bool
     #: Let eligible cells run as stream replays / closed forms.
     fusion: bool
-    #: Let eligible replays use the numpy-vectorized lane.
-    native: bool
     #: Let eligible replays use the compiled-C kernels.
     cnative: bool
 
@@ -89,38 +79,30 @@ class Engine:
 REFERENCE = Engine(
     "reference",
     "unoptimized interpreter loops (ground truth)",
-    fast_path=False, fusion=False, native=False, cnative=False,
+    fast_path=False, fusion=False, cnative=False,
 )
 FASTPATH = Engine(
     "fastpath",
     "two-tier engine: hit fast path + flattened interpreter",
-    fast_path=True, fusion=False, native=False, cnative=False,
+    fast_path=True, fusion=False, cnative=False,
 )
 FUSED = Engine(
     "fused",
     "policy-sibling fusion: shared stream pass + compiled replay kernels",
-    fast_path=True, fusion=True, native=False, cnative=False,
-)
-NATIVE = Engine(
-    "native",
-    "fused engine + numpy-vectorized replay lane (chunked batch scan)",
-    fast_path=True, fusion=True, native=True, cnative=False,
+    fast_path=True, fusion=True, cnative=False,
 )
 CNATIVE = Engine(
     "cnative",
-    "native engine + generated-C replay kernels for the cells the "
-    "vector lane declines",
-    fast_path=True, fusion=True, native=True, cnative=True,
+    "fused engine + generated-C replay kernels for every replayable cell",
+    fast_path=True, fusion=True, cnative=True,
 )
 
 #: Registry order, slowest tier first.
-ENGINE_ORDER: Tuple[str, ...] = (
-    "reference", "fastpath", "fused", "native", "cnative",
-)
+ENGINE_ORDER: Tuple[str, ...] = ("reference", "fastpath", "fused", "cnative")
 
 ENGINES: Dict[str, Engine] = {
     engine.name: engine
-    for engine in (REFERENCE, FASTPATH, FUSED, NATIVE, CNATIVE)
+    for engine in (REFERENCE, FASTPATH, FUSED, CNATIVE)
 }
 
 #: ``auto`` = the fastest tier; per-cell fallback makes it safe.
@@ -199,17 +181,13 @@ def cell_engine_tier(config) -> int:
     Used by the dispatch layer (:func:`repro.sim.parallel._stream_affinity`)
     to keep cells of equal engine capability adjacent, so a pool group
     stays on one code path and its kernel/stream caches serve every
-    member.  Indexes into :data:`ENGINE_ORDER`.  Vector-lane cells
-    report ``native`` (the numpy scan outranks the C kernel on its own
-    envelope); replayable cells outside that envelope report
-    ``cnative`` when a compiler is available and ``fused`` otherwise.
+    member.  Indexes into :data:`ENGINE_ORDER`.  Replayable cells
+    report ``cnative`` when a compiler is available and ``fused``
+    otherwise.
     """
     from repro.cpu.ckernel import kernels_available
     from repro.cpu.replay import replay_supported
-    from repro.cpu.replay_native import native_supported
 
-    if native_supported(config):
-        return ENGINE_ORDER.index("native")
     if replay_supported(config) and kernels_available():
         return ENGINE_ORDER.index("cnative")
     if config.policy.blocking or replay_supported(config):
@@ -224,13 +202,6 @@ _SELECTION_METRICS = telemetry.MetricHandles(lambda m: {
     name: m.counter(f"engine.selected.{name}") for name in ENGINE_ORDER
 })
 
-_FALLBACK_METRICS = telemetry.MetricHandles(lambda m: {
-    "total": m.counter("engine.native.fallbacks"),
-    "associative": m.counter("engine.native.fallback.associative"),
-    "policy": m.counter("engine.native.fallback.policy"),
-    "streaming": m.counter("engine.native.fallback.streaming"),
-})
-
 _CNATIVE_FALLBACK_METRICS = telemetry.MetricHandles(lambda m: {
     "total": m.counter("engine.cnative.fallbacks"),
     "policy": m.counter("engine.cnative.fallback.policy"),
@@ -243,22 +214,6 @@ def count_selection(engine: Engine) -> None:
     """Record one cell's resolved engine (``engine.selected.*``)."""
     if telemetry.enabled():
         _SELECTION_METRICS.get()[engine.name].inc()
-
-
-def count_native_fallback(cause: str) -> None:
-    """Record one native-lane fallback with its cause tag.
-
-    ``engine.native.fallbacks`` is the total;
-    ``engine.native.fallback.<cause>`` splits it by reason
-    (``associative`` for set-associative geometries, ``policy`` for
-    machines the replay tier itself cannot model, ``streaming`` for
-    miss-dense cells the stream-shape heuristic steers off the
-    vector scan).
-    """
-    if telemetry.enabled():
-        counters = _FALLBACK_METRICS.get()
-        counters["total"].inc()
-        counters[cause].inc()
 
 
 def count_cnative_fallback(cause: str) -> None:

@@ -426,11 +426,14 @@ class FabricCoordinator:
                         except queue.Empty:
                             break
                         nxt.attempts += 1
+                        # In flight before the send: a send to a worker
+                        # that just died raises, and the loss handler
+                        # below must put this shard back on the queue.
+                        inflight.append(nxt)
                         wire.send_frame(fh, {
                             "kind": "shard", "id": nxt.shard_id,
                             "cells": wire.cells_to_wire(nxt.cells),
                         })
-                        inflight.append(nxt)
                     if not inflight:
                         continue
                     reply = wire.recv_frame(fh)

@@ -420,10 +420,10 @@ def _stream_affinity(config: MachineConfig) -> Tuple:
     the small stream/summary LRU caches stay hot across them.
 
     The engine-capability tier (:func:`repro.sim.engines.cell_engine_tier`)
-    leads the key so a group also stays on one code path: native-lane
-    cells compile vectorized kernels and stacked column matrices that
-    fused-only siblings never touch, and interleaving the two would
-    thrash both kernel caches.
+    leads the key so a group also stays on one code path: C-kernel
+    cells flatten stream tables that closed-form and interpreted
+    siblings never touch, and interleaving them would spread that
+    work across groups.
     """
     geometry = config.geometry
     return (
@@ -474,7 +474,8 @@ def _prebuild_kernels(cells: Sequence[Cell]) -> None:
     parent turns each worker's first cnative cell into a plain
     ``dlopen`` of the cached ``.so`` instead of a racing compile.
     Quietly does nothing when the resolved engine has no C tier or no
-    compiler exists -- the per-cell fallback handles those paths.
+    compiler exists, and skips a family whose build fails -- the
+    per-cell fallback handles those paths.
     """
     from repro.cpu import ckernel
     from repro.cpu.replay import replay_supported
@@ -493,7 +494,7 @@ def _prebuild_kernels(cells: Sequence[Cell]) -> None:
         try:
             ckernel.ensure_kernel(family)
         except ckernel.KernelBuildError:
-            return
+            continue
 
 
 def _pool_submit(

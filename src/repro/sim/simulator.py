@@ -16,8 +16,8 @@ from growing memory without limit; sizes were chosen so a full
 paper-scale sweep (18 benchmarks x 6 latencies) still fits.
 
 Engine selection goes through the registry in
-:mod:`repro.sim.engines`: five tiers (reference / fastpath / fused /
-native / cnative), selectable per call (``engine=``), per process
+:mod:`repro.sim.engines`: four tiers (reference / fastpath / fused /
+cnative), selectable per call (``engine=``), per process
 (``REPRO_ENGINE``), or implicitly (``auto`` = fastest applicable per
 cell).  All tiers produce bit-identical results; the legacy
 ``REPRO_FASTPATH`` / ``REPRO_FUSION`` variables still work through the
@@ -94,7 +94,6 @@ _METRICS = telemetry.MetricHandles(lambda m: SimpleNamespace(
     write_buffer=m.counter("sim.stall.write_buffer_cycles"),
     closed_form=m.counter("fusion.closed_form"),
     replays=m.counter("fusion.replays"),
-    native_replays=m.counter("engine.native.replays"),
     cnative_replays=m.counter("engine.cnative.replays"),
     bypasses=m.counter("fusion.bypasses"),
     cache_compiled=m.gauge("engine.cache.compiled"),
@@ -291,12 +290,11 @@ def simulate(
         fast_path = resolved.fast_path
     if fusion is None:
         fusion = resolved.fusion
-    native = resolved.native and fast_path and fusion
     cnative = resolved.cnative and fast_path and fusion
     if not telemetry.enabled():
         return _simulate_impl(workload, config, load_latency, scale,
                               unroll_override, warmup, fast_path, fusion,
-                              native, cnative)
+                              cnative)
     engines_mod.count_selection(resolved)
     policy_name = "perfect" if config.perfect_cache else config.policy.name
     with telemetry.span(
@@ -305,7 +303,7 @@ def simulate(
     ):
         result = _simulate_impl(workload, config, load_latency, scale,
                                 unroll_override, warmup, fast_path, fusion,
-                                native, cnative)
+                                cnative)
     miss = result.miss
     m = _METRICS.get()
     m.cells.inc()
@@ -327,7 +325,6 @@ def _try_fused(
     scale: float,
     unroll_override: int,
     trace: ExpandedTrace,
-    native: bool = False,
     cnative: bool = False,
 ):
     """Attempt the fused (stream-replay) execution of one cell.
@@ -337,22 +334,12 @@ def _try_fused(
     the body, a finite write buffer, or a stream the builders decline).
     Blocking policies with the ideal write buffer collapse further, to
     the functional summary's closed form; non-blocking policies run a
-    compiled replay kernel, picked lane by lane: the numpy-vectorized
-    native lane when ``native`` is set, the cell is in its envelope
-    (:func:`repro.cpu.replay_native.native_supported`), and the
-    stream-shape heuristic does not flag it as streaming; the
-    compiled-C kernel when ``cnative`` is set and a kernel can be
-    built (:mod:`repro.cpu.replay_cnative`); the scalar kernel
-    otherwise.
+    compiled replay kernel: the C kernel when ``cnative`` is set and a
+    kernel can be built (:mod:`repro.cpu.replay_cnative`), the scalar
+    kernel otherwise.
     """
     from repro.cpu.replay import run_blocking_summary, run_replay
     from repro.cpu.replay_cnative import run_cnative
-    from repro.cpu.replay_native import (
-        fallback_cause,
-        native_supported,
-        run_native,
-        streaming_decline,
-    )
     from repro.sim import stream as stream_mod
 
     if config.policy.blocking:
@@ -379,34 +366,18 @@ def _try_fused(
         )
         if stream is None:
             return None
-        out = None
-        native_hit = False
-        cnative_hit = False
-        if native:
-            if not native_supported(config):
-                engines_mod.count_native_fallback(fallback_cause(config))
-            elif streaming_decline(stream, workload, load_latency, scale,
-                                   config, unroll_override):
-                engines_mod.count_native_fallback("streaming")
-            else:
-                out = run_native(stream, trace, config)
-                native_hit = out is not None
-        if out is None and cnative:
-            out = run_cnative(stream, trace, config)
-            cnative_hit = out is not None
+        out = run_cnative(stream, trace, config) if cnative else None
+        cnative_hit = out is not None
         if out is None:
             out = run_replay(stream, trace, config)
         if out is None:
             return None
         stats, cycles, instructions, truedep = out
         if telemetry.enabled():
-            # ``fusion.replays`` keeps counting every replayed cell
-            # regardless of lane; ``engine.native.replays`` and
-            # ``engine.cnative.replays`` are the vectorized and
-            # compiled-C subsets.
+            # ``fusion.replays`` counts every replayed cell regardless
+            # of lane; ``engine.cnative.replays`` is the compiled-C
+            # subset.
             _METRICS.get().replays.inc()
-            if native_hit:
-                _METRICS.get().native_replays.inc()
             if cnative_hit:
                 _METRICS.get().cnative_replays.inc()
     return stats, cycles, instructions, truedep
@@ -421,7 +392,6 @@ def _simulate_impl(
     warmup: float,
     fast_path: bool,
     fusion: bool = False,
-    native: bool = False,
     cnative: bool = False,
 ) -> SimulationResult:
     compiled, trace = expand_workload(
@@ -439,7 +409,7 @@ def _simulate_impl(
         if (fast_path and config.issue_width == 1
                 and not config.perfect_cache and warmup == 0.0):
             fused = _try_fused(workload, config, load_latency, scale,
-                               unroll_override, trace, native, cnative)
+                               unroll_override, trace, cnative)
         if fused is not None:
             stats, cycles, instructions, truedep = fused
             result = SimulationResult(

@@ -153,6 +153,42 @@ class TestNoCompilerFallback:
         assert degraded == reference
 
 
+class TestBuildFailureFallback:
+    def test_failed_build_is_tried_once_per_family(self, kernel_dir,
+                                                   monkeypatch):
+        # A broken toolchain is probed once per kernel family: the
+        # second cell of the family reuses the memoized failure, and
+        # both cells degrade to the reference numbers under the build
+        # cause.
+        attempts = []
+
+        def refuse(family):
+            attempts.append(family)
+            raise ckernel.KernelBuildError("forced build failure")
+
+        monkeypatch.setattr(ckernel, "kernels_available", lambda: True)
+        monkeypatch.setattr(ckernel, "compile_kernel_so", refuse)
+        workload = get_benchmark("eqntott")
+        config = baseline_config(mc(1))
+        latencies = (3, 10)
+        try:
+            telemetry.set_enabled(True)
+            clear_caches()
+            build = _counter("engine.cnative.fallback.build")
+            degraded = [simulate(workload, config, load_latency=latency,
+                                 scale=0.1, engine="cnative")
+                        for latency in latencies]
+            assert _counter("engine.cnative.fallback.build") == build + 2
+        finally:
+            telemetry.set_enabled(None)
+            clear_caches()
+        assert attempts == [ckernel.family_of(config)]
+        for latency, result in zip(latencies, degraded):
+            assert result == simulate(workload, config,
+                                      load_latency=latency, scale=0.1,
+                                      engine="reference")
+
+
 class TestCnativeTelemetry:
     @needs_cc
     def test_replays_counted(self):
@@ -164,6 +200,25 @@ class TestCnativeTelemetry:
             before = _counter("engine.cnative.replays")
             simulate(workload, config, load_latency=10, scale=0.1,
                      engine="cnative")
+            assert _counter("engine.cnative.replays") == before + 1
+        finally:
+            telemetry.set_enabled(None)
+            clear_caches()
+
+    @needs_cc
+    def test_auto_runs_direct_mapped_cells_in_c(self, monkeypatch):
+        # Under the default engine a direct-mapped cell with long
+        # resident phases (eqntott, mc=1) replays in the C kernel.
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        workload = get_benchmark("eqntott")
+        config = baseline_config(mc(1))
+        assert config.geometry.is_direct_mapped
+        try:
+            telemetry.set_enabled(True)
+            clear_caches()
+            before = _counter("engine.cnative.replays")
+            simulate(workload, config, load_latency=10, scale=0.1,
+                     engine="auto")
             assert _counter("engine.cnative.replays") == before + 1
         finally:
             telemetry.set_enabled(None)

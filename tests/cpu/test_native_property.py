@@ -1,12 +1,12 @@
-"""Property tests: the native and C replay lanes vs the reference engine.
+"""Property tests: the replay kernels vs the reference engine.
 
-The equivalence suite pins the accelerated lanes on the SPEC-shaped
+The equivalence suite pins the replay kernels on the SPEC-shaped
 models; these tests drive them with randomized small workloads --
 arbitrary load/store/ALU bodies over arbitrary strided footprints, on
 a tiny cache so hit runs, conflict misses, and store-heavy quiescent
 spans all occur -- and assert bit-identity against the unoptimized
 reference loops, which share no code with the stream pass, the replay
-kernels, numpy, or the generated C.
+kernels, or the generated C.
 """
 
 from __future__ import annotations
@@ -66,21 +66,6 @@ def random_workloads(draw):
     )
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    workload=random_workloads(),
-    policy=st.sampled_from([mc(1), fc(2), no_restrict()]),
-    latency=st.sampled_from([3, 10]),
-)
-def test_native_lane_matches_reference(workload, policy, latency):
-    config = replace(baseline_config(policy), geometry=GEOMETRY)
-    native = simulate(workload, config, load_latency=latency,
-                      engine="native")
-    reference = simulate(workload, config, load_latency=latency,
-                         engine="reference")
-    assert native == reference
-
-
 @pytest.mark.skipif(not ckernel.kernels_available(),
                     reason="no C compiler available")
 @settings(max_examples=25, deadline=None)
@@ -101,3 +86,24 @@ def test_cnative_lane_matches_reference(workload, policy, latency,
     reference = simulate(workload, config, load_latency=latency,
                          engine="reference")
     assert cnative == reference
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    workload=random_workloads(),
+    policy=st.sampled_from([mc(1), fc(2), no_restrict()]),
+    latency=st.sampled_from([3, 10]),
+    associativity=st.sampled_from([1, 2]),
+)
+def test_scalar_replay_matches_reference(workload, policy, latency,
+                                         associativity):
+    # The scalar replay is what every replayable cell degrades to
+    # without a C compiler, so it gets the same random matrix, and
+    # needs no compiler to run it.
+    geometry = replace(GEOMETRY, associativity=associativity)
+    config = replace(baseline_config(policy), geometry=geometry)
+    scalar = simulate(workload, config, load_latency=latency,
+                      engine="fused")
+    reference = simulate(workload, config, load_latency=latency,
+                         engine="reference")
+    assert scalar == reference

@@ -1,11 +1,11 @@
 """The execution-engine registry: resolution, legacy vars, fallback.
 
 The registry (:mod:`repro.sim.engines`) is the single selection path
-for the five execution tiers; these tests pin the resolution order
+for the four execution tiers; these tests pin the resolution order
 (argument > ``REPRO_ENGINE`` > legacy variables > default), the
 deprecation contract for ``REPRO_FASTPATH``/``REPRO_FUSION``, the
 per-cell capability classification the dispatcher sorts by, and the
-telemetry counters the native lane's fallbacks feed.
+engine selection counters.
 """
 
 from __future__ import annotations
@@ -43,21 +43,35 @@ class TestRegistry:
     def test_order_and_capabilities_are_monotone(self):
         # Each tier strictly adds a capability over the previous one.
         caps = [
-            (e.fast_path, e.fusion, e.native, e.cnative)
+            (e.fast_path, e.fusion, e.cnative)
             for e in (engines.ENGINES[name] for name in engines.ENGINE_ORDER)
         ]
         assert caps == sorted(caps)
-        assert caps[0] == (False, False, False, False)
-        assert caps[-1] == (True, True, True, True)
+        assert caps[0] == (False, False, False)
+        assert caps[-1] == (True, True, True)
+
+    def test_registry_lists_four_tiers(self):
+        assert engines.ENGINE_ORDER == (
+            "reference", "fastpath", "fused", "cnative")
+        assert engines.DEFAULT_ENGINE is engines.CNATIVE
 
     def test_get_engine_resolves_names_and_auto(self):
         assert engines.get_engine("fused") is engines.FUSED
-        assert engines.get_engine("  Native ") is engines.NATIVE
+        assert engines.get_engine("  CNative ") is engines.CNATIVE
         assert engines.get_engine("auto") is engines.DEFAULT_ENGINE
 
     def test_unknown_engine_raises_with_vocabulary(self):
         with pytest.raises(ConfigurationError, match="valid engines"):
             engines.get_engine("turbo")
+
+    def test_retired_native_tier_is_unknown(self, monkeypatch):
+        # The numpy lane is gone with no alias: the name is rejected
+        # like any other unknown engine, by argument and by env.
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            engines.get_engine("native")
+        monkeypatch.setenv("REPRO_ENGINE", "native")
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            engines.resolve_engine()
 
     def test_engine_names_covers_registry_plus_auto(self):
         assert engines.engine_names() == engines.ENGINE_ORDER + ("auto",)
@@ -66,7 +80,7 @@ class TestRegistry:
 class TestResolution:
     def test_argument_beats_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert engines.resolve_engine("native") is engines.NATIVE
+        assert engines.resolve_engine("cnative") is engines.CNATIVE
 
     def test_environment_beats_legacy(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "fused")
@@ -109,14 +123,19 @@ class TestResolution:
 
 
 class TestCellCapability:
-    def test_direct_mapped_nonblocking_is_native(self):
+    def test_direct_mapped_nonblocking_lands_on_cnative(self):
+        # Direct-mapped cells run in the C tier too, like every other
+        # replayable cell; without a compiler they stay fused.
+        from repro.cpu import ckernel
+
         config = baseline_config(mc(1))
+        expected = "cnative" if ckernel.kernels_available() else "fused"
         assert engines.cell_engine_tier(config) == \
-            engines.ENGINE_ORDER.index("native")
+            engines.ENGINE_ORDER.index(expected)
 
     def test_associative_cell_lands_on_cnative(self, monkeypatch):
-        # Outside the vector lane's envelope but inside the replay
-        # contract: the C tier takes it when a compiler exists.
+        # Inside the replay contract: the C tier takes it when a
+        # compiler exists.
         from repro.cpu import ckernel
 
         config = replace(
@@ -145,7 +164,7 @@ class TestCellCapability:
 
     def test_blocking_cell_caps_at_fused(self):
         # Blocking policies collapse to the closed form, a fused-tier
-        # capability; the native lane adds nothing there.
+        # capability; the C kernels add nothing there.
         config = baseline_config(blocking_cache())
         assert engines.cell_engine_tier(config) == \
             engines.ENGINE_ORDER.index("fused")
@@ -172,41 +191,9 @@ class TestEngineTelemetry:
         finally:
             telemetry.set_enabled(None)
 
-    def test_native_fallback_counters_carry_the_cause(self):
-        workload = get_benchmark("ora")
-        assoc = replace(
-            baseline_config(mc(1)),
-            geometry=CacheGeometry(size=8192, line_size=32, associativity=4),
-        )
-        try:
-            telemetry.set_enabled(True)
-            total = self._counter("engine.native.fallbacks")
-            cause = self._counter("engine.native.fallback.associative")
-            simulate(workload, assoc, load_latency=10, scale=0.05,
-                     engine="native")
-            assert self._counter("engine.native.fallbacks") == total + 1
-            assert self._counter(
-                "engine.native.fallback.associative") == cause + 1
-        finally:
-            telemetry.set_enabled(None)
-
-    def test_native_replays_counted(self):
-        workload = get_benchmark("ora")
-        config = baseline_config(mc(1))
-        try:
-            telemetry.set_enabled(True)
-            clear_caches()
-            before = self._counter("engine.native.replays")
-            simulate(workload, config, load_latency=10, scale=0.05,
-                     engine="native")
-            assert self._counter("engine.native.replays") == before + 1
-        finally:
-            telemetry.set_enabled(None)
-            clear_caches()
-
 
 class TestPinning:
-    def test_pinning_fused_never_compiles_native_kernels(self):
+    def test_pinning_fused_never_binds_c_kernels(self):
         from repro.sim import stream as stream_mod
 
         workload = get_benchmark("eqntott")
@@ -215,17 +202,17 @@ class TestPinning:
         simulate(workload, config, load_latency=10, scale=0.1,
                  engine="fused")
         stream = stream_mod.event_stream(workload, 10, 0.1, 32)
-        assert all(key[0] != "native" for key in stream._replay_fns)
+        assert all(key[0] != "cnative" for key in stream._replay_fns)
         clear_caches()
 
-    def test_pinning_reference_matches_native(self):
+    def test_pinning_reference_matches_cnative(self):
         workload = get_benchmark("compress")
         config = baseline_config(no_restrict())
         ref = simulate(workload, config, load_latency=10, scale=0.05,
                        engine="reference")
-        nat = simulate(workload, config, load_latency=10, scale=0.05,
-                       engine="native")
-        assert ref == nat
+        c = simulate(workload, config, load_latency=10, scale=0.05,
+                     engine="cnative")
+        assert ref == c
 
     def test_experiment_options_validate_engine(self):
         from repro.experiments.base import ExperimentOptions
@@ -238,9 +225,10 @@ class TestPinning:
     def test_api_simulate_accepts_engine(self):
         from repro import api
 
-        nat = api.simulate("ora", policy="mc=1", scale=0.05, cached=False,
-                           engine="native")
+        c = api.simulate("ora", policy="mc=1", scale=0.05, cached=False,
+                         engine="cnative")
         ref = api.simulate("ora", policy="mc=1", scale=0.05, cached=False,
                            engine="reference")
-        assert nat == ref
-        assert "native" in api.engine_names()
+        assert c == ref
+        assert "cnative" in api.engine_names()
+        assert "native" not in api.engine_names()

@@ -122,6 +122,35 @@ class TestCoordinator:
         with pytest.raises(CellExecutionError):
             coordinator.run([bad])
 
+    def test_shard_whose_send_fails_is_reassigned(self, workers,
+                                                  monkeypatch):
+        # A worker that dies between two shards fails the coordinator's
+        # next send; that shard must go back on the queue, or the sweep
+        # waits for it forever.
+        cells = sweep_cells()
+        serial = dispatch(cells, backend="inline")
+        real_send = fabric.wire.send_frame
+        failed = threading.Event()
+
+        def send_frame(fh, payload, codec=None):
+            if payload.get("kind") == "shard" and not failed.is_set():
+                failed.set()
+                raise BrokenPipeError("worker died")
+            real_send(fh, payload, codec=codec)
+
+        monkeypatch.setattr(fabric.wire, "send_frame", send_frame)
+        coordinator = fabric.FabricCoordinator(
+            [(server.host, server.port) for server in workers],
+            max_group=1)
+        out = []
+        runner = threading.Thread(
+            target=lambda: out.append(coordinator.run(cells)), daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "coordinator lost the shard"
+        assert out == [serial]
+        assert coordinator.report.reassigned >= 1
+
 
 class TestHandshake:
     # Both ends live in this process, so a monkeypatched schema would

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import telemetry
 from repro.cache.geometry import CacheGeometry
 from repro.core.policies import baseline_policies, mc, no_restrict
 from repro.cpu import ckernel
@@ -105,92 +106,8 @@ class TestPolicySiblingEquivalence:
         assert stream_mod.cache_sizes() == (0, 0)
 
 
-class TestNativeLaneEquivalence:
-    """The native (numpy) replay lane under the same contract.
-
-    Same matrix as the fused suite: every baseline policy at both
-    geometry corners, pinned to ``engine="native"`` and compared
-    bit-identically against the fused tier.  Blocking policies and
-    other out-of-envelope cells exercise the transparent fallback --
-    the equality must hold regardless of which lane actually ran.
-    """
-
-    @pytest.mark.parametrize("label,policy", POLICIES,
-                             ids=[label for label, _ in POLICIES])
-    @pytest.mark.parametrize("geo_label,geometry", GEOMETRIES,
-                             ids=[label for label, _ in GEOMETRIES])
-    def test_native_matches_fused(self, label, policy, geo_label, geometry):
-        workload = get_benchmark("eqntott")
-        config = replace(
-            baseline_config().with_policy(policy), geometry=geometry,
-        )
-        native = simulate(workload, config, load_latency=10, scale=0.1,
-                          engine="native")
-        fused = simulate(workload, config, load_latency=10, scale=0.1,
-                         engine="fused")
-        assert native == fused
-
-    @pytest.mark.parametrize("label,policy", POLICIES,
-                             ids=[label for label, _ in POLICIES])
-    def test_native_matches_reference_engine(self, label, policy):
-        # Strongest cross-check for the vector lane: against the
-        # unoptimized cpu/reference.py loops, which share no code with
-        # the stream pass, the replay kernels, or numpy.
-        workload = get_benchmark("ora")
-        config = baseline_config().with_policy(policy)
-        native = simulate(workload, config, load_latency=10, scale=0.1,
-                          engine="native")
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
-        assert native == reference
-
-    def test_native_store_counters_on_store_heavy_model(self):
-        # compress is the store-heaviest model; the native lane counts
-        # store hit/miss splits vectorized over batched spans, so its
-        # MissStats (store counters included) must still match exactly.
-        workload = get_benchmark("compress")
-        big = CacheGeometry(size=65536, line_size=32, associativity=1)
-        config = replace(baseline_config().with_policy(no_restrict()),
-                         geometry=big)
-        native = simulate(workload, config, load_latency=10, scale=0.2,
-                          engine="native")
-        fused = simulate(workload, config, load_latency=10, scale=0.2,
-                         engine="fused")
-        assert native == fused
-
-    def test_associative_geometry_falls_back_bit_identically(self):
-        # An LRU probe reorders the recency stack, so the native lane
-        # declines set-associative cells; pinning engine="native" must
-        # still return the exact fused/reference numbers via fallback.
-        workload = get_benchmark("eqntott")
-        assoc = CacheGeometry(size=8192, line_size=32, associativity=4)
-        config = replace(baseline_config().with_policy(mc(1)),
-                         geometry=assoc)
-        native = simulate(workload, config, load_latency=10, scale=0.1,
-                          engine="native")
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
-        assert native == reference
-
-    def test_native_kernels_cached_per_tier(self):
-        # The native kernel caches under a tier-distinct key: pinning
-        # fused after native must not alias the vectorized kernel.
-        workload = get_benchmark("eqntott")
-        clear_caches()
-        config = baseline_config().with_policy(mc(1))
-        simulate(workload, config, load_latency=10, scale=0.1,
-                 engine="native")
-        simulate(workload, config, load_latency=10, scale=0.1,
-                 engine="fused")
-        stream = stream_mod.event_stream(workload, 10, 0.1, 32)
-        tiers = {key[0] if isinstance(key[0], str) else "scalar"
-                 for key in stream._replay_fns}
-        assert tiers == {"native", "scalar"}
-        clear_caches()
-
-
-#: The cnative matrix adds the corners the C tier exists for: the
-#: set-associative geometries the vector lane declines.
+#: The cnative matrix adds set-associative corners to the two
+#: direct-mapped ones, so the C kernels' LRU stacks are covered too.
 CNATIVE_GEOMETRIES = GEOMETRIES + [
     ("8KB/4way", CacheGeometry(size=8192, line_size=32, associativity=4)),
     ("64KB/2way", CacheGeometry(size=65536, line_size=32, associativity=2)),
@@ -205,10 +122,10 @@ needs_cc = pytest.mark.skipif(
 class TestCnativeEquivalence:
     """The compiled-C replay kernels under the same contract.
 
-    The full matrix -- every baseline policy at every geometry corner
-    including the associative ones the C tier was built for, both
-    issue widths -- pinned to ``engine="cnative"`` and compared
-    bit-identically against the reference interpreter.  Out-of-
+    The full matrix -- every baseline policy at every geometry corner,
+    direct-mapped and associative, both issue widths -- pinned to
+    ``engine="cnative"`` and compared bit-identically against the
+    reference interpreter.  Out-of-
     envelope cells (blocking policies, dual issue) exercise the
     transparent fallback; the equality must hold regardless of which
     lane actually ran.
@@ -249,13 +166,18 @@ class TestCnativeEquivalence:
         assert cnative == reference
 
     @needs_cc
-    def test_cnative_store_counters_on_store_heavy_model(self):
-        # compress at a fully-associative corner: LRU stack churn plus
-        # the store-heaviest model, all inside the C kernel.
+    @pytest.mark.parametrize("geometry", [
+        CacheGeometry(size=65536, line_size=32, associativity=1),
+        CacheGeometry(size=8192, line_size=32, associativity=0),
+    ], ids=["64KB/32B", "8KB/full"])
+    def test_cnative_store_counters_on_store_heavy_model(self, geometry):
+        # compress is the store-heaviest model.  At the direct-mapped
+        # 64 KB corner its write-around stores split into inline hits
+        # and misses; at the fully-associative corner they churn the
+        # LRU stacks.  Both run inside the C kernel.
         workload = get_benchmark("compress")
-        full = CacheGeometry(size=8192, line_size=32, associativity=0)
         config = replace(baseline_config().with_policy(no_restrict()),
-                         geometry=full)
+                         geometry=geometry)
         cnative = simulate(workload, config, load_latency=10, scale=0.2,
                            engine="cnative")
         fused = simulate(workload, config, load_latency=10, scale=0.2,
@@ -280,3 +202,81 @@ class TestCnativeEquivalence:
                  for key in stream._replay_fns}
         assert tiers == {"cnative", "scalar"}
         clear_caches()
+
+
+def _run_counting_fallbacks(cause, workload, config):
+    """Simulate under ``auto``; return the result and the ``cause`` count."""
+    name = f"engine.cnative.fallback.{cause}"
+    try:
+        telemetry.set_enabled(True)
+        before = telemetry.counter(name).value
+        result = simulate(workload, config, load_latency=10, scale=0.1,
+                          engine="auto")
+        return result, telemetry.counter(name).value - before
+    finally:
+        telemetry.set_enabled(None)
+
+
+class TestScalarFallbackEquivalence:
+    """The scalar replay behind ``auto`` when no C kernel can be had.
+
+    Every replayable cell is routed to the C kernel first.  With no
+    compiler, or with a build that fails, it must degrade to the
+    scalar replay -- counted under the matching fallback cause -- and
+    still equal the reference interpreter bit for bit.  The compiler
+    is forced away rather than required, so these run on any host.
+    """
+
+    @pytest.fixture
+    def no_compiler(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CC", "no-such-compiler-xyz")
+        ckernel.reset_probe()
+        # Streams cache bound C kernels; drop them so nothing bound
+        # by an earlier test bypasses the probe.
+        clear_caches()
+        yield
+        ckernel.reset_probe()
+        clear_caches()
+
+    @pytest.fixture
+    def failing_build(self, monkeypatch):
+        def refuse(family):
+            raise ckernel.KernelBuildError(
+                f"forced failure for family {family.label()}")
+
+        monkeypatch.setattr(ckernel, "kernels_available", lambda: True)
+        monkeypatch.setattr(ckernel, "compile_kernel_so", refuse)
+        ckernel.reset_probe()
+        clear_caches()
+        yield
+        ckernel.reset_probe()
+        clear_caches()
+
+    @pytest.mark.parametrize("label,policy", POLICIES,
+                             ids=[label for label, _ in POLICIES])
+    @pytest.mark.parametrize("geo_label,geometry", GEOMETRIES,
+                             ids=[label for label, _ in GEOMETRIES])
+    def test_no_compiler_matches_reference(self, no_compiler, label,
+                                           policy, geo_label, geometry):
+        workload = get_benchmark("eqntott")
+        config = replace(
+            baseline_config().with_policy(policy), geometry=geometry,
+        )
+        degraded, nocc = _run_counting_fallbacks("nocc", workload, config)
+        reference = simulate(workload, config, load_latency=10, scale=0.1,
+                             engine="reference")
+        assert degraded == reference
+        # Blocking cells take the closed form and never ask for C.
+        assert nocc == (0 if policy.blocking else 1)
+
+    @pytest.mark.parametrize("label,policy", POLICIES,
+                             ids=[label for label, _ in POLICIES])
+    def test_failed_build_matches_reference(self, failing_build, label,
+                                            policy):
+        workload = get_benchmark("ora")
+        config = baseline_config().with_policy(policy)
+        degraded, build = _run_counting_fallbacks("build", workload, config)
+        reference = simulate(workload, config, load_latency=10, scale=0.1,
+                             engine="reference")
+        assert degraded == reference
+        assert build == (0 if policy.blocking else 1)

@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.policies import blocking_cache, mc, no_restrict
+from repro.cache.geometry import CacheGeometry
+from repro.core.policies import blocking_cache, fc, mc, no_restrict
+from repro.cpu import ckernel
 from repro.errors import ConfigurationError
 from repro.sim.config import baseline_config
 from repro.sim.parallel import (
     _group_cells,
+    _prebuild_kernels,
     default_workers,
     pool_idle_seconds,
     pool_stats,
@@ -142,6 +145,31 @@ class TestGrouping:
             max_group=8,
         )
         assert len(groups) == 2
+
+
+class TestKernelPrebuild:
+    def test_failed_family_does_not_abandon_the_rest(self, monkeypatch):
+        # One family's build failure must not leave the other families
+        # for every pool worker to compile on its own.
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setattr(ckernel, "kernels_available", lambda: True)
+        attempted = []
+
+        def ensure_kernel(family):
+            attempted.append(family)
+            if len(attempted) == 1:
+                raise ckernel.KernelBuildError("simulated build failure")
+
+        monkeypatch.setattr(ckernel, "ensure_kernel", ensure_kernel)
+        assoc = CacheGeometry(size=8192, line_size=32, associativity=4)
+        configs = [baseline_config(mc(1)), baseline_config(fc(2)),
+                   baseline_config(no_restrict()),
+                   replace(baseline_config(mc(1)), geometry=assoc)]
+        workload = get_benchmark("ora")
+        _prebuild_kernels([(workload, c, 10, 0.05) for c in configs])
+        families = {ckernel.family_of(c) for c in configs}
+        assert len(families) > 1
+        assert sorted(map(repr, attempted)) == sorted(map(repr, families))
 
 
 class TestParallelMatchesSerial:

@@ -122,7 +122,7 @@ def redirect_smoke_outputs(args, parser) -> None:
     """
     os.makedirs(SMOKE_DIR, exist_ok=True)
     for attr in ("out", "sweepcache_out", "pool_out", "fusion_out",
-                 "native_out", "cnative_out", "fabric_out", "screen_out"):
+                 "cnative_out", "fabric_out", "screen_out"):
         default = parser.get_default(attr)
         if getattr(args, attr) == default:
             setattr(args, attr, os.path.join(SMOKE_DIR, default))
@@ -512,105 +512,12 @@ def bench_fusion(scale: float, repeats: int, smoke: bool):
     }
 
 
-def bench_native(scale: float, repeats: int, smoke: bool):
-    """Replay phase of a cold multi-policy sweep: native lane vs scalar.
-
-    The native tier vectorizes exactly one thing -- quiescent all-hit
-    execution runs -- so it is measured on its envelope: the
-    hit-dominated suite (``hitloop`` plus the cache-resident integer
-    models at the 64 KB corner, where after the cold start nearly
-    every execution hits).  Streaming FP models miss in essentially
-    every execution at every cache size, so no exact execution-level
-    batching can help them; two of them are measured and reported as
-    the honest "outside the envelope" number (``streaming_speedup``,
-    ~1.0x, not gated).  See docs/performance.md, "Native replay
-    tier".
-
-    Per workload the group's trace and event stream are built once
-    (the shared stream pass the fused tier already amortizes); the
-    timed quantity is the per-policy replay sweep -- every
-    non-blocking baseline policy through the scalar kernel vs through
-    the native lane -- with both lanes' results asserted
-    bit-identical.
-    """
-    from repro.cache.geometry import CacheGeometry
-    from repro.cpu.replay import run_replay
-    from repro.cpu.replay_native import native_supported, run_native
-    from repro.sim import stream as stream_mod
-    from repro.sim.config import MachineConfig
-    from repro.sim.simulator import expand_workload
-
-    scale = max(scale, 0.5)
-    big = CacheGeometry(size=64 * 1024, line_size=32, associativity=1)
-    base = baseline_config()
-    # hitloop keeps its calibrated length even in smoke mode: the
-    # vector lane's gain grows with run length, so a microsecond
-    # hitloop would measure chunk-scan ramp-up, not the lane.  It is
-    # synthetic and cheap (~70 ms per lane sweep), so the gate stays
-    # meaningful at smoke scale.
-    suite = [
-        ("hitloop", make_hitloop(200_000), base.geometry, True),
-        ("xlisp@64KB", get_benchmark("xlisp"), big, True),
-        ("compress@64KB", get_benchmark("compress"), big, True),
-        ("tomcatv", get_benchmark("tomcatv"), base.geometry, False),
-        ("doduc", get_benchmark("doduc"), base.geometry, False),
-    ]
-    policies = [p for p in baseline_policies() if not p.blocking]
-
-    clear_caches()
-    rows = []
-    totals = {True: [0.0, 0.0], False: [0.0, 0.0]}
-    for label, workload, geometry, gated in suite:
-        _, trace = expand_workload(workload, 10, scale=scale)
-        stream = stream_mod.event_stream(workload, 10, scale,
-                                         geometry.line_size)
-        configs = [MachineConfig(geometry=geometry, policy=p)
-                   for p in policies]
-        assert all(native_supported(c) for c in configs)
-        for config in configs:
-            if run_native(stream, trace, config) != \
-                    run_replay(stream, trace, config):
-                raise AssertionError(
-                    f"native lane diverged on {label}/{config.policy.name}"
-                )
-
-        def sweep_replay(run, configs=configs, stream=stream, trace=trace):
-            for config in configs:
-                run(stream, trace, config)
-
-        t_py, _ = best_of(repeats, lambda: sweep_replay(run_replay))
-        t_nat, _ = best_of(repeats, lambda: sweep_replay(run_native))
-        rows.append({
-            "cell": label,
-            "gated": gated,
-            "python_seconds": t_py,
-            "native_seconds": t_nat,
-            "speedup": t_py / t_nat,
-        })
-        totals[gated][0] += t_py
-        totals[gated][1] += t_nat
-    clear_caches()
-    return {
-        "suite": "hit-dominated (gated) + streaming (informational)",
-        "policies": len(policies),
-        "cells": len(suite) * len(policies),
-        "rows": rows,
-        "python_seconds": totals[True][0],
-        "native_seconds": totals[True][1],
-        "speedup": totals[True][0] / totals[True][1],
-        "streaming_speedup": totals[False][0] / totals[False][1],
-        "bit_identical": True,
-    }
-
-
 def bench_cnative(scale: float, repeats: int, smoke: bool):
-    """Replay phase on the cells the vector lane declines: C vs scalar.
+    """Replay phase on streaming and associative cells: C vs scalar.
 
-    The compiled-C tier exists for exactly the replayable cells the
-    numpy lane cannot take -- set-associative geometries and the
-    streaming models the stream-shape heuristic steers off the vector
-    scan -- so it is measured on that envelope: two streaming FP
-    models at the direct-mapped baseline corner and two
+    The compiled-C tier takes every replayable cell; it is measured on
+    the cells where the scalar kernel's turbo lane helps least: two
+    streaming FP models at the direct-mapped baseline corner and three
     set-associative corners.  Per workload the group's trace and
     event stream are built once; kernels are compiled (or loaded from
     the disk cache) during the bit-identity check, so the timed
@@ -687,7 +594,7 @@ def bench_cnative(scale: float, repeats: int, smoke: bool):
     compile_seconds = sum(k.compile_seconds for k in built)
     clear_caches()
     return {
-        "suite": "vector-lane-declined cells (streaming + associative)",
+        "suite": "streaming + associative cells",
         "policies": len(policies),
         "cells": len(suite) * len(policies),
         "compiler": ckernel.find_compiler(),
@@ -786,41 +693,6 @@ def bench_telemetry(workloads, scale: float, repeats: int):
     }
 
 
-def run_native_only(args) -> None:
-    """The ``perfbench bench_native`` entry: native-lane gate only."""
-    native = bench_native(args.scale, args.repeats, args.smoke)
-    print(f"native replay lane (replay phase, best of {args.repeats}, "
-          f"{native['policies']} policies/cell):\n")
-    print(format_table(
-        ["cell", "gated", "python ms", "native ms", "speedup"],
-        [[r["cell"], "yes" if r["gated"] else "no",
-          round(1e3 * r["python_seconds"], 1),
-          round(1e3 * r["native_seconds"], 1),
-          round(r["speedup"], 2)] for r in native["rows"]],
-    ))
-    print(f"\n  hit-dominated suite   : {native['speedup']:.2f}x")
-    print(f"  streaming (not gated) : {native['streaming_speedup']:.2f}x")
-    payload = {
-        "scale": args.scale,
-        "repeats": args.repeats,
-        "smoke": args.smoke,
-        "native": native,
-        "telemetry": telemetry.snapshot(),
-    }
-    with open(args.native_out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"\nwrote {args.native_out}")
-    if args.assert_speedup is not None:
-        if native["speedup"] < args.assert_speedup:
-            raise SystemExit(
-                f"native replay speedup {native['speedup']:.2f}x is below "
-                f"the {args.assert_speedup:.2f}x floor"
-            )
-        print(f"native replay speedup meets the "
-              f"{args.assert_speedup:.2f}x floor")
-
-
 def run_cnative_only(args) -> None:
     """The ``perfbench bench_cnative`` entry: C-kernel gate only."""
     cnative = bench_cnative(args.scale, args.repeats, args.smoke)
@@ -833,7 +705,7 @@ def run_cnative_only(args) -> None:
           round(1e3 * r["cnative_seconds"], 1),
           round(r["speedup"], 2)] for r in cnative["rows"]],
     ))
-    print(f"\n  declined-cell suite : {cnative['speedup']:.2f}x")
+    print(f"\n  suite               : {cnative['speedup']:.2f}x")
     print(f"  compiler            : {cnative['compiler']}")
     print(f"  kernels built       : {cnative['kernels_built']} "
           f"({cnative['compile_seconds']:.3f}s, one-time, disk-cached)")
@@ -1102,11 +974,10 @@ def run_fabric_only(args) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench", nargs="?", default="all",
-                        choices=("all", "bench_native", "bench_cnative",
-                                 "bench_fabric", "bench_screen"),
+                        choices=("all", "bench_cnative", "bench_fabric",
+                                 "bench_screen"),
                         help="which suite to run: 'all' (default, the five "
-                             "historical measurements), 'bench_native' "
-                             "(the native replay-lane gate only), "
+                             "historical measurements), "
                              "'bench_cnative' (the compiled-C kernel gate "
                              "only), 'bench_fabric' (distributed "
                              "coordinator overhead vs the in-process "
@@ -1136,7 +1007,6 @@ def main() -> None:
                         metavar="PCT",
                         help="fail if telemetry overhead exceeds PCT percent")
     parser.add_argument("--fusion-out", default="BENCH_fusion.json")
-    parser.add_argument("--native-out", default="BENCH_native.json")
     parser.add_argument("--cnative-out", default="BENCH_cnative.json")
     parser.add_argument("--fabric-out", default="BENCH_fabric.json")
     parser.add_argument("--screen-out", default="BENCH_screen.json")
@@ -1150,18 +1020,12 @@ def main() -> None:
     parser.add_argument("--assert-speedup", type=float, default=None,
                         metavar="X",
                         help="fail if the gated sweep speedup falls below X "
-                             "(the fused sweep under 'all', the native "
-                             "replay lane under 'bench_native')")
+                             "(the fused sweep under 'all', the C "
+                             "replay kernels under 'bench_cnative')")
     args = parser.parse_args()
 
     if args.smoke:
         redirect_smoke_outputs(args, parser)
-
-    if args.bench == "bench_native":
-        if args.smoke:
-            args.repeats = max(args.repeats, 2)
-        run_native_only(args)
-        return
 
     if args.bench == "bench_cnative":
         if args.smoke:

@@ -13,9 +13,9 @@ Usage::
 ``--phases`` profiles the fused engine's two passes separately: the
 stream pass (expand + event-stream build + functional classification,
 paid once per group) and the policy replay (paid once per sibling),
-with the replay phase split into the scalar python kernel, the
-numpy-vectorized native lane, and the compiled-C kernel (one-time
-compile cost reported separately from execution), plus per-engine
+with the replay phase split into the scalar python kernel and the
+compiled-C kernel (one-time compile cost reported separately from
+execution), plus per-engine
 cell counts for the profiled matrix (how many cells each registry
 tier would execute).
 """
@@ -35,17 +35,15 @@ from repro.workloads.spec92 import BENCHMARK_ORDER, get_benchmark
 def profile_phases(names, scale: float) -> None:
     """Per-group time split between the stream pass and policy replay.
 
-    The replay phase is timed up to three times per policy: through
-    the scalar python kernel, the native (numpy) lane, and the
-    compiled-C kernel, so the table shows directly which cells each
-    accelerated tier speeds up.  C-kernel compilation (a one-time,
-    disk-cached cost) is timed separately and never pollutes the
-    per-replay execution numbers.
+    The replay phase is timed up to twice per policy: through the
+    scalar python kernel and the compiled-C kernel, so the table shows
+    directly what the C tier buys on each cell.  C-kernel compilation
+    (a one-time, disk-cached cost) is timed separately and never
+    pollutes the per-replay execution numbers.
     """
     from repro.cpu import ckernel
     from repro.cpu.replay import run_replay
     from repro.cpu.replay_cnative import cnative_supported, run_cnative
-    from repro.cpu.replay_native import native_supported, run_native
     from repro.sim import engines, stream as stream_mod
     from repro.sim.simulator import expand_workload
 
@@ -53,7 +51,7 @@ def profile_phases(names, scale: float) -> None:
     config = baseline_config()
     geometry = config.geometry
     rows = []
-    stream_total = python_total = native_total = 0.0
+    stream_total = python_total = 0.0
     cnative_total = compile_total = 0.0
     engine_cells = {name: 0 for name in engines.ENGINE_ORDER}
     for name in names:
@@ -68,8 +66,8 @@ def profile_phases(names, scale: float) -> None:
         summary = stream_mod.functional_summary(
             workload, 10, scale, geometry, False)
         stream_s = time.perf_counter() - start
-        python_s = native_s = cnative_s = 0.0
-        replays = natives = cnatives = 0
+        python_s = cnative_s = 0.0
+        replays = cnatives = 0
         for policy in policies:
             cell = baseline_config(policy)
             tier = engines.cell_engine_tier(cell)
@@ -82,11 +80,6 @@ def profile_phases(names, scale: float) -> None:
             run_replay(stream, trace, cell)
             python_s += time.perf_counter() - start
             replays += 1
-            if native_supported(cell):
-                start = time.perf_counter()
-                run_native(stream, trace, cell)
-                native_s += time.perf_counter() - start
-                natives += 1
             if cnative_supported(cell) and ckernel.kernels_available():
                 start = time.perf_counter()
                 ckernel.ensure_kernel(ckernel.family_of(cell))
@@ -96,29 +89,24 @@ def profile_phases(names, scale: float) -> None:
                 cnative_s += time.perf_counter() - start
                 cnatives += 1
         per_python = python_s / replays if replays else 0.0
-        per_native = native_s / natives if natives else 0.0
         per_cnative = cnative_s / cnatives if cnatives else 0.0
         rows.append([
             name, round(1e3 * expand_s, 2), round(1e3 * stream_s, 2),
             round(1e3 * per_python, 2),
-            round(1e3 * per_native, 2) if natives else None,
-            round(per_python / per_native, 2) if per_native else None,
             round(1e3 * per_cnative, 2) if cnatives else None,
             round(per_python / per_cnative, 2) if per_cnative else None,
         ])
         stream_total += expand_s + stream_s
         python_total += python_s
-        native_total += native_s
         cnative_total += cnative_s
         del summary
     print(format_table(
         ["benchmark", "expand ms", "stream ms", "python ms/policy",
-         "native ms/policy", "native x", "C ms/policy", "C x"],
+         "C ms/policy", "C x"],
         rows,
     ))
     print(f"\nstream pass total: {stream_total:.3f}s  "
           f"python replay total: {python_total:.3f}s  "
-          f"native replay total: {native_total:.3f}s  "
           f"C replay total: {cnative_total:.3f}s")
     built = [k for k in ckernel.loaded_kernels() if k.built]
     print(f"C kernel compile (one-time, disk-cached): {compile_total:.3f}s "
