@@ -134,7 +134,6 @@ def evaluate_designs(
     catalogue: Optional[Sequence[tuple]] = None,
     fidelity: Optional[str] = None,
     workers: Optional[int] = 1,
-    backend: Optional[str] = None,
 ) -> List[DesignPoint]:
     """Measure every catalogue design on ``workload``.
 
@@ -145,8 +144,8 @@ def evaluate_designs(
     budget queries are identical to an exhaustive run at a fraction of
     the simulations.  Pass ``fidelity="exact"`` (or set
     ``REPRO_FIDELITY``) for the exhaustive behaviour; either way every
-    simulation goes through the planner's memoized store and the
-    selected dispatch backend.
+    simulation goes through the planner's memoized store and is
+    dispatched across ``workers`` processes.
     """
     if base is None:
         base = baseline_config()
@@ -160,7 +159,7 @@ def evaluate_designs(
     ]
     bits = [b for _, _, b in catalogue]
     entries, _ = run_band(cells, bits, fidelity=fidelity, default="auto",
-                          workers=workers, backend=backend)
+                          workers=workers)
     points: List[DesignPoint] = []
     for entry, (description, policy, storage_bits) in zip(entries, catalogue):
         if entry.result is not None:

@@ -53,7 +53,7 @@ from repro.core.policies import no_restrict
 from repro.errors import ConfigurationError
 from repro.sim.bounds import CellBounds, cell_bounds, screen_support
 from repro.sim.config import MachineConfig, baseline_config
-from repro.sim.parallel import Cell
+from repro.sim.parallel import Cell, _checked_workers
 from repro.sim.planner import execute_cells
 from repro.sim.stats import SimulationResult
 from repro.workloads.workload import Workload
@@ -368,7 +368,6 @@ def run_band(
     fidelity: Optional[str] = None,
     default: str = "auto",
     workers: Optional[int] = 1,
-    backend: Optional[str] = None,
     store=None,
 ) -> Tuple[List[_Entry], ScreenReport]:
     """Resolve a priced cell list at the requested fidelity.
@@ -376,11 +375,12 @@ def run_band(
     Returns one entry per cell (same order) carrying the bracket, the
     exact result when one was computed, and the pruned flag -- plus the
     :class:`ScreenReport`.  ``exact`` simulates everything through the
-    planner (memoized store, dispatch backends); ``screen`` simulates
+    planner (memoized store, dispatch); ``screen`` simulates
     only the unboundable cells; ``auto`` runs the running-frontier
     loop documented in the module docstring.
     """
     global last_report
+    _checked_workers(workers)
     if len(bits) != len(cells):
         raise ConfigurationError(
             f"run_band needs one storage price per cell "
@@ -392,8 +392,7 @@ def run_band(
             _Entry(index=i, cell=cell, bits=b, bounds=None, cause=None)
             for i, (cell, b) in enumerate(zip(cells, bits))
         ]
-        results = execute_cells(list(cells), workers=workers,
-                                backend=backend, store=store)
+        results = execute_cells(list(cells), workers=workers, store=store)
         for e, r in zip(entries, results):
             e.result = r
         report = ScreenReport(fidelity="exact", cells=len(entries),
@@ -419,7 +418,7 @@ def run_band(
         if not batch:
             return
         results = execute_cells([e.cell for e in batch], workers=workers,
-                                backend=backend, store=store)
+                                store=store)
         for e, r in zip(batch, results):
             e.result = r
         report.simulated += len(batch)
@@ -573,7 +572,6 @@ def run_screen_table(
     base: Optional[MachineConfig] = None,
     scale: float = 1.0,
     workers: Optional[int] = 1,
-    backend: Optional[str] = None,
     fidelity: str = "screen",
     store=None,
 ) -> ScreenedTable:
@@ -585,6 +583,7 @@ def run_screen_table(
     closed-form cells never touch an engine.  Tables carry no storage
     pricing, so no cell is ever pruned here.
     """
+    _checked_workers(workers)
     if base is None:
         base = baseline_config()
     fid = get_fidelity(fidelity)
@@ -618,7 +617,7 @@ def run_screen_table(
         ]
     if to_run:
         results = execute_cells([e.cell for e in to_run], workers=workers,
-                                backend=backend, store=store)
+                                store=store)
         for e, r in zip(to_run, results):
             e.result = r
         report.simulated += len(to_run)

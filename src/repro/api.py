@@ -12,7 +12,7 @@ re-exported or defined here is covered by the compatibility promise in
     table = api.sweep(["doduc", "xlisp"], policies=["mc=1", "no restrict"])
     report = api.run_experiment("fig5", scale=0.1)
 
-Three groups of names:
+Four groups of names:
 
 * **simulation** -- :func:`simulate` (memoized, accepts benchmark
   names or :class:`~repro.workloads.workload.Workload` objects and
@@ -23,14 +23,10 @@ Three groups of names:
   :func:`parse_policy`;
 * **experiments** -- :func:`run_experiment`, :func:`list_experiments`,
   :class:`ExperimentOptions`, :class:`ExperimentResult`;
-* **dispatch lifecycle** -- :func:`backend_names`,
-  :func:`shutdown_pool`, and :func:`pool_stats` for the dispatch
-  backends (inline / pool / socket; see ``docs/distributed.md`` and
+* **pool lifecycle** -- :func:`shutdown_pool` and :func:`pool_stats`
+  for the persistent process pool behind ``workers > 1`` sweeps (see
   the "Trace plane and pool lifecycle" section of
   ``docs/performance.md``);
-* **sweep service** -- :func:`submit_sweep` and :func:`sweep_service`
-  for asynchronous submission with progress streaming and request
-  coalescing (``docs/distributed.md``);
 * **telemetry** -- :func:`telemetry_enabled`, :func:`metrics_snapshot`,
   :func:`telemetry_summary`, :func:`flush_telemetry`, and the
   :func:`span` context manager (see ``docs/observability.md``).
@@ -68,7 +64,6 @@ __all__ = [
     "benchmark_names",
     "parse_policy",
     "engine_names",
-    "backend_names",
     "fidelity_names",
     # experiments
     "run_experiment",
@@ -76,12 +71,9 @@ __all__ = [
     "Experiment",
     "ExperimentOptions",
     "ExperimentResult",
-    # dispatch lifecycle
+    # pool lifecycle
     "shutdown_pool",
     "pool_stats",
-    # sweep service
-    "submit_sweep",
-    "sweep_service",
     # telemetry
     "span",
     "telemetry_enabled",
@@ -122,20 +114,6 @@ def engine_names() -> Sequence[str]:
     the registry with the current resolution.
     """
     from repro.sim.engines import engine_names as _names
-
-    return _names()
-
-
-def backend_names() -> Sequence[str]:
-    """Valid ``backend=`` / ``REPRO_BACKEND`` values, ``auto`` included.
-
-    Dispatch backends (inline / pool / socket) pick *where* sweep
-    cells execute, exactly as engine tiers pick *how*; every backend
-    is bit-identical.  ``python -m repro backends`` prints the
-    registry with each backend's capabilities and the current
-    resolution; ``docs/distributed.md`` covers the socket fabric.
-    """
-    from repro.sim.parallel import backend_names as _names
 
     return _names()
 
@@ -200,7 +178,6 @@ def sweep(
     scale: float = 1.0,
     workers: Optional[int] = 1,
     base: Optional[MachineConfig] = None,
-    backend: Optional[str] = None,
     fidelity: Optional[str] = None,
 ):
     """A benchmarks x policies MCPI table through the unified planner.
@@ -208,10 +185,9 @@ def sweep(
     Defaults to all 18 benchmark models and the paper's baseline
     policy spectrum.  Cells are deduplicated, served from the result
     store where possible, and the misses dispatched across
-    ``workers`` processes on the selected ``backend``
-    (:func:`backend_names`; default: resolve via ``REPRO_BACKEND`` /
-    ``auto``); results are bit-identical to serial ``simulate`` calls
-    whichever backend runs them.
+    ``workers`` processes (``None``: ``REPRO_WORKERS`` or half the
+    CPUs; below 1 raises :class:`~repro.errors.ConfigurationError`);
+    results are bit-identical to serial ``simulate`` calls.
 
     ``fidelity`` picks the evaluation tier (:func:`fidelity_names`;
     default: resolve via ``REPRO_FIDELITY`` / ``exact``).  ``exact``
@@ -240,10 +216,10 @@ def sweep(
         return run_screen_table(workloads, resolved_policies,
                                 load_latency=load_latency, base=base,
                                 scale=scale, workers=workers,
-                                backend=backend, fidelity=fid.name)
+                                fidelity=fid.name)
     return run_table(workloads, resolved_policies,
                      load_latency=load_latency, base=base, scale=scale,
-                     workers=workers, backend=backend)
+                     workers=workers)
 
 
 def run_experiment(
@@ -273,37 +249,31 @@ def list_experiments() -> List[Experiment]:
 
 
 def shutdown_pool() -> bool:
-    """Release every dispatch backend's resources; True if any were live.
+    """Retire the persistent process pool; True if one was running.
 
-    Covers the persistent process pool (``workers > 1`` sweeps share
-    one lazily created, process-wide pool so worker compile/trace
-    caches stay warm across consecutive sweeps) and any other
-    registered backend holding state.  The pool also retires itself
-    after ``REPRO_POOL_IDLE`` seconds of disuse (default 120) and at
-    interpreter exit; long-lived services should call this when a
-    burst of sweeps finishes instead of keeping idle workers around.
-    A later sweep transparently reacquires whatever it needs.
+    ``workers > 1`` sweeps share one lazily created, process-wide pool
+    so worker compile/trace caches stay warm across consecutive
+    sweeps.  The pool also retires itself after ``REPRO_POOL_IDLE``
+    seconds of disuse (default 120) and at interpreter exit;
+    long-lived services should call this when a burst of sweeps
+    finishes instead of keeping idle workers around.  A later sweep
+    transparently creates a fresh pool.
     """
     from repro.sim.parallel import shutdown_pool as _shutdown
 
     return _shutdown()
 
 
-def pool_stats(backend: Optional[str] = None) -> Dict:
-    """Advisory per-backend dispatch state for this process.
+def pool_stats() -> Dict:
+    """Advisory process-pool bookkeeping for this process.
 
-    ``"backend"`` is the resolved selection (``backend`` argument,
-    else ``REPRO_BACKEND``, else ``auto``) and ``"backends"`` maps
-    every registered backend to its own stats -- so the answer is
-    honest even when the inline or socket backend, not the process
-    pool, is doing the work.  The historical process-pool keys
-    (``active``, ``workers``, ``created``, ``reused``,
-    ``shutdowns``) remain at top level and always describe the
-    process pool.
+    ``active`` (a pool is running), ``workers`` (its size),
+    ``created`` / ``reused`` (dispatches that built a pool or leased
+    the live one) and ``shutdowns`` (pools retired).
     """
     from repro.sim.parallel import pool_stats as _stats
 
-    return _stats(backend)
+    return _stats()
 
 
 # -- telemetry accessors -------------------------------------------------------
@@ -329,36 +299,3 @@ def telemetry_summary() -> str:
 def flush_telemetry() -> bool:
     """Persist this process's metrics into the telemetry state file."""
     return _telemetry.flush()
-
-
-# -- sweep service -------------------------------------------------------------
-
-
-def sweep_service(**kwargs):
-    """The running event loop's :class:`repro.serve.SweepService`.
-
-    Must be called inside a running loop.  Keyword arguments
-    (``workers``, ``backend``, ``store``, ``batch_size``) configure
-    the service only when this loop creates it; afterwards the
-    existing instance -- and its coalescing state -- is returned
-    as-is.
-    """
-    from repro.serve import get_service
-
-    return get_service(**kwargs)
-
-
-async def submit_sweep(cells, *, workers: Optional[int] = 1,
-                       backend: Optional[str] = None):
-    """Submit a cell list to the loop's sweep service (non-blocking).
-
-    ``cells`` are ``(workload, config, load_latency, scale)`` tuples.
-    Returns a :class:`repro.serve.SweepJob`: iterate
-    ``job.progress()`` for streamed events, ``await job.wait()`` for
-    ordered results.  Identical in-flight cell *sets* coalesce into a
-    single execution, and every batch lands in the memoized result
-    store, so a re-submitted sweep is a pure cache read.
-    """
-    from repro.serve import submit_sweep as _submit
-
-    return await _submit(cells, workers=workers, backend=backend)

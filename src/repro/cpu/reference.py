@@ -7,7 +7,7 @@ two-tier engine in :mod:`repro.cpu.pipeline` and
 through the handler's ``load``/``store`` methods, and the body is
 re-dispatched op by op from parallel lists.
 
-``simulate(..., fast_path=False)`` routes here; the equivalence suite
+``simulate(..., engine="reference")`` routes here; the equivalence suite
 (``tests/sim/test_fastpath_equivalence.py``) asserts the optimized
 engines produce byte-identical :class:`~repro.sim.stats.SimulationResult`
 objects, and ``tools/perfbench.py`` uses these loops as the baseline

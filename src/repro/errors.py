@@ -59,24 +59,3 @@ class CellExecutionError(ReproError):
     cells was responsible.  Kept to a single string argument so it
     pickles cleanly across the process boundary.
     """
-
-
-class WireError(ReproError):
-    """A wire payload could not be decoded.
-
-    Raised for malformed frames, unknown type tags, and -- most
-    importantly -- schema or engine-version mismatches: a coordinator
-    and worker running different timing-model revisions must refuse to
-    exchange cells rather than silently mix incompatible results.
-    """
-
-
-class FabricError(ReproError):
-    """The distributed sweep fabric could not complete a dispatch.
-
-    Examples: no reachable workers for the socket backend, a protocol
-    handshake failure, or a shard that exhausted every reassignment
-    path.  Worker *loss* alone does not raise -- lost shards are
-    reassigned or run locally -- so seeing this means the fabric had
-    no healthy execution path left.
-    """

@@ -21,6 +21,7 @@ import time
 from typing import List, Optional
 
 from repro import telemetry
+from repro.cli import _positive_int
 from repro.errors import ReproError
 from repro.experiments import all_experiments, get_experiment
 from repro.experiments.base import ExperimentOptions
@@ -44,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run-length multiplier (default 1.0; smaller is faster)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="process-pool size for the sweeps behind each figure "
              "(default 1: serial; only cells missing from the result "
              "store are simulated either way)",
@@ -107,7 +108,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for exp in experiments:
         options = ExperimentOptions(
             scale=args.scale,
-            workers=args.workers if args.workers else 1,
+            workers=args.workers if args.workers is not None else 1,
             benchmark=args.benchmark,
             cache=not args.no_cache,
             progress=progress if args.progress else None,

@@ -119,12 +119,6 @@ class ExperimentOptions:
     #: because every tier is bit-identical, so a worker that raced a
     #: previous run's setting still produces the same numbers.
     engine: Optional[str] = None
-    #: Dispatch backend for the run's sweeps (a name from
-    #: :func:`repro.sim.parallel.backend_names`); ``None`` resolves
-    #: via ``REPRO_BACKEND`` / ``auto``.  Applied as ``REPRO_BACKEND``
-    #: for the run's duration, mirroring ``engine`` -- every backend
-    #: is bit-identical, so this only picks *where* cells execute.
-    backend: Optional[str] = None
     #: Record metrics/spans for this run (see ``docs/observability.md``).
     telemetry: bool = True
     #: Progress notifications (the ``--progress`` stderr line).
@@ -168,13 +162,6 @@ class ExperimentOptions:
 
             try:
                 get_engine(self.engine)
-            except Exception as exc:
-                raise ExperimentError(str(exc)) from None
-        if self.backend is not None:
-            from repro.sim.parallel import get_backend
-
-            try:
-                get_backend(self.backend)
             except Exception as exc:
                 raise ExperimentError(str(exc)) from None
 
@@ -230,7 +217,6 @@ class Experiment:
 
         saved_cache = os.environ.get("REPRO_CACHE")
         saved_engine = os.environ.get("REPRO_ENGINE")
-        saved_backend = os.environ.get("REPRO_BACKEND")
         telemetry_forced_off = not options.telemetry and telemetry.enabled()
         start = time.perf_counter()
         if options.progress is not None:
@@ -240,8 +226,6 @@ class Experiment:
                 os.environ["REPRO_CACHE"] = "0"
             if options.engine is not None:
                 os.environ["REPRO_ENGINE"] = options.engine
-            if options.backend is not None:
-                os.environ["REPRO_BACKEND"] = options.backend
             if telemetry_forced_off:
                 telemetry.set_enabled(False)
             with telemetry.span(f"experiment.{self.experiment_id}",
@@ -265,11 +249,6 @@ class Experiment:
                     os.environ.pop("REPRO_ENGINE", None)
                 else:
                     os.environ["REPRO_ENGINE"] = saved_engine
-            if options.backend is not None:
-                if saved_backend is None:
-                    os.environ.pop("REPRO_BACKEND", None)
-                else:
-                    os.environ["REPRO_BACKEND"] = saved_backend
         elapsed = time.perf_counter() - start
         if options.telemetry and telemetry.enabled():
             telemetry.counter("experiment.runs").inc()

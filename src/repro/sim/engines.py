@@ -31,17 +31,13 @@ objects -- the engine-matrix CI step and
 purely a performance decision and ``ENGINE_VERSION`` never depends on
 it.
 
-Selection resolves through exactly one path, replacing the old
-scattered ``REPRO_FASTPATH`` / ``REPRO_FUSION`` probes:
+Selection resolves through exactly one path:
 
 1. an explicit ``engine=`` argument (``simulate``, ``api.simulate``,
    ``ExperimentOptions.engine``, ``--engine``);
 2. the ``REPRO_ENGINE`` environment variable (an engine name or
    ``auto``);
-3. the legacy variables ``REPRO_FASTPATH=0`` (-> ``reference``) and
-   ``REPRO_FUSION=0`` (-> ``fastpath``), still honoured but emitting a
-   :class:`DeprecationWarning` pointing at ``REPRO_ENGINE``;
-4. the default, ``auto``: the fastest tier, falling back per cell.
+3. the default, ``auto``: the fastest tier, falling back per cell.
 
 Each tier *includes* its fallbacks: pinning ``cnative`` still runs
 ineligible cells on the fused/fastpath machinery (counted under
@@ -53,7 +49,6 @@ the current resolution.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -129,47 +124,18 @@ def get_engine(name: str) -> Engine:
     return engine
 
 
-_LEGACY_WARNED = set()
-
-
-def _warn_legacy(var: str) -> None:
-    if var in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(var)
-    warnings.warn(
-        f"{var} is deprecated; use REPRO_ENGINE="
-        f"{{{'|'.join(engine_names())}}} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def resolve_engine(name: Optional[str] = None) -> Engine:
-    """The single selection path: argument, env, legacy env, default.
+    """The single selection path: argument, ``REPRO_ENGINE``, default.
 
-    ``name=None`` consults ``REPRO_ENGINE``; when that is unset the
-    legacy ``REPRO_FASTPATH=0`` / ``REPRO_FUSION=0`` opt-outs still
-    map onto the matching tier (with a :class:`DeprecationWarning`),
-    and otherwise ``auto`` -- the fastest tier with per-cell fallback
-    -- is selected.
+    ``name=None`` consults ``REPRO_ENGINE``; when that is unset,
+    ``auto`` -- the fastest tier with per-cell fallback -- is selected.
     """
     if name is not None:
         return get_engine(name)
     env = os.environ.get("REPRO_ENGINE")
     if env is not None:
         return get_engine(env)
-    if os.environ.get("REPRO_FASTPATH", "1") == "0":
-        _warn_legacy("REPRO_FASTPATH")
-        return REFERENCE
-    if os.environ.get("REPRO_FUSION", "1") == "0":
-        _warn_legacy("REPRO_FUSION")
-        return FASTPATH
     return DEFAULT_ENGINE
-
-
-def reset_legacy_warnings() -> None:
-    """Re-arm the once-per-process legacy deprecation warnings (tests)."""
-    _LEGACY_WARNED.clear()
 
 
 # -- per-cell capability -------------------------------------------------------

@@ -1,37 +1,14 @@
-"""Sweep dispatch: the transport-neutral backend API and its backends.
+"""Sweep dispatch: fan a flat cell list across a process pool.
 
 The paper burned 370 CPU-days on its 3700 simulations; this
 reproduction's sweeps are lighter but still embarrassingly parallel:
 every (workload, policy, latency, penalty) cell is an independent
 deterministic simulation.  This module owns *how* a flat cell list
-gets executed.  :func:`dispatch` is the single entry point; it
-resolves a :class:`DispatchBackend` through one path (argument >
-``REPRO_BACKEND`` > ``auto``, mirroring the engine registry in
-:mod:`repro.sim.engines`) and hands the cells to it:
-
-``inline``
-    Serial in-process execution -- no pool, no serialization; what
-    ``workers=1`` has always meant.
-``pool``
-    The cache-affine process pool described below: grouped dispatch,
-    shared-memory trace plane, persistent workers.
-``socket``
-    The distributed fabric (:mod:`repro.sim.fabric`): shards shipped
-    to ``python -m repro worker`` processes over TCP, with per-shard
-    retry/reassignment.  Needs ``REPRO_FABRIC_WORKERS``.
-``auto``
-    ``inline`` for serial/single-cell calls, ``pool`` otherwise --
-    the historical behaviour of ``run_cells``.
-
-The legacy entry points ``run_cells`` / ``run_cells_ungrouped`` /
-``run_table_parallel`` survive as thin deprecated aliases (one
-:class:`DeprecationWarning` per process, mirroring the PR 6
-``REPRO_FASTPATH``/``REPRO_FUSION`` pattern).
-
-The rest of this docstring describes the ``pool`` backend, which
-remains the single-host workhorse: it fans a sweep's cells across a
-process pool and reassembles the same structures the serial harness
-produces.
+gets executed.  :func:`dispatch` is the single entry point, and the
+worker count is its only control: ``workers<=1`` (or a single cell)
+runs serially in-process, with no pool and no serialization; anything
+larger fans the cells across a process pool and reassembles the same
+structures the serial harness produces.
 
 Cells are dispatched *cache-affinely*: cells sharing a
 (workload, load latency, scale) triple need the same compiled schedule
@@ -45,8 +22,8 @@ redundant data movement:
   ``expand()``.  ``REPRO_SHM=0`` (or any publish failure) falls back
   to worker-local expansion, bit-identically.
 * **the persistent pool**: one lazily created, process-wide
-  ``ProcessPoolExecutor`` is reused across every ``run_cells`` call --
-  all sweeps and all experiment drivers -- so worker compile/trace
+  ``ProcessPoolExecutor`` is reused across every :func:`dispatch`
+  call -- all sweeps and all experiment drivers -- so worker compile/trace
   caches stay warm between dispatches.  The pool is capped at the
   number of dispatchable groups, shuts itself down after
   ``REPRO_POOL_IDLE`` seconds of disuse, is never reused across a
@@ -69,16 +46,11 @@ import atexit
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from typing import TYPE_CHECKING
-
 from repro import telemetry
-from repro.core.policies import MSHRPolicy
 from repro.errors import CellExecutionError, ConfigurationError
 from repro.sim import engines
 from repro.sim.config import MachineConfig
@@ -86,9 +58,6 @@ from repro.sim.resultstore import workload_key
 from repro.sim.stats import SimulationResult
 from repro.sim import traceplane
 from repro.workloads.workload import Workload
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.sweep import TableSweep
 
 #: One sweep cell: everything a worker needs.
 Cell = Tuple[Workload, MachineConfig, int, float]
@@ -212,11 +181,25 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) // 2)
 
 
+def _checked_workers(workers: Optional[int]) -> int:
+    """``workers``, or :func:`default_workers` for ``None``; below 1 raises.
+
+    Sweep entry points call this before they read the result store or
+    screen a cell, so a bad count is refused even when no cell would
+    reach :func:`dispatch`.
+    """
+    if workers is None:
+        return default_workers()
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1: {workers}")
+    return workers
+
+
 # -- the persistent pool -------------------------------------------------------
 
 
 def persistent_pool_enabled() -> bool:
-    """Whether ``run_cells`` reuses one process-wide pool.
+    """Whether :func:`dispatch` reuses one process-wide pool.
 
     ``REPRO_POOL_PERSIST=0`` restores the old fresh-pool-per-call
     behaviour (each dispatch pays process start-up and cold worker
@@ -363,8 +346,12 @@ def _idle_shutdown() -> None:
         telemetry.counter("pool.idle_shutdowns").inc()
 
 
-def _shutdown_process_pool() -> bool:
-    """Retire the persistent process pool now; True if one was running."""
+def shutdown_pool() -> bool:
+    """Retire the persistent process pool now; True if one was running.
+
+    Safe to call at any time -- a later sweep transparently creates a
+    fresh pool.
+    """
     state = _STATE
     with state.lock:
         if state.idle_timer is not None:
@@ -384,8 +371,12 @@ def _shutdown_process_pool() -> bool:
     return True
 
 
-def _process_pool_stats() -> Dict[str, object]:
-    """Lifetime process-pool bookkeeping for this process (advisory)."""
+def pool_stats() -> Dict[str, object]:
+    """Lifetime process-pool bookkeeping for this process (advisory).
+
+    Keys: ``active``, ``workers``, ``created``, ``reused`` and
+    ``shutdowns``.
+    """
     state = _STATE
     with state.lock:
         return {
@@ -400,7 +391,7 @@ def _process_pool_stats() -> Dict[str, object]:
 def _atexit_shutdown() -> None:
     state = _STATE
     if state.pid == os.getpid():
-        _shutdown_process_pool()
+        shutdown_pool()
 
 
 atexit.register(_atexit_shutdown)
@@ -497,22 +488,31 @@ def _prebuild_kernels(cells: Sequence[Cell]) -> None:
             continue
 
 
-def _pool_submit(
+def dispatch(
     cells: Sequence[Cell],
+    *,
     workers: Optional[int] = None,
     reuse_pool: Optional[bool] = None,
     trace_plane: Optional[bool] = None,
 ) -> List[SimulationResult]:
-    """Run arbitrary sweep cells across a process pool, in order.
+    """Execute sweep cells and return their results in the caller's order.
 
-    With ``workers=1`` (or a single cell) everything runs in-process,
-    which keeps tests and small sweeps free of pool overhead.  The
-    pool never exceeds the number of dispatchable groups.
-    ``reuse_pool`` / ``trace_plane`` override the environment defaults
-    (:func:`persistent_pool_enabled`,
+    The one entry point every sweep path funnels through.  ``workers``
+    defaults to :func:`default_workers`.  With ``workers<=1`` (or a
+    single cell) everything runs in-process, which keeps tests and
+    small sweeps free of pool overhead; otherwise the cells go through
+    the cache-affine process pool, which never exceeds the number of
+    dispatchable groups.  Results are bit-identical either way.
+    ``reuse_pool`` / ``trace_plane`` override the pool's environment
+    defaults (:func:`persistent_pool_enabled`,
     :func:`repro.sim.traceplane.shm_enabled`); benchmarks use them to
     pin each dispatch strategy explicitly.
     """
+    cells = list(cells)
+    if telemetry.enabled():
+        m = telemetry.metrics()
+        m.counter("dispatch.calls").inc()
+        m.counter("dispatch.cells").inc(len(cells))
     if workers is None:
         workers = default_workers()
     if workers <= 1 or len(cells) <= 1:
@@ -605,354 +605,3 @@ def _pool_submit(
             m.gauge("pool.last_utilization").set(
                 busy_total / (workers * elapsed))
     return results  # type: ignore[return-value]
-
-
-def _ungrouped_submit(
-    cells: Sequence[Cell], workers: Optional[int] = None
-) -> List[SimulationResult]:
-    """Pre-grouping dispatch: one fresh-pool task per cell.
-
-    Kept as the comparison baseline for ``tools/perfbench.py``; sweeps
-    should use :func:`dispatch`.
-    """
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 or len(cells) <= 1:
-        return [_run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, cells))
-
-
-# -- the backend API -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a dispatch backend can exploit, for planners and humans.
-
-    The flags gate the *parent-side* optimizations: only a backend
-    that runs forked children on this host can attach them to the
-    shared-memory trace plane or reuse the persistent pool, and only
-    one that executes C-tier cells in processes inheriting this
-    parent's kernel cache benefits from pre-building kernels here.
-    """
-
-    #: Workers can attach the parent's shared-memory trace plane.
-    trace_plane: bool = False
-    #: Dispatches lease the persistent process-wide worker pool.
-    persistent_pool: bool = False
-    #: Pre-compiling C kernels in the parent warms the workers.
-    kernel_prebuild: bool = False
-    #: Cells leave this process (serialized over the wire format).
-    remote: bool = False
-
-    def describe(self) -> str:
-        flags = [
-            name for name, on in (
-                ("shm", self.trace_plane),
-                ("pool", self.persistent_pool),
-                ("prebuild", self.kernel_prebuild),
-                ("remote", self.remote),
-            ) if on
-        ]
-        return "+".join(flags) if flags else "-"
-
-
-class DispatchBackend:
-    """Protocol every dispatch transport implements.
-
-    A backend turns a shard of cells into ordered results; everything
-    else (dedup, memoization, reassembly) lives in the planner.  All
-    backends are bit-identical by construction -- they run the same
-    ``simulate`` -- so selection is purely an execution-topology
-    decision, exactly like engine tiers.
-    """
-
-    name: str = "?"
-    description: str = ""
-    capabilities: BackendCapabilities = BackendCapabilities()
-
-    def submit(
-        self,
-        cells: Sequence[Cell],
-        workers: Optional[int] = None,
-        reuse_pool: Optional[bool] = None,
-        trace_plane: Optional[bool] = None,
-    ) -> List[SimulationResult]:
-        """Execute ``cells`` and return results in the caller's order."""
-        raise NotImplementedError
-
-    def stats(self) -> Dict[str, object]:
-        """Advisory lifetime state of this backend in this process."""
-        return {}
-
-    def shutdown(self) -> bool:
-        """Release held resources; True if any were actually live."""
-        return False
-
-
-class InlineBackend(DispatchBackend):
-    """Serial in-process execution: no pool, no serialization."""
-
-    name = "inline"
-    description = "serial in-process execution (no pool, no wire)"
-    capabilities = BackendCapabilities()
-
-    def __init__(self) -> None:
-        self._dispatches = 0
-        self._cells = 0
-
-    def submit(self, cells, workers=None, reuse_pool=None, trace_plane=None):
-        self._dispatches += 1
-        self._cells += len(cells)
-        return [_run_cell(cell) for cell in cells]
-
-    def stats(self) -> Dict[str, object]:
-        return {"dispatches": self._dispatches, "cells": self._cells}
-
-
-class PoolBackend(DispatchBackend):
-    """The cache-affine grouped process pool (module docstring)."""
-
-    name = "pool"
-    description = ("cache-affine grouped process pool "
-                   "(trace plane + persistent workers)")
-    capabilities = BackendCapabilities(
-        trace_plane=True, persistent_pool=True, kernel_prebuild=True,
-    )
-
-    def __init__(self) -> None:
-        self._dispatches = 0
-        self._cells = 0
-
-    def submit(self, cells, workers=None, reuse_pool=None, trace_plane=None):
-        self._dispatches += 1
-        self._cells += len(cells)
-        return _pool_submit(cells, workers=workers, reuse_pool=reuse_pool,
-                            trace_plane=trace_plane)
-
-    def stats(self) -> Dict[str, object]:
-        stats: Dict[str, object] = {
-            "dispatches": self._dispatches, "cells": self._cells,
-        }
-        stats.update(_process_pool_stats())
-        return stats
-
-    def shutdown(self) -> bool:
-        return _shutdown_process_pool()
-
-
-class AutoBackend(DispatchBackend):
-    """``inline`` for serial or single-cell calls, ``pool`` otherwise.
-
-    This is the historical ``run_cells`` behaviour promoted to an
-    explicit backend, and the default resolution when neither an
-    argument nor ``REPRO_BACKEND`` pins one.
-    """
-
-    name = "auto"
-    description = "inline when workers<=1 or one cell, else pool"
-    capabilities = PoolBackend.capabilities
-
-    def _delegate(self, cells, workers) -> DispatchBackend:
-        if workers is None:
-            workers = default_workers()
-        if workers <= 1 or len(cells) <= 1:
-            return get_backend("inline")
-        return get_backend("pool")
-
-    def submit(self, cells, workers=None, reuse_pool=None, trace_plane=None):
-        return self._delegate(cells, workers).submit(
-            cells, workers=workers, reuse_pool=reuse_pool,
-            trace_plane=trace_plane)
-
-    def stats(self) -> Dict[str, object]:
-        return {"delegates": ("inline", "pool")}
-
-
-#: Registry order, as listed by ``python -m repro backends``.
-BACKEND_ORDER: Tuple[str, ...] = ("inline", "pool", "socket")
-
-AUTO_BACKEND = "auto"
-
-_BACKENDS: Dict[str, DispatchBackend] = {}
-
-
-def register_backend(backend: DispatchBackend) -> DispatchBackend:
-    """Install (or replace) a backend instance under its name."""
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-register_backend(InlineBackend())
-register_backend(PoolBackend())
-_AUTO = AutoBackend()
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Valid ``REPRO_BACKEND`` / ``backend=`` values, ``auto`` included."""
-    return BACKEND_ORDER + (AUTO_BACKEND,)
-
-
-def get_backend(name: str) -> DispatchBackend:
-    """Look up one backend by name (``auto`` resolves lazily per call)."""
-    label = name.strip().lower()
-    if label == AUTO_BACKEND:
-        return _AUTO
-    if label not in _BACKENDS and label == "socket":
-        # The socket backend lives with the fabric; importing the
-        # module registers it.  Lazy so `import repro.sim.parallel`
-        # never drags the network stack in.
-        import repro.sim.fabric  # noqa: F401
-    backend = _BACKENDS.get(label)
-    if backend is None:
-        raise ConfigurationError(
-            f"unknown dispatch backend '{name}'; valid backends: "
-            f"{', '.join(backend_names())}"
-        )
-    return backend
-
-
-def resolve_backend(name: Optional[str] = None) -> DispatchBackend:
-    """The single selection path: argument, ``REPRO_BACKEND``, ``auto``."""
-    if name is not None:
-        return get_backend(name)
-    env = os.environ.get("REPRO_BACKEND")
-    if env is not None:
-        return get_backend(env)
-    return _AUTO
-
-
-def dispatch(
-    cells: Sequence[Cell],
-    *,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    reuse_pool: Optional[bool] = None,
-    trace_plane: Optional[bool] = None,
-) -> List[SimulationResult]:
-    """Execute sweep cells through the resolved dispatch backend.
-
-    The one entry point every sweep path funnels through (replacing
-    ``run_cells`` / ``run_cells_ungrouped`` / ``run_table_parallel``).
-    ``backend`` names a transport from :func:`backend_names`;
-    ``None`` resolves via ``REPRO_BACKEND`` and defaults to ``auto``.
-    Results are bit-identical across backends -- only topology and
-    speed change.  ``reuse_pool`` / ``trace_plane`` are pool-backend
-    knobs and are ignored by backends without those capabilities.
-    """
-    resolved = resolve_backend(backend)
-    cells = list(cells)
-    if telemetry.enabled():
-        m = telemetry.metrics()
-        m.counter("dispatch.calls").inc()
-        m.counter("dispatch.cells").inc(len(cells))
-        m.counter(f"dispatch.backend.{resolved.name}").inc()
-    return resolved.submit(cells, workers=workers, reuse_pool=reuse_pool,
-                           trace_plane=trace_plane)
-
-
-# -- per-backend lifecycle -----------------------------------------------------
-
-
-def shutdown_pool() -> bool:
-    """Release every backend's held resources; True if any were live.
-
-    Despite the historical name this now covers all registered
-    backends: the persistent process pool and, when the fabric has
-    been used, the socket backend's cached worker connections.  Safe
-    to call at any time -- a later sweep transparently reacquires
-    whatever it needs.
-    """
-    any_live = False
-    for backend in list(_BACKENDS.values()):
-        any_live = backend.shutdown() or any_live
-    return any_live
-
-
-def pool_stats(backend: Optional[str] = None) -> Dict[str, object]:
-    """Per-backend dispatch state for this process (advisory).
-
-    ``backend`` (a resolved name; the active selection when ``None``)
-    picks what ``"backend"`` reports; ``"backends"`` always carries
-    every registered backend's own stats, so callers see the truth
-    even when the inline or socket backend -- not the process pool --
-    is doing the work.  The historical process-pool keys (``active``,
-    ``workers``, ``created``, ``reused``, ``shutdowns``) stay at top
-    level for compatibility and always describe the process pool.
-    """
-    resolved = resolve_backend(backend)
-    stats: Dict[str, object] = {
-        "backend": resolved.name,
-        "backends": {
-            name: instance.stats()
-            for name, instance in sorted(_BACKENDS.items())
-        },
-    }
-    stats.update(_process_pool_stats())
-    return stats
-
-
-# -- deprecated aliases --------------------------------------------------------
-
-
-_DEPRECATION_WARNED = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Re-arm the once-per-process alias warnings (tests)."""
-    _DEPRECATION_WARNED.clear()
-
-
-def run_cells(
-    cells: Sequence[Cell],
-    workers: Optional[int] = None,
-    reuse_pool: Optional[bool] = None,
-    trace_plane: Optional[bool] = None,
-) -> List[SimulationResult]:
-    """Deprecated alias for :func:`dispatch` on the pool/auto path."""
-    _warn_deprecated("run_cells", "repro.sim.parallel.dispatch(cells, ...)")
-    return _pool_submit(cells, workers=workers, reuse_pool=reuse_pool,
-                        trace_plane=trace_plane)
-
-
-def run_cells_ungrouped(
-    cells: Sequence[Cell], workers: Optional[int] = None
-) -> List[SimulationResult]:
-    """Deprecated alias kept for old benchmark scripts."""
-    _warn_deprecated(
-        "run_cells_ungrouped",
-        "repro.sim.parallel.dispatch (grouped dispatch is always better)",
-    )
-    return _ungrouped_submit(cells, workers=workers)
-
-
-def run_table_parallel(
-    workloads: Sequence[Workload],
-    policies: Sequence[MSHRPolicy],
-    load_latency: int = 10,
-    base: Optional[MachineConfig] = None,
-    scale: float = 1.0,
-    workers: Optional[int] = None,
-) -> "TableSweep":
-    """Deprecated alias for :func:`repro.sim.sweep.run_table`."""
-    from repro.sim.sweep import run_table
-
-    _warn_deprecated(
-        "run_table_parallel", "repro.api.sweep(workers=...) or run_table"
-    )
-    if workers is None:
-        workers = default_workers()
-    return run_table(workloads, policies, load_latency=load_latency,
-                     base=base, scale=scale, workers=workers)

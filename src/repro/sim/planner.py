@@ -14,14 +14,12 @@ This module is the single execution funnel for such lists:
 3. **partition** the unique cells into store hits and misses against
    the content-addressed :class:`~repro.sim.resultstore.ResultStore`;
 4. **dispatch** only the misses through
-   :func:`repro.sim.parallel.dispatch` -- the resolved backend
-   (inline, the cache-affine process pool, or the socket fabric)
-   executes them; the pool backend publishes each group's trace once
-   into the shared-memory trace plane (:mod:`repro.sim.traceplane`)
-   and reuses the process-wide persistent pool, so consecutive
-   planner runs keep worker caches warm -- persist their results
-   (whatever node ran them, the coordinator's store is backfilled
-   here), and
+   :func:`repro.sim.parallel.dispatch` -- in-process for one worker,
+   otherwise across the cache-affine process pool, which publishes
+   each group's trace once into the shared-memory trace plane
+   (:mod:`repro.sim.traceplane`) and reuses the process-wide
+   persistent pool, so consecutive planner runs keep worker caches
+   warm -- and persist their results, and
 5. **reassemble** the full result list in the caller's cell order.
 
 A re-run of an already-simulated sweep is therefore a pure cache read,
@@ -48,7 +46,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.sim.config import MachineConfig, baseline_config
-from repro.sim.parallel import Cell, _stream_affinity, dispatch
+from repro.sim.parallel import (
+    Cell,
+    _checked_workers,
+    _stream_affinity,
+    dispatch,
+)
 from repro.sim.resultstore import ResultStore, cell_fingerprint, workload_key
 from repro.sim.stats import SimulationResult
 from repro.workloads.workload import Workload
@@ -96,25 +99,24 @@ def run_plan(
     cells: Sequence[Cell],
     workers: Optional[int] = 1,
     store: Optional[ResultStore] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[List[SimulationResult], PlanReport]:
     """Execute a cell list through dedup + store + dispatch; keep order.
 
     ``workers=1`` (the default) runs misses in-process, which keeps the
     serial sweep entry points bit-identical and pool-free;
     ``workers=None`` selects :func:`repro.sim.parallel.default_workers`.
-    ``backend`` names a dispatch backend
-    (:func:`repro.sim.parallel.backend_names`); ``None`` resolves via
-    ``REPRO_BACKEND`` then ``auto``.  ``store=None`` selects the
-    environment's store (:meth:`ResultStore.from_env`); pass an
-    explicit store to isolate (benchmarks, tests).
+    A count below 1 (or a bad ``REPRO_WORKERS``) raises
+    :class:`~repro.errors.ConfigurationError` before the store is read.  ``store=None`` selects the environment's store
+    (:meth:`ResultStore.from_env`); pass an explicit store to isolate
+    (benchmarks, tests).
     """
     global last_report
+    workers = _checked_workers(workers)
     if store is None:
         store = ResultStore.from_env()
 
     with telemetry.span("plan", cells=len(cells)) as span_args:
-        results, report = _run_plan_impl(cells, workers, store, backend)
+        results, report = _run_plan_impl(cells, workers, store)
         span_args.update(unique=report.unique,
                          store_hits=report.store_hits,
                          simulated=report.simulated)
@@ -144,7 +146,6 @@ def _run_plan_impl(
     cells: Sequence[Cell],
     workers: Optional[int],
     store: ResultStore,
-    backend: Optional[str] = None,
 ) -> Tuple[List[SimulationResult], PlanReport]:
     fingerprints = [
         cell_fingerprint(workload, config, load_latency, scale)
@@ -177,7 +178,6 @@ def _run_plan_impl(
             unique_cells[fingerprint]))
         simulated = dispatch(
             [unique_cells[fingerprint] for fingerprint in missing],
-            backend=backend,
             workers=workers,
         )
         for fingerprint, result in zip(missing, simulated):
@@ -202,11 +202,9 @@ def execute_cells(
     cells: Sequence[Cell],
     workers: Optional[int] = 1,
     store: Optional[ResultStore] = None,
-    backend: Optional[str] = None,
 ) -> List[SimulationResult]:
     """:func:`run_plan` returning just the results (sweep harness API)."""
-    results, _ = run_plan(cells, workers=workers, store=store,
-                          backend=backend)
+    results, _ = run_plan(cells, workers=workers, store=store)
     return results
 
 

@@ -19,9 +19,7 @@ Engine selection goes through the registry in
 :mod:`repro.sim.engines`: four tiers (reference / fastpath / fused /
 cnative), selectable per call (``engine=``), per process
 (``REPRO_ENGINE``), or implicitly (``auto`` = fastest applicable per
-cell).  All tiers produce bit-identical results; the legacy
-``REPRO_FASTPATH`` / ``REPRO_FUSION`` variables still work through the
-same resolution path, with a deprecation warning.
+cell).  All tiers produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -53,15 +51,10 @@ from repro.workloads.workload import Workload
 #: results bit-identical must NOT bump it.
 ENGINE_VERSION = "engine-2"
 
-
-#: Backwards-compatible name; the implementation moved to
-#: :mod:`repro.sim.lru` so the event-stream caches can share it.
-_LRUCache = LRUCache
-
 #: Compiled bodies are small; traces hold the full address buffers, so
 #: their cache is kept tighter.
-_COMPILE_CACHE = _LRUCache(512)
-_TRACE_CACHE = _LRUCache(64)
+_COMPILE_CACHE = LRUCache(512)
+_TRACE_CACHE = LRUCache(64)
 
 
 def clear_caches() -> None:
@@ -132,23 +125,12 @@ def _kernel_identity(workload: Workload) -> Tuple:
     return (workload.name, workload.kernel.fingerprint())
 
 
-def fast_path_default() -> bool:
-    """Whether the resolved engine uses the optimized interpreter.
-
-    Resolution goes through :func:`repro.sim.engines.resolve_engine`
-    (``REPRO_ENGINE``, with the legacy ``REPRO_FASTPATH=0`` still
-    selecting the reference tier under a deprecation warning).
-    """
-    return engines_mod.resolve_engine().fast_path
-
-
 def fusion_default() -> bool:
     """Whether the resolved engine lets eligible cells run fused.
 
     Resolution goes through :func:`repro.sim.engines.resolve_engine`
-    (``REPRO_ENGINE``, with the legacy ``REPRO_FUSION=0`` still
-    selecting the fastpath tier under a deprecation warning).
-    Results are bit-identical either way.
+    (``REPRO_ENGINE`` or ``auto``).  Results are bit-identical either
+    way.
     """
     return engines_mod.resolve_engine().fusion
 
@@ -258,8 +240,6 @@ def simulate(
     scale: float = 1.0,
     unroll_override: int = 0,
     warmup: float = 0.0,
-    fast_path: Optional[bool] = None,
-    fusion: Optional[bool] = None,
     engine: Optional[str] = None,
 ) -> SimulationResult:
     """Run ``workload`` on ``config`` with the given scheduled latency.
@@ -272,11 +252,9 @@ def simulate(
 
     ``engine`` names an execution tier from the registry
     (:mod:`repro.sim.engines`); ``None`` resolves through
-    ``REPRO_ENGINE`` / the legacy variables / the ``auto`` default.
-    Every tier is bit-identical; cells a tier cannot execute fall back
-    to the next one transparently.  ``fast_path`` / ``fusion`` remain
-    as per-axis overrides on top of the resolved engine (True/False
-    force the axis, None inherits it).
+    ``REPRO_ENGINE`` / the ``auto`` default.  Every tier is
+    bit-identical; cells a tier cannot execute fall back to the next
+    one transparently.
 
     When telemetry is enabled each call contributes one ``simulate``
     span plus the per-cell counters catalogued in
@@ -286,15 +264,9 @@ def simulate(
     if config is None:
         config = baseline_config()
     resolved = engines_mod.resolve_engine(engine)
-    if fast_path is None:
-        fast_path = resolved.fast_path
-    if fusion is None:
-        fusion = resolved.fusion
-    cnative = resolved.cnative and fast_path and fusion
     if not telemetry.enabled():
         return _simulate_impl(workload, config, load_latency, scale,
-                              unroll_override, warmup, fast_path, fusion,
-                              cnative)
+                              unroll_override, warmup, resolved)
     engines_mod.count_selection(resolved)
     policy_name = "perfect" if config.perfect_cache else config.policy.name
     with telemetry.span(
@@ -302,8 +274,7 @@ def simulate(
         load_latency=load_latency, scale=scale,
     ):
         result = _simulate_impl(workload, config, load_latency, scale,
-                                unroll_override, warmup, fast_path, fusion,
-                                cnative)
+                                unroll_override, warmup, resolved)
     miss = result.miss
     m = _METRICS.get()
     m.cells.inc()
@@ -390,9 +361,7 @@ def _simulate_impl(
     scale: float,
     unroll_override: int,
     warmup: float,
-    fast_path: bool,
-    fusion: bool = False,
-    cnative: bool = False,
+    engine: engines_mod.Engine,
 ) -> SimulationResult:
     compiled, trace = expand_workload(
         workload, load_latency, scale=scale, unroll_override=unroll_override
@@ -401,15 +370,15 @@ def _simulate_impl(
     if not 0.0 <= warmup < 1.0:
         raise ConfigurationError(f"warmup must lie in [0, 1): {warmup}")
 
-    if fusion:
+    if engine.fusion:
         # Fusion covers exactly the cells whose execution the replay
-        # kernel models: single-issue, real cache, whole-run stats,
-        # optimized engine.  Everything else takes the usual path.
+        # kernel models: single-issue, real cache, whole-run stats.
+        # Everything else takes the usual path.
         fused = None
-        if (fast_path and config.issue_width == 1
-                and not config.perfect_cache and warmup == 0.0):
+        if (config.issue_width == 1 and not config.perfect_cache
+                and warmup == 0.0):
             fused = _try_fused(workload, config, load_latency, scale,
-                               unroll_override, trace, cnative)
+                               unroll_override, trace, engine.cnative)
         if fused is not None:
             stats, cycles, instructions, truedep = fused
             result = SimulationResult(
@@ -436,7 +405,7 @@ def _simulate_impl(
 
     if config.issue_width == 1:
         warmup_executions = int(trace.executions * warmup)
-        if fast_path:
+        if engine.fast_path:
             cycles, instructions, truedep = run_single_issue(
                 trace, handler, warmup_executions=warmup_executions
             )
@@ -449,7 +418,7 @@ def _simulate_impl(
             raise ConfigurationError(
                 "warmup discard is implemented for the single-issue model"
             )
-        if fast_path:
+        if engine.fast_path:
             cycles, instructions, truedep = run_dual_issue(trace, handler)
         else:
             cycles, instructions, truedep = run_dual_issue_reference(

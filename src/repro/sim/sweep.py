@@ -52,7 +52,6 @@ def run_curves(
     base: Optional[MachineConfig] = None,
     scale: float = 1.0,
     workers: Optional[int] = 1,
-    backend: Optional[str] = None,
 ) -> CurveSweep:
     """Sweep load latency x policy for one workload."""
     if base is None:
@@ -63,7 +62,7 @@ def run_curves(
         for policy in policies
         for lat in lat_list
     ]
-    results = execute_cells(cells, workers=workers, backend=backend)
+    results = execute_cells(cells, workers=workers)
 
     sweep = CurveSweep(workload=workload.name, latencies=lat_list)
     index = 0
@@ -100,7 +99,6 @@ def run_table(
     base: Optional[MachineConfig] = None,
     scale: float = 1.0,
     workers: Optional[int] = 1,
-    backend: Optional[str] = None,
 ) -> TableSweep:
     """Sweep benchmarks x policies at a single scheduled latency."""
     if base is None:
@@ -110,7 +108,7 @@ def run_table(
         for workload in workloads
         for policy in policies
     ]
-    results = execute_cells(cells, workers=workers, backend=backend)
+    results = execute_cells(cells, workers=workers)
 
     table = TableSweep(
         load_latency=load_latency,
@@ -134,7 +132,6 @@ def run_penalty_sweep(
     base: Optional[MachineConfig] = None,
     scale: float = 1.0,
     workers: Optional[int] = 1,
-    backend: Optional[str] = None,
 ) -> Dict[str, Dict[int, SimulationResult]]:
     """Sweep miss penalty x policy (Figure 18 shape)."""
     if base is None:
@@ -145,7 +142,7 @@ def run_penalty_sweep(
         for policy in policies
         for penalty in penalties
     ]
-    results = execute_cells(cells, workers=workers, backend=backend)
+    results = execute_cells(cells, workers=workers)
 
     out: Dict[str, Dict[int, SimulationResult]] = {}
     index = 0

@@ -25,6 +25,36 @@ class TestRun:
         out = capsys.readouterr().out
         assert "scale 0.05" in out
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_rejected(self, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["costs", "--workers", workers])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_non_integer_workers_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["costs", "--workers", "two"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
+    def test_workers_reach_the_pool(self, capsys):
+        from repro.sim.parallel import pool_stats
+
+        command = ["fig5", "--scale", "0.05", "--no-cache", "--workers"]
+        assert main(command + ["1"]) == 0
+        serial = capsys.readouterr().out
+        stats = pool_stats()
+        assert main(command + ["2"]) == 0  # retires its pool on exit
+        pooled = capsys.readouterr().out
+        after = pool_stats()
+        assert after["created"] + after["reused"] > \
+            stats["created"] + stats["reused"]
+        assert not after["active"]
+        # Everything but the trailing "regenerated in <seconds>" line.
+        assert pooled.split("\n(fig5 regenerated")[0] == \
+            serial.split("\n(fig5 regenerated")[0]
+
     def test_unknown_experiment(self, capsys):
         assert main(["fig999"]) == 2
         err = capsys.readouterr().err

@@ -35,6 +35,12 @@ class TestFromKwargs:
         with pytest.raises(ExperimentError, match="did you mean 'workers'"):
             ExperimentOptions.from_kwargs(workres=4)
 
+    def test_backend_is_not_an_option(self):
+        # Sweeps dispatch on their worker count alone.
+        with pytest.raises(ExperimentError,
+                           match="unknown experiment option 'backend'"):
+            ExperimentOptions.from_kwargs(**{"backend": "inline"})
+
     def test_unknown_option_lists_vocabulary(self):
         with pytest.raises(ExperimentError, match="known options:.*scale"):
             ExperimentOptions.from_kwargs(zzz=1)

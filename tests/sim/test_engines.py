@@ -1,16 +1,14 @@
-"""The execution-engine registry: resolution, legacy vars, fallback.
+"""The execution-engine registry: resolution, fallback, counters.
 
 The registry (:mod:`repro.sim.engines`) is the single selection path
 for the four execution tiers; these tests pin the resolution order
-(argument > ``REPRO_ENGINE`` > legacy variables > default), the
-deprecation contract for ``REPRO_FASTPATH``/``REPRO_FUSION``, the
-per-cell capability classification the dispatcher sorts by, and the
-engine selection counters.
+(argument > ``REPRO_ENGINE`` > default), the per-cell capability
+classification the dispatcher sorts by, and the engine selection
+counters.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -21,22 +19,13 @@ from repro.core.policies import blocking_cache, mc, no_restrict
 from repro.errors import ConfigurationError, ExperimentError
 from repro.sim import engines
 from repro.sim.config import baseline_config
-from repro.sim.simulator import (
-    clear_caches,
-    fast_path_default,
-    fusion_default,
-    simulate,
-)
+from repro.sim.simulator import clear_caches, fusion_default, simulate
 from repro.workloads.spec92 import get_benchmark
 
 
 @pytest.fixture(autouse=True)
 def clean_engine_env(monkeypatch):
-    for var in ("REPRO_ENGINE", "REPRO_FASTPATH", "REPRO_FUSION"):
-        monkeypatch.delenv(var, raising=False)
-    engines.reset_legacy_warnings()
-    yield
-    engines.reset_legacy_warnings()
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
 
 
 class TestRegistry:
@@ -82,43 +71,13 @@ class TestResolution:
         monkeypatch.setenv("REPRO_ENGINE", "reference")
         assert engines.resolve_engine("cnative") is engines.CNATIVE
 
-    def test_environment_beats_legacy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "fused")
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert engines.resolve_engine() is engines.FUSED
-
     def test_default_is_the_fastest_tier(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert engines.resolve_engine() is engines.DEFAULT_ENGINE
-
-    def test_legacy_fastpath_maps_to_reference_with_warning(
-            self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        with pytest.warns(DeprecationWarning, match="REPRO_ENGINE"):
-            assert engines.resolve_engine() is engines.REFERENCE
-
-    def test_legacy_fusion_maps_to_fastpath_with_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION", "0")
-        with pytest.warns(DeprecationWarning, match="REPRO_ENGINE"):
-            assert engines.resolve_engine() is engines.FASTPATH
-
-    def test_legacy_warning_fires_once_per_process(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION", "0")
-        with pytest.warns(DeprecationWarning):
-            engines.resolve_engine()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert engines.resolve_engine() is engines.FASTPATH
+        assert engines.resolve_engine() is engines.DEFAULT_ENGINE
 
     def test_simulator_defaults_follow_the_registry(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert not fast_path_default()
+        monkeypatch.setenv("REPRO_ENGINE", "fastpath")
         assert not fusion_default()
         monkeypatch.setenv("REPRO_ENGINE", "fused")
-        assert fast_path_default()
         assert fusion_default()
 
 

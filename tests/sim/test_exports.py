@@ -3,13 +3,10 @@
 The sim package's ``__all__`` drifted from its actual exports once;
 these tests pin every advertised name to an importable object, for the
 top-level package, the stable facade, the sim package, and the
-telemetry package.  Deprecated compatibility aliases must keep working
-but announce their replacement.
+telemetry package.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -17,8 +14,6 @@ import repro
 import repro.api
 import repro.sim
 import repro.telemetry
-
-_DEPRECATED_SIM_NAMES = sorted(repro.sim._DEPRECATED_ALIASES)
 
 
 @pytest.mark.parametrize("module", [repro, repro.api, repro.telemetry])
@@ -31,10 +26,8 @@ def test_every_advertised_name_resolves(module):
 
 
 def test_every_sim_name_resolves():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for name in repro.sim.__all__:
-            assert getattr(repro.sim, name) is not None, name
+    for name in repro.sim.__all__:
+        assert getattr(repro.sim, name) is not None, name
 
 
 def test_star_import_surface_has_no_duplicates():
@@ -42,38 +35,9 @@ def test_star_import_surface_has_no_duplicates():
         assert len(module.__all__) == len(set(module.__all__)), module
 
 
-@pytest.mark.parametrize("name", _DEPRECATED_SIM_NAMES)
-def test_deprecated_aliases_warn_and_resolve(name):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        resolved = getattr(repro.sim, name)
-    assert resolved is not None
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    assert f"repro.sim.{name} is deprecated" in message
-    assert "repro.api" in message
-
-
-def test_deprecated_aliases_resolve_to_real_functions():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.sim.parallel import run_cells, run_table_parallel
-
-        assert repro.sim.run_cells is run_cells
-        assert repro.sim.run_table_parallel is run_table_parallel
-
-
 def test_unknown_sim_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'bogus'"):
         repro.sim.bogus
-
-
-def test_dir_lists_deprecated_aliases():
-    listing = dir(repro.sim)
-    for name in _DEPRECATED_SIM_NAMES:
-        assert name in listing
 
 
 def test_fresh_import_emits_no_deprecation_warnings():

@@ -35,10 +35,9 @@ POLICIES = [(policy.name, policy) for policy in baseline_policies()]
 
 
 def run_fused_and_unfused(workload, config, latency=10, scale=0.1):
-    fused = simulate(workload, config, load_latency=latency, scale=scale,
-                     fusion=True)
+    fused = simulate(workload, config, load_latency=latency, scale=scale)
     unfused = simulate(workload, config, load_latency=latency, scale=scale,
-                       fusion=False)
+                       engine="fastpath")
     return fused, unfused
 
 
@@ -66,21 +65,20 @@ class TestPolicySiblingEquivalence:
         # pass or the replay kernels.
         workload = get_benchmark("ora")
         config = baseline_config().with_policy(policy)
-        fused = simulate(workload, config, load_latency=10, scale=0.1,
-                         fusion=True)
+        fused = simulate(workload, config, load_latency=10, scale=0.1)
         reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             fast_path=False, fusion=False)
+                             engine="reference")
         assert fused == reference
 
     def test_env_opt_out(self, monkeypatch):
-        # REPRO_FUSION=0 turns the default off; results stay identical
+        # REPRO_ENGINE=fastpath turns fusion off; results stay identical
         # because fusion never changes numbers, only how they're made.
-        monkeypatch.setenv("REPRO_FUSION", "0")
+        monkeypatch.setenv("REPRO_ENGINE", "fastpath")
         assert not fusion_default()
         workload = get_benchmark("compress")
         config = baseline_config().with_policy(no_restrict())
         off = simulate(workload, config, load_latency=10, scale=0.1)
-        monkeypatch.setenv("REPRO_FUSION", "1")
+        monkeypatch.delenv("REPRO_ENGINE")
         assert fusion_default()
         on = simulate(workload, config, load_latency=10, scale=0.1)
         assert on == off
@@ -92,15 +90,13 @@ class TestPolicySiblingEquivalence:
         clear_caches()
         for policy in (mc(1), no_restrict(), mc(1)):
             config = baseline_config().with_policy(policy)
-            simulate(workload, config, load_latency=10, scale=0.1,
-                     fusion=True)
+            simulate(workload, config, load_latency=10, scale=0.1)
         stream = stream_mod.event_stream(workload, 10, 0.1, 32)
         assert len(stream._replay_fns) == 2
 
     def test_clear_caches_drops_streams(self):
         workload = get_benchmark("compress")
-        simulate(workload, baseline_config(), load_latency=10, scale=0.1,
-                 fusion=True)
+        simulate(workload, baseline_config(), load_latency=10, scale=0.1)
         assert stream_mod.cache_sizes()[0] > 0
         clear_caches()
         assert stream_mod.cache_sizes() == (0, 0)

@@ -13,22 +13,21 @@ from repro.sim.parallel import (
     _group_cells,
     _prebuild_kernels,
     default_workers,
+    dispatch,
     pool_idle_seconds,
     pool_stats,
-    run_cells,
-    run_table_parallel,
     shutdown_pool,
 )
 from repro.sim.sweep import run_table
 from repro.workloads.spec92 import get_benchmark
 
 
-class TestRunCells:
+class TestDispatch:
     def test_single_worker_runs_inline(self):
         cells = [
             (get_benchmark("ora"), baseline_config(mc(1)), 10, 0.05),
         ]
-        results = run_cells(cells, workers=1)
+        results = dispatch(cells, workers=1)
         assert len(results) == 1
         assert results[0].workload == "ora"
 
@@ -37,11 +36,26 @@ class TestRunCells:
             (get_benchmark(name), baseline_config(mc(1)), 10, 0.05)
             for name in ("ora", "eqntott", "xlisp")
         ]
-        results = run_cells(cells, workers=1)
+        results = dispatch(cells, workers=1)
         assert [r.workload for r in results] == ["ora", "eqntott", "xlisp"]
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
+
+    def test_pool_matches_inline(self):
+        cells = [
+            (get_benchmark(name), baseline_config(mc(1)), 10, 0.05)
+            for name in ("ora", "eqntott")
+        ]
+        serial = dispatch(cells, workers=1)
+        try:
+            parallel_results = dispatch(cells, workers=2)
+        finally:
+            shutdown_pool()
+        assert parallel_results == serial
+
+    def test_empty_cell_list(self):
+        assert dispatch([]) == []
 
 
 class TestWorkerEnvValidation:
@@ -82,10 +96,10 @@ class TestPersistentPool:
         shutdown_pool()
         cells = self._cells()
         try:
-            serial = run_cells(cells, workers=1)
-            assert run_cells(cells, workers=2) == serial
+            serial = dispatch(cells, workers=1)
+            assert dispatch(cells, workers=2) == serial
             created_after_first = pool_stats()["created"]
-            assert run_cells(cells, workers=2) == serial
+            assert dispatch(cells, workers=2) == serial
             stats = pool_stats()
             assert stats["active"]
             assert stats["created"] == created_after_first  # no new pool
@@ -100,7 +114,7 @@ class TestPersistentPool:
         try:
             # Two (workload, latency, scale) groups; asking for eight
             # workers must not spawn more than two.
-            run_cells(self._cells(), workers=8)
+            dispatch(self._cells(), workers=8)
             assert pool_stats()["workers"] == 2
         finally:
             shutdown_pool()
@@ -111,15 +125,24 @@ class TestPersistentPool:
             (get_benchmark("ora"), baseline_config(policy), 10, 0.05)
             for policy in (mc(1), mc(2), no_restrict())
         ]
-        results = run_cells(cells, workers=4)
+        results = dispatch(cells, workers=4)
         assert not pool_stats()["active"]  # one group -> no pool at all
         assert [r.policy for r in results] == ["mc=1", "mc=2", "no restrict"]
+
+    def test_idle_shutdown_reports_nothing_live(self):
+        shutdown_pool()
+        assert shutdown_pool() is False
+
+    def test_stats_are_the_process_pool_keys(self):
+        assert set(pool_stats()) == {
+            "active", "workers", "created", "reused", "shutdowns",
+        }
 
     def test_fresh_pool_opt_out(self):
         shutdown_pool()
         cells = self._cells()
-        serial = run_cells(cells, workers=1)
-        assert run_cells(cells, workers=2, reuse_pool=False) == serial
+        serial = dispatch(cells, workers=1)
+        assert dispatch(cells, workers=2, reuse_pool=False) == serial
         assert not pool_stats()["active"]  # private pool already gone
 
 
@@ -173,14 +196,20 @@ class TestKernelPrebuild:
 
 
 class TestParallelMatchesSerial:
+    @pytest.fixture(autouse=True)
+    def _simulate_every_run(self, monkeypatch):
+        # With the store on, the pooled run is served from the serial
+        # run's results and never reaches the pool.
+        monkeypatch.setenv("REPRO_CACHE", "0")
+
     def test_table_identical_across_pool(self):
         """Bit-identical results whether run serially or in a pool."""
         workloads = [get_benchmark("eqntott"), get_benchmark("ora")]
         policies = [blocking_cache(), mc(1), no_restrict()]
 
         serial = run_table(workloads, policies, load_latency=10, scale=0.1)
-        parallel = run_table_parallel(workloads, policies, load_latency=10,
-                                      scale=0.1, workers=2)
+        parallel = run_table(workloads, policies, load_latency=10,
+                             scale=0.1, workers=2)
         assert parallel.policy_names == serial.policy_names
         for bench in ("eqntott", "ora"):
             for policy in ("mc=0", "mc=1", "no restrict"):
@@ -194,6 +223,6 @@ class TestParallelMatchesSerial:
     def test_ratio_queries_work_on_parallel_tables(self):
         workloads = [get_benchmark("ora")]
         policies = [blocking_cache(), no_restrict()]
-        table = run_table_parallel(workloads, policies, load_latency=10,
-                                   scale=0.05, workers=2)
+        table = run_table(workloads, policies, load_latency=10,
+                          scale=0.05, workers=2)
         assert table.ratio("ora", "mc=0", "no restrict") == pytest.approx(1.0)

@@ -14,8 +14,9 @@ from repro.core.policies import (
     no_restrict,
     with_layout,
 )
+from repro.errors import ConfigurationError
 from repro.sim.config import baseline_config
-from repro.sim.parallel import run_cells
+from repro.sim.parallel import dispatch
 from repro.sim.planner import cached_simulate, execute_cells, run_plan
 from repro.sim.resultstore import ResultStore
 from repro.sim.simulator import simulate
@@ -108,6 +109,18 @@ class TestMemoization:
         assert calls == []
         assert second == first
 
+    def test_nonpositive_workers_rejected_even_when_warm(self, store):
+        from repro import api
+
+        cells = [(get_benchmark("ora"), baseline_config(mc(1)), 10, 0.05)]
+        run_plan(cells, store=store)
+        for workers in (0, -3):
+            with pytest.raises(ConfigurationError, match=">= 1"):
+                run_plan(cells, workers=workers, store=store)
+        api.sweep(["ora"], policies=["mc=1"], scale=0.05)
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            api.sweep(["ora"], policies=["mc=1"], scale=0.05, workers=0)
+
     def test_disabled_store_still_dedups_but_never_caches(self, tmp_path):
         disabled = ResultStore(tmp_path / "off", enabled=False)
         cell = (get_benchmark("ora"), baseline_config(mc(1)), 10, 0.05)
@@ -160,7 +173,7 @@ class TestBitEquality:
 
         direct = [simulate(w, c, load_latency=lat, scale=s)
                   for w, c, lat, s in cells]
-        pooled = run_cells(cells, workers=2)
+        pooled = dispatch(cells, workers=2)
         cold = execute_cells(cells, store=store)
         warm = execute_cells(cells, store=store)
 

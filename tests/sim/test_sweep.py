@@ -1,5 +1,7 @@
 """Tests for the sweep harness."""
 
+import pytest
+
 from repro.core.policies import blocking_cache, mc, no_restrict
 from repro.sim.config import baseline_config
 from repro.sim.sweep import (
@@ -62,6 +64,12 @@ class TestPaperLatencies:
 
 class TestWorkersPlumbing:
     """Every sweep entry point accepts ``workers`` and stays bit-exact."""
+
+    @pytest.fixture(autouse=True)
+    def _simulate_every_run(self, monkeypatch):
+        # With the store on, the pooled run is served from the serial
+        # run's results and never reaches the pool.
+        monkeypatch.setenv("REPRO_CACHE", "0")
 
     def test_curves_workers_identical(self):
         w = get_benchmark("eqntott")

@@ -14,7 +14,7 @@ from repro.core.policies import mc, no_restrict
 from repro.errors import CellExecutionError
 from repro.sim import traceplane
 from repro.sim.config import baseline_config
-from repro.sim.parallel import run_cells, shutdown_pool
+from repro.sim.parallel import dispatch, shutdown_pool
 from repro.sim.simulator import clear_caches, expand_workload, simulate
 from repro.sim.traceplane import SEGMENT_PREFIX, TracePlane, attach_trace
 from repro.workloads.patterns import Strided
@@ -193,8 +193,8 @@ class TestStreamPublishAttach:
                 cells.append((workload, base.with_policy(policy), 10, 0.05))
         shutdown_pool()
         try:
-            run_cells(warm, workers=2)  # fork the workers early
-            pooled = run_cells(cells, workers=2)
+            dispatch(warm, workers=2)  # fork the workers early
+            pooled = dispatch(cells, workers=2)
             serial = [simulate(w, c, load_latency=latency, scale=s)
                       for w, c, latency, s in cells]
             assert pooled == serial
@@ -211,10 +211,10 @@ class TestPoolIntegration:
             for name in ("ora", "eqntott")
             for policy in (mc(1), no_restrict())
         ]
-        serial = run_cells(cells, workers=1)
+        serial = dispatch(cells, workers=1)
         clear_caches()
         try:
-            assert run_cells(cells, workers=2) == serial
+            assert dispatch(cells, workers=2) == serial
         finally:
             shutdown_pool()
 
@@ -225,11 +225,11 @@ class TestPoolIntegration:
             for policy in (mc(1), no_restrict())
             for latency in (3, 10)
         ]
-        serial = run_cells(cells, workers=1)
+        serial = dispatch(cells, workers=1)
         clear_caches()
         before = shm_segments()
         try:
-            assert run_cells(cells, workers=2, trace_plane=True) == serial
+            assert dispatch(cells, workers=2, trace_plane=True) == serial
         finally:
             shutdown_pool()
         assert traceplane.plane().live_segments() == 0
@@ -246,7 +246,7 @@ class TestPoolIntegration:
         before = shm_segments()
         try:
             with pytest.raises(CellExecutionError) as err:
-                run_cells(cells, workers=2, trace_plane=True)
+                dispatch(cells, workers=2, trace_plane=True)
             message = str(err.value)
             assert "workload='poison'" in message
             assert "load_latency=10" in message
@@ -259,7 +259,7 @@ class TestPoolIntegration:
                 (get_benchmark(name), baseline_config(mc(1)), 10, 0.05)
                 for name in ("ora", "eqntott")
             ]
-            assert run_cells(healthy, workers=2) == run_cells(
+            assert dispatch(healthy, workers=2) == dispatch(
                 healthy, workers=1)
         finally:
             shutdown_pool()

@@ -7,7 +7,7 @@ import pytest
 from repro import telemetry
 from repro.core.policies import mc, no_restrict
 from repro.sim.config import baseline_config
-from repro.sim.parallel import run_cells
+from repro.sim.parallel import dispatch
 from repro.telemetry.registry import snapshot_diff
 from repro.workloads.spec92 import get_benchmark
 
@@ -34,11 +34,11 @@ class TestPoolAggregation:
         cells = _cells()
 
         before = telemetry.snapshot()
-        serial_results = run_cells(cells, workers=1)
+        serial_results = dispatch(cells, workers=1)
         serial = snapshot_diff(before, telemetry.snapshot())
 
         before = telemetry.snapshot()
-        parallel_results = run_cells(cells, workers=2)
+        parallel_results = dispatch(cells, workers=2)
         parallel = snapshot_diff(before, telemetry.snapshot())
 
         # simulation results themselves are bit-identical
@@ -58,7 +58,7 @@ class TestPoolAggregation:
 
     def test_pool_records_its_own_instrumentation(self):
         before = telemetry.snapshot()
-        run_cells(_cells(), workers=2)
+        dispatch(_cells(), workers=2)
         diff = snapshot_diff(before, telemetry.snapshot())
 
         assert diff["counters"]["pool.dispatches"] == 1
@@ -70,14 +70,14 @@ class TestPoolAggregation:
 
     def test_serial_path_skips_pool_metrics(self):
         before = telemetry.snapshot()
-        run_cells(_cells(), workers=1)
+        dispatch(_cells(), workers=1)
         diff = snapshot_diff(before, telemetry.snapshot())
         assert "pool.dispatches" not in diff["counters"]
 
     def test_disabled_telemetry_still_runs_the_pool(self):
         telemetry.set_enabled(False)
         try:
-            results = run_cells(_cells(), workers=2)
+            results = dispatch(_cells(), workers=2)
         finally:
             telemetry.set_enabled(None)
         assert len(results) == len(_cells())

@@ -123,6 +123,65 @@ class TestSweepCommand:
         assert "plan:" in out
         assert "simulated" in out
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_sweep_rejects_nonpositive_workers(self, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "ora", "--scale", "0.05", "--policy", "mc=1",
+                  "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_screen_rejects_nonpositive_workers(self, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["screen", "ora", "--scale", "0.05", "--policy", "mc=1",
+                  "--workers", workers])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_screen_rejects_non_integer_workers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["screen", "ora", "--scale", "0.05", "--policy", "mc=1",
+                  "--workers", "two"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["backends", "worker", "serve"])
+    def test_removed_subcommands_are_unknown(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "screen"])
+    def test_backend_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "ora", "--scale", "0.05", "--policy", "mc=1",
+                  "--backend", "inline"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_sweep_workers_reach_the_pool(self, monkeypatch, capsys):
+        from repro.sim.parallel import pool_stats, shutdown_pool
+
+        monkeypatch.setenv("REPRO_CACHE", "0")  # simulate on both runs
+        command = ["sweep", "ora", "eqntott", "--scale", "0.05",
+                   "--policy", "mc=1", "--policy", "no restrict",
+                   "--workers"]
+        assert main(command + ["1"]) == 0
+        serial = capsys.readouterr().out
+        stats = pool_stats()
+        try:
+            assert main(command + ["2"]) == 0
+            pooled = capsys.readouterr().out
+            after = pool_stats()
+        finally:
+            shutdown_pool()
+        assert after["created"] + after["reused"] > \
+            stats["created"] + stats["reused"]
+        assert pooled == serial
+        assert "4 simulated" in pooled
+
 
 class TestCacheCommand:
     def test_stats_empty_store(self, capsys):

@@ -17,7 +17,7 @@ Three measurements, mirroring the acceptance targets of
 
 A fourth measurement covers **policy-sibling fusion** -- a cold
 benchmarks x policies sweep with the fused stream-pass + replay engine
-vs per-cell execution (``fusion=False``), results asserted
+vs per-cell execution (``engine="fastpath"``), results asserted
 bit-identical; CI enforces a floor via ``--assert-speedup`` and the
 payload lands in ``BENCH_fusion.json``.
 
@@ -56,6 +56,7 @@ import os
 import statistics
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from repro import telemetry
@@ -70,7 +71,7 @@ from repro.core.policies import (
 )
 from repro.sim.config import baseline_config
 from repro.sim.parallel import (
-    _ungrouped_submit,
+    _run_cell,
     dispatch,
     pool_stats,
     shutdown_pool,
@@ -122,7 +123,7 @@ def redirect_smoke_outputs(args, parser) -> None:
     """
     os.makedirs(SMOKE_DIR, exist_ok=True)
     for attr in ("out", "sweepcache_out", "pool_out", "fusion_out",
-                 "cnative_out", "fabric_out", "screen_out"):
+                 "cnative_out", "screen_out"):
         default = parser.get_default(attr)
         if getattr(args, attr) == default:
             setattr(args, attr, os.path.join(SMOKE_DIR, default))
@@ -142,18 +143,17 @@ def bench_serial(workloads, scale: float, repeats: int):
     """Instructions/second per engine for each workload."""
     rows = []
     for workload in workloads:
-        fast = simulate(workload, load_latency=10, scale=scale,
-                        fast_path=True)
+        fast = simulate(workload, load_latency=10, scale=scale)
         slow = simulate(workload, load_latency=10, scale=scale,
-                        fast_path=False)
+                        engine="reference")
         if fast != slow:
             raise AssertionError(
                 f"engine divergence on {workload.name}"
             )
         t_fast, _ = best_of(repeats, lambda: simulate(
-            workload, load_latency=10, scale=scale, fast_path=True))
+            workload, load_latency=10, scale=scale))
         t_ref, _ = best_of(repeats, lambda: simulate(
-            workload, load_latency=10, scale=scale, fast_path=False))
+            workload, load_latency=10, scale=scale, engine="reference"))
         instr = fast.instructions
         rows.append({
             "workload": workload.name,
@@ -163,6 +163,14 @@ def bench_serial(workloads, scale: float, repeats: int):
             "speedup": t_ref / t_fast,
         })
     return rows
+
+
+def _ungrouped_submit(cells, workers: int):
+    """Pre-grouping dispatch: one fresh-pool task per cell."""
+    if workers <= 1 or len(cells) <= 1:
+        return [_run_cell(cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_cell, cells))
 
 
 def bench_sweep(workloads, scale: float, repeats: int, workers: int):
@@ -186,11 +194,16 @@ def bench_sweep(workloads, scale: float, repeats: int, workers: int):
     )
 
     def ungrouped_reference():
-        os.environ["REPRO_FASTPATH"] = "0"
+        # Pool workers inherit the pinned engine from the environment.
+        saved = os.environ.get("REPRO_ENGINE")
+        os.environ["REPRO_ENGINE"] = "reference"
         try:
             return _ungrouped_submit(cells, workers=workers)
         finally:
-            del os.environ["REPRO_FASTPATH"]
+            if saved is None:
+                del os.environ["REPRO_ENGINE"]
+            else:
+                os.environ["REPRO_ENGINE"] = saved
 
     t_ungrouped, ungrouped = best_of(repeats, ungrouped_reference)
     if grouped != ungrouped:
@@ -344,117 +357,6 @@ def bench_pool(scale: float, workers: int, repeats: int):
     }
 
 
-def bench_fabric(scale: float, workers: int, repeats: int):
-    """Coordinator overhead: socket fabric vs in-process pool, warm.
-
-    Starts ``workers`` real ``python -m repro worker`` subprocesses on
-    loopback and times the Figure 13 plan through the
-    :class:`~repro.sim.fabric.FabricCoordinator` against the same
-    plan through the in-process pool backend at equal parallelism.
-    Both sides get one untimed warm-up dispatch first (persistent
-    pool workers and fabric workers alike keep compile/trace caches
-    between dispatches), so the measured difference is the fabric's
-    true per-dispatch cost: wire encoding, TCP round trips, and
-    shard bookkeeping.  Results are asserted bit-identical to serial
-    across all three paths.
-    """
-    import subprocess
-    import sys as _sys
-    from pathlib import Path
-
-    from repro.sim.fabric import FabricCoordinator
-    from repro.workloads.spec92 import all_benchmarks
-
-    base = baseline_config()
-    cells = [
-        (workload, base.with_policy(policy), 10, scale)
-        for workload in all_benchmarks()
-        for policy in table13_policies()
-    ]
-
-    clear_caches()
-    serial = [simulate(w, c, load_latency=latency, scale=s)
-              for w, c, latency, s in cells]
-
-    repo_root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(repo_root / "src")
-
-    def start_worker():
-        proc = subprocess.Popen(
-            [_sys.executable, "-m", "repro", "worker", "--port", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env, cwd=str(repo_root),
-        )
-        line = proc.stdout.readline()
-        if not line.startswith("listening on "):
-            proc.kill()
-            raise RuntimeError(f"worker failed to start: {line!r}")
-        address = line.split("listening on ", 1)[1].strip()
-        host, _sep, port = address.rpartition(":")
-        return proc, (host, int(port))
-
-    procs = []
-    try:
-        procs = [start_worker() for _ in range(workers)]
-        addresses = [address for _proc, address in procs]
-
-        def fabric_run():
-            return FabricCoordinator(addresses).run(cells)
-
-        def pool_run():
-            return dispatch(cells, backend="pool", workers=workers)
-
-        fabric_warm = fabric_run()  # untimed: warms worker caches
-        pool_warm = pool_run()      # untimed: warms pool worker caches
-        # Interleave the timed repeats, alternating which side goes
-        # first: container CPU speed drifts far more between separate
-        # measurement phases than between back-to-back runs, and a
-        # phase-per-side layout turns that drift straight into fake
-        # overhead (or fake speedup).  Best-of over alternating pairs
-        # samples both sides under the same conditions.
-        t_fabric = t_pool = float("inf")
-        fabric_results = pool_results = None
-        for repeat in range(repeats):
-            sides = [("fabric", fabric_run), ("pool", pool_run)]
-            if repeat % 2:
-                sides.reverse()
-            for side, fn in sides:
-                t0 = time.perf_counter()
-                results = fn()
-                elapsed = time.perf_counter() - t0
-                if side == "fabric":
-                    t_fabric = min(t_fabric, elapsed)
-                    fabric_results = results
-                else:
-                    t_pool = min(t_pool, elapsed)
-                    pool_results = results
-    finally:
-        for proc, _address in procs:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait(timeout=10)
-        shutdown_pool()
-
-    for label, results in (("fabric warm-up", fabric_warm),
-                           ("fabric", fabric_results),
-                           ("pool warm-up", pool_warm),
-                           ("pool", pool_results)):
-        if results != serial:
-            raise AssertionError(f"{label} sweep diverged from serial")
-
-    overhead = t_fabric / t_pool - 1.0
-    return {
-        "cells": len(cells),
-        "workers": workers,
-        "fabric_seconds": t_fabric,
-        "pool_seconds": t_pool,
-        "overhead_fraction": overhead,
-        "overhead_percent": 100.0 * overhead,
-        "bit_identical": True,
-    }
-
-
 def bench_fusion(scale: float, repeats: int, smoke: bool):
     """Cold multi-policy sweep: policy-sibling fusion vs per-cell runs.
 
@@ -464,8 +366,8 @@ def bench_fusion(scale: float, repeats: int, smoke: bool):
     policy siblings.  Fused, the group's trace is expanded and its
     event stream built once, blocking siblings collapse to the
     functional closed form, and each non-blocking sibling runs only
-    its compiled replay kernel; unfused (``fusion=False``, the PR 4
-    baseline), every sibling re-executes the interpreter.  Caches are
+    its compiled replay kernel; unfused (``engine="fastpath"``, the
+    PR 4 baseline), every sibling re-executes the interpreter.  Caches are
     cleared before every pass so both sides start cold, and the two
     result lists are asserted bit-identical.
 
@@ -488,16 +390,16 @@ def bench_fusion(scale: float, repeats: int, smoke: bool):
         for policy in policies
     ]
 
-    def run(fusion: bool):
+    def run(engine=None):
         clear_caches()
         return [
             simulate(workload, config, load_latency=latency, scale=s,
-                     fusion=fusion)
+                     engine=engine)
             for workload, config, latency, s in cells
         ]
 
-    t_fused, fused = best_of(repeats, lambda: run(True))
-    t_unfused, unfused = best_of(repeats, lambda: run(False))
+    t_fused, fused = best_of(repeats, run)
+    t_unfused, unfused = best_of(repeats, lambda: run("fastpath"))
     if fused != unfused:
         raise AssertionError("fused sweep diverged from unfused execution")
     clear_caches()
@@ -940,54 +842,19 @@ def run_screen_only(args) -> None:
               f"{args.assert_prune:.1f}% floor")
 
 
-def run_fabric_only(args) -> None:
-    """The ``perfbench bench_fabric`` entry: coordinator-overhead gate."""
-    workers = args.fabric_workers
-    fabric = bench_fabric(args.scale, workers, args.repeats)
-    print(f"distributed fabric overhead ({fabric['cells']} cells, "
-          f"{workers} workers, best of {args.repeats}):\n")
-    print(f"  in-process pool   : {fabric['pool_seconds']:.3f} s")
-    print(f"  socket fabric     : {fabric['fabric_seconds']:.3f} s")
-    print(f"  coordinator cost  : {fabric['overhead_percent']:+.1f}%")
-    payload = {
-        "scale": args.scale,
-        "repeats": args.repeats,
-        "smoke": args.smoke,
-        "fabric": fabric,
-        "telemetry": telemetry.snapshot(),
-    }
-    with open(args.fabric_out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"\nwrote {args.fabric_out}")
-    if args.assert_overhead is not None:
-        if fabric["overhead_percent"] > args.assert_overhead:
-            raise SystemExit(
-                f"fabric coordinator overhead "
-                f"{fabric['overhead_percent']:.1f}% exceeds the "
-                f"{args.assert_overhead:.1f}% ceiling"
-            )
-        print(f"fabric coordinator overhead within the "
-              f"{args.assert_overhead:.1f}% ceiling")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench", nargs="?", default="all",
-                        choices=("all", "bench_cnative", "bench_fabric",
-                                 "bench_screen"),
+                        choices=("all", "bench_cnative", "bench_screen"),
                         help="which suite to run: 'all' (default, the five "
                              "historical measurements), "
                              "'bench_cnative' (the compiled-C kernel gate "
-                             "only), 'bench_fabric' (distributed "
-                             "coordinator overhead vs the in-process "
-                             "pool), or 'bench_screen' (analytical "
+                             "only), or 'bench_screen' (analytical "
                              "screening tier vs exhaustive design-space "
                              "sweep); --assert-speedup applies to the "
                              "selected suite, --assert-overhead to "
-                             "telemetry under 'all' and to the "
-                             "coordinator under 'bench_fabric', "
-                             "--assert-prune to 'bench_screen'")
+                             "telemetry under 'all', --assert-prune to "
+                             "'bench_screen'")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="run-length multiplier for the benchmarks")
     parser.add_argument("--repeats", type=int, default=3,
@@ -1008,15 +875,11 @@ def main() -> None:
                         help="fail if telemetry overhead exceeds PCT percent")
     parser.add_argument("--fusion-out", default="BENCH_fusion.json")
     parser.add_argument("--cnative-out", default="BENCH_cnative.json")
-    parser.add_argument("--fabric-out", default="BENCH_fabric.json")
     parser.add_argument("--screen-out", default="BENCH_screen.json")
     parser.add_argument("--assert-prune", type=float, default=None,
                         metavar="PCT",
                         help="bench_screen: fail if the screened sweep "
                              "prunes fewer than PCT percent of cells")
-    parser.add_argument("--fabric-workers", type=int, default=2,
-                        help="worker processes for bench_fabric "
-                             "(default 2, matching the CI smoke)")
     parser.add_argument("--assert-speedup", type=float, default=None,
                         metavar="X",
                         help="fail if the gated sweep speedup falls below X "
@@ -1031,13 +894,6 @@ def main() -> None:
         if args.smoke:
             args.repeats = max(args.repeats, 2)
         run_cnative_only(args)
-        return
-
-    if args.bench == "bench_fabric":
-        if args.smoke:
-            args.scale = min(args.scale, 0.05)
-            args.repeats = max(args.repeats, 2)
-        run_fabric_only(args)
         return
 
     if args.bench == "bench_screen":
