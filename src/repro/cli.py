@@ -353,8 +353,8 @@ def cmd_engines(_args: argparse.Namespace) -> int:
 
     compiler = ckernel.find_compiler()
     if compiler is None:
-        probe = ("none found (cnative degrades to the scalar replay; "
-                 "set REPRO_CC)")
+        probe = ("none found (cnative degrades to the scalar replay and "
+                 "the reference dual-issue loop; set REPRO_CC)")
     else:
         probe = compiler
     kstats = ckernel.kernel_cache_stats()

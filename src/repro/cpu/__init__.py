@@ -1,6 +1,5 @@
-"""Processor models: ISA, single-issue pipeline, dual-issue pipeline."""
+"""Processor models: ISA, single-issue pipeline, reference loops."""
 
-from repro.cpu.dual_issue import run_dual_issue
 from repro.cpu.isa import (
     FP_BASE,
     NUM_FP_REGS,
@@ -25,6 +24,5 @@ __all__ = [
     "is_fp_reg",
     "reg_name",
     "run_single_issue",
-    "run_dual_issue",
     "PerfectCacheHandler",
 ]

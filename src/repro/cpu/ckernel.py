@@ -24,17 +24,25 @@ counts the same hits, so direct per-slot execution of those runs is
 bit-identical, and in C it is fast enough that the detection shortcut
 buys nothing.
 
+Each translation unit also carries ``repro_dual``, the dual-issue
+machine of Section 6: the issue rules of
+:func:`repro.cpu.reference.run_dual_issue_reference` over the same
+``miss_load`` / ``slow_store`` clauses, with blocking and perfect
+caches as runtime flags, so dual-issue cells need no family of their
+own.
+
 Build pipeline: probe for a compiler (``REPRO_CC`` overrides; ``cc`` /
 ``gcc`` / ``clang`` on PATH otherwise), emit the family's source,
-``-O2 -shared -fPIC`` it into the kernel cache next to the result
-store (``<cache-root>/kernels/``), and load it through cffi in ABI
-mode (ctypes when cffi is unavailable -- both just ``dlopen`` the
+compile it with :data:`CFLAGS` into the kernel cache next to the
+result store (``<cache-root>/kernels/``), and load it through cffi in
+ABI mode (ctypes when cffi is unavailable -- both just ``dlopen`` the
 ``.so``).  Cache entries are keyed by a digest of the source text,
-the family, and :data:`~repro.sim.simulator.ENGINE_VERSION`, so any
-codegen or semantics change invalidates every stale kernel; ``python
--m repro cache gc`` prunes entries whose digest no longer matches.
-No compiler, failed build, missing binding: the caller falls back to
-the scalar tier (:mod:`repro.cpu.replay_cnative` tags the cause).
+the family, the flags and :data:`~repro.sim.simulator.ENGINE_VERSION`,
+so any codegen, flag or semantics change invalidates every stale
+kernel; ``python -m repro cache gc`` prunes entries whose digest no
+longer matches.  No compiler, failed build, missing binding: the
+caller falls back to the scalar replay or the reference dual-issue
+loop (:mod:`repro.cpu.replay_cnative` tags the cause).
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.cpu.isa import NUM_REGS
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -130,11 +139,18 @@ def family_of(config: "MachineConfig") -> KernelFamily:
 PARAM_SLOTS = (
     "it1", "n_slots", "tail_gap", "setmask", "ways", "maxm", "maxf",
     "maxs", "nsub", "sublim", "line_mask", "sub_shift", "ports",
-    "penalty",
+    "penalty", "offset_bits", "blocking", "perfect",
 )
 
-#: Raw counter block written by the kernel (``i64 *out``).
-OUT_SLOTS = 40
+#: Raw counter block written by the kernel (``i64 *out``): 40 shared
+#: counters, then the dual-issue driver's truedep and blocking misses.
+OUT_SLOTS = 42
+
+#: Flags of every kernel build; they key the cache like the source
+#: does.  ``-O1`` builds a family with the dual-issue driver in about
+#: the time ``-O2`` built one without it, at a small cost in replay
+#: speed (docs/performance.md).
+CFLAGS = ("-O1", "-shared", "-fPIC")
 
 _PRELUDE = """\
 #include <stdlib.h>
@@ -473,6 +489,51 @@ def _gen_slow_store(f: KernelFamily) -> str:
     return "\n".join(w)
 
 
+def _gen_open(f: KernelFamily) -> List[str]:
+    """Declare ``St st`` and load it from the parameter block."""
+    stride = "4 + st.nsub" if f.limited else "4"
+    return [
+        "    St st;",
+        "    memset(&st, 0, sizeof st);",
+        "    st.setmask = p[3]; st.ways = p[4]; st.maxm = p[5];",
+        "    st.maxf = p[6]; st.maxs = p[7]; st.nsub = p[8];",
+        "    st.sublim = p[9]; st.line_mask = p[10];",
+        "    st.sub_shift = p[11]; st.ports = p[12];",
+        "    st.penalty = p[13];",
+        "    st.tags = tags; st.set_len = set_len;",
+        f"    st.stride = {stride};",
+        "    st.cap = 1024;",
+        "    st.fifo = (i64 *)malloc("
+        "(size_t)(st.cap * st.stride) * sizeof(i64));",
+        "    if (!st.fifo) return 3;",
+        "    st.fence = FAR_FUTURE;",
+    ]
+
+
+#: Settle the books at ``cycle`` and write the raw counter block.
+_CLOSE = """\
+    if (st.tail > st.head) drain(&st, cycle);
+    advance_to(&st, cycle);
+    out[0] = cycle;
+    out[1] = st.loads; out[2] = st.load_hits;
+    out[3] = st.primary; out[4] = st.secondary;
+    out[5] = st.structural;
+    for (j = 0; j < 5; j++) out[6 + j] = st.causes[j];
+    out[11] = st.stores; out[12] = st.store_hits;
+    out[13] = st.store_misses;
+    out[14] = st.structural_stall; out[15] = st.wa_stall;
+    out[16] = st.wb_pushes;
+    out[17] = st.fetches_launched; out[18] = st.evictions;
+    for (j = 0; j < 8; j++) out[19 + j] = st.miss_hist[j];
+    for (j = 0; j < 8; j++) out[27 + j] = st.fetch_hist[j];
+    out[35] = st.max_m; out[36] = st.max_f;
+    out[37] = st.fast_loads; out[38] = st.fast_stores;
+    out[39] = st.fast_smiss;
+    free(st.fifo);
+    return 0;
+}"""
+
+
 def _gen_run(f: KernelFamily) -> str:
     w: List[str] = []
     w.append("i64 repro_replay(const i64 *p,")
@@ -484,26 +545,10 @@ def _gen_run(f: KernelFamily) -> str:
     w.append("                 i64 *tags, i64 *set_len, i64 *lr,")
     w.append("                 i64 *out)")
     w.append("{")
-    w.append("    St st;")
-    w.append("    memset(&st, 0, sizeof st);")
+    w.extend(_gen_open(f))
     w.append("    i64 it1 = p[0];")
     w.append("    i64 n_slots = p[1];")
     w.append("    i64 tail_gap = p[2];")
-    w.append("    st.setmask = p[3]; st.ways = p[4]; st.maxm = p[5];")
-    w.append("    st.maxf = p[6]; st.maxs = p[7]; st.nsub = p[8];")
-    w.append("    st.sublim = p[9]; st.line_mask = p[10];")
-    w.append("    st.sub_shift = p[11]; st.ports = p[12];")
-    w.append("    st.penalty = p[13];")
-    w.append("    st.tags = tags; st.set_len = set_len;")
-    if f.limited:
-        w.append("    st.stride = 4 + st.nsub;")
-    else:
-        w.append("    st.stride = 4;")
-    w.append("    st.cap = 1024;")
-    w.append("    st.fifo = (i64 *)malloc("
-             "(size_t)(st.cap * st.stride) * sizeof(i64));")
-    w.append("    if (!st.fifo) return 3;")
-    w.append("    st.fence = FAR_FUTURE;")
     w.append("    i64 cycle = 0;")
     w.append("    i64 it, k, j;")
     w.append("    for (it = 0; it < it1; it++) {")
@@ -566,27 +611,96 @@ def _gen_run(f: KernelFamily) -> str:
     w.append("            if (v > cycle) cycle = v;")
     w.append("        }")
     w.append("    }")
-    w.append("    if (st.tail > st.head) drain(&st, cycle);")
-    w.append("    advance_to(&st, cycle);")
-    w.append("    out[0] = cycle;")
-    w.append("    out[1] = st.loads; out[2] = st.load_hits;")
-    w.append("    out[3] = st.primary; out[4] = st.secondary;")
-    w.append("    out[5] = st.structural;")
-    w.append("    for (j = 0; j < 5; j++) out[6 + j] = st.causes[j];")
-    w.append("    out[11] = st.stores; out[12] = st.store_hits;")
-    w.append("    out[13] = st.store_misses;")
-    w.append("    out[14] = st.structural_stall; out[15] = st.wa_stall;")
-    w.append("    out[16] = st.wb_pushes;")
-    w.append("    out[17] = st.fetches_launched; out[18] = st.evictions;")
-    w.append("    for (j = 0; j < 8; j++) out[19 + j] = st.miss_hist[j];")
-    w.append("    for (j = 0; j < 8; j++) out[27 + j] = st.fetch_hist[j];")
-    w.append("    out[35] = st.max_m; out[36] = st.max_f;")
-    w.append("    out[37] = st.fast_loads; out[38] = st.fast_stores;")
-    w.append("    out[39] = st.fast_smiss;")
-    w.append("    free(st.fifo);")
-    w.append("    return 0;")
-    w.append("}")
+    w.append(_CLOSE)
     return "\n".join(w)
+
+
+#: The dual-issue machine of
+#: :func:`repro.cpu.reference.run_dual_issue_reference`, driving the
+#: family's own handler clauses.  Only the issue rules are new here:
+#: two slots, one memory port, no same-cycle dependence, and any stall
+#: freezes both slots.  ``kind`` is 0 (no memory), 1 (load) or 2
+#: (store); a perfect cache hits everything, and a blocking cache
+#: stalls for the whole penalty and installs at once.
+_DUAL = """\
+i64 repro_dual(const i64 *p, const i64 *kind, const i64 *dst,
+               const i64 *src_start, const i64 *src,
+               i64 **addrs, i64 *tags, i64 *set_len, i64 *out)
+{
+%(open)s
+    i64 executions = p[0], n_body = p[1], offset_bits = p[14];
+    i64 blocking = p[15], perfect = p[16];
+    i64 reg_ready[%(nregs)d] = {0};
+    i64 w[2] = {-1, -1};
+    i64 cycle = 0, slot = 0, mem_used = 0, truedep = 0, blocked = 0;
+    i64 it, j, q;
+    for (it = 0; it < executions; it++) {
+        for (j = 0; j < n_body; j++) {
+            i64 k = kind[j], d = dst[j], ready = 0, nxt, rdy;
+            int clash = 0;
+            for (q = src_start[j]; q < src_start[j + 1]; q++) {
+                i64 r = src[q];
+                if (reg_ready[r] > ready) ready = reg_ready[r];
+                if (r == w[0] || r == w[1]) clash = 1;
+            }
+            if (d >= 0) {
+                if (reg_ready[d] > ready) ready = reg_ready[d];
+                if (d == w[0] || d == w[1]) clash = 1;
+            }
+            i64 start = (slot < 2 && !(k && mem_used) && !clash)
+                ? cycle : cycle + 1;
+            if (ready > start) { truedep += ready - start; start = ready; }
+            if (start > cycle) {
+                cycle = start;
+                slot = 0; mem_used = 0; w[0] = w[1] = -1;
+            }
+            if (!k) {
+                if (d >= 0) { reg_ready[d] = cycle + 1; w[slot] = d; }
+                slot += 1;
+                continue;
+            }
+            i64 a = addrs[j][it], b = a >> offset_bits;
+            int hit = perfect || (cycle < st.fence && access_touch(&st, b));
+            if (k == 1) {
+                if (hit) {
+                    st.fast_loads += 1;
+                    nxt = rdy = cycle + 1;
+                } else if (blocking) {
+                    /* Nothing is ever in flight: the probe saw the miss. */
+                    st.loads += 1;
+                    blocked += 1;
+                    install(&st, b);
+                    nxt = rdy = cycle + 1 + st.penalty;
+                } else {
+                    nxt = miss_load(&st, b, cycle%(sub)s, &rdy);
+                }
+                reg_ready[d] = rdy;
+                w[slot] = d;
+            } else if (hit) {
+                st.fast_stores += 1;
+                nxt = cycle + 1;
+            } else {
+                nxt = slow_store(&st, b, cycle);
+            }
+            if (st.err) { i64 e = st.err; free(st.fifo); return e; }
+            mem_used = 1;
+            slot += 1;
+            if (nxt > cycle + 1) {  /* the stall froze both slots */
+                cycle = nxt;
+                slot = 0; mem_used = 0; w[0] = w[1] = -1;
+            }
+        }
+    }
+    cycle += 1;  /* the final cycle is occupied */
+    if (perfect) st.last_t = cycle;  /* no occupancy to integrate */
+    out[40] = truedep; out[41] = blocked;
+%(close)s"""
+
+
+def _gen_dual(f: KernelFamily) -> str:
+    sub = ", (a & st.line_mask) >> st.sub_shift" if f.limited else ""
+    return _DUAL % {"open": "\n".join(_gen_open(f)), "nregs": NUM_REGS,
+                    "sub": sub, "close": _CLOSE}
 
 
 def generate_source(family: KernelFamily) -> str:
@@ -601,6 +715,8 @@ def generate_source(family: KernelFamily) -> str:
         _gen_slow_store(family),
         "",
         _gen_run(family),
+        "",
+        _gen_dual(family),
         "",
     ]
     return "\n".join(parts)
@@ -667,10 +783,10 @@ def _engine_version() -> str:
 
 
 def kernel_digest(family: KernelFamily, source: str) -> str:
-    """Content key: source text + family + engine version + schema."""
+    """Content key: source text + family + flags + engine version + schema."""
     h = hashlib.sha256()
     h.update(_engine_version().encode())
-    h.update(repr((KERNEL_SCHEMA, family)).encode())
+    h.update(repr((KERNEL_SCHEMA, family, CFLAGS)).encode())
     h.update(source.encode())
     return h.hexdigest()
 
@@ -720,7 +836,7 @@ def compile_kernel_so(family: KernelFamily) -> Tuple[Path, float, bool]:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp_so, str(c_path)],
+            [cc, *CFLAGS, "-o", tmp_so, str(c_path)],
             capture_output=True, text=True,
         )
         if proc.returncode != 0:
@@ -742,6 +858,7 @@ def compile_kernel_so(family: KernelFamily) -> Tuple[Path, float, bool]:
         "source_sha256": hashlib.sha256(source.encode()).hexdigest(),
         "digest": digest,
         "cc": cc,
+        "cflags": list(CFLAGS),
     }
     _atomic_write(meta_path, json.dumps(meta, indent=2).encode())
     return so_path, time.perf_counter() - started, True
@@ -754,6 +871,9 @@ _CDEF = (
     "const long long *, const long long *, const long long *, "
     "const long long *, const long long *, long long **, long long **, "
     "long long *, long long *, long long *, long long *);"
+    "long long repro_dual(const long long *, const long long *, "
+    "const long long *, const long long *, const long long *, "
+    "long long **, long long *, long long *, long long *);"
 )
 
 
@@ -770,7 +890,7 @@ class _CffiBinding:
 
     def load(self, path: Path):
         lib = self._ffi.dlopen(str(path))
-        return lib.repro_replay
+        return lib.repro_replay, lib.repro_dual
 
     def pointer(self, arr):
         return self._ffi.cast("long long *", arr.ctypes.data)
@@ -796,16 +916,21 @@ class _CtypesBinding:
 
         self._ctypes = ctypes
         self._pll = ctypes.POINTER(ctypes.c_longlong)
-        self._argtypes = ([self._pll] * 7
-                          + [ctypes.POINTER(self._pll)] * 2
-                          + [self._pll] * 4)
+        rows = ctypes.POINTER(self._pll)
+        self._argtypes = {
+            "repro_replay": [self._pll] * 7 + [rows] * 2 + [self._pll] * 4,
+            "repro_dual": [self._pll] * 5 + [rows] + [self._pll] * 3,
+        }
 
     def load(self, path: Path):
         lib = self._ctypes.CDLL(str(path))
-        fn = lib.repro_replay
-        fn.restype = self._ctypes.c_longlong
-        fn.argtypes = self._argtypes
-        return fn
+        fns = []
+        for name, argtypes in self._argtypes.items():
+            fn = getattr(lib, name)
+            fn.restype = self._ctypes.c_longlong
+            fn.argtypes = argtypes
+            fns.append(fn)
+        return tuple(fns)
 
     def pointer(self, arr):
         return self._ctypes.cast(arr.ctypes.data, self._pll)
@@ -835,7 +960,7 @@ def get_binding():
 
 
 class LoadedKernel:
-    """One dlopen'd replay kernel plus its provenance."""
+    """One dlopen'd kernel (replay and dual-issue entry) plus provenance."""
 
     def __init__(self, family: KernelFamily, path: Path,
                  compile_seconds: float, built: bool) -> None:
@@ -846,22 +971,26 @@ class LoadedKernel:
         self.compile_seconds = compile_seconds
         #: True when this process ran the compiler.
         self.built = built
-        binding = get_binding()
-        self._binding = binding
-        self._fn = binding.load(path)
+        self._binding = get_binding()
+        self._replay, self._dual = self._binding.load(path)
 
-    def invoke(self, p, kind, slr, pregap, tstart, tlr, tdelta,
-               line_arrs, addr_arrs, tags, set_len, lr, out) -> int:
+    def _call(self, fn, args) -> int:
+        # An array is passed by pointer, a list of arrays as an array
+        # of pointers, and ``None`` as NULL.
         b = self._binding
-        ptr = b.pointer
-        lines_ptr = b.pointer_array(line_arrs)
-        addrs_ptr = b.pointer_array(addr_arrs)
-        set_len_ptr = ptr(set_len) if set_len is not None else b.null
-        return int(self._fn(
-            ptr(p), ptr(kind), ptr(slr), ptr(pregap), ptr(tstart),
-            ptr(tlr), ptr(tdelta), lines_ptr, addrs_ptr, ptr(tags),
-            set_len_ptr, ptr(lr), ptr(out),
-        ))
+        return int(fn(*[
+            b.null if a is None else
+            b.pointer_array(a) if isinstance(a, list) else b.pointer(a)
+            for a in args
+        ]))
+
+    def invoke(self, *args) -> int:
+        """Run ``repro_replay``; arguments in its C order."""
+        return self._call(self._replay, args)
+
+    def invoke_dual(self, *args) -> int:
+        """Run ``repro_dual``; arguments in its C order."""
+        return self._call(self._dual, args)
 
 
 _KERNELS: Dict[KernelFamily, LoadedKernel] = {}

@@ -2,10 +2,12 @@
 
 These are the original (pre fast-path) single- and dual-issue
 interpreter loops, kept verbatim as the bit-exactness oracle for the
-two-tier engine in :mod:`repro.cpu.pipeline` and
-:mod:`repro.cpu.dual_issue`.  Every access -- hit or miss -- goes
-through the handler's ``load``/``store`` methods, and the body is
-re-dispatched op by op from parallel lists.
+two-tier engine in :mod:`repro.cpu.pipeline` and the C kernels'
+replay and dual-issue drivers (:mod:`repro.cpu.ckernel`).  Every
+access -- hit or miss -- goes through the handler's ``load``/``store``
+methods, and the body is re-dispatched op by op from parallel lists.
+The dual-issue loop is also the only interpreter of that machine:
+without a C compiler every dual-issue cell runs here.
 
 ``simulate(..., engine="reference")`` routes here; the equivalence suite
 (``tests/sim/test_fastpath_equivalence.py``) asserts the optimized
@@ -104,8 +106,21 @@ def run_single_issue_reference(
 def run_dual_issue_reference(trace: "ExpandedTrace", handler) -> Tuple[int, int, int]:
     """Execute the trace 2-wide; returns (cycles, instructions, truedep).
 
-    Semantics are documented on :func:`repro.cpu.dual_issue.run_dual_issue`;
-    this is the slow every-access-through-the-handler rendition.
+    The dual-issue in-order core of Section 6, which gauges the scaling
+    rule for superscalar machines against single-issue runs:
+
+    * up to two instructions issue per cycle, in order;
+    * results are available in the next cycle, so the second slot may
+      not read (or overwrite) the first slot's destination;
+    * one memory port: at most one load or store per cycle;
+    * any stall (register not ready, structural hazard, blocking miss)
+      freezes both slots until resolved.
+
+    ``truedep`` counts cycles in which issue was delayed purely by
+    register readiness (approximate on this model; the headline
+    quantity for Section 6 is the cycle count, and MCPI is taken
+    against a perfect-cache run, see
+    :func:`repro.analysis.scaling.dual_issue_mcpi`).
     """
     body = trace.body
     n_body = len(body)

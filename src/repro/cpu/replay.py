@@ -664,16 +664,14 @@ return (cycle, loads, load_hits, primary, secondary, structural,
 def replay_supported(config: "MachineConfig") -> bool:
     """Whether a replay kernel models this machine exactly.
 
-    Blocking policies take the closed form instead; a finite write
+    That is the ``replay`` lane of :func:`repro.sim.engines.cell_lane`:
+    blocking policies take the closed form instead, and a finite write
     buffer's stalls depend on per-push timing the inline store path
     cannot absorb, so those cells fall back to full execution.
     """
-    return (
-        not config.policy.blocking
-        and config.write_buffer_depth is None
-        and config.issue_width == 1
-        and not config.perfect_cache
-    )
+    from repro.sim.engines import cell_lane
+
+    return cell_lane(config) == "replay"
 
 
 def run_replay(
@@ -693,17 +691,18 @@ def run_replay(
     if fn is None:
         fn = build_replay_fn(stream, trace, config)
         stream._replay_fns[key] = fn
-    return finish_replay(stream, fn(stream.executions))
+    return finish_replay(stream.instructions, fn(stream.executions))
 
 
 def finish_replay(
-    stream: "EventStream", raw: Tuple
+    instructions: int, raw: Tuple
 ) -> Tuple[MissStats, int, int, int]:
     """Fold a kernel's raw counter tuple into the result quadruple.
 
     Shared by the scalar and C tiers -- both kernel families
     return the same 22-counter tuple, so the accounting fold (and the
     ``verify_accounting`` identity downstream) is engine-independent.
+    The truedep it derives holds for single issue only.
     """
     (cycle, loads, load_hits, primary, secondary, structural, causes,
      stores, store_hits, store_misses, structural_stall, wa_stall,
@@ -728,7 +727,6 @@ def finish_replay(
     stats.max_misses_inflight = max_m
     stats.max_fetches_inflight = max_f
     stats.observed_cycles = cycle
-    instructions = stream.instructions
     truedep = cycle - instructions - stats.memory_stall_cycles
     return stats, cycle, instructions, truedep
 

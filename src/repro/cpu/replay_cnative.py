@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.classify import StructuralCause
 from repro.core.stats import MissStats
 from repro.cpu import ckernel
+from repro.cpu.isa import OpClass
 from repro.cpu.replay import finish_replay, replay_supported
 from repro.errors import SimulationError
 from repro.sim.trace import P_LOAD
@@ -59,6 +60,9 @@ _CAUSES = (
     StructuralCause.NO_SET_SLOT,
     StructuralCause.NO_DEST_FIELD,
 )
+
+#: ``kind`` codes of the dual-issue driver; every other op is 0.
+_MEMORY_KIND = {OpClass.LOAD: 1, OpClass.STORE: 2}
 
 
 def cnative_supported(config: "MachineConfig") -> bool:
@@ -130,8 +134,12 @@ def _addr_tables(stream: "EventStream", trace: "ExpandedTrace"):
     return addrs
 
 
-def _param_block(stream: "EventStream", config: "MachineConfig"):
-    """The runtime parameter array (layout: ``ckernel.PARAM_SLOTS``)."""
+def _param_block(config: "MachineConfig", n: int, tail_gap: int = 0):
+    """The runtime parameter array (layout: ``ckernel.PARAM_SLOTS``).
+
+    ``n`` counts the stream's slots (replay) or the body's
+    instructions (dual issue).
+    """
     geometry = config.geometry
     policy = config.policy
     layout = policy.layout
@@ -139,8 +147,8 @@ def _param_block(stream: "EventStream", config: "MachineConfig"):
     nsub = layout.n_subblocks if limited else 1
     sub_size = geometry.line_size // nsub
     p = np.zeros(len(ckernel.PARAM_SLOTS), dtype=np.int64)
-    p[1] = len(stream.slots)
-    p[2] = stream.tail_gap
+    p[1] = n
+    p[2] = tail_gap
     p[3] = geometry.num_sets - 1
     p[4] = geometry.ways
     p[5] = -1 if policy.max_misses is None else policy.max_misses
@@ -154,7 +162,19 @@ def _param_block(stream: "EventStream", config: "MachineConfig"):
     p[11] = sub_size.bit_length() - 1
     p[12] = 1 if policy.fill_ports is None else policy.fill_ports
     p[13] = config.effective_penalty + policy.fill_overhead
+    p[14] = geometry.offset_bits
+    p[15] = policy.blocking
+    p[16] = config.perfect_cache
     return p
+
+
+def _tag_arrays(config: "MachineConfig"):
+    """Empty tags, plus per-set LRU lengths when set-associative."""
+    geometry = config.geometry
+    if geometry.is_direct_mapped:
+        return np.full(geometry.num_sets, -1, dtype=np.int64), None
+    return (np.full(geometry.num_sets * geometry.ways, -1, dtype=np.int64),
+            np.zeros(geometry.num_sets, dtype=np.int64))
 
 
 def _fold_raw(out: np.ndarray) -> Tuple:
@@ -193,22 +213,12 @@ def build_cnative_fn(
     kind, slr, pregap, term_start, tlr, tdelta, lines = \
         _stream_tables(stream)
     addrs = _addr_tables(stream, trace) if family.limited else []
-    p = _param_block(stream, config)
-    geometry = config.geometry
-    num_sets = geometry.num_sets
-    if family.dm:
-        tags_len = num_sets
-        make_set_len = None
-    else:
-        tags_len = num_sets * geometry.ways
-        make_set_len = num_sets
+    p = _param_block(config, len(stream.slots), stream.tail_gap)
     n_loads = stream.n_loads
 
     def run(it1: int) -> Tuple:
         p[0] = it1
-        tags = np.full(tags_len, -1, dtype=np.int64)
-        set_len = (np.zeros(make_set_len, dtype=np.int64)
-                   if make_set_len is not None else None)
+        tags, set_len = _tag_arrays(config)
         lr = np.zeros(max(n_loads, 1), dtype=np.int64)
         out = np.zeros(ckernel.OUT_SLOTS, dtype=np.int64)
         rc = kernel.invoke(p, kind, slr, pregap, term_start, tlr,
@@ -247,4 +257,57 @@ def run_cnative(
             _count_fallback("build")
             return None
         stream._replay_fns[key] = fn
-    return finish_replay(stream, fn(stream.executions))
+    return finish_replay(stream.instructions, fn(stream.executions))
+
+
+def run_dual_issue(
+    trace: "ExpandedTrace", config: "MachineConfig"
+) -> Optional[Tuple[MissStats, int, int, int]]:
+    """Run one dual-issue cell in the C driver; ``None`` = fall back.
+
+    Returns ``(stats, cycles, instructions, truedep)`` bit-identical to
+    :func:`repro.cpu.reference.run_dual_issue_reference` on the cell's
+    handler.  Declines are counted under the same causes as
+    :func:`run_cnative`'s (``policy`` for a cell off the dual-issue
+    lane, such as a finite write buffer).
+    """
+    from repro.sim.engines import cell_lane
+
+    if cell_lane(config) != "dual":
+        _count_fallback("policy")
+        return None
+    if not ckernel.kernels_available():
+        _count_fallback("nocc")
+        return None
+    try:
+        kernel = ckernel.ensure_kernel(ckernel.family_of(config))
+    except ckernel.KernelBuildError:
+        _count_fallback("build")
+        return None
+    body = trace.body
+    p = _param_block(config, len(body))
+    p[0] = trace.executions
+    kind = np.array([_MEMORY_KIND.get(op.op, 0) for op in body],
+                    dtype=np.int64)
+    dst = np.array([-1 if op.dst is None else op.dst for op in body],
+                   dtype=np.int64)
+    src_start = np.cumsum([0] + [len(op.srcs) for op in body],
+                          dtype=np.int64)
+    src = np.array([r for op in body for r in op.srcs], dtype=np.int64)
+    addrs = [np.ascontiguousarray([0] if a is None else a, dtype=np.int64)
+             for a in trace.addresses]
+    if len(addrs) != len(body) or any(
+            k and len(a) < trace.executions for k, a in zip(kind, addrs)):
+        raise SimulationError("trace addresses do not cover the run")
+    tags, set_len = _tag_arrays(config)
+    out = np.zeros(ckernel.OUT_SLOTS, dtype=np.int64)
+    rc = kernel.invoke_dual(p, kind, dst, src_start, src, addrs, tags,
+                            set_len, out)
+    if rc != 0:
+        raise SimulationError(
+            _KERNEL_ERRORS.get(rc, f"dual-issue kernel error {rc}"))
+    stats, cycles, instructions, _ = finish_replay(
+        len(body) * trace.executions, _fold_raw(out))
+    stats.blocking_misses = int(out[41])
+    stats.blocking_stall_cycles = stats.blocking_misses * int(p[13])
+    return stats, cycles, instructions, int(out[40])

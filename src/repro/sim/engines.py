@@ -9,21 +9,24 @@ Four engines can execute a sweep cell, ordered slowest to fastest:
 ``fastpath``
     The optimized two-tier engine (hit fast path + flattened
     interpreter, :mod:`repro.cpu.pipeline`), one full trace execution
-    per cell.
+    per cell.  Dual-issue cells run on the reference loop here and in
+    ``fused``.
 ``fused``
     Policy-sibling fusion: one stream pass per (workload, latency,
     scale, line size) group plus a compiled per-policy replay kernel
     (:mod:`repro.sim.stream`, :mod:`repro.cpu.replay`); blocking
     policies collapse to the functional closed form.
 ``cnative``
-    The fused engine with generated-C replay kernels
+    The fused engine with generated-C kernels
     (:mod:`repro.cpu.ckernel`, :mod:`repro.cpu.replay_cnative`):
     compiled once per policy family and dlopen'd from the kernel
     cache, they execute the *full* irregular recurrence for every
-    replayable cell, direct-mapped and set-associative alike.
+    replayable cell, direct-mapped and set-associative alike, and run
+    every dual-issue cell with the ideal write buffer.
     Without a C compiler (``REPRO_CC`` override included) or when a
     build fails, every cell degrades to the scalar replay of the
-    ``fused`` tier, cause-tagged under ``engine.cnative.fallback.*``.
+    ``fused`` tier or the reference dual-issue loop, cause-tagged
+    under ``engine.cnative.fallback.*``.
 
 All four produce **bit-identical** :class:`~repro.sim.stats.SimulationResult`
 objects -- the engine-matrix CI step and
@@ -88,7 +91,8 @@ FUSED = Engine(
 )
 CNATIVE = Engine(
     "cnative",
-    "fused engine + generated-C replay kernels for every replayable cell",
+    "fused engine + generated-C kernels for replayable and dual-issue "
+    "cells",
     fast_path=True, fusion=True, cnative=True,
 )
 
@@ -141,24 +145,51 @@ def resolve_engine(name: Optional[str] = None) -> Engine:
 # -- per-cell capability -------------------------------------------------------
 
 
+#: Lanes that run in the C kernels when a compiler is available.
+C_LANES = ("replay", "dual")
+
+
+def cell_lane(config, warmup: float = 0.0) -> str:
+    """The lane a cell runs on under the fastest tier.
+
+    ``closed_form`` (blocking, single issue), ``replay`` (non-blocking,
+    single issue), ``dual`` (the C dual-issue driver) or ``interp``
+    (the per-cell interpreter: a finite write buffer, a warmup discard
+    or a single-issue perfect cache).  The one routing predicate:
+    ``_simulate_impl`` dispatches on it, :func:`cell_engine_tier`
+    reports it, and the pool pre-builds the families of its
+    :data:`C_LANES`.
+    """
+    if config.write_buffer_depth is not None or warmup:
+        return "interp"
+    if config.issue_width == 2:
+        return "dual"
+    if config.perfect_cache:
+        return "interp"
+    return "closed_form" if config.policy.blocking else "replay"
+
+
 def cell_engine_tier(config) -> int:
     """The tier index where this cell's execution actually lands.
 
     Used by the dispatch layer (:func:`repro.sim.parallel._stream_affinity`)
     to keep cells of equal engine capability adjacent, so a pool group
     stays on one code path and its kernel/stream caches serve every
-    member.  Indexes into :data:`ENGINE_ORDER`.  Replayable cells
-    report ``cnative`` when a compiler is available and ``fused``
-    otherwise.
+    member.  Indexes into :data:`ENGINE_ORDER`.  C lanes report
+    ``cnative`` when a compiler exists; otherwise replays and closed
+    forms report ``fused``, and the interpreter ``fastpath``, or
+    ``reference`` for dual issue (its only interpreter).
     """
     from repro.cpu.ckernel import kernels_available
-    from repro.cpu.replay import replay_supported
 
-    if replay_supported(config) and kernels_available():
-        return ENGINE_ORDER.index("cnative")
-    if config.policy.blocking or replay_supported(config):
-        return ENGINE_ORDER.index("fused")
-    return ENGINE_ORDER.index("fastpath")
+    lane = cell_lane(config)
+    if lane in C_LANES and kernels_available():
+        tier = "cnative"
+    elif lane in ("closed_form", "replay"):
+        tier = "fused"
+    else:
+        tier = "fastpath" if config.issue_width == 1 else "reference"
+    return ENGINE_ORDER.index(tier)
 
 
 #: Cached counter objects: ``count_selection`` runs once per

@@ -469,17 +469,15 @@ def _prebuild_kernels(cells: Sequence[Cell]) -> None:
     per-cell fallback handles those paths.
     """
     from repro.cpu import ckernel
-    from repro.cpu.replay import replay_supported
-    from repro.sim import engines as engines_mod
 
-    if not engines_mod.resolve_engine().cnative:
+    if not engines.resolve_engine().cnative:
         return
     if not ckernel.kernels_available():
         return
     families = {
         ckernel.family_of(config)
         for _workload, config, _latency, _scale in cells
-        if not config.policy.blocking and replay_supported(config)
+        if engines.cell_lane(config) in engines.C_LANES
     }
     for family in families:
         try:

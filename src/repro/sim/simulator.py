@@ -30,12 +30,12 @@ from typing import Optional, Tuple
 from repro import telemetry
 from repro.compiler.pipeline import CompiledBody, compile_kernel
 from repro.errors import ConfigurationError
-from repro.cpu.dual_issue import run_dual_issue
 from repro.cpu.pipeline import PerfectCacheHandler, run_single_issue
 from repro.cpu.reference import (
     run_dual_issue_reference,
     run_single_issue_reference,
 )
+from repro.cpu.replay_cnative import run_dual_issue
 from repro.sim import engines as engines_mod
 from repro.sim.config import MachineConfig, baseline_config
 from repro.sim.lru import LRUCache
@@ -88,6 +88,7 @@ _METRICS = telemetry.MetricHandles(lambda m: SimpleNamespace(
     closed_form=m.counter("fusion.closed_form"),
     replays=m.counter("fusion.replays"),
     cnative_replays=m.counter("engine.cnative.replays"),
+    cnative_dual=m.counter("engine.cnative.dual_issue"),
     bypasses=m.counter("fusion.bypasses"),
     cache_compiled=m.gauge("engine.cache.compiled"),
     cache_traces=m.gauge("engine.cache.traces"),
@@ -302,9 +303,10 @@ def _try_fused(
 
     Returns ``(stats, cycles, instructions, truedep)`` or ``None``
     when the cell must fall back to full execution (no memory ops in
-    the body, a finite write buffer, or a stream the builders decline).
-    Blocking policies with the ideal write buffer collapse further, to
-    the functional summary's closed form; non-blocking policies run a
+    the body, or a stream the builders decline).  The caller passes
+    only ``closed_form`` and ``replay`` lanes
+    (:func:`repro.sim.engines.cell_lane`).  Blocking policies collapse
+    to the functional summary's closed form; non-blocking policies run a
     compiled replay kernel: the C kernel when ``cnative`` is set and a
     kernel can be built (:mod:`repro.cpu.replay_cnative`), the scalar
     kernel otherwise.
@@ -314,8 +316,6 @@ def _try_fused(
     from repro.sim import stream as stream_mod
 
     if config.policy.blocking:
-        if config.write_buffer_depth is not None:
-            return None
         summary = stream_mod.functional_summary(
             workload, load_latency, scale, config.geometry,
             config.policy.write_allocate_blocking, unroll_override,
@@ -369,61 +369,39 @@ def _simulate_impl(
 
     if not 0.0 <= warmup < 1.0:
         raise ConfigurationError(f"warmup must lie in [0, 1): {warmup}")
+    if warmup and config.issue_width != 1:
+        raise ConfigurationError(
+            "warmup discard is implemented for the single-issue model"
+        )
 
-    if engine.fusion:
-        # Fusion covers exactly the cells whose execution the replay
-        # kernel models: single-issue, real cache, whole-run stats.
-        # Everything else takes the usual path.
-        fused = None
-        if (config.issue_width == 1 and not config.perfect_cache
-                and warmup == 0.0):
-            fused = _try_fused(workload, config, load_latency, scale,
-                               unroll_override, trace, engine.cnative)
-        if fused is not None:
-            stats, cycles, instructions, truedep = fused
-            result = SimulationResult(
-                workload=workload.name,
-                policy=config.policy.name,
-                load_latency=load_latency,
-                instructions=instructions,
-                cycles=cycles,
-                truedep_stall_cycles=truedep,
-                miss=stats,
-                issue_width=config.issue_width,
-                unroll_factor=compiled.unroll_factor,
-                spill_count=compiled.spill_count,
-            )
-            result.verify_accounting()
-            return result
-        if telemetry.enabled():
+    lane = engines_mod.cell_lane(config, warmup)
+    out = None
+    if lane == "dual" and engine.cnative:
+        out = run_dual_issue(trace, config)
+        if out is not None and telemetry.enabled():
+            _METRICS.get().cnative_dual.inc()
+    elif lane in ("closed_form", "replay") and engine.fusion:
+        out = _try_fused(workload, config, load_latency, scale,
+                         unroll_override, trace, engine.cnative)
+    elif config.write_buffer_depth is not None and engine.cnative:
+        # The C lanes model only the ideal write buffer.
+        engines_mod.count_cnative_fallback("policy")
+    if out is None:
+        if engine.fusion and telemetry.enabled():
             _METRICS.get().bypasses.inc()
-
-    if config.perfect_cache:
-        handler = PerfectCacheHandler()
-    else:
-        handler = config.make_handler()
-
-    if config.issue_width == 1:
-        warmup_executions = int(trace.executions * warmup)
-        if engine.fast_path:
-            cycles, instructions, truedep = run_single_issue(
-                trace, handler, warmup_executions=warmup_executions
-            )
+        if config.perfect_cache:
+            handler = PerfectCacheHandler()
         else:
-            cycles, instructions, truedep = run_single_issue_reference(
-                trace, handler, warmup_executions=warmup_executions
-            )
-    else:
-        if warmup:
-            raise ConfigurationError(
-                "warmup discard is implemented for the single-issue model"
-            )
-        if engine.fast_path:
-            cycles, instructions, truedep = run_dual_issue(trace, handler)
+            handler = config.make_handler()
+        if config.issue_width == 2:
+            counts = run_dual_issue_reference(trace, handler)
         else:
-            cycles, instructions, truedep = run_dual_issue_reference(
-                trace, handler
-            )
+            run = (run_single_issue if engine.fast_path
+                   else run_single_issue_reference)
+            counts = run(trace, handler,
+                         warmup_executions=int(trace.executions * warmup))
+        out = (handler.stats,) + counts
+    stats, cycles, instructions, truedep = out
 
     policy_name = "perfect" if config.perfect_cache else config.policy.name
     result = SimulationResult(
@@ -433,7 +411,7 @@ def _simulate_impl(
         instructions=instructions,
         cycles=cycles,
         truedep_stall_cycles=truedep,
-        miss=handler.stats,
+        miss=stats,
         issue_width=config.issue_width,
         unroll_factor=compiled.unroll_factor,
         spill_count=compiled.spill_count,
@@ -441,3 +419,4 @@ def _simulate_impl(
     if config.issue_width == 1 and not config.perfect_cache:
         result.verify_accounting()
     return result
+

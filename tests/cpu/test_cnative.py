@@ -97,6 +97,24 @@ class TestKernelDiskCache:
         assert not path.exists()
 
     @needs_cc
+    def test_flags_key_the_entry(self, kernel_dir, monkeypatch):
+        # A flag change is a new kernel: it misses the cache, rebuilds,
+        # records its flags, and gc reaps the entry built without them.
+        family = ckernel.family_of(baseline_config(mc(1)))
+        source = ckernel.generate_source(family)
+        old, _, _ = ckernel.compile_kernel_so(family)
+        digest = ckernel.kernel_digest(family, source)
+        flags = ("-O0", "-shared", "-fPIC")
+        monkeypatch.setattr(ckernel, "CFLAGS", flags)
+        assert ckernel.kernel_digest(family, source) != digest
+        new, _, built = ckernel.compile_kernel_so(family)
+        assert built and new != old
+        meta = json.loads(new.with_suffix(".json").read_text())
+        assert meta["cflags"] == list(flags)
+        assert ckernel.gc_kernel_cache() == 1
+        assert new.exists() and not old.exists()
+
+    @needs_cc
     def test_stats_and_clear(self, kernel_dir):
         family = ckernel.family_of(baseline_config(mc(1)))
         ckernel.compile_kernel_so(family)
@@ -113,6 +131,42 @@ class TestKernelDiskCache:
         kernel = ckernel.ensure_kernel(family)
         assert ckernel.ensure_kernel(family) is kernel
         assert kernel in ckernel.loaded_kernels()
+
+
+class TestDualIssueDriver:
+    @needs_cc
+    def test_short_address_column_is_refused(self, kernel_dir):
+        # The driver indexes every memory op's column by execution, so
+        # a column shorter than the run must never reach the C code.
+        from repro.cpu.isa import Instruction, OpClass
+        from repro.cpu.replay_cnative import run_dual_issue
+        from repro.errors import SimulationError
+        from repro.sim.trace import ExpandedTrace
+
+        trace = ExpandedTrace(
+            body=(Instruction(OpClass.LOAD, dst=32, stream=0),),
+            addresses=[[0x100]], executions=3, workload_name="short")
+        config = replace(baseline_config(mc(1)), issue_width=2)
+        with pytest.raises(SimulationError, match="do not cover"):
+            run_dual_issue(trace, config)
+
+    @needs_cc
+    def test_ctypes_binding_runs_both_entries(self, kernel_dir,
+                                              monkeypatch):
+        # The stdlib binding (used when cffi is missing) loads the
+        # replay and the dual-issue entry of each kernel.
+        monkeypatch.setattr(ckernel, "_BINDING", ckernel._CtypesBinding())
+        workload = get_benchmark("xlisp")
+        for width in (1, 2):
+            config = replace(baseline_config(mc(1)), geometry=ASSOC,
+                             issue_width=width)
+            clear_caches()
+            c = simulate(workload, config, load_latency=10, scale=0.05,
+                         engine="cnative")
+            assert c == simulate(workload, config, load_latency=10,
+                                 scale=0.05, engine="reference")
+        assert [k._binding.name for k in ckernel.loaded_kernels()] == [
+            "ctypes"]
 
 
 class TestNoCompilerFallback:

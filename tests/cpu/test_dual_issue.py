@@ -1,12 +1,12 @@
-"""Tests for the dual-issue in-order engine (Section 6 model)."""
+"""The dual-issue issue rules (Section 6), on the reference loop."""
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.memory import PipelinedMemory
 from repro.core.handler import MissHandler
 from repro.core.policies import blocking_cache, no_restrict
 from repro.cpu.isa import Instruction, OpClass
-from repro.cpu.dual_issue import run_dual_issue
 from repro.cpu.pipeline import PerfectCacheHandler, run_single_issue
+from repro.cpu.reference import run_dual_issue_reference
 from repro.sim.trace import ExpandedTrace
 
 GEOM = CacheGeometry(size=8 * 1024, line_size=32, associativity=1)
@@ -28,7 +28,7 @@ def handler(policy=None):
 class TestIssueRules:
     def test_independent_pair_dual_issues(self):
         body = [IALU(1), IALU(2)]
-        cycles, instructions, _ = run_dual_issue(
+        cycles, instructions, _ = run_dual_issue_reference(
             trace(body, [None, None], executions=10), PerfectCacheHandler()
         )
         assert instructions == 20
@@ -36,7 +36,7 @@ class TestIssueRules:
 
     def test_dependent_pair_cannot_share_cycle(self):
         body = [IALU(1), IALU(2, 1)]
-        cycles, instructions, _ = run_dual_issue(
+        cycles, instructions, _ = run_dual_issue_reference(
             trace(body, [None, None], executions=10), PerfectCacheHandler()
         )
         # The dependent consumer never shares a cycle with its
@@ -48,7 +48,7 @@ class TestIssueRules:
     def test_one_memory_port(self):
         body = [LOAD(32), LOAD(33, 1)]
         addresses = [[0x100] * 10, [0x100 + 8] * 10]
-        cycles, _, _ = run_dual_issue(
+        cycles, _, _ = run_dual_issue_reference(
             trace(body, addresses, executions=10), PerfectCacheHandler()
         )
         # Two memory ops per execution, one port: >= 2 cycles each.
@@ -57,14 +57,14 @@ class TestIssueRules:
     def test_memory_plus_alu_coissue(self):
         body = [LOAD(32), IALU(1)]
         addresses = [[0x100] * 10, None]
-        cycles, _, _ = run_dual_issue(
+        cycles, _, _ = run_dual_issue_reference(
             trace(body, addresses, executions=10), PerfectCacheHandler()
         )
         assert cycles <= 11  # pairable every cycle
 
     def test_ipc_between_one_and_two(self):
         body = [IALU(1), IALU(2, 1), IALU(3), IALU(4, 3)]
-        cycles, instructions, _ = run_dual_issue(
+        cycles, instructions, _ = run_dual_issue_reference(
             trace(body, [None] * 4, executions=25), PerfectCacheHandler()
         )
         ipc = instructions / cycles
@@ -74,7 +74,7 @@ class TestIssueRules:
 class TestWithRealCache:
     def test_blocking_miss_freezes_both_slots(self):
         body = [LOAD(32), IALU(1)]
-        cycles, _, _ = run_dual_issue(
+        cycles, _, _ = run_dual_issue_reference(
             trace(body, [[0x100], None]), handler(blocking_cache())
         )
         # The blocking miss alone costs ~17 cycles.
@@ -89,12 +89,12 @@ class TestWithRealCache:
         single_cycles, _, _ = run_single_issue(
             trace(body, addresses, executions=30), handler()
         )
-        dual_cycles, _, _ = run_dual_issue(
+        dual_cycles, _, _ = run_dual_issue_reference(
             trace(body, addresses, executions=30), handler()
         )
         assert dual_cycles <= single_cycles
 
     def test_finalize_called(self):
         h = handler()
-        run_dual_issue(trace([LOAD(32)], [[0x100]]), h)
+        run_dual_issue_reference(trace([LOAD(32)], [[0x100]]), h)
         assert h.stats.observed_cycles > 0

@@ -1,15 +1,29 @@
-"""Property tests for the dual-issue engine."""
+"""Property tests for the dual-issue machine: the reference loop and
+the C driver that must equal it."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.memory import PipelinedMemory
 from repro.core.handler import MissHandler
-from repro.core.policies import mc, no_restrict
-from repro.cpu.dual_issue import run_dual_issue
+from repro.core.policies import (
+    MSHRPolicy,
+    blocking_cache,
+    fc,
+    fs,
+    implicit,
+    in_cache,
+    mc,
+    no_restrict,
+)
+from repro.cpu import ckernel
 from repro.cpu.isa import Instruction, OpClass
 from repro.cpu.pipeline import PerfectCacheHandler, run_single_issue
+from repro.cpu.reference import run_dual_issue_reference
+from repro.cpu.replay_cnative import run_dual_issue
+from repro.sim.config import MachineConfig
 from repro.sim.trace import ExpandedTrace
 
 GEOM = CacheGeometry(size=1024, line_size=32, associativity=1)
@@ -59,7 +73,7 @@ def test_dual_issue_bounded_by_single_issue(trace, policy):
     single = MissHandler(policy, GEOM, PipelinedMemory(16))
     dual = MissHandler(policy, GEOM, PipelinedMemory(16))
     s_cycles, s_instr, _ = run_single_issue(trace, single)
-    d_cycles, d_instr, _ = run_dual_issue(trace, dual)
+    d_cycles, d_instr, _ = run_dual_issue_reference(trace, dual)
     assert d_instr == s_instr
     assert d_cycles <= s_cycles + 1  # +1 for the end-of-run convention
     assert d_cycles >= (s_instr + 1) // 2
@@ -68,7 +82,8 @@ def test_dual_issue_bounded_by_single_issue(trace, policy):
 @settings(max_examples=60, deadline=None)
 @given(trace=random_traces())
 def test_dual_issue_perfect_cache_ipc_bounds(trace):
-    cycles, instructions, _ = run_dual_issue(trace, PerfectCacheHandler())
+    cycles, instructions, _ = run_dual_issue_reference(
+        trace, PerfectCacheHandler())
     ipc = instructions / cycles
     assert 0.5 <= ipc <= 2.0
 
@@ -76,6 +91,39 @@ def test_dual_issue_perfect_cache_ipc_bounds(trace):
 @settings(max_examples=40, deadline=None)
 @given(trace=random_traces(), policy=policies)
 def test_dual_issue_deterministic(trace, policy):
-    a = run_dual_issue(trace, MissHandler(policy, GEOM, PipelinedMemory(16)))
-    b = run_dual_issue(trace, MissHandler(policy, GEOM, PipelinedMemory(16)))
+    a = run_dual_issue_reference(
+        trace, MissHandler(policy, GEOM, PipelinedMemory(16)))
+    b = run_dual_issue_reference(
+        trace, MissHandler(policy, GEOM, PipelinedMemory(16)))
     assert a == b
+
+
+#: Every clause the C driver switches on: blocking with and without
+#: write-miss allocate, each MSHR limit, a limited field layout, the
+#: in-cache fill overhead, ported fills.
+ALL_POLICIES = [
+    blocking_cache(), blocking_cache(write_allocate=True), mc(1), mc(2),
+    fc(1), fc(2), fs(1), no_restrict(), implicit(32, 8), in_cache(),
+    MSHRPolicy(name="ported", fill_ports=1),
+]
+
+
+@pytest.mark.skipif(not ckernel.kernels_available(),
+                    reason="no C compiler available")
+@settings(max_examples=80, deadline=None)
+@given(trace=random_traces(), policy=st.sampled_from(ALL_POLICIES),
+       ways=st.sampled_from([1, 2, 4, 0]),
+       penalty=st.integers(min_value=1, max_value=24),
+       perfect=st.sampled_from([False, False, False, True]))
+def test_c_driver_matches_reference(trace, policy, ways, penalty, perfect):
+    """The C dual-issue driver equals the reference loop field for
+    field, over policy x associativity x miss latency."""
+    config = MachineConfig(
+        geometry=CacheGeometry(size=1024, line_size=32, associativity=ways),
+        policy=policy, miss_penalty=penalty, issue_width=2,
+        perfect_cache=perfect,
+    )
+    handler = PerfectCacheHandler() if perfect else config.make_handler()
+    cycles, instructions, truedep = run_dual_issue_reference(trace, handler)
+    assert run_dual_issue(trace, config) == (
+        handler.stats, cycles, instructions, truedep)

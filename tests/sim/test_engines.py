@@ -134,6 +134,61 @@ class TestCellCapability:
             engines.ENGINE_ORDER.index("fastpath")
 
 
+#: Counters naming the lane a cell ran on.
+LANE_COUNTERS = ("fusion.closed_form", "fusion.replays",
+                 "engine.cnative.replays", "engine.cnative.dual_issue",
+                 "fusion.bypasses")
+
+#: Counters that moved -> the tier they show; a bypass is the
+#: interpreter, whose tier depends on the issue width.
+OBSERVED_TIER = {
+    ("fusion.closed_form",): "fused",
+    ("fusion.replays",): "fused",
+    ("engine.cnative.replays", "fusion.replays"): "cnative",
+    ("engine.cnative.dual_issue",): "cnative",
+}
+
+ROUTING_CASES = [
+    ("blocking", baseline_config(blocking_cache())),
+    ("replay", baseline_config(mc(1))),
+    ("blocking-dual", replace(baseline_config(blocking_cache()),
+                              issue_width=2)),
+    ("blocking-perfect", replace(baseline_config(blocking_cache()),
+                                 perfect_cache=True)),
+    ("blocking-wb4", replace(baseline_config(blocking_cache()),
+                             write_buffer_depth=4)),
+    ("mc1-dual", replace(baseline_config(mc(1)), issue_width=2)),
+    ("mc1-wb4", replace(baseline_config(mc(1)), write_buffer_depth=4)),
+    ("perfect-dual", replace(baseline_config(), issue_width=2,
+                             perfect_cache=True)),
+    ("mc1-dual-wb4", replace(baseline_config(mc(1)), issue_width=2,
+                             write_buffer_depth=4)),
+]
+
+
+class TestTierMatchesRouting:
+    """``cell_engine_tier`` names the lane ``simulate`` really takes."""
+
+    @pytest.mark.parametrize("label,config", ROUTING_CASES,
+                             ids=[label for label, _ in ROUTING_CASES])
+    def test_reported_tier_is_the_lane_run(self, label, config):
+        try:
+            telemetry.set_enabled(True)
+            before = {n: telemetry.counter(n).value for n in LANE_COUNTERS}
+            simulate(get_benchmark("xlisp"), config, load_latency=10,
+                     scale=0.05)
+            moved = tuple(sorted(n for n in LANE_COUNTERS
+                                 if telemetry.counter(n).value > before[n]))
+        finally:
+            telemetry.set_enabled(None)
+        if moved == ("fusion.bypasses",):
+            observed = "fastpath" if config.issue_width == 1 else "reference"
+        else:
+            observed = OBSERVED_TIER[moved]
+        assert engines.cell_engine_tier(config) == \
+            engines.ENGINE_ORDER.index(observed)
+
+
 class TestEngineTelemetry:
     def _counter(self, name):
         return telemetry.counter(name).value

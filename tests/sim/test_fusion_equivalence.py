@@ -18,7 +18,12 @@ import pytest
 
 from repro import telemetry
 from repro.cache.geometry import CacheGeometry
-from repro.core.policies import baseline_policies, mc, no_restrict
+from repro.core.policies import (
+    baseline_policies,
+    blocking_cache,
+    mc,
+    no_restrict,
+)
 from repro.cpu import ckernel
 from repro.sim import stream as stream_mod
 from repro.sim.config import baseline_config
@@ -115,16 +120,23 @@ needs_cc = pytest.mark.skipif(
 )
 
 
+#: Dual-issue machines beyond the baseline matrix.
+DUAL_EXTRAS = [
+    ("perfect", replace(baseline_config(), perfect_cache=True)),
+    ("mc=0", baseline_config(blocking_cache())),
+    ("mc=0+wma", baseline_config(blocking_cache(write_allocate=True))),
+]
+
+
 class TestCnativeEquivalence:
     """The compiled-C replay kernels under the same contract.
 
     The full matrix -- every baseline policy at every geometry corner,
     direct-mapped and associative, both issue widths -- pinned to
     ``engine="cnative"`` and compared bit-identically against the
-    reference interpreter.  Out-of-
-    envelope cells (blocking policies, dual issue) exercise the
-    transparent fallback; the equality must hold regardless of which
-    lane actually ran.
+    reference interpreter.  Dual-issue cells run in the C dual-issue
+    driver, blocking and perfect caches included; out-of-envelope
+    cells (a finite write buffer) exercise the transparent fallback.
     """
 
     @needs_cc
@@ -160,6 +172,52 @@ class TestCnativeEquivalence:
         reference = simulate(workload, config, load_latency=10, scale=0.1,
                              engine="reference")
         assert cnative == reference
+
+    @needs_cc
+    @pytest.mark.parametrize("label,policy", POLICIES,
+                             ids=[label for label, _ in POLICIES])
+    @pytest.mark.parametrize("geo_label,geometry", CNATIVE_GEOMETRIES,
+                             ids=[label for label, _ in CNATIVE_GEOMETRIES])
+    def test_dual_issue_matches_reference_engine(self, label, policy,
+                                                 geo_label, geometry):
+        workload = get_benchmark("eqntott")
+        config = replace(baseline_config().with_policy(policy),
+                         geometry=geometry, issue_width=2)
+        cnative, ran = _run_counting("engine.cnative.dual_issue", workload,
+                                     config, engine="cnative")
+        reference = simulate(workload, config, load_latency=10, scale=0.1,
+                             engine="reference")
+        assert cnative == reference
+        assert ran == 1
+
+    @needs_cc
+    @pytest.mark.parametrize("label,config", DUAL_EXTRAS,
+                             ids=[label for label, _ in DUAL_EXTRAS])
+    @pytest.mark.parametrize("name", ["tomcatv", "compress"])
+    def test_dual_issue_corner_machines_match_reference(self, label, config,
+                                                        name):
+        # The perfect cache (fig19's IPC baseline) and both blocking
+        # caches are runtime flags of the driver, not families.
+        workload = get_benchmark(name)
+        config = replace(config, issue_width=2)
+        cnative, ran = _run_counting("engine.cnative.dual_issue", workload,
+                                     config, engine="cnative")
+        reference = simulate(workload, config, load_latency=10, scale=0.1,
+                             engine="reference")
+        assert cnative == reference
+        assert ran == 1
+
+    def test_dual_issue_finite_write_buffer_falls_back(self):
+        # The C lanes model only the ideal write buffer.
+        workload = get_benchmark("compress")
+        config = replace(baseline_config(mc(1)), issue_width=2,
+                         write_buffer_depth=4)
+        out, policy = _run_counting("engine.cnative.fallback.policy",
+                                    workload, config, engine="cnative")
+        reference = simulate(workload, config, load_latency=10, scale=0.1,
+                             engine="reference")
+        assert out == reference
+        assert policy == 1
 
     @needs_cc
     @pytest.mark.parametrize("geometry", [
@@ -200,14 +258,13 @@ class TestCnativeEquivalence:
         clear_caches()
 
 
-def _run_counting_fallbacks(cause, workload, config):
-    """Simulate under ``auto``; return the result and the ``cause`` count."""
-    name = f"engine.cnative.fallback.{cause}"
+def _run_counting(name, workload, config, engine="auto"):
+    """Simulate one cell; return the result and how far ``name`` moved."""
     try:
         telemetry.set_enabled(True)
         before = telemetry.counter(name).value
         result = simulate(workload, config, load_latency=10, scale=0.1,
-                          engine="auto")
+                          engine=engine)
         return result, telemetry.counter(name).value - before
     finally:
         telemetry.set_enabled(None)
@@ -216,11 +273,12 @@ def _run_counting_fallbacks(cause, workload, config):
 class TestScalarFallbackEquivalence:
     """The scalar replay behind ``auto`` when no C kernel can be had.
 
-    Every replayable cell is routed to the C kernel first.  With no
-    compiler, or with a build that fails, it must degrade to the
-    scalar replay -- counted under the matching fallback cause -- and
-    still equal the reference interpreter bit for bit.  The compiler
-    is forced away rather than required, so these run on any host.
+    Every replayable or dual-issue cell is routed to the C kernels
+    first.  With no compiler, or with a build that fails, it must
+    degrade to the scalar replay (or the reference dual-issue loop) --
+    counted under the matching fallback cause -- and still equal the
+    reference interpreter bit for bit.  The compiler is forced away
+    rather than required, so these run on any host.
     """
 
     @pytest.fixture
@@ -258,7 +316,8 @@ class TestScalarFallbackEquivalence:
         config = replace(
             baseline_config().with_policy(policy), geometry=geometry,
         )
-        degraded, nocc = _run_counting_fallbacks("nocc", workload, config)
+        degraded, nocc = _run_counting("engine.cnative.fallback.nocc",
+                                       workload, config)
         reference = simulate(workload, config, load_latency=10, scale=0.1,
                              engine="reference")
         assert degraded == reference
@@ -271,8 +330,38 @@ class TestScalarFallbackEquivalence:
                                             policy):
         workload = get_benchmark("ora")
         config = baseline_config().with_policy(policy)
-        degraded, build = _run_counting_fallbacks("build", workload, config)
+        degraded, build = _run_counting("engine.cnative.fallback.build",
+                                        workload, config)
         reference = simulate(workload, config, load_latency=10, scale=0.1,
                              engine="reference")
         assert degraded == reference
         assert build == (0 if policy.blocking else 1)
+
+    @pytest.mark.parametrize("label,policy", POLICIES,
+                             ids=[label for label, _ in POLICIES])
+    def test_dual_issue_without_compiler_matches_reference(
+            self, no_compiler, label, policy):
+        workload = get_benchmark("xlisp")
+        config = replace(baseline_config().with_policy(policy),
+                         issue_width=2)
+        degraded, nocc = _run_counting("engine.cnative.fallback.nocc",
+                                       workload, config)
+        reference = simulate(workload, config, load_latency=10, scale=0.1,
+                             engine="reference")
+        assert degraded == reference
+        # Every dual-issue cell asks for C, blocking ones included.
+        assert nocc == 1
+
+    @pytest.mark.parametrize("label,policy", POLICIES,
+                             ids=[label for label, _ in POLICIES])
+    def test_dual_issue_failed_build_matches_reference(
+            self, failing_build, label, policy):
+        workload = get_benchmark("xlisp")
+        config = replace(baseline_config().with_policy(policy),
+                         issue_width=2)
+        degraded, build = _run_counting("engine.cnative.fallback.build",
+                                        workload, config)
+        reference = simulate(workload, config, load_latency=10, scale=0.1,
+                             engine="reference")
+        assert degraded == reference
+        assert build == 1

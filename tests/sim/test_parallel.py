@@ -195,6 +195,28 @@ class TestKernelPrebuild:
         assert sorted(map(repr, attempted)) == sorted(map(repr, families))
 
 
+class TestDualIssuePrebuild:
+    @pytest.mark.skipif(not ckernel.kernels_available(),
+                        reason="no C compiler available")
+    def test_pool_parent_builds_dual_issue_families(self, monkeypatch):
+        # Dual-issue cells run in the C kernels too, so the parent
+        # builds their families before forking instead of leaving
+        # each worker to compile them.
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        ckernel.reset_probe()
+        configs = [replace(baseline_config(policy), issue_width=2)
+                   for policy in (blocking_cache(write_allocate=True),
+                                  mc(1), fc(2))]
+        cells = [(get_benchmark(name), config, 10, 0.05)
+                 for name in ("ora", "xlisp") for config in configs]
+        try:
+            dispatch(cells, workers=2)
+            loaded = {k.family for k in ckernel.loaded_kernels()}
+        finally:
+            ckernel.reset_probe()
+        assert loaded == {ckernel.family_of(c) for c in configs}
+
+
 class TestParallelMatchesSerial:
     @pytest.fixture(autouse=True)
     def _simulate_every_run(self, monkeypatch):
