@@ -2,11 +2,12 @@
 
 This tier runs the *entire* irregular recurrence -- MSHR occupancy,
 primary/secondary merging, structural arbitration, fill scheduling,
-LRU recency touches -- inside a C kernel generated and compiled once
-per policy family (:mod:`repro.cpu.ckernel`).  It accepts every cell
-the scalar replay kernel accepts: direct-mapped and set-associative
+LRU recency touches -- inside the one C kernel (``kernel.c``, built
+and loaded by :mod:`repro.cpu.ckernel`).  It accepts every cell the
+scalar replay kernel accepts: direct-mapped and set-associative
 geometries, write-around and write-miss-allocate stores, resident and
-streaming models alike.
+streaming models alike.  The machine configuration reaches the kernel
+as a runtime parameter block (:func:`_param_block`).
 
 The stream's static structure (slot kinds, readiness terms, pregaps)
 is flattened once per stream into int64 tables; per-call state (tags,
@@ -34,7 +35,7 @@ import numpy as np
 from repro.core.classify import StructuralCause
 from repro.core.stats import MissStats
 from repro.cpu import ckernel
-from repro.cpu.isa import OpClass
+from repro.cpu.isa import NUM_REGS, OpClass
 from repro.cpu.replay import finish_replay, replay_supported
 from repro.errors import SimulationError
 from repro.sim.trace import P_LOAD
@@ -44,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.stream import EventStream
     from repro.sim.trace import ExpandedTrace
 
-#: Kernel error codes (see the generated C) -> messages matching the
+#: Kernel error codes (see ``kernel.c``) -> messages matching the
 #: scalar kernel's SimulationError sites.
 _KERNEL_ERRORS = {
     1: "per-set limit hit with no fetch in the set",
@@ -68,7 +69,7 @@ _MEMORY_KIND = {OpClass.LOAD: 1, OpClass.STORE: 2}
 def cnative_supported(config: "MachineConfig") -> bool:
     """Whether the C tier models this cell (= the replay contract).
 
-    The generated C transcribes the whole scalar kernel, so the
+    The C kernel transcribes the whole scalar kernel, so the
     envelope is exactly :func:`repro.cpu.replay.replay_supported`;
     compiler availability is a separate, per-process question
     (:func:`repro.cpu.ckernel.kernels_available`).
@@ -138,34 +139,40 @@ def _param_block(config: "MachineConfig", n: int, tail_gap: int = 0):
     """The runtime parameter array (layout: ``ckernel.PARAM_SLOTS``).
 
     ``n`` counts the stream's slots (replay) or the body's
-    instructions (dual issue).
+    instructions (dual issue); the caller sets ``it1``.  An absent
+    limit is ``ckernel.NO_LIMIT`` and unported fills are ``ports=0``.
     """
     geometry = config.geometry
     policy = config.policy
     layout = policy.layout
-    limited = not layout.unlimited
-    nsub = layout.n_subblocks if limited else 1
-    sub_size = geometry.line_size // nsub
-    p = np.zeros(len(ckernel.PARAM_SLOTS), dtype=np.int64)
-    p[1] = n
-    p[2] = tail_gap
-    p[3] = geometry.num_sets - 1
-    p[4] = geometry.ways
-    p[5] = -1 if policy.max_misses is None else policy.max_misses
-    p[6] = -1 if policy.max_fetches is None else policy.max_fetches
-    p[7] = (-1 if policy.max_fetches_per_set is None
-            else policy.max_fetches_per_set)
-    p[8] = nsub
-    p[9] = 0 if layout.misses_per_subblock is None else \
-        layout.misses_per_subblock
-    p[10] = geometry.line_size - 1
-    p[11] = sub_size.bit_length() - 1
-    p[12] = 1 if policy.fill_ports is None else policy.fill_ports
-    p[13] = config.effective_penalty + policy.fill_overhead
-    p[14] = geometry.offset_bits
-    p[15] = policy.blocking
-    p[16] = config.perfect_cache
-    return p
+
+    def limit(value: Optional[int]) -> int:
+        return ckernel.NO_LIMIT if value is None else value
+
+    nsub = 1 if layout.unlimited else layout.n_subblocks
+    values = {
+        "it1": 0,
+        "n_slots": n,
+        "tail_gap": tail_gap,
+        "setmask": geometry.num_sets - 1,
+        "ways": geometry.ways,
+        "maxm": limit(policy.max_misses),
+        "maxf": limit(policy.max_fetches),
+        "maxs": limit(policy.max_fetches_per_set),
+        "nsub": nsub,
+        "sublim": limit(layout.misses_per_subblock),
+        "line_mask": geometry.line_size - 1,
+        "sub_shift": (geometry.line_size // nsub).bit_length() - 1,
+        "ports": policy.fill_ports or 0,
+        "penalty": config.effective_penalty + policy.fill_overhead,
+        "offset_bits": geometry.offset_bits,
+        "blocking": policy.blocking,
+        "perfect": config.perfect_cache,
+        "limited": not layout.unlimited,
+        "wma": policy.write_allocate_blocking,
+    }
+    return np.array([values[name] for name in ckernel.PARAM_SLOTS],
+                    dtype=np.int64)
 
 
 def _tag_arrays(config: "MachineConfig"):
@@ -202,17 +209,17 @@ def _fold_raw(out: np.ndarray) -> Tuple:
 def build_cnative_fn(
     stream: "EventStream", trace: "ExpandedTrace", config: "MachineConfig"
 ):
-    """Bind one (stream, machine) pair to its compiled family kernel.
+    """Bind one (stream, machine) pair to the compiled kernel.
 
     Raises :class:`~repro.cpu.ckernel.KernelBuildError` when the
     kernel cannot be built; callers translate that into a cause-tagged
     fallback.
     """
-    family = ckernel.family_of(config)
-    kernel = ckernel.ensure_kernel(family)
+    kernel = ckernel.ensure_kernel()
     kind, slr, pregap, term_start, tlr, tdelta, lines = \
         _stream_tables(stream)
-    addrs = _addr_tables(stream, trace) if family.limited else []
+    limited = not config.policy.layout.unlimited
+    addrs = _addr_tables(stream, trace) if limited else []
     p = _param_block(config, len(stream.slots), stream.tail_gap)
     n_loads = stream.n_loads
 
@@ -280,7 +287,7 @@ def run_dual_issue(
         _count_fallback("nocc")
         return None
     try:
-        kernel = ckernel.ensure_kernel(ckernel.family_of(config))
+        kernel = ckernel.ensure_kernel()
     except ckernel.KernelBuildError:
         _count_fallback("build")
         return None
@@ -300,14 +307,16 @@ def run_dual_issue(
             k and len(a) < trace.executions for k, a in zip(kind, addrs)):
         raise SimulationError("trace addresses do not cover the run")
     tags, set_len = _tag_arrays(config)
+    reg_ready = np.zeros(NUM_REGS, dtype=np.int64)
     out = np.zeros(ckernel.OUT_SLOTS, dtype=np.int64)
     rc = kernel.invoke_dual(p, kind, dst, src_start, src, addrs, tags,
-                            set_len, out)
+                            set_len, reg_ready, out)
     if rc != 0:
         raise SimulationError(
             _KERNEL_ERRORS.get(rc, f"dual-issue kernel error {rc}"))
     stats, cycles, instructions, _ = finish_replay(
         len(body) * trace.executions, _fold_raw(out))
     stats.blocking_misses = int(out[41])
-    stats.blocking_stall_cycles = stats.blocking_misses * int(p[13])
+    stats.blocking_stall_cycles = stats.blocking_misses * int(
+        p[ckernel.PARAM_SLOTS.index("penalty")])
     return stats, cycles, instructions, int(out[40])

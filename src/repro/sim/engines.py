@@ -17,12 +17,13 @@ Four engines can execute a sweep cell, ordered slowest to fastest:
     (:mod:`repro.sim.stream`, :mod:`repro.cpu.replay`); blocking
     policies collapse to the functional closed form.
 ``cnative``
-    The fused engine with generated-C kernels
-    (:mod:`repro.cpu.ckernel`, :mod:`repro.cpu.replay_cnative`):
-    compiled once per policy family and dlopen'd from the kernel
-    cache, they execute the *full* irregular recurrence for every
-    replayable cell, direct-mapped and set-associative alike, and run
-    every dual-issue cell with the ideal write buffer.
+    The fused engine with the C kernel (``repro/cpu/kernel.c``, built
+    by :mod:`repro.cpu.ckernel` and driven by
+    :mod:`repro.cpu.replay_cnative`): compiled once and dlopen'd from
+    the kernel cache, with every organization a runtime parameter, it
+    executes the *full* irregular recurrence for every replayable
+    cell, direct-mapped and set-associative alike, and runs every
+    dual-issue cell with the ideal write buffer.
     Without a C compiler (``REPRO_CC`` override included) or when a
     build fails, every cell degrades to the scalar replay of the
     ``fused`` tier or the reference dual-issue loop, cause-tagged
@@ -91,8 +92,7 @@ FUSED = Engine(
 )
 CNATIVE = Engine(
     "cnative",
-    "fused engine + generated-C kernels for replayable and dual-issue "
-    "cells",
+    "fused engine + the C kernel for replayable and dual-issue cells",
     fast_path=True, fusion=True, cnative=True,
 )
 
@@ -157,8 +157,8 @@ def cell_lane(config, warmup: float = 0.0) -> str:
     (the per-cell interpreter: a finite write buffer, a warmup discard
     or a single-issue perfect cache).  The one routing predicate:
     ``_simulate_impl`` dispatches on it, :func:`cell_engine_tier`
-    reports it, and the pool pre-builds the families of its
-    :data:`C_LANES`.
+    reports it, and the pool pre-builds the C kernel when a cell is on
+    one of its :data:`C_LANES`.
     """
     if config.write_buffer_depth is not None or warmup:
         return "interp"

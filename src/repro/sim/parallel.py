@@ -459,31 +459,28 @@ def _group_cells(cells: Sequence[Cell], max_group: int) -> List[_Group]:
 
 
 def _prebuild_kernels(cells: Sequence[Cell]) -> None:
-    """Compile every C kernel family the sweep will need, up front.
+    """Compile the C kernel up front when any cell will run in it.
 
     Workers inherit the on-disk kernel cache, so building in the
-    parent turns each worker's first cnative cell into a plain
-    ``dlopen`` of the cached ``.so`` instead of a racing compile.
-    Quietly does nothing when the resolved engine has no C tier or no
-    compiler exists, and skips a family whose build fails -- the
+    parent turns each worker's first C cell into a plain ``dlopen`` of
+    the cached ``.so`` instead of a racing compile.  Quietly does
+    nothing when the resolved engine has no C tier, no cell is on a C
+    lane or no compiler exists, and ignores a failed build -- the
     per-cell fallback handles those paths.
     """
     from repro.cpu import ckernel
 
     if not engines.resolve_engine().cnative:
         return
+    if not any(engines.cell_lane(config) in engines.C_LANES
+               for _workload, config, _latency, _scale in cells):
+        return
     if not ckernel.kernels_available():
         return
-    families = {
-        ckernel.family_of(config)
-        for _workload, config, _latency, _scale in cells
-        if engines.cell_lane(config) in engines.C_LANES
-    }
-    for family in families:
-        try:
-            ckernel.ensure_kernel(family)
-        except ckernel.KernelBuildError:
-            continue
+    try:
+        ckernel.ensure_kernel()
+    except ckernel.KernelBuildError:
+        pass
 
 
 def dispatch(

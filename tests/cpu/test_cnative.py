@@ -11,12 +11,14 @@ and the ``engine.cnative.*`` counters.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
 
 from repro import telemetry
 from repro.cache.geometry import CacheGeometry
+from repro.cli import main
 from repro.core.policies import mc
 from repro.cpu import ckernel
 from repro.sim.config import baseline_config
@@ -46,91 +48,92 @@ def _counter(name):
 class TestKernelDiskCache:
     @needs_cc
     def test_first_build_then_disk_hit(self, kernel_dir):
-        family = ckernel.family_of(replace(baseline_config(mc(1)),
-                                           geometry=ASSOC))
-        path, secs, built = ckernel.compile_kernel_so(family)
+        path, secs, built = ckernel.compile_kernel_so()
         assert built and path.exists() and secs > 0
-        again, secs, built = ckernel.compile_kernel_so(family)
+        again, secs, built = ckernel.compile_kernel_so()
         assert again == path and not built and secs == 0.0
 
-    @needs_cc
-    def test_digest_keys_the_entry(self, kernel_dir):
-        # Two families never collide; the digest folds in the family,
-        # the generated source, the schema, and the engine version.
-        dm = ckernel.family_of(baseline_config(mc(1)))
-        assoc = ckernel.family_of(replace(baseline_config(mc(1)),
-                                          geometry=ASSOC))
-        p1, _, _ = ckernel.compile_kernel_so(dm)
-        p2, _, _ = ckernel.compile_kernel_so(assoc)
-        assert p1 != p2
-        assert len(list(kernel_dir.glob("*.so"))) == 2
+    def test_digest_names_the_entry(self, kernel_dir, monkeypatch):
+        # The entry is named by a digest of the source, the flags, the
+        # schema and the engine version; a change to any is a new name.
+        digest = ckernel.kernel_digest()
+        assert ckernel._entry_paths(digest)[1].name == \
+            f"kernel-{digest[:16]}.so"
+        monkeypatch.setattr(ckernel, "kernel_source",
+                            lambda: "/* edited */\n")
+        edited = ckernel.kernel_digest()
+        monkeypatch.setattr(ckernel, "_engine_version", lambda: "engine-0")
+        assert len({digest, edited, ckernel.kernel_digest()}) == 3
+
+    def test_param_slots_match_the_kernel_enum(self):
+        # The parameter block is filled by name in Python and read by
+        # index in C; the two layouts must list the same slots.
+        enum = re.search(r"enum \{([^}]*)\}", ckernel.kernel_source())
+        assert [name.strip() for name in enum.group(1).split(",")] == [
+            f"P_{slot.upper()}" for slot in ckernel.PARAM_SLOTS]
 
     @needs_cc
     def test_gc_keeps_fresh_entries(self, kernel_dir):
-        family = ckernel.family_of(baseline_config(mc(1)))
-        path, _, _ = ckernel.compile_kernel_so(family)
+        path, _, _ = ckernel.compile_kernel_so()
         assert ckernel.gc_kernel_cache() == 0
         assert path.exists()
 
     @needs_cc
-    def test_gc_prunes_stale_engine_version(self, kernel_dir):
+    def test_gc_prunes_stale_engine_version(self, kernel_dir, monkeypatch):
         # A kernel built by a different engine version must not
         # survive gc: its numbers are not this engine's numbers.
-        family = ckernel.family_of(baseline_config(mc(1)))
-        path, _, _ = ckernel.compile_kernel_so(family)
-        meta_path = path.with_suffix(".json")
-        meta = json.loads(meta_path.read_text())
-        meta["engine_version"] = "engine-0"
-        meta_path.write_text(json.dumps(meta))
-        assert ckernel.gc_kernel_cache() == 1
-        assert not path.exists()
-        assert not meta_path.exists()
+        path, _, _ = ckernel.compile_kernel_so()
+        monkeypatch.setattr(ckernel, "_engine_version", lambda: "engine-0")
+        assert ckernel.gc_kernel_cache() == 3
+        assert list(kernel_dir.iterdir()) == []
 
-    @needs_cc
-    def test_gc_prunes_orphaned_so(self, kernel_dir):
-        # A .json whose source digest no longer matches (here: garbage
-        # metadata) takes its .so with it.
-        family = ckernel.family_of(baseline_config(mc(1)))
-        path, _, _ = ckernel.compile_kernel_so(family)
-        path.with_suffix(".json").write_text("not json")
-        assert ckernel.gc_kernel_cache() == 1
-        assert not path.exists()
+    def test_gc_counts_every_file_it_removes(self, kernel_dir, capsys):
+        # An entry of an older per-configuration cache (its .json still
+        # names a family) and an orphaned .so: four files, all stale.
+        kernel_dir.mkdir(parents=True)
+        for suffix in (".c", ".so", ".json"):
+            (kernel_dir / f"dm-s2-mm-0123456789abcdef{suffix}").write_text(
+                json.dumps({"family": {"dm": True, "smode": 2}}))
+        (kernel_dir / "assoc-s1-fedcba9876543210.so").write_bytes(b"\0")
+        assert main(["cache", "gc"]) == 0
+        assert "garbage-collected 4 stale kernel files" in \
+            capsys.readouterr().out
+        assert list(kernel_dir.iterdir()) == []
 
     @needs_cc
     def test_flags_key_the_entry(self, kernel_dir, monkeypatch):
         # A flag change is a new kernel: it misses the cache, rebuilds,
         # records its flags, and gc reaps the entry built without them.
-        family = ckernel.family_of(baseline_config(mc(1)))
-        source = ckernel.generate_source(family)
-        old, _, _ = ckernel.compile_kernel_so(family)
-        digest = ckernel.kernel_digest(family, source)
+        old, _, _ = ckernel.compile_kernel_so()
+        digest = ckernel.kernel_digest()
         flags = ("-O0", "-shared", "-fPIC")
         monkeypatch.setattr(ckernel, "CFLAGS", flags)
-        assert ckernel.kernel_digest(family, source) != digest
-        new, _, built = ckernel.compile_kernel_so(family)
+        assert ckernel.kernel_digest() != digest
+        new, _, built = ckernel.compile_kernel_so()
         assert built and new != old
         meta = json.loads(new.with_suffix(".json").read_text())
         assert meta["cflags"] == list(flags)
-        assert ckernel.gc_kernel_cache() == 1
+        assert ckernel.gc_kernel_cache() == 3
         assert new.exists() and not old.exists()
 
     @needs_cc
     def test_stats_and_clear(self, kernel_dir):
-        family = ckernel.family_of(baseline_config(mc(1)))
-        ckernel.compile_kernel_so(family)
+        ckernel.compile_kernel_so()
         stats = ckernel.kernel_cache_stats()
         assert stats["kernels"] == 1
         assert stats["bytes"] > 0
         assert stats["compiler"]
-        assert ckernel.clear_kernel_cache() > 0
+        assert ckernel.clear_kernel_cache() == 3
         assert ckernel.kernel_cache_stats()["kernels"] == 0
 
     @needs_cc
-    def test_ensure_kernel_memoizes_per_family(self, kernel_dir):
-        family = ckernel.family_of(baseline_config(mc(1)))
-        kernel = ckernel.ensure_kernel(family)
-        assert ckernel.ensure_kernel(family) is kernel
-        assert kernel in ckernel.loaded_kernels()
+    def test_ensure_kernel_memoizes(self, kernel_dir):
+        # One kernel per process, whatever label a caller passes back.
+        kernel = ckernel.ensure_kernel()
+        assert ckernel.ensure_kernel() is kernel
+        assert ckernel.ensure_kernel(kernel.family) is kernel
+        assert ckernel.loaded_kernels() == (kernel,)
+        assert kernel.family == kernel.path.stem
 
 
 class TestDualIssueDriver:
@@ -180,9 +183,8 @@ class TestNoCompilerFallback:
     def test_probe_and_build_refuse(self, no_compiler):
         assert ckernel.find_compiler() is None
         assert not ckernel.kernels_available()
-        family = ckernel.family_of(baseline_config(mc(1)))
         with pytest.raises(ckernel.KernelBuildError, match="no C compiler"):
-            ckernel.ensure_kernel(family)
+            ckernel.ensure_kernel()
 
     def test_simulate_degrades_bit_identically(self, no_compiler):
         # Pinning cnative without a toolchain must return the exact
@@ -208,36 +210,34 @@ class TestNoCompilerFallback:
 
 
 class TestBuildFailureFallback:
-    def test_failed_build_is_tried_once_per_family(self, kernel_dir,
-                                                   monkeypatch):
-        # A broken toolchain is probed once per kernel family: the
-        # second cell of the family reuses the memoized failure, and
-        # both cells degrade to the reference numbers under the build
-        # cause.
+    def test_failed_build_is_tried_once(self, kernel_dir, monkeypatch):
+        # A broken toolchain is probed once per process: every later
+        # cell, of any organization, reuses the memoized failure, and
+        # each degrades to the reference numbers under the build cause.
         attempts = []
 
-        def refuse(family):
-            attempts.append(family)
+        def refuse():
+            attempts.append(1)
             raise ckernel.KernelBuildError("forced build failure")
 
         monkeypatch.setattr(ckernel, "kernels_available", lambda: True)
         monkeypatch.setattr(ckernel, "compile_kernel_so", refuse)
         workload = get_benchmark("eqntott")
-        config = baseline_config(mc(1))
-        latencies = (3, 10)
+        cells = [(baseline_config(mc(1)), 3), (baseline_config(mc(1)), 10),
+                 (replace(baseline_config(mc(1)), geometry=ASSOC), 10)]
         try:
             telemetry.set_enabled(True)
             clear_caches()
             build = _counter("engine.cnative.fallback.build")
             degraded = [simulate(workload, config, load_latency=latency,
                                  scale=0.1, engine="cnative")
-                        for latency in latencies]
-            assert _counter("engine.cnative.fallback.build") == build + 2
+                        for config, latency in cells]
+            assert _counter("engine.cnative.fallback.build") == build + 3
         finally:
             telemetry.set_enabled(None)
             clear_caches()
-        assert attempts == [ckernel.family_of(config)]
-        for latency, result in zip(latencies, degraded):
+        assert attempts == [1]
+        for (config, latency), result in zip(cells, degraded):
             assert result == simulate(workload, config,
                                       load_latency=latency, scale=0.1,
                                       engine="reference")

@@ -6,7 +6,7 @@ arbitrary load/store/ALU bodies over arbitrary strided footprints, on
 a tiny cache so hit runs, conflict misses, and store-heavy quiescent
 spans all occur -- and assert bit-identity against the unoptimized
 reference loops, which share no code with the stream pass, the replay
-kernels, or the generated C.
+kernels, or the C kernel.
 """
 
 from __future__ import annotations
@@ -17,12 +17,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.cache.geometry import CacheGeometry
 from repro.compiler.ir import KernelBuilder
-from repro.core.policies import fc, mc, no_restrict
+from repro.core.policies import (
+    FieldLayout,
+    MSHRPolicy,
+    explicit,
+    fc,
+    fs,
+    implicit,
+    in_cache,
+    inverted,
+    mc,
+    no_restrict,
+)
 from repro.cpu import ckernel
 from repro.sim.config import baseline_config
-from repro.sim.simulator import simulate
+from repro.sim.simulator import clear_caches, simulate
 from repro.workloads.patterns import Strided
 from repro.workloads.workload import Workload
 
@@ -66,25 +78,51 @@ def random_workloads(draw):
     )
 
 
+#: Every clause the C kernel switches on at runtime: each MSHR limit
+#: alone, a per-set limit, limited field layouts (alone and under a
+#: miss limit), the in-cache fill overhead, ported fills, and
+#: write-miss allocate with and without a miss limit.
+C_POLICIES = [
+    mc(1), mc(2), fc(1), fc(2), fs(1), fs(2), no_restrict(),
+    implicit(32, 8), explicit(2), in_cache(), inverted(4),
+    MSHRPolicy(name="ported", fill_ports=1),
+    MSHRPolicy(name="ported fc=2", max_fetches=2, fill_ports=2),
+    MSHRPolicy(name="mc=2 implicit", max_misses=2,
+               layout=FieldLayout(4, 1)),
+    MSHRPolicy(name="wma", write_allocate_blocking=True),
+    MSHRPolicy(name="wma mc=1", write_allocate_blocking=True,
+               max_misses=1),
+]
+
+
 @pytest.mark.skipif(not ckernel.kernels_available(),
                     reason="no C compiler available")
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     workload=random_workloads(),
-    policy=st.sampled_from([mc(1), fc(2), no_restrict()]),
+    policy=st.sampled_from(C_POLICIES),
     latency=st.sampled_from([3, 10]),
-    associativity=st.sampled_from([1, 2]),
+    associativity=st.sampled_from([1, 2, 4, 0]),
 )
 def test_cnative_lane_matches_reference(workload, policy, latency,
                                         associativity):
-    # The C kernels also own the LRU stack, so the random matrix draws
-    # associativity too: 2-way on a 1 KB cache keeps sets churning.
+    # The C kernel also owns the LRU stack, so the random matrix draws
+    # associativity too (0 = fully associative): 2-way on a 1 KB cache
+    # keeps sets churning.  The cell must really run in C.
     geometry = replace(GEOMETRY, associativity=associativity)
     config = replace(baseline_config(policy), geometry=geometry)
-    cnative = simulate(workload, config, load_latency=latency,
-                       engine="cnative")
+    try:
+        telemetry.set_enabled(True)
+        clear_caches()
+        replays = telemetry.counter("engine.cnative.replays").value
+        cnative = simulate(workload, config, load_latency=latency,
+                           engine="cnative")
+        ran_in_c = telemetry.counter("engine.cnative.replays").value
+    finally:
+        telemetry.set_enabled(None)
     reference = simulate(workload, config, load_latency=latency,
                          engine="reference")
+    assert ran_in_c == replays + 1
     assert cnative == reference
 
 

@@ -294,9 +294,8 @@ class TestScalarFallbackEquivalence:
 
     @pytest.fixture
     def failing_build(self, monkeypatch):
-        def refuse(family):
-            raise ckernel.KernelBuildError(
-                f"forced failure for family {family.label()}")
+        def refuse():
+            raise ckernel.KernelBuildError("forced build failure")
 
         monkeypatch.setattr(ckernel, "kernels_available", lambda: True)
         monkeypatch.setattr(ckernel, "compile_kernel_so", refuse)

@@ -171,37 +171,53 @@ class TestGrouping:
 
 
 class TestKernelPrebuild:
-    def test_failed_family_does_not_abandon_the_rest(self, monkeypatch):
-        # One family's build failure must not leave the other families
-        # for every pool worker to compile on its own.
+    @staticmethod
+    def _prebuild(monkeypatch, configs, fail=False):
+        """Run the prebuild over ``configs``; return its build calls."""
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         monkeypatch.setattr(ckernel, "kernels_available", lambda: True)
-        attempted = []
+        calls = []
 
-        def ensure_kernel(family):
-            attempted.append(family)
-            if len(attempted) == 1:
+        def ensure_kernel(*args):
+            calls.append(args)
+            if fail:
                 raise ckernel.KernelBuildError("simulated build failure")
 
         monkeypatch.setattr(ckernel, "ensure_kernel", ensure_kernel)
+        workload = get_benchmark("ora")
+        _prebuild_kernels([(workload, c, 10, 0.05) for c in configs])
+        return calls
+
+    def test_one_build_serves_every_c_cell(self, monkeypatch):
         assoc = CacheGeometry(size=8192, line_size=32, associativity=4)
         configs = [baseline_config(mc(1)), baseline_config(fc(2)),
                    baseline_config(no_restrict()),
-                   replace(baseline_config(mc(1)), geometry=assoc)]
-        workload = get_benchmark("ora")
-        _prebuild_kernels([(workload, c, 10, 0.05) for c in configs])
-        families = {ckernel.family_of(c) for c in configs}
-        assert len(families) > 1
-        assert sorted(map(repr, attempted)) == sorted(map(repr, families))
+                   replace(baseline_config(mc(1)), geometry=assoc),
+                   replace(baseline_config(mc(1)), issue_width=2)]
+        assert self._prebuild(monkeypatch, configs) == [()]
+
+    def test_no_c_cell_builds_nothing(self, monkeypatch):
+        # Blocking single-issue cells take the closed form and a finite
+        # write buffer the interpreter: neither needs the kernel.
+        configs = [baseline_config(blocking_cache()),
+                   replace(baseline_config(mc(1)), write_buffer_depth=4)]
+        assert self._prebuild(monkeypatch, configs) == []
+
+    def test_failed_build_is_left_to_the_cells(self, monkeypatch):
+        # The per-cell fallback reports a failed build; the prebuild
+        # must not raise it into the dispatcher.
+        calls = self._prebuild(monkeypatch, [baseline_config(mc(1))],
+                               fail=True)
+        assert calls == [()]
 
 
 class TestDualIssuePrebuild:
     @pytest.mark.skipif(not ckernel.kernels_available(),
                         reason="no C compiler available")
-    def test_pool_parent_builds_dual_issue_families(self, monkeypatch):
-        # Dual-issue cells run in the C kernels too, so the parent
-        # builds their families before forking instead of leaving
-        # each worker to compile them.
+    def test_pool_parent_builds_the_kernel(self, monkeypatch):
+        # Dual-issue cells run in the C kernel too, so the parent
+        # builds it before forking instead of leaving each worker to
+        # compile it.
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         ckernel.reset_probe()
         configs = [replace(baseline_config(policy), issue_width=2)
@@ -211,10 +227,10 @@ class TestDualIssuePrebuild:
                  for name in ("ora", "xlisp") for config in configs]
         try:
             dispatch(cells, workers=2)
-            loaded = {k.family for k in ckernel.loaded_kernels()}
+            loaded = ckernel.loaded_kernels()
         finally:
             ckernel.reset_probe()
-        assert loaded == {ckernel.family_of(c) for c in configs}
+        assert len(loaded) == 1
 
 
 class TestParallelMatchesSerial:

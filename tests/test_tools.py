@@ -44,17 +44,6 @@ def test_generate_experiments_md_writes_file(monkeypatch, capsys, tmp_path):
         assert f"## {exp.experiment_id}:" in text
 
 
-def test_profile_simulator_reports_throughput(monkeypatch, capsys):
-    tool = load_tool("profile_simulator")
-    monkeypatch.setattr(sys, "argv", [
-        "profile_simulator.py", "eqntott", "--scale", "0.05",
-    ])
-    tool.main()
-    out = capsys.readouterr().out
-    assert "M instr/s" in out
-    assert "eqntott" in out
-
-
 def test_perfbench_smoke_writes_bench_json(monkeypatch, capsys, tmp_path):
     tool = load_tool("perfbench")
     target = tmp_path / "BENCH_engine.json"
