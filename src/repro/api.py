@@ -63,7 +63,6 @@ __all__ = [
     "get_benchmark",
     "benchmark_names",
     "parse_policy",
-    "engine_names",
     "fidelity_names",
     # experiments
     "run_experiment",
@@ -106,18 +105,6 @@ def parse_policy(policy: PolicyLike) -> MSHRPolicy:
     return _parse(policy)
 
 
-def engine_names() -> Sequence[str]:
-    """Valid ``engine=`` / ``REPRO_ENGINE`` values, ``auto`` included.
-
-    The tiers (reference / fastpath / fused / cnative) are catalogued
-    in ``docs/timing_model.md``; ``python -m repro engines`` prints
-    the registry with the current resolution.
-    """
-    from repro.sim.engines import engine_names as _names
-
-    return _names()
-
-
 def fidelity_names() -> Sequence[str]:
     """Valid ``fidelity=`` / ``REPRO_FIDELITY`` values, cheapest first.
 
@@ -140,7 +127,6 @@ def simulate(
     load_latency: int = 10,
     scale: float = 1.0,
     cached: bool = True,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """Simulate one benchmark on one machine; memoized by default.
 
@@ -149,11 +135,7 @@ def simulate(
     ``config`` or just a ``policy`` (label or object) applied to the
     paper's baseline machine.  ``cached=True`` serves repeated cells
     from the on-disk result store (bit-identical to a fresh run);
-    ``cached=False`` always simulates.  ``engine`` names an execution
-    tier from :func:`engine_names` (default: resolve via
-    ``REPRO_ENGINE`` / ``auto``); every tier returns bit-identical
-    results, so it is purely a speed knob and cached entries are
-    engine-independent.
+    ``cached=False`` always simulates.
     """
     resolved = _resolve_workload(workload)
     if config is None:
@@ -164,11 +146,11 @@ def simulate(
         from repro.sim.planner import cached_simulate
 
         return cached_simulate(resolved, config, load_latency=load_latency,
-                               scale=scale, engine=engine)
+                               scale=scale)
     from repro.sim.simulator import simulate as _simulate
 
     return _simulate(resolved, config, load_latency=load_latency,
-                     scale=scale, engine=engine)
+                     scale=scale)
 
 
 def sweep(

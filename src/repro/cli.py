@@ -31,13 +31,11 @@ Three subcommands cover the interactive workflows:
         python -m repro cache gc --max-mb 256 --max-age-days 30
 
 ``engines``
-    Print the execution-engine registry (reference / fastpath / fused
-    / cnative) and what the current environment resolves to; see
-    ``docs/timing_model.md``.  ``simulate`` and ``sweep`` take
-    ``--engine`` to pin a tier for the run::
+    Print the C compiler probe, the kernel cache and the lane each kind
+    of cell runs on -- in the C kernel or its fallback; see
+    ``docs/timing_model.md``::
 
         python -m repro engines
-        python -m repro sweep --engine fused
 
 ``screen``
     Analytical MCPI bounds from the stream pass alone -- no replay;
@@ -88,7 +86,6 @@ from repro.core.policies import (
     with_layout,
 )
 from repro.errors import ConfigurationError, ReproError
-from repro.sim import engines as engines_mod
 from repro.sim.config import MachineConfig
 from repro.sim.simulator import simulate
 from repro.workloads.spec92 import benchmark_names, get_benchmark
@@ -168,13 +165,6 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                         help="fraction of the run discarded as cold start")
 
 
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=engines_mod.engine_names(),
-                        default=None,
-                        help="execution tier (bit-identical results; "
-                             "default: REPRO_ENGINE or auto)")
-
-
 def _add_fidelity_arg(parser: argparse.ArgumentParser) -> None:
     from repro.analysis.screen import fidelity_names
 
@@ -195,8 +185,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         policy = parse_policy(label)
         config = build_config(args, policy)
         result = simulate(workload, config, load_latency=args.latency,
-                          scale=args.scale, warmup=args.warmup,
-                          engine=args.engine)
+                          scale=args.scale, warmup=args.warmup)
         if args.issue == 1:
             rows.append([
                 policy.name,
@@ -279,31 +268,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     policies = [parse_policy(label) for label in labels]
     base = build_config(args, policies[0])
     fidelity = resolve_fidelity(args.fidelity, default="exact")
-    # The sweep fans across pool workers, so a pinned engine travels
-    # as REPRO_ENGINE (workers inherit the environment); every tier is
-    # bit-identical, so this only affects speed.
-    saved_engine = os.environ.get("REPRO_ENGINE")
-    if args.engine is not None:
-        os.environ["REPRO_ENGINE"] = args.engine
-    try:
-        workers = (args.workers if args.workers is not None
-                   else default_workers())
-        if fidelity.name == "exact":
-            table = run_table(
-                workloads, policies, load_latency=args.latency, base=base,
-                scale=args.scale, workers=workers,
-            )
-        else:
-            table = run_screen_table(
-                workloads, policies, load_latency=args.latency, base=base,
-                scale=args.scale, workers=workers, fidelity=fidelity.name,
-            )
-    finally:
-        if args.engine is not None:
-            if saved_engine is None:
-                os.environ.pop("REPRO_ENGINE", None)
-            else:
-                os.environ["REPRO_ENGINE"] = saved_engine
+    workers = args.workers if args.workers is not None else default_workers()
+    if fidelity.name == "exact":
+        table = run_table(
+            workloads, policies, load_latency=args.latency, base=base,
+            scale=args.scale, workers=workers,
+        )
+    else:
+        table = run_screen_table(
+            workloads, policies, load_latency=args.latency, base=base,
+            scale=args.scale, workers=workers, fidelity=fidelity.name,
+        )
     headers = ["benchmark"] + [p.name for p in policies]
     rows = []
     if fidelity.name == "screen":
@@ -333,37 +308,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+#: (lane, the cells on it, where it runs with a C kernel, without one).
+_LANES = (
+    ("closed_form", "blocking, single issue", "closed form", "closed form"),
+    ("replay", "non-blocking, single issue", "C kernel", "scalar replay"),
+    ("dual", "dual issue, ideal write buffer", "C kernel",
+     "reference dual-issue loop"),
+    ("interp", "finite write buffer, warmup, single-issue perfect cache",
+     "interpreter", "interpreter"),
+)
+
+
 def cmd_engines(_args: argparse.Namespace) -> int:
-    current = engines_mod.resolve_engine()
-    rows = []
-    for name in engines_mod.ENGINE_ORDER:
-        engine = engines_mod.ENGINES[name]
-        rows.append([name, "<-" if engine is current else "",
-                     engine.description])
-    print("execution engines, slowest tier first "
-          "(every tier is bit-identical)\n")
-    print(format_table(["engine", "now", "description"], rows))
-    env = os.environ.get("REPRO_ENGINE")
-    if env is not None:
-        source = f"REPRO_ENGINE={env}"
-    else:
-        source = "default (auto = fastest applicable per cell)"
-    print(f"\nresolved: {current.name}  [{source}]")
     from repro.cpu import ckernel
 
     compiler = ckernel.find_compiler()
-    if compiler is None:
-        probe = ("none found (cnative degrades to the scalar replay and "
-                 "the reference dual-issue loop; set REPRO_CC)")
-    else:
-        probe = compiler
     kstats = ckernel.kernel_cache_stats()
-    print(f"C compiler: {probe}")
+    print(f"C compiler: {compiler or 'none found (set REPRO_CC)'}")
     print(f"kernel cache: {kstats['kernels']} compiled kernels, "
           f"{kstats['bytes'] / 1024:.1f} KiB at {kstats['path']} "
-          f"[{kstats['binding']} binding]")
-    print("cells outside a tier's envelope fall back to the next tier; "
-          "see docs/timing_model.md")
+          f"[{kstats['binding']} binding]\n")
+    rows = [[lane, cells, with_c if compiler else without_c]
+            for lane, cells, with_c, without_c in _LANES]
+    print(format_table(["lane", "cells", "runs in"], rows))
+    print("\nevery lane is bit-identical to the reference loops; a C cell "
+          "whose kernel\nfails to build falls back per cell "
+          "(docs/timing_model.md)")
     return 0
 
 
@@ -515,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--policy", action="append",
                      help="policy label (repeatable); default: the spectrum")
     _add_machine_args(sim)
-    _add_engine_arg(sim)
     sim.set_defaults(func=cmd_simulate)
 
     audit = sub.add_parser("audit", help="static profile of a model")
@@ -553,13 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process pool size (default: REPRO_WORKERS "
                             "if set, else half the CPUs)")
     _add_machine_args(sweep)
-    _add_engine_arg(sweep)
     _add_fidelity_arg(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     engines = sub.add_parser(
         "engines",
-        help="list execution engines and the current resolution",
+        help="show the C compiler probe and where each lane runs",
     )
     engines.set_defaults(func=cmd_engines)
 

@@ -378,7 +378,7 @@ def ensure_kernel(family: Optional[str] = None) -> LoadedKernel:
 
 
 def kernels_available() -> bool:
-    """Cheap gate for dispatch and tier affinity: can kernels exist?"""
+    """Cheap gate for the C lanes and the prebuild: can kernels exist?"""
     return find_compiler() is not None
 
 

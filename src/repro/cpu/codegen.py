@@ -30,8 +30,8 @@ be accounted inline as a 1-cycle hit iff
 Everything else falls through to the handler call, after which the
 fence is re-read.  When no hooks are supplied the caller passes
 ``fence = -1`` and every access takes the handler path, which is how
-``fast_path=False`` and wrapped handlers (e.g. the access tracer)
-retain exact per-access behaviour.
+wrapped handlers (e.g. the access tracer) retain exact per-access
+behaviour.
 """
 
 from __future__ import annotations

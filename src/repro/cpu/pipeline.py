@@ -96,7 +96,6 @@ def run_single_issue(
     trace: "ExpandedTrace",
     handler,
     warmup_executions: int = 0,
-    fast_path: bool = True,
 ) -> Tuple[int, int, int]:
     """Execute the trace; returns (cycles, instructions, truedep_stalls).
 
@@ -105,8 +104,8 @@ def run_single_issue(
     first N body executions from every returned count and from the
     handler's statistics (cache state is kept, so the measured window
     starts warm) -- the control the paper's billion-reference runs
-    never needed.  ``fast_path=False`` disables the inline hit probe
-    (every access goes through the handler); the result is identical
+    never needed.  A handler without fast-path hooks sends every
+    access through its ``load``/``store``; the result is identical
     either way, only slower.
 
     The body loop itself is specialized per trace by
@@ -124,7 +123,7 @@ def run_single_issue(
     do_load = handler.load
     do_store = handler.store
 
-    hooks = getattr(handler, "fast_path_hooks", None) if fast_path else None
+    hooks = getattr(handler, "fast_path_hooks", None)
     hooks = hooks() if hooks is not None else None
     if hooks is not None:
         probe, next_fill, store_mode, offset_bits, absorb, res = hooks

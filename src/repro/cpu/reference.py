@@ -9,12 +9,11 @@ methods, and the body is re-dispatched op by op from parallel lists.
 The dual-issue loop is also the only interpreter of that machine:
 without a C compiler every dual-issue cell runs here.
 
-``simulate(..., engine="reference")`` routes here; the equivalence suite
-(``tests/sim/test_fastpath_equivalence.py``) asserts the optimized
-engines produce byte-identical :class:`~repro.sim.stats.SimulationResult`
-objects, and ``tools/perfbench.py`` uses these loops as the baseline
-when measuring the optimized engines' speedup.  Do not optimize this
-module; its value is being boring.
+:func:`repro.sim.simulator.simulate_reference` runs a cell here; the
+equivalence suites (``tests/sim/test_fastpath_equivalence.py`` and
+``tests/sim/test_fusion_equivalence.py``) assert every lane produces a
+byte-identical :class:`~repro.sim.stats.SimulationResult`.  Do not
+optimize this module; its value is being boring.
 """
 
 from __future__ import annotations

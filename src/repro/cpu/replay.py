@@ -699,7 +699,7 @@ def finish_replay(
 ) -> Tuple[MissStats, int, int, int]:
     """Fold a kernel's raw counter tuple into the result quadruple.
 
-    Shared by the scalar and C tiers -- both kinds of kernel
+    Shared by the scalar and C replays -- both kinds of kernel
     return the same 22-counter tuple, so the accounting fold (and the
     ``verify_accounting`` identity downstream) is engine-independent.
     The truedep it derives holds for single issue only.

@@ -1,6 +1,6 @@
-"""The ``cnative`` replay tier: compiled-C execution of the full recurrence.
+"""The C replay and dual-issue lanes: compiled-C execution of the recurrence.
 
-This tier runs the *entire* irregular recurrence -- MSHR occupancy,
+The replay runs the *entire* irregular recurrence -- MSHR occupancy,
 primary/secondary merging, structural arbitration, fill scheduling,
 LRU recency touches -- inside the one C kernel (``kernel.c``, built
 and loaded by :mod:`repro.cpu.ckernel`).  It accepts every cell the
@@ -13,17 +13,17 @@ The stream's static structure (slot kinds, readiness terms, pregaps)
 is flattened once per stream into int64 tables; per-call state (tags,
 load-ready registers, the output counter block) is allocated fresh so
 a kernel invocation is a pure function of ``(stream, machine)``, like
-every other tier.  The C function returns the same raw 22-counter
+the scalar replay.  The C function returns the same raw 22-counter
 tuple the generated Python kernels produce, folded through
 :func:`repro.cpu.replay.finish_replay`, so bit-identity is checked by
-the same equivalence matrix and accounting identity as the rest of
-the registry.
+the same equivalence matrix and accounting identity as every other
+lane.
 
 Fallback is transparent and cause-tagged: ``policy`` for machines the
 replay contract itself excludes, ``nocc`` when no C compiler is
 available (``REPRO_CC`` override included), ``build`` when
-compilation or loading failed.  All three degrade to the scalar fused
-tier with bit-identical results.
+compilation or loading failed.  All three degrade to the scalar
+replay (or the reference dual-issue loop) with bit-identical results.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ _MEMORY_KIND = {OpClass.LOAD: 1, OpClass.STORE: 2}
 
 
 def cnative_supported(config: "MachineConfig") -> bool:
-    """Whether the C tier models this cell (= the replay contract).
+    """Whether the C replay models this cell (= the replay contract).
 
     The C kernel transcribes the whole scalar kernel, so the
     envelope is exactly :func:`repro.cpu.replay.replay_supported`;
@@ -244,7 +244,7 @@ def run_cnative(
     """Replay one machine through the C kernel; ``None`` = fall back.
 
     Same contract and per-stream kernel cache as
-    :func:`repro.cpu.replay.run_replay`, under a tier-distinct key.
+    :func:`repro.cpu.replay.run_replay`, under a distinct key.
     Declines (unsupported policy, no compiler, failed build) are
     counted under ``engine.cnative.fallback.*`` when telemetry is on.
     """

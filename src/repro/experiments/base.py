@@ -112,13 +112,6 @@ class ExperimentOptions:
     miss_penalty: Optional[int] = None
     #: Serve repeated cells from the on-disk result store.
     cache: bool = True
-    #: Execution engine for the run's simulations (a name from
-    #: :func:`repro.sim.engines.engine_names`); ``None`` resolves via
-    #: ``REPRO_ENGINE`` / ``auto``.  Applied as ``REPRO_ENGINE`` for
-    #: the run's duration so sweep pool workers inherit it -- safe
-    #: because every tier is bit-identical, so a worker that raced a
-    #: previous run's setting still produces the same numbers.
-    engine: Optional[str] = None
     #: Record metrics/spans for this run (see ``docs/observability.md``).
     telemetry: bool = True
     #: Progress notifications (the ``--progress`` stderr line).
@@ -157,13 +150,6 @@ class ExperimentOptions:
             raise ExperimentError(
                 f"miss_penalty must be >= 1: {self.miss_penalty}"
             )
-        if self.engine is not None:
-            from repro.sim.engines import get_engine
-
-            try:
-                get_engine(self.engine)
-            except Exception as exc:
-                raise ExperimentError(str(exc)) from None
 
     # -- per-driver defaults -------------------------------------------------
 
@@ -216,7 +202,6 @@ class Experiment:
             options.validate()
 
         saved_cache = os.environ.get("REPRO_CACHE")
-        saved_engine = os.environ.get("REPRO_ENGINE")
         telemetry_forced_off = not options.telemetry and telemetry.enabled()
         start = time.perf_counter()
         if options.progress is not None:
@@ -224,8 +209,6 @@ class Experiment:
         try:
             if not options.cache:
                 os.environ["REPRO_CACHE"] = "0"
-            if options.engine is not None:
-                os.environ["REPRO_ENGINE"] = options.engine
             if telemetry_forced_off:
                 telemetry.set_enabled(False)
             with telemetry.span(f"experiment.{self.experiment_id}",
@@ -244,11 +227,6 @@ class Experiment:
                     os.environ.pop("REPRO_CACHE", None)
                 else:
                     os.environ["REPRO_CACHE"] = saved_cache
-            if options.engine is not None:
-                if saved_engine is None:
-                    os.environ.pop("REPRO_ENGINE", None)
-                else:
-                    os.environ["REPRO_ENGINE"] = saved_engine
         elapsed = time.perf_counter() - start
         if options.telemetry and telemetry.enabled():
             telemetry.counter("experiment.runs").inc()

@@ -121,7 +121,7 @@ class CellBounds:
 def screen_support(config) -> Optional[str]:
     """``None`` when the cell can be bracketed, else the fallback cause.
 
-    Causes mirror the engine registry's fallback tags:
+    Causes mirror the C lanes' fallback tags:
     ``dual_issue`` -- MCPI is undefined for ``issue_width != 1``;
     ``fill_ports`` -- serialized fills delay secondary ready times by
     an amount the summary cannot bound; ``wma_nonblocking`` -- a

@@ -410,15 +410,14 @@ def _stream_affinity(config: MachineConfig) -> Tuple:
     siblings in the same pool group (and adjacent in serial runs), so
     the small stream/summary LRU caches stay hot across them.
 
-    The engine-capability tier (:func:`repro.sim.engines.cell_engine_tier`)
-    leads the key so a group also stays on one code path: C-kernel
-    cells flatten stream tables that closed-form and interpreted
-    siblings never touch, and interleaving them would spread that
-    work across groups.
+    Whether the cell is on a C lane (:data:`repro.sim.engines.C_LANES`)
+    leads the key so C-lane cells also cluster: they flatten stream
+    tables that closed-form and interpreted siblings never touch, and
+    interleaving them would spread that work across groups.
     """
     geometry = config.geometry
     return (
-        engines.cell_engine_tier(config),
+        engines.cell_lane(config) in engines.C_LANES,
         config.perfect_cache,
         geometry.line_size,
         geometry.size,
@@ -464,14 +463,12 @@ def _prebuild_kernels(cells: Sequence[Cell]) -> None:
     Workers inherit the on-disk kernel cache, so building in the
     parent turns each worker's first C cell into a plain ``dlopen`` of
     the cached ``.so`` instead of a racing compile.  Quietly does
-    nothing when the resolved engine has no C tier, no cell is on a C
-    lane or no compiler exists, and ignores a failed build -- the
-    per-cell fallback handles those paths.
+    nothing when no cell is on a C lane or no compiler exists, and
+    ignores a failed build -- the per-cell fallback handles those
+    paths.
     """
     from repro.cpu import ckernel
 
-    if not engines.resolve_engine().cnative:
-        return
     if not any(engines.cell_lane(config) in engines.C_LANES
                for _workload, config, _latency, _scale in cells):
         return
@@ -487,8 +484,6 @@ def dispatch(
     cells: Sequence[Cell],
     *,
     workers: Optional[int] = None,
-    reuse_pool: Optional[bool] = None,
-    trace_plane: Optional[bool] = None,
 ) -> List[SimulationResult]:
     """Execute sweep cells and return their results in the caller's order.
 
@@ -497,11 +492,10 @@ def dispatch(
     single cell) everything runs in-process, which keeps tests and
     small sweeps free of pool overhead; otherwise the cells go through
     the cache-affine process pool, which never exceeds the number of
-    dispatchable groups.  Results are bit-identical either way.
-    ``reuse_pool`` / ``trace_plane`` override the pool's environment
-    defaults (:func:`persistent_pool_enabled`,
-    :func:`repro.sim.traceplane.shm_enabled`); benchmarks use them to
-    pin each dispatch strategy explicitly.
+    dispatchable groups.  Results are bit-identical either way.  The
+    pool's strategy follows the environment
+    (:func:`persistent_pool_enabled`,
+    :func:`repro.sim.traceplane.shm_enabled`).
     """
     cells = list(cells)
     if telemetry.enabled():
@@ -512,10 +506,6 @@ def dispatch(
         workers = default_workers()
     if workers <= 1 or len(cells) <= 1:
         return [_run_cell(cell) for cell in cells]
-    if reuse_pool is None:
-        reuse_pool = persistent_pool_enabled()
-    if trace_plane is None:
-        trace_plane = traceplane.shm_enabled()
     # Cap group size so every worker gets a few tasks to balance, but
     # never below a handful of cells or the affinity win evaporates.
     max_group = max(4, -(-len(cells) // (workers * 4)))
@@ -527,34 +517,30 @@ def dispatch(
         return [_run_cell(cell) for cell in cells]
 
     _prebuild_kernels(cells)
-    plane = traceplane.plane() if trace_plane else None
+    plane = traceplane.plane() if traceplane.shm_enabled() else None
     handles: List[Optional[traceplane.TraceHandle]] = []
     stream_sets: List[List[traceplane.StreamHandle]] = []
     results: List[Optional[SimulationResult]] = [None] * len(cells)
     telemetry_on = telemetry.enabled()
     busy_total = 0.0
     dispatch_start = time.perf_counter()
-    pool, owned = _lease_pool(workers, reuse_pool)
+    pool, owned = _lease_pool(workers, persistent_pool_enabled())
     broken = False
     try:
         if plane is not None:
-            from repro.sim.simulator import fusion_default
-
-            publish_streams = fusion_default()
             for workload, load_latency, scale, members in groups:
                 handles.append(plane.acquire(workload, load_latency, scale))
                 streams: List[traceplane.StreamHandle] = []
-                if publish_streams:
-                    line_sizes = sorted({
-                        config.geometry.line_size
-                        for _index, config in members
-                        if not config.perfect_cache
-                    })
-                    for line_size in line_sizes:
-                        stream_handle = plane.acquire_stream(
-                            workload, load_latency, scale, line_size)
-                        if stream_handle is not None:
-                            streams.append(stream_handle)
+                line_sizes = sorted({
+                    config.geometry.line_size
+                    for _index, config in members
+                    if not config.perfect_cache
+                })
+                for line_size in line_sizes:
+                    stream_handle = plane.acquire_stream(
+                        workload, load_latency, scale, line_size)
+                    if stream_handle is not None:
+                        streams.append(stream_handle)
                 stream_sets.append(streams)
         else:
             handles = [None] * len(groups)

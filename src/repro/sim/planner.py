@@ -214,16 +214,13 @@ def cached_simulate(
     load_latency: int = 10,
     scale: float = 1.0,
     store: Optional[ResultStore] = None,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """A drop-in memoized :func:`repro.sim.simulator.simulate`.
 
     For experiment drivers that run one configuration at a time (the
     histogram, layout-grid, and scaling studies): same signature for
     the common arguments, same bit-identical result, backed by the
-    store.  ``engine`` picks the execution tier on a store miss; since
-    every tier is bit-identical the fingerprint (and thus the cached
-    entry) is engine-independent.
+    store.
     """
     from repro.sim.simulator import simulate
 
@@ -236,8 +233,7 @@ def cached_simulate(
     if result is not None:
         store.add_counters(hits=1)
         return result
-    result = simulate(workload, config, load_latency=load_latency, scale=scale,
-                      engine=engine)
+    result = simulate(workload, config, load_latency=load_latency, scale=scale)
     store.store(fingerprint, result)
     store.add_counters(misses=1, stores=1)
     return result

@@ -15,11 +15,12 @@ alias entries during long sweeps.  The bounds keep week-long sweeps
 from growing memory without limit; sizes were chosen so a full
 paper-scale sweep (18 benchmarks x 6 latencies) still fits.
 
-Engine selection goes through the registry in
-:mod:`repro.sim.engines`: four tiers (reference / fastpath / fused /
-cnative), selectable per call (``engine=``), per process
-(``REPRO_ENGINE``), or implicitly (``auto`` = fastest applicable per
-cell).  All tiers produce bit-identical results.
+Each cell runs on the one lane its machine fixes
+(:func:`repro.sim.engines.cell_lane`): closed form, replay, dual issue
+or the per-cell interpreter, in the C kernel where one loads.
+:func:`simulate_reference` runs the same cell on the reference loops
+of :mod:`repro.cpu.reference`, the oracle every lane is tested
+against.
 """
 
 from __future__ import annotations
@@ -124,16 +125,6 @@ def _update_cache_gauges() -> None:
 def _kernel_identity(workload: Workload) -> Tuple:
     """Stable cache-key component for a workload's kernel."""
     return (workload.name, workload.kernel.fingerprint())
-
-
-def fusion_default() -> bool:
-    """Whether the resolved engine lets eligible cells run fused.
-
-    Resolution goes through :func:`repro.sim.engines.resolve_engine`
-    (``REPRO_ENGINE`` or ``auto``).  Results are bit-identical either
-    way.
-    """
-    return engines_mod.resolve_engine().fusion
 
 
 def compile_workload(
@@ -241,7 +232,6 @@ def simulate(
     scale: float = 1.0,
     unroll_override: int = 0,
     warmup: float = 0.0,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """Run ``workload`` on ``config`` with the given scheduled latency.
 
@@ -251,11 +241,10 @@ def simulate(
     run, 0..1) discards the cold-start prefix from every reported
     statistic -- single-issue only.
 
-    ``engine`` names an execution tier from the registry
-    (:mod:`repro.sim.engines`); ``None`` resolves through
-    ``REPRO_ENGINE`` / the ``auto`` default.  Every tier is
-    bit-identical; cells a tier cannot execute fall back to the next
-    one transparently.
+    The cell runs on the lane its machine fixes
+    (:func:`repro.sim.engines.cell_lane`); a C lane without a kernel
+    falls back per cell.  Every lane is bit-identical to
+    :func:`simulate_reference`.
 
     When telemetry is enabled each call contributes one ``simulate``
     span plus the per-cell counters catalogued in
@@ -264,18 +253,16 @@ def simulate(
     """
     if config is None:
         config = baseline_config()
-    resolved = engines_mod.resolve_engine(engine)
     if not telemetry.enabled():
         return _simulate_impl(workload, config, load_latency, scale,
-                              unroll_override, warmup, resolved)
-    engines_mod.count_selection(resolved)
+                              unroll_override, warmup)
     policy_name = "perfect" if config.perfect_cache else config.policy.name
     with telemetry.span(
         "simulate", workload=workload.name, policy=policy_name,
         load_latency=load_latency, scale=scale,
     ):
         result = _simulate_impl(workload, config, load_latency, scale,
-                                unroll_override, warmup, resolved)
+                                unroll_override, warmup)
     miss = result.miss
     m = _METRICS.get()
     m.cells.inc()
@@ -290,6 +277,30 @@ def simulate(
     return result
 
 
+def simulate_reference(
+    workload: Workload,
+    config: Optional[MachineConfig] = None,
+    load_latency: int = 10,
+    scale: float = 1.0,
+    unroll_override: int = 0,
+    warmup: float = 0.0,
+) -> SimulationResult:
+    """The same cell as :func:`simulate`, on the reference loops.
+
+    The test oracle: every access goes through a fresh handler's
+    ``load``/``store`` in :mod:`repro.cpu.reference`, which shares no
+    code with the stream pass, the replay kernels or the C kernel.
+    Compile, expansion and result assembly are :func:`simulate`'s;
+    no telemetry is recorded.
+    """
+    if config is None:
+        config = baseline_config()
+    compiled, trace = _expand_cell(workload, config, load_latency, scale,
+                                   unroll_override, warmup)
+    out = _interpret(trace, config, warmup, run_single_issue_reference)
+    return _result(workload, config, load_latency, compiled, out)
+
+
 def _try_fused(
     workload: Workload,
     config: MachineConfig,
@@ -297,19 +308,15 @@ def _try_fused(
     scale: float,
     unroll_override: int,
     trace: ExpandedTrace,
-    cnative: bool = False,
 ):
-    """Attempt the fused (stream-replay) execution of one cell.
+    """Run one ``closed_form`` or ``replay`` cell over the stream pass.
 
     Returns ``(stats, cycles, instructions, truedep)`` or ``None``
     when the cell must fall back to full execution (no memory ops in
-    the body, or a stream the builders decline).  The caller passes
-    only ``closed_form`` and ``replay`` lanes
-    (:func:`repro.sim.engines.cell_lane`).  Blocking policies collapse
-    to the functional summary's closed form; non-blocking policies run a
-    compiled replay kernel: the C kernel when ``cnative`` is set and a
-    kernel can be built (:mod:`repro.cpu.replay_cnative`), the scalar
-    kernel otherwise.
+    the body, or a stream the builders decline).  Blocking policies
+    collapse to the functional summary's closed form; non-blocking
+    policies replay in the C kernel (:mod:`repro.cpu.replay_cnative`),
+    or in the scalar replay kernel when no C kernel can be had.
     """
     from repro.cpu.replay import run_blocking_summary, run_replay
     from repro.cpu.replay_cnative import run_cnative
@@ -337,7 +344,7 @@ def _try_fused(
         )
         if stream is None:
             return None
-        out = run_cnative(stream, trace, config) if cnative else None
+        out = run_cnative(stream, trace, config)
         cnative_hit = out is not None
         if out is None:
             out = run_replay(stream, trace, config)
@@ -354,6 +361,47 @@ def _try_fused(
     return stats, cycles, instructions, truedep
 
 
+def _expand_cell(
+    workload: Workload,
+    config: MachineConfig,
+    load_latency: int,
+    scale: float,
+    unroll_override: int,
+    warmup: float,
+) -> Tuple[CompiledBody, ExpandedTrace]:
+    """Compile and expand a cell's workload; validate its warmup."""
+    compiled, trace = expand_workload(
+        workload, load_latency, scale=scale, unroll_override=unroll_override
+    )
+    if not 0.0 <= warmup < 1.0:
+        raise ConfigurationError(f"warmup must lie in [0, 1): {warmup}")
+    if warmup and config.issue_width != 1:
+        raise ConfigurationError(
+            "warmup discard is implemented for the single-issue model"
+        )
+    return compiled, trace
+
+
+def _interpret(trace: ExpandedTrace, config: MachineConfig, warmup: float,
+               run_single) -> Tuple:
+    """Execute the whole trace on a fresh handler.
+
+    Returns ``(stats, cycles, instructions, truedep)``.  Single issue
+    runs on ``run_single``; dual issue on the reference loop, its only
+    interpreter.
+    """
+    if config.perfect_cache:
+        handler = PerfectCacheHandler()
+    else:
+        handler = config.make_handler()
+    if config.issue_width == 2:
+        counts = run_dual_issue_reference(trace, handler)
+    else:
+        counts = run_single(trace, handler,
+                            warmup_executions=int(trace.executions * warmup))
+    return (handler.stats,) + counts
+
+
 def _simulate_impl(
     workload: Workload,
     config: MachineConfig,
@@ -361,48 +409,38 @@ def _simulate_impl(
     scale: float,
     unroll_override: int,
     warmup: float,
-    engine: engines_mod.Engine,
 ) -> SimulationResult:
-    compiled, trace = expand_workload(
-        workload, load_latency, scale=scale, unroll_override=unroll_override
-    )
-
-    if not 0.0 <= warmup < 1.0:
-        raise ConfigurationError(f"warmup must lie in [0, 1): {warmup}")
-    if warmup and config.issue_width != 1:
-        raise ConfigurationError(
-            "warmup discard is implemented for the single-issue model"
-        )
-
+    compiled, trace = _expand_cell(workload, config, load_latency, scale,
+                                   unroll_override, warmup)
     lane = engines_mod.cell_lane(config, warmup)
     out = None
-    if lane == "dual" and engine.cnative:
+    if lane == "dual":
         out = run_dual_issue(trace, config)
         if out is not None and telemetry.enabled():
             _METRICS.get().cnative_dual.inc()
-    elif lane in ("closed_form", "replay") and engine.fusion:
+    elif lane != "interp":
         out = _try_fused(workload, config, load_latency, scale,
-                         unroll_override, trace, engine.cnative)
-    elif config.write_buffer_depth is not None and engine.cnative:
+                         unroll_override, trace)
+    elif config.write_buffer_depth is not None:
         # The C lanes model only the ideal write buffer.
         engines_mod.count_cnative_fallback("policy")
     if out is None:
-        if engine.fusion and telemetry.enabled():
+        if telemetry.enabled():
             _METRICS.get().bypasses.inc()
-        if config.perfect_cache:
-            handler = PerfectCacheHandler()
-        else:
-            handler = config.make_handler()
-        if config.issue_width == 2:
-            counts = run_dual_issue_reference(trace, handler)
-        else:
-            run = (run_single_issue if engine.fast_path
-                   else run_single_issue_reference)
-            counts = run(trace, handler,
-                         warmup_executions=int(trace.executions * warmup))
-        out = (handler.stats,) + counts
-    stats, cycles, instructions, truedep = out
+        out = _interpret(trace, config, warmup, run_single_issue)
+    return _result(workload, config, load_latency, compiled, out)
 
+
+def _result(
+    workload: Workload,
+    config: MachineConfig,
+    load_latency: int,
+    compiled: CompiledBody,
+    out: Tuple,
+) -> SimulationResult:
+    """Assemble a cell's result from ``(stats, cycles, instructions,
+    truedep)`` and check its accounting identity."""
+    stats, cycles, instructions, truedep = out
     policy_name = "perfect" if config.perfect_cache else config.policy.name
     result = SimulationResult(
         workload=workload.name,
@@ -419,4 +457,3 @@ def _simulate_impl(
     if config.issue_width == 1 and not config.perfect_cache:
         result.verify_accounting()
     return result
-

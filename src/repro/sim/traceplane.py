@@ -266,7 +266,7 @@ class TracePlane:
     ) -> Optional[StreamHandle]:
         """Publish (or re-reference) the group's event-stream segment.
 
-        The fused engine's policy replay reads only the stream's
+        A policy sibling's replay reads only the stream's
         line-address buffers; publishing them once lets every worker
         replaying a policy sibling attach zero-copy instead of
         re-deriving the lines from its trace.  Failures degrade exactly

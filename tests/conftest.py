@@ -7,6 +7,7 @@ import pytest
 from repro.cache.geometry import CacheGeometry
 from repro.cache.memory import PipelinedMemory
 from repro.sim.simulator import clear_caches
+from tests.helpers import compiler_hidden
 
 
 @pytest.fixture(autouse=True)
@@ -39,6 +40,13 @@ def _fresh_telemetry(monkeypatch):
     yield
     telemetry.reset()
     telemetry.set_enabled(None)
+
+
+@pytest.fixture
+def no_compiler():
+    """The whole test on the no-compiler path (C lanes fall back)."""
+    with compiler_hidden():
+        yield
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from repro.cli import main
 from repro.core.policies import mc
 from repro.cpu import ckernel
 from repro.sim.config import baseline_config
-from repro.sim.simulator import clear_caches, simulate
+from repro.sim.simulator import clear_caches, simulate, simulate_reference
 from repro.workloads.spec92 import get_benchmark
 
 needs_cc = pytest.mark.skipif(
@@ -164,30 +164,25 @@ class TestDualIssueDriver:
             config = replace(baseline_config(mc(1)), geometry=ASSOC,
                              issue_width=width)
             clear_caches()
-            c = simulate(workload, config, load_latency=10, scale=0.05,
-                         engine="cnative")
-            assert c == simulate(workload, config, load_latency=10,
-                                 scale=0.05, engine="reference")
+            c = simulate(workload, config, load_latency=10, scale=0.05)
+            assert c == simulate_reference(workload, config,
+                                           load_latency=10, scale=0.05)
         assert [k._binding.name for k in ckernel.loaded_kernels()] == [
             "ctypes"]
 
 
 class TestNoCompilerFallback:
-    @pytest.fixture
-    def no_compiler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CC", "no-such-compiler-xyz")
-        ckernel.reset_probe()
-        yield
-        ckernel.reset_probe()
-
-    def test_probe_and_build_refuse(self, no_compiler):
+    def test_probe_and_build_refuse(self, no_compiler, monkeypatch):
+        # As in a fresh process: no kernel loaded, no failure memoized.
+        monkeypatch.setattr(ckernel, "_KERNEL", None)
+        monkeypatch.setattr(ckernel, "_BUILD_FAILURE", None)
         assert ckernel.find_compiler() is None
         assert not ckernel.kernels_available()
         with pytest.raises(ckernel.KernelBuildError, match="no C compiler"):
             ckernel.ensure_kernel()
 
     def test_simulate_degrades_bit_identically(self, no_compiler):
-        # Pinning cnative without a toolchain must return the exact
+        # Without a toolchain a C-lane cell must return the exact
         # reference numbers via the scalar replay fallback, and tag
         # the degradation under engine.cnative.fallback.nocc.
         workload = get_benchmark("eqntott")
@@ -198,14 +193,14 @@ class TestNoCompilerFallback:
             total = _counter("engine.cnative.fallbacks")
             nocc = _counter("engine.cnative.fallback.nocc")
             degraded = simulate(workload, config, load_latency=10,
-                                scale=0.1, engine="cnative")
+                                scale=0.1)
             assert _counter("engine.cnative.fallbacks") == total + 1
             assert _counter("engine.cnative.fallback.nocc") == nocc + 1
         finally:
             telemetry.set_enabled(None)
             clear_caches()
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
+        reference = simulate_reference(workload, config, load_latency=10,
+                                       scale=0.1)
         assert degraded == reference
 
 
@@ -230,7 +225,7 @@ class TestBuildFailureFallback:
             clear_caches()
             build = _counter("engine.cnative.fallback.build")
             degraded = [simulate(workload, config, load_latency=latency,
-                                 scale=0.1, engine="cnative")
+                                 scale=0.1)
                         for config, latency in cells]
             assert _counter("engine.cnative.fallback.build") == build + 3
         finally:
@@ -238,9 +233,8 @@ class TestBuildFailureFallback:
             clear_caches()
         assert attempts == [1]
         for (config, latency), result in zip(cells, degraded):
-            assert result == simulate(workload, config,
-                                      load_latency=latency, scale=0.1,
-                                      engine="reference")
+            assert result == simulate_reference(
+                workload, config, load_latency=latency, scale=0.1)
 
 
 class TestCnativeTelemetry:
@@ -252,18 +246,16 @@ class TestCnativeTelemetry:
             telemetry.set_enabled(True)
             clear_caches()
             before = _counter("engine.cnative.replays")
-            simulate(workload, config, load_latency=10, scale=0.1,
-                     engine="cnative")
+            simulate(workload, config, load_latency=10, scale=0.1)
             assert _counter("engine.cnative.replays") == before + 1
         finally:
             telemetry.set_enabled(None)
             clear_caches()
 
     @needs_cc
-    def test_auto_runs_direct_mapped_cells_in_c(self, monkeypatch):
-        # Under the default engine a direct-mapped cell with long
-        # resident phases (eqntott, mc=1) replays in the C kernel.
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_direct_mapped_cells_run_in_c(self):
+        # A direct-mapped cell with long resident phases (eqntott,
+        # mc=1) replays in the C kernel too.
         workload = get_benchmark("eqntott")
         config = baseline_config(mc(1))
         assert config.geometry.is_direct_mapped
@@ -271,8 +263,7 @@ class TestCnativeTelemetry:
             telemetry.set_enabled(True)
             clear_caches()
             before = _counter("engine.cnative.replays")
-            simulate(workload, config, load_latency=10, scale=0.1,
-                     engine="auto")
+            simulate(workload, config, load_latency=10, scale=0.1)
             assert _counter("engine.cnative.replays") == before + 1
         finally:
             telemetry.set_enabled(None)
@@ -289,13 +280,12 @@ class TestCnativeTelemetry:
             telemetry.set_enabled(True)
             clear_caches()
             policy = _counter("engine.cnative.fallback.policy")
-            out = simulate(workload, config, load_latency=10, scale=0.1,
-                           engine="cnative")
+            out = simulate(workload, config, load_latency=10, scale=0.1)
             counted = _counter("engine.cnative.fallback.policy")
         finally:
             telemetry.set_enabled(None)
             clear_caches()
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
+        reference = simulate_reference(workload, config, load_latency=10,
+                                       scale=0.1)
         assert out == reference
         assert counted == policy + 1

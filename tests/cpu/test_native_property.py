@@ -34,9 +34,10 @@ from repro.core.policies import (
 )
 from repro.cpu import ckernel
 from repro.sim.config import baseline_config
-from repro.sim.simulator import clear_caches, simulate
+from repro.sim.simulator import clear_caches, simulate, simulate_reference
 from repro.workloads.patterns import Strided
 from repro.workloads.workload import Workload
+from tests.helpers import compiler_hidden
 
 #: Small enough that the random footprints straddle resident and
 #: streaming, so batched hit runs end (and restart) mid-trace.
@@ -115,13 +116,11 @@ def test_cnative_lane_matches_reference(workload, policy, latency,
         telemetry.set_enabled(True)
         clear_caches()
         replays = telemetry.counter("engine.cnative.replays").value
-        cnative = simulate(workload, config, load_latency=latency,
-                           engine="cnative")
+        cnative = simulate(workload, config, load_latency=latency)
         ran_in_c = telemetry.counter("engine.cnative.replays").value
     finally:
         telemetry.set_enabled(None)
-    reference = simulate(workload, config, load_latency=latency,
-                         engine="reference")
+    reference = simulate_reference(workload, config, load_latency=latency)
     assert ran_in_c == replays + 1
     assert cnative == reference
 
@@ -140,8 +139,7 @@ def test_scalar_replay_matches_reference(workload, policy, latency,
     # needs no compiler to run it.
     geometry = replace(GEOMETRY, associativity=associativity)
     config = replace(baseline_config(policy), geometry=geometry)
-    scalar = simulate(workload, config, load_latency=latency,
-                      engine="fused")
-    reference = simulate(workload, config, load_latency=latency,
-                         engine="reference")
+    with compiler_hidden():
+        scalar = simulate(workload, config, load_latency=latency)
+    reference = simulate_reference(workload, config, load_latency=latency)
     assert scalar == reference

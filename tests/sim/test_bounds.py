@@ -38,7 +38,7 @@ from repro.sim.bounds import (
 )
 from repro.sim.stream import event_stream
 from repro.sim.config import MachineConfig, baseline_config
-from repro.sim.simulator import clear_caches, simulate
+from repro.sim.simulator import clear_caches, simulate, simulate_reference
 from repro.workloads.patterns import Strided
 from repro.workloads.spec92 import get_benchmark
 from repro.workloads.workload import Workload
@@ -112,8 +112,8 @@ def test_bounds_contain_reference_cycles(workload, policy, geometry,
                            miss_penalty=16, issue_width=1)
     b = cell_bounds(workload, config, latency, 1.0)
     assert b is not None, "single-issue ideal-WB cells must be boundable"
-    ref = simulate(workload, config, load_latency=latency, scale=1.0,
-                   engine="reference")
+    ref = simulate_reference(workload, config, load_latency=latency,
+                             scale=1.0)
     assert b.instructions == ref.instructions
     assert b.lower_cycles <= ref.cycles <= b.upper_cycles
     if b.exact:

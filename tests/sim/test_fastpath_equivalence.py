@@ -1,12 +1,14 @@
-"""The optimized engine's timing contract: bit-identical results.
+"""The simulator's timing contract: bit-identical results.
 
-The two-tier engine (inline hit fast path + per-trace specialized
-runner, ``docs/performance.md``) must produce *exactly* the
-:class:`~repro.sim.stats.SimulationResult` the reference loops
-produce -- cycles, MCPI, and the complete ``MissStats`` including
-histograms -- for every MSHR policy family, cache geometry, write
-buffer, issue width, and warmup setting.  ``SimulationResult`` is a
-frozen dataclass, so ``==`` compares every field.
+Whatever lane a cell takes -- closed form, replay, the dual-issue
+driver or the two-tier interpreter (inline hit fast path + per-trace
+specialized runner, ``docs/performance.md``) -- ``simulate`` must
+produce *exactly* the :class:`~repro.sim.stats.SimulationResult` the
+reference loops produce (:func:`repro.sim.simulator.simulate_reference`)
+-- cycles, MCPI, and the complete ``MissStats`` including histograms --
+for every MSHR policy family, cache geometry, write buffer, issue
+width, and warmup setting.  ``SimulationResult`` is a frozen
+dataclass, so ``==`` compares every field.
 """
 
 from dataclasses import replace
@@ -26,7 +28,7 @@ from repro.core.policies import (
     no_restrict,
 )
 from repro.sim.config import baseline_config
-from repro.sim.simulator import simulate
+from repro.sim.simulator import simulate, simulate_reference
 from repro.workloads.spec92 import get_benchmark
 
 #: Every policy family the paper studies (Section 4), by label.
@@ -52,8 +54,8 @@ BENCHMARKS = ["eqntott", "ora", "tomcatv"]
 def run_both(workload, config, latency=10, scale=0.25, warmup=0.0):
     fast = simulate(workload, config, load_latency=latency, scale=scale,
                     warmup=warmup)
-    slow = simulate(workload, config, load_latency=latency, scale=scale,
-                    warmup=warmup, engine="reference")
+    slow = simulate_reference(workload, config, load_latency=latency,
+                              scale=scale, warmup=warmup)
     return fast, slow
 
 

@@ -1,13 +1,14 @@
 """Policy-sibling fusion's timing contract: bit-identical results.
 
-The fused engine (one stream pass per group + a compiled replay
-kernel or functional closed form per policy sibling,
-``docs/performance.md``) must produce *exactly* the
-:class:`~repro.sim.stats.SimulationResult` per-cell execution
-produces -- cycles, stall accounting, and the complete ``MissStats``
-including histograms -- across every baseline policy, both issue
-widths, and the paper's cache-geometry corners.  ``SimulationResult``
-is a frozen dataclass, so ``==`` compares every field.
+Every lane -- the closed form and the replay over one stream pass per
+group (``docs/performance.md``), in the C kernel or the scalar
+fallback, the dual-issue driver and the per-cell interpreter -- must
+produce *exactly* the :class:`~repro.sim.stats.SimulationResult` the
+reference loops produce -- cycles, stall accounting, and the complete
+``MissStats`` including histograms -- across every baseline policy,
+both issue widths, and the paper's cache-geometry corners.
+``SimulationResult`` is a frozen dataclass, so ``==`` compares every
+field.
 """
 
 from __future__ import annotations
@@ -25,10 +26,18 @@ from repro.core.policies import (
     no_restrict,
 )
 from repro.cpu import ckernel
+from repro.cpu.pipeline import run_single_issue
+from repro.cpu.reference import run_single_issue_reference
 from repro.sim import stream as stream_mod
 from repro.sim.config import baseline_config
-from repro.sim.simulator import clear_caches, fusion_default, simulate
+from repro.sim.simulator import (
+    clear_caches,
+    expand_workload,
+    simulate,
+    simulate_reference,
+)
 from repro.workloads.spec92 import get_benchmark
+from tests.helpers import compiler_hidden
 
 #: The two geometry corners the sweep figures pivot on.
 GEOMETRIES = [
@@ -39,29 +48,48 @@ GEOMETRIES = [
 POLICIES = [(policy.name, policy) for policy in baseline_policies()]
 
 
-def run_fused_and_unfused(workload, config, latency=10, scale=0.1):
-    fused = simulate(workload, config, load_latency=latency, scale=scale)
-    unfused = simulate(workload, config, load_latency=latency, scale=scale,
-                       engine="fastpath")
-    return fused, unfused
+def _interpret(run, config, warmup=0.0):
+    """One cell on an interpreter loop: ``(stats, cycles, instr, truedep)``."""
+    _, trace = expand_workload(get_benchmark("eqntott"), 10, scale=0.1)
+    handler = config.make_handler()
+    counts = run(trace, handler,
+                 warmup_executions=int(trace.executions * warmup))
+    return (handler.stats,) + counts
 
 
-class TestPolicySiblingEquivalence:
+class TestInterpreterEquivalence:
+    """The per-cell interpreter against the reference loop, directly.
+
+    ``simulate`` runs :func:`repro.cpu.pipeline.run_single_issue` only
+    for interp-lane cells (a finite write buffer, a warmup discard, a
+    single-issue perfect cache), which may carry any policy, so the
+    interpreter gets the full policy x geometry matrix on fresh
+    handlers.
+    """
+
     @pytest.mark.parametrize("label,policy", POLICIES,
                              ids=[label for label, _ in POLICIES])
     @pytest.mark.parametrize("geo_label,geometry", GEOMETRIES,
                              ids=[label for label, _ in GEOMETRIES])
-    @pytest.mark.parametrize("issue_width", [1, 2])
-    def test_fused_matches_unfused(self, label, policy, geo_label,
-                                   geometry, issue_width):
-        workload = get_benchmark("eqntott")
-        config = replace(
-            baseline_config().with_policy(policy),
-            geometry=geometry, issue_width=issue_width,
-        )
-        fused, unfused = run_fused_and_unfused(workload, config)
-        assert fused == unfused
+    @pytest.mark.parametrize("write_buffer_depth", [None, 2],
+                             ids=["ideal-wb", "wb2"])
+    def test_interpreter_matches_reference(self, label, policy, geo_label,
+                                           geometry, write_buffer_depth):
+        config = replace(baseline_config().with_policy(policy),
+                         geometry=geometry,
+                         write_buffer_depth=write_buffer_depth)
+        assert _interpret(run_single_issue, config) == \
+            _interpret(run_single_issue_reference, config)
 
+    @pytest.mark.parametrize("label,policy", POLICIES,
+                             ids=[label for label, _ in POLICIES])
+    def test_warmup_matches_reference(self, label, policy):
+        config = baseline_config().with_policy(policy)
+        assert _interpret(run_single_issue, config, warmup=0.25) == \
+            _interpret(run_single_issue_reference, config, warmup=0.25)
+
+
+class TestPolicySiblingEquivalence:
     @pytest.mark.parametrize("label,policy", POLICIES,
                              ids=[label for label, _ in POLICIES])
     def test_fused_matches_reference_engine(self, label, policy):
@@ -71,22 +99,9 @@ class TestPolicySiblingEquivalence:
         workload = get_benchmark("ora")
         config = baseline_config().with_policy(policy)
         fused = simulate(workload, config, load_latency=10, scale=0.1)
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
+        reference = simulate_reference(workload, config, load_latency=10,
+                                       scale=0.1)
         assert fused == reference
-
-    def test_env_opt_out(self, monkeypatch):
-        # REPRO_ENGINE=fastpath turns fusion off; results stay identical
-        # because fusion never changes numbers, only how they're made.
-        monkeypatch.setenv("REPRO_ENGINE", "fastpath")
-        assert not fusion_default()
-        workload = get_benchmark("compress")
-        config = baseline_config().with_policy(no_restrict())
-        off = simulate(workload, config, load_latency=10, scale=0.1)
-        monkeypatch.delenv("REPRO_ENGINE")
-        assert fusion_default()
-        on = simulate(workload, config, load_latency=10, scale=0.1)
-        assert on == off
 
     def test_replay_kernel_is_cached_per_sibling(self):
         # Two siblings over one stream compile two kernels; re-running
@@ -132,11 +147,12 @@ class TestCnativeEquivalence:
     """The compiled-C replay kernels under the same contract.
 
     The full matrix -- every baseline policy at every geometry corner,
-    direct-mapped and associative, both issue widths -- pinned to
-    ``engine="cnative"`` and compared bit-identically against the
-    reference interpreter.  Dual-issue cells run in the C dual-issue
-    driver, blocking and perfect caches included; out-of-envelope
-    cells (a finite write buffer) exercise the transparent fallback.
+    direct-mapped and associative, both issue widths -- run in the C
+    kernel and compared bit-identically against the scalar replay (the
+    same cell without a compiler) or the reference interpreter.
+    Dual-issue cells run in the C dual-issue driver, blocking and
+    perfect caches included; out-of-envelope cells (a finite write
+    buffer) exercise the transparent fallback.
     """
 
     @needs_cc
@@ -149,10 +165,9 @@ class TestCnativeEquivalence:
         config = replace(
             baseline_config().with_policy(policy), geometry=geometry,
         )
-        cnative = simulate(workload, config, load_latency=10, scale=0.1,
-                           engine="cnative")
-        fused = simulate(workload, config, load_latency=10, scale=0.1,
-                         engine="fused")
+        cnative = simulate(workload, config, load_latency=10, scale=0.1)
+        with compiler_hidden():
+            fused = simulate(workload, config, load_latency=10, scale=0.1)
         assert cnative == fused
 
     @needs_cc
@@ -163,14 +178,13 @@ class TestCnativeEquivalence:
                                               issue_width):
         # Strongest cross-check for the C tier: against the
         # unoptimized cpu/reference.py loops, which share no code with
-        # the stream pass, the replay kernels, or the generated C.
+        # the stream pass, the replay kernels, or the C kernel.
         workload = get_benchmark("ora")
         config = replace(baseline_config().with_policy(policy),
                          issue_width=issue_width)
-        cnative = simulate(workload, config, load_latency=10, scale=0.1,
-                           engine="cnative")
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
+        cnative = simulate(workload, config, load_latency=10, scale=0.1)
+        reference = simulate_reference(workload, config, load_latency=10,
+                                       scale=0.1)
         assert cnative == reference
 
     @needs_cc
@@ -184,9 +198,9 @@ class TestCnativeEquivalence:
         config = replace(baseline_config().with_policy(policy),
                          geometry=geometry, issue_width=2)
         cnative, ran = _run_counting("engine.cnative.dual_issue", workload,
-                                     config, engine="cnative")
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
+                                     config)
+        reference = simulate_reference(workload, config, load_latency=10,
+                                       scale=0.1)
         assert cnative == reference
         assert ran == 1
 
@@ -201,9 +215,9 @@ class TestCnativeEquivalence:
         workload = get_benchmark(name)
         config = replace(config, issue_width=2)
         cnative, ran = _run_counting("engine.cnative.dual_issue", workload,
-                                     config, engine="cnative")
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
+                                     config)
+        reference = simulate_reference(workload, config, load_latency=10,
+                                       scale=0.1)
         assert cnative == reference
         assert ran == 1
 
@@ -213,9 +227,9 @@ class TestCnativeEquivalence:
         config = replace(baseline_config(mc(1)), issue_width=2,
                          write_buffer_depth=4)
         out, policy = _run_counting("engine.cnative.fallback.policy",
-                                    workload, config, engine="cnative")
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
+                                    workload, config)
+        reference = simulate_reference(workload, config, load_latency=10,
+                                       scale=0.1)
         assert out == reference
         assert policy == 1
 
@@ -232,25 +246,23 @@ class TestCnativeEquivalence:
         workload = get_benchmark("compress")
         config = replace(baseline_config().with_policy(no_restrict()),
                          geometry=geometry)
-        cnative = simulate(workload, config, load_latency=10, scale=0.2,
-                           engine="cnative")
-        fused = simulate(workload, config, load_latency=10, scale=0.2,
-                         engine="fused")
+        cnative = simulate(workload, config, load_latency=10, scale=0.2)
+        with compiler_hidden():
+            fused = simulate(workload, config, load_latency=10, scale=0.2)
         assert cnative == fused
 
     @needs_cc
     def test_cnative_kernels_cached_per_tier(self):
-        # An associative cell pinned to cnative caches its callable
-        # under the tier-distinct key, never aliasing the scalar one.
+        # The C kernel's callable is cached under a distinct key on the
+        # stream, never aliasing the scalar one bound without a
+        # compiler.
         workload = get_benchmark("eqntott")
         assoc = CacheGeometry(size=8192, line_size=32, associativity=4)
-        clear_caches()
         config = replace(baseline_config().with_policy(mc(1)),
                          geometry=assoc)
-        simulate(workload, config, load_latency=10, scale=0.1,
-                 engine="cnative")
-        simulate(workload, config, load_latency=10, scale=0.1,
-                 engine="fused")
+        with compiler_hidden():
+            simulate(workload, config, load_latency=10, scale=0.1)
+        simulate(workload, config, load_latency=10, scale=0.1)
         stream = stream_mod.event_stream(workload, 10, 0.1, 32)
         tiers = {key[0] if isinstance(key[0], str) else "scalar"
                  for key in stream._replay_fns}
@@ -258,20 +270,19 @@ class TestCnativeEquivalence:
         clear_caches()
 
 
-def _run_counting(name, workload, config, engine="auto"):
+def _run_counting(name, workload, config):
     """Simulate one cell; return the result and how far ``name`` moved."""
     try:
         telemetry.set_enabled(True)
         before = telemetry.counter(name).value
-        result = simulate(workload, config, load_latency=10, scale=0.1,
-                          engine=engine)
+        result = simulate(workload, config, load_latency=10, scale=0.1)
         return result, telemetry.counter(name).value - before
     finally:
         telemetry.set_enabled(None)
 
 
 class TestScalarFallbackEquivalence:
-    """The scalar replay behind ``auto`` when no C kernel can be had.
+    """The scalar replay and reference loop when no C kernel can be had.
 
     Every replayable or dual-issue cell is routed to the C kernels
     first.  With no compiler, or with a build that fails, it must
@@ -280,17 +291,6 @@ class TestScalarFallbackEquivalence:
     reference interpreter bit for bit.  The compiler is forced away
     rather than required, so these run on any host.
     """
-
-    @pytest.fixture
-    def no_compiler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CC", "no-such-compiler-xyz")
-        ckernel.reset_probe()
-        # Streams cache bound C kernels; drop them so nothing bound
-        # by an earlier test bypasses the probe.
-        clear_caches()
-        yield
-        ckernel.reset_probe()
-        clear_caches()
 
     @pytest.fixture
     def failing_build(self, monkeypatch):
@@ -317,8 +317,8 @@ class TestScalarFallbackEquivalence:
         )
         degraded, nocc = _run_counting("engine.cnative.fallback.nocc",
                                        workload, config)
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
+        reference = simulate_reference(workload, config, load_latency=10,
+                                       scale=0.1)
         assert degraded == reference
         # Blocking cells take the closed form and never ask for C.
         assert nocc == (0 if policy.blocking else 1)
@@ -331,8 +331,8 @@ class TestScalarFallbackEquivalence:
         config = baseline_config().with_policy(policy)
         degraded, build = _run_counting("engine.cnative.fallback.build",
                                         workload, config)
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
+        reference = simulate_reference(workload, config, load_latency=10,
+                                       scale=0.1)
         assert degraded == reference
         assert build == (0 if policy.blocking else 1)
 
@@ -345,8 +345,8 @@ class TestScalarFallbackEquivalence:
                          issue_width=2)
         degraded, nocc = _run_counting("engine.cnative.fallback.nocc",
                                        workload, config)
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
+        reference = simulate_reference(workload, config, load_latency=10,
+                                       scale=0.1)
         assert degraded == reference
         # Every dual-issue cell asks for C, blocking ones included.
         assert nocc == 1
@@ -360,7 +360,7 @@ class TestScalarFallbackEquivalence:
                          issue_width=2)
         degraded, build = _run_counting("engine.cnative.fallback.build",
                                         workload, config)
-        reference = simulate(workload, config, load_latency=10, scale=0.1,
-                             engine="reference")
+        reference = simulate_reference(workload, config, load_latency=10,
+                                       scale=0.1)
         assert degraded == reference
         assert build == 1

@@ -18,6 +18,7 @@ from repro.sim.parallel import (
     pool_stats,
     shutdown_pool,
 )
+from repro.sim.simulator import simulate_reference
 from repro.sim.sweep import run_table
 from repro.workloads.spec92 import get_benchmark
 
@@ -138,11 +139,12 @@ class TestPersistentPool:
             "active", "workers", "created", "reused", "shutdowns",
         }
 
-    def test_fresh_pool_opt_out(self):
+    def test_fresh_pool_opt_out(self, monkeypatch):
         shutdown_pool()
         cells = self._cells()
         serial = dispatch(cells, workers=1)
-        assert dispatch(cells, workers=2, reuse_pool=False) == serial
+        monkeypatch.setenv("REPRO_POOL_PERSIST", "0")
+        assert dispatch(cells, workers=2) == serial
         assert not pool_stats()["active"]  # private pool already gone
 
 
@@ -174,7 +176,6 @@ class TestKernelPrebuild:
     @staticmethod
     def _prebuild(monkeypatch, configs, fail=False):
         """Run the prebuild over ``configs``; return its build calls."""
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         monkeypatch.setattr(ckernel, "kernels_available", lambda: True)
         calls = []
 
@@ -218,7 +219,6 @@ class TestDualIssuePrebuild:
         # Dual-issue cells run in the C kernel too, so the parent
         # builds it before forking instead of leaving each worker to
         # compile it.
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         ckernel.reset_probe()
         configs = [replace(baseline_config(policy), issue_width=2)
                    for policy in (blocking_cache(write_allocate=True),
@@ -257,6 +257,20 @@ class TestParallelMatchesSerial:
                 assert a.instructions == b.instructions
                 assert a.miss.primary_misses == b.miss.primary_misses
                 assert a.miss.miss_inflight_hist == b.miss.miss_inflight_hist
+
+    def test_pooled_sweep_matches_reference(self):
+        """The CI smoke sweep's cells, pooled, equal the reference loops."""
+        cells = [
+            (get_benchmark(name), baseline_config(policy), 10, 0.05)
+            for name in ("xlisp", "eqntott")
+            for policy in (mc(1), no_restrict())
+        ]
+        results = dispatch(cells, workers=2)
+        assert results == [
+            simulate_reference(workload, config, load_latency=latency,
+                               scale=scale)
+            for workload, config, latency, scale in cells
+        ]
 
     def test_ratio_queries_work_on_parallel_tables(self):
         workloads = [get_benchmark("ora")]

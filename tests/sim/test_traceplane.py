@@ -218,7 +218,8 @@ class TestPoolIntegration:
         finally:
             shutdown_pool()
 
-    def test_plane_path_matches_serial_and_cleans_up(self):
+    def test_plane_path_matches_serial_and_cleans_up(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM", "1")
         cells = [
             (get_benchmark(name), baseline_config(policy), latency, 0.05)
             for name in ("ora", "eqntott")
@@ -229,13 +230,14 @@ class TestPoolIntegration:
         clear_caches()
         before = shm_segments()
         try:
-            assert dispatch(cells, workers=2, trace_plane=True) == serial
+            assert dispatch(cells, workers=2) == serial
         finally:
             shutdown_pool()
         assert traceplane.plane().live_segments() == 0
         assert shm_segments() == before
 
-    def test_worker_failure_names_the_cell_and_cleans_up(self):
+    def test_worker_failure_names_the_cell_and_cleans_up(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM", "1")
         good = get_benchmark("ora")
         cells = [
             (good, baseline_config(mc(1)), 10, 0.05),
@@ -246,7 +248,7 @@ class TestPoolIntegration:
         before = shm_segments()
         try:
             with pytest.raises(CellExecutionError) as err:
-                dispatch(cells, workers=2, trace_plane=True)
+                dispatch(cells, workers=2)
             message = str(err.value)
             assert "workload='poison'" in message
             assert "load_latency=10" in message

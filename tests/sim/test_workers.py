@@ -340,11 +340,12 @@ class TestDispatch:
     @pytest.mark.parametrize("trace_plane", [True, False])
     @pytest.mark.parametrize("reuse_pool", [True, False])
     def test_pool_strategy_never_changes_results(self, reuse_pool,
-                                                 trace_plane):
+                                                 trace_plane, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_PERSIST", "1" if reuse_pool else "0")
+        monkeypatch.setenv("REPRO_SHM", "1" if trace_plane else "0")
         cells = _two_workload_cells()
         serial = dispatch(cells, workers=1)
-        assert dispatch(cells, workers=2, reuse_pool=reuse_pool,
-                        trace_plane=trace_plane) == serial
+        assert dispatch(cells, workers=2) == serial
         assert pool_stats()["active"] == reuse_pool
 
     def test_single_cell_never_leases_the_pool(self):
@@ -392,8 +393,8 @@ class TestCellsCrossTheProcessBoundary:
 
 
 class TestSimulateSelectors:
-    @pytest.mark.parametrize("keyword", ["fast_path", "fusion"])
-    def test_engine_is_the_only_per_call_selector(self, keyword):
+    @pytest.mark.parametrize("keyword", ["fast_path", "fusion", "engine"])
+    def test_simulate_has_no_per_call_selector(self, keyword):
         assert keyword not in inspect.signature(simulate).parameters
         with pytest.raises(TypeError, match=keyword):
             simulate(get_benchmark("ora"), baseline_config(mc(1)),

@@ -100,6 +100,28 @@ class TestCommands:
         assert "tomcatv" in out
 
 
+class TestEnginesCommand:
+    def test_reports_where_each_lane_runs(self, capsys):
+        from repro.cpu import ckernel
+
+        assert main(["engines"]) == 0
+        out = capsys.readouterr().out
+        assert "kernel cache:" in out
+        for lane in ("closed_form", "replay", "dual", "interp"):
+            assert lane in out
+        if ckernel.kernels_available():
+            assert "C kernel" in out
+
+    def test_without_compiler_names_the_fallbacks(self, no_compiler,
+                                                  capsys):
+        assert main(["engines"]) == 0
+        out = capsys.readouterr().out
+        assert "C compiler: none found" in out
+        assert "scalar replay" in out
+        assert "reference dual-issue loop" in out
+        assert "C kernel" not in out
+
+
 class TestReport:
     def test_report_renders_full_dossier(self, capsys):
         assert main(["report", "ora", "--scale", "0.05"]) == 0

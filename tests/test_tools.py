@@ -45,33 +45,33 @@ def test_generate_experiments_md_writes_file(monkeypatch, capsys, tmp_path):
 
 
 def test_perfbench_smoke_writes_bench_json(monkeypatch, capsys, tmp_path):
+    # The default run's two gated measurements, shrunk to a wiring
+    # check: CI runs the full smoke with the gates.
     tool = load_tool("perfbench")
-    target = tmp_path / "BENCH_engine.json"
-    cache_target = tmp_path / "BENCH_sweepcache.json"
+    monkeypatch.setattr(tool, "FUSION_SMOKE_BENCHMARKS", ("eqntott", "ora"))
+    monkeypatch.setattr(tool, "TELEMETRY_MIN_REPEATS", 2)
+    monkeypatch.setattr(tool, "TELEMETRY_MICRO_REPS", 20)
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "fusion.json"
     monkeypatch.setattr(sys, "argv", [
-        "perfbench.py", "--smoke", "--out", str(target),
-        "--sweepcache-out", str(cache_target),
+        "perfbench.py", "--smoke", "--fusion-out", str(target),
     ])
     tool.main()
     out = capsys.readouterr().out
-    assert "serial engine throughput" in out
-    assert "parallel sweep" in out
-    assert "memoized sweep" in out
+    assert "cold multi-policy sweep" in out
+    assert "telemetry overhead" in out
 
     import json
 
     payload = json.loads(target.read_text())
     assert payload["smoke"] is True
-    names = [row["workload"] for row in payload["serial"]]
-    assert "hitloop" in names
-    for row in payload["serial"]:
-        assert row["fast_ips"] > 0 and row["ref_ips"] > 0
-    assert payload["sweep"]["cells"] > 0
-    assert payload["sweep"]["grouped_fast_seconds"] > 0
-
-    cache_payload = json.loads(cache_target.read_text())
-    sweepcache = cache_payload["sweepcache"]
-    assert sweepcache["speedup"] > 0
-    assert sweepcache["warm_simulations"] == 0
-    assert sweepcache["bit_identical"] is True
-    assert sweepcache["unique_cells"] <= sweepcache["cells"]
+    fusion = payload["fusion"]
+    assert fusion["cells"] == 2 * fusion["policies"]
+    assert fusion["bit_identical"] is True
+    assert fusion["fused_seconds"] > 0 and fusion["unfused_seconds"] > 0
+    overhead = payload["telemetry_overhead"]
+    assert overhead["bit_identical"] is True
+    assert overhead["cell_ms"] > 0
+    # Nothing else is written: the default run has one payload.
+    assert [p.name for p in tmp_path.glob("*.json")] == ["fusion.json"]
+    assert not any((tmp_path / tool.SMOKE_DIR).iterdir())

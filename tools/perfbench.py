@@ -1,45 +1,29 @@
-"""Benchmark the execution engine and the memoized sweep pipeline.
+"""Benchmark gates for the execution lanes and the telemetry layer.
 
-Three measurements, mirroring the acceptance targets of
-``docs/performance.md`` and ``docs/caching.md``:
+The default run takes two gated measurements and writes both to
+``BENCH_fusion.json``:
 
-* **serial throughput** -- simulated instructions per second for the
-  optimized engine vs the reference loops, on hit-dominated workloads
-  (where the fast path matters) and a miss-heavy one (where it must
-  not hurt);
-* **sweep wall-clock** -- a benchmarks x policies MCPI sweep through
-  the cache-affine grouped pool vs the old one-task-per-cell pool
-  running the reference engine;
-* **sweep-cache wall-clock** -- a multi-figure cell suite executed
-  cold (empty result store: every distinct cell simulated once) and
-  warm (same store: a pure cache read), with bit-equality asserted
-  between the two passes.
+* **policy-sibling fusion** (``fusion``) -- a cold benchmarks x
+  policies sweep through ``simulate`` (one stream pass per group, each
+  sibling on its closed form or replay kernel) vs the per-cell
+  interpreter re-executing the trace for every sibling, results
+  asserted bit-identical; CI enforces a floor via ``--assert-speedup``;
+* **telemetry overhead** (``telemetry_overhead``) -- the fixed
+  per-cell cost of spans and counters against a realistic cell
+  length, results asserted bit-identical with telemetry on and off;
+  CI enforces ``--assert-overhead 2``.
 
-A fourth measurement covers **policy-sibling fusion** -- a cold
-benchmarks x policies sweep with the fused stream-pass + replay engine
-vs per-cell execution (``engine="fastpath"``), results asserted
-bit-identical; CI enforces a floor via ``--assert-speedup`` and the
-payload lands in ``BENCH_fusion.json``.
-
-A fifth covers the observability layer: **telemetry overhead** -- the
-same serial workload suite timed with telemetry enabled and disabled,
-results asserted bit-identical, and the relative cost reported (CI
-enforces ``--assert-overhead 2``: spans and counters ride the per-cell
-layer, never the per-instruction loops, so the cost must stay under
-2%).
-
-Engine results go to ``BENCH_engine.json``; the cold/warm comparison
-goes to ``BENCH_sweepcache.json``.  Both payloads embed the process's
-final telemetry snapshot under ``"telemetry"``, so a benchmark archive
-carries its own cells-simulated/store-hit provenance.  All engine
-timings use best-of-N over warmed compile/trace caches, so they
-measure the engines, not numpy expansion.
+Two more suites run on their own: ``bench_cnative`` (the C kernel vs
+the scalar replay, ``--assert-speedup``) and ``bench_screen`` (the
+screening tier's prune rate, ``--assert-prune``).
 
 Usage::
 
-    python tools/perfbench.py [--scale 1.0] [--repeats 3] [--out FILE]
+    python tools/perfbench.py [--scale 1.0] [--repeats 3]
     python tools/perfbench.py --smoke        # tiny, for CI
-    python tools/perfbench.py --smoke --assert-overhead 2
+    python tools/perfbench.py --smoke --assert-overhead 2 --assert-speedup 1.5
+    python tools/perfbench.py bench_cnative --smoke --assert-speedup 5
+    python tools/perfbench.py bench_screen --smoke --assert-prune 60
 
 Smoke runs are CI wiring checks, not measurements: unless an output
 path is given explicitly, ``--smoke`` writes its payloads under the
@@ -56,33 +40,26 @@ import os
 import statistics
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 from repro import telemetry
 from repro.analysis import format_table
 from repro.compiler.ir import KernelBuilder
-from repro.core.policies import (
-    baseline_policies,
-    blocking_cache,
-    mc,
-    no_restrict,
-    table13_policies,
-)
+from repro.core.policies import baseline_policies, blocking_cache
+from repro.cpu.pipeline import run_single_issue
 from repro.sim.config import baseline_config
-from repro.sim.parallel import (
-    _run_cell,
-    dispatch,
-    pool_stats,
-    shutdown_pool,
-)
-from repro.sim.planner import run_plan
-from repro.sim.simulator import clear_caches
 from repro.sim.resultstore import ResultStore
-from repro.sim.simulator import simulate
+from repro.sim.simulator import clear_caches, expand_workload, simulate
 from repro.workloads.patterns import Strided
 from repro.workloads.spec92 import get_benchmark
 from repro.workloads.workload import Workload
+
+#: Benchmarks of the smoke fusion sweep (the full run takes all 18).
+FUSION_SMOKE_BENCHMARKS = ("eqntott", "espresso", "doduc", "ora", "tomcatv",
+                           "xlisp")
+#: Telemetry overhead samples: at least this many on/off pairs, each
+#: timing this many calls of the microscopic cell.
+TELEMETRY_MIN_REPEATS = 16
+TELEMETRY_MICRO_REPS = 2000
 
 
 def make_hitloop(iterations: int = 200_000) -> Workload:
@@ -122,8 +99,7 @@ def redirect_smoke_outputs(args, parser) -> None:
     user set explicitly are left alone.
     """
     os.makedirs(SMOKE_DIR, exist_ok=True)
-    for attr in ("out", "sweepcache_out", "pool_out", "fusion_out",
-                 "cnative_out", "screen_out"):
+    for attr in ("fusion_out", "cnative_out", "screen_out"):
         default = parser.get_default(attr)
         if getattr(args, attr) == default:
             setattr(args, attr, os.path.join(SMOKE_DIR, default))
@@ -139,249 +115,41 @@ def best_of(repeats: int, fn):
     return best, result
 
 
-def bench_serial(workloads, scale: float, repeats: int):
-    """Instructions/second per engine for each workload."""
-    rows = []
-    for workload in workloads:
-        fast = simulate(workload, load_latency=10, scale=scale)
-        slow = simulate(workload, load_latency=10, scale=scale,
-                        engine="reference")
-        if fast != slow:
-            raise AssertionError(
-                f"engine divergence on {workload.name}"
-            )
-        t_fast, _ = best_of(repeats, lambda: simulate(
-            workload, load_latency=10, scale=scale))
-        t_ref, _ = best_of(repeats, lambda: simulate(
-            workload, load_latency=10, scale=scale, engine="reference"))
-        instr = fast.instructions
-        rows.append({
-            "workload": workload.name,
-            "instructions": instr,
-            "fast_ips": instr / t_fast,
-            "ref_ips": instr / t_ref,
-            "speedup": t_ref / t_fast,
-        })
-    return rows
-
-
-def _ungrouped_submit(cells, workers: int):
-    """Pre-grouping dispatch: one fresh-pool task per cell."""
-    if workers <= 1 or len(cells) <= 1:
-        return [_run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, cells))
-
-
-def bench_sweep(workloads, scale: float, repeats: int, workers: int):
-    """Wall-clock for a policy sweep: grouped+fast vs ungrouped+ref.
-
-    Runs the same fixed workload set as the serial benchmark (plus two
-    more SPEC models) across the policy spectrum, comparing the new
-    dispatch (cache-affine groups, optimized engine) against the
-    pre-PR path (one task per cell, reference engine).
-    """
-    policies = (blocking_cache(), mc(1), mc(2), no_restrict())
-    base = baseline_config()
-    cells = [
-        (workload, base.with_policy(policy), 10, scale)
-        for workload in workloads
-        for policy in policies
-    ]
-
-    t_grouped, grouped = best_of(
-        repeats, lambda: dispatch(cells, workers=workers)
-    )
-
-    def ungrouped_reference():
-        # Pool workers inherit the pinned engine from the environment.
-        saved = os.environ.get("REPRO_ENGINE")
-        os.environ["REPRO_ENGINE"] = "reference"
-        try:
-            return _ungrouped_submit(cells, workers=workers)
-        finally:
-            if saved is None:
-                del os.environ["REPRO_ENGINE"]
-            else:
-                os.environ["REPRO_ENGINE"] = saved
-
-    t_ungrouped, ungrouped = best_of(repeats, ungrouped_reference)
-    if grouped != ungrouped:
-        raise AssertionError("parallel sweep diverged from reference")
-    return {
-        "cells": len(cells),
-        "workers": workers,
-        "grouped_fast_seconds": t_grouped,
-        "ungrouped_ref_seconds": t_ungrouped,
-        "speedup": t_ungrouped / t_grouped,
-    }
-
-
-def figure_suite_chunks(scale: float):
-    """Three figure-shaped sweeps with realistic cross-figure overlap.
-
-    A slice of the fig5-style curves, the fig13 table, and the fig18
-    penalty sweep, as the three separate dispatches an ``experiments
-    all`` run would issue: the table's latency-10 row and the curves
-    share traces, and the unrestricted/blocking baselines recur
-    everywhere -- the overlap the persistent pool and trace plane
-    exist to exploit.
-    """
-    base = baseline_config()
-    curves = []
-    for bench in ("doduc", "xlisp"):
-        workload = get_benchmark(bench)
-        for policy in baseline_policies():
-            for latency in (1, 3, 10):
-                curves.append((workload, base.with_policy(policy),
-                               latency, scale))
-    table = []
-    for bench in ("doduc", "xlisp", "eqntott", "ora"):
-        workload = get_benchmark(bench)
-        for policy in table13_policies():
-            table.append((workload, base.with_policy(policy), 10, scale))
-    penalty = []
-    workload = get_benchmark("doduc")
-    for policy in (blocking_cache(), no_restrict()):
-        for pen in (8, 16, 32):
-            penalty.append((workload,
-                            replace(base, policy=policy, miss_penalty=pen),
-                            10, scale))
-    return [curves, table, penalty]
-
-
-def figure_suite_cells(scale: float):
-    """The chunks of :func:`figure_suite_chunks` as one flat cell list."""
-    return [cell for chunk in figure_suite_chunks(scale) for cell in chunk]
-
-
-def bench_sweepcache(scale: float, workers: int, repeats: int):
-    """Cold vs warm wall-clock for a multi-figure sweep.
-
-    Cold: empty store, every distinct cell simulated once.  Warm: the
-    same plan against the now-populated store -- zero simulations.
-    Both passes must be bit-identical to each other and to a direct
-    ``simulate`` call (spot-checked on one cell).
-    """
-    cells = figure_suite_cells(scale)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        store = ResultStore(tmp)
-
-        t0 = time.perf_counter()
-        cold_results, cold_report = run_plan(cells, workers=workers,
-                                             store=store)
-        t_cold = time.perf_counter() - t0
-
-        t_warm = float("inf")
-        warm_results, warm_report = None, None
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            warm_results, warm_report = run_plan(cells, workers=workers,
-                                                 store=store)
-            t_warm = min(t_warm, time.perf_counter() - t0)
-
-        if warm_results != cold_results:
-            raise AssertionError("warm sweep diverged from cold sweep")
-        if warm_report.simulated != 0:
-            raise AssertionError(
-                f"warm sweep re-simulated {warm_report.simulated} cells"
-            )
-        spot_workload, spot_config, spot_latency, spot_scale = cells[0]
-        direct = simulate(spot_workload, spot_config,
-                          load_latency=spot_latency, scale=spot_scale)
-        if direct != warm_results[0]:
-            raise AssertionError("cached result diverged from simulate()")
-
-    return {
-        "cells": len(cells),
-        "unique_cells": cold_report.unique,
-        "deduplicated": cold_report.deduplicated,
-        "workers": workers,
-        "cold_seconds": t_cold,
-        "warm_seconds": t_warm,
-        "speedup": t_cold / t_warm,
-        "warm_simulations": warm_report.simulated,
-        "bit_identical": True,
-    }
-
-
-def bench_pool(scale: float, workers: int, repeats: int):
-    """Cold multi-sweep wall-clock: persistent pool + trace plane vs
-    fresh pools + per-worker expansion.
-
-    Runs the three figure-shaped sweeps of :func:`figure_suite_chunks`
-    as consecutive dispatches, the way ``experiments all`` issues
-    them.  The new path keeps one warm pool across all three and
-    publishes each trace once into shared memory; the baseline is the
-    pre-PR behaviour -- a fresh ``ProcessPoolExecutor`` per dispatch,
-    every worker re-expanding its group's trace.  Parent caches are
-    cleared and the pool torn down before every pass, so both sides
-    start cold.  Results are asserted bit-identical to each other and
-    to serial ``simulate`` calls.
-    """
-    chunks = figure_suite_chunks(scale)
-
-    def run_multi(reuse: bool, plane: bool):
-        clear_caches()
-        shutdown_pool()
-        try:
-            return [
-                dispatch(chunk, workers=workers, reuse_pool=reuse,
-                          trace_plane=plane)
-                for chunk in chunks
-            ]
-        finally:
-            shutdown_pool()
-
-    t_new, new = best_of(repeats, lambda: run_multi(True, True))
-    t_base, base = best_of(repeats, lambda: run_multi(False, False))
-    if new != base:
-        raise AssertionError("trace-plane sweep diverged from baseline pool")
-    clear_caches()
-    serial = [
-        [simulate(w, c, load_latency=latency, scale=s)
-         for w, c, latency, s in chunk]
-        for chunk in chunks
-    ]
-    if new != serial:
-        raise AssertionError("pooled sweep diverged from serial simulate()")
-    return {
-        "sweeps": len(chunks),
-        "cells": sum(len(chunk) for chunk in chunks),
-        "workers": workers,
-        "persistent_plane_seconds": t_new,
-        "fresh_baseline_seconds": t_base,
-        "speedup": t_base / t_new,
-        "bit_identical": True,
-        "pool": pool_stats(),
-    }
-
-
 def bench_fusion(scale: float, repeats: int, smoke: bool):
     """Cold multi-policy sweep: policy-sibling fusion vs per-cell runs.
 
     The fusion target workload: every baseline policy over every
     benchmark at one latency -- the Figure 13 shape, where each
     (workload, latency, scale, line size) group is shared by seven
-    policy siblings.  Fused, the group's trace is expanded and its
-    event stream built once, blocking siblings collapse to the
-    functional closed form, and each non-blocking sibling runs only
-    its compiled replay kernel; unfused (``engine="fastpath"``, the
-    PR 4 baseline), every sibling re-executes the interpreter.  Caches are
-    cleared before every pass so both sides start cold, and the two
-    result lists are asserted bit-identical.
+    policy siblings.  Fused (``simulate``), the group's trace is
+    expanded and its event stream built once, blocking siblings
+    collapse to the functional closed form, and each non-blocking
+    sibling runs only its replay kernel.  Unfused, every sibling
+    re-executes the trace on the per-cell interpreter
+    (:func:`repro.cpu.pipeline.run_single_issue` on a fresh handler),
+    the work fusion exists to share.  Caches are cleared before every
+    pass so both sides start cold, and every unfused cell's
+    ``(stats, cycles, instructions, truedep)`` is asserted equal to the
+    fused result's.
 
     As with the telemetry benchmark, the run length is floored at half
     the calibrated scale even in smoke mode: fusion amortizes per-group
-    fixed costs (expansion, stream build, kernel compilation) over the
+    fixed costs (expansion, stream build, replay setup) over the
     replayed instructions, so microsecond cells measure only the fixed
     costs it exists to amortize.
     """
+    from repro.cpu import ckernel
     from repro.workloads.spec92 import BENCHMARK_ORDER
 
     scale = max(scale, 0.5)
-    names = (("eqntott", "espresso", "doduc", "ora", "tomcatv", "xlisp")
-             if smoke else tuple(BENCHMARK_ORDER))
+    # Load (or build) the C kernel before timing, as a pooled sweep's
+    # prebuild does: the gate measures fusion, never compilation.
+    if ckernel.kernels_available():
+        try:
+            ckernel.ensure_kernel()
+        except ckernel.KernelBuildError:
+            pass
+    names = FUSION_SMOKE_BENCHMARKS if smoke else tuple(BENCHMARK_ORDER)
     policies = baseline_policies()
     base = baseline_config()
     cells = [
@@ -390,17 +158,27 @@ def bench_fusion(scale: float, repeats: int, smoke: bool):
         for policy in policies
     ]
 
-    def run(engine=None):
+    def run_fused():
         clear_caches()
         return [
-            simulate(workload, config, load_latency=latency, scale=s,
-                     engine=engine)
+            simulate(workload, config, load_latency=latency, scale=s)
             for workload, config, latency, s in cells
         ]
 
-    t_fused, fused = best_of(repeats, run)
-    t_unfused, unfused = best_of(repeats, lambda: run("fastpath"))
-    if fused != unfused:
+    def run_unfused():
+        clear_caches()
+        out = []
+        for workload, config, latency, s in cells:
+            _, trace = expand_workload(workload, latency, scale=s)
+            handler = config.make_handler()
+            counts = run_single_issue(trace, handler)
+            out.append((handler.stats,) + counts)
+        return out
+
+    t_fused, fused = best_of(repeats, run_fused)
+    t_unfused, unfused = best_of(repeats, run_unfused)
+    if [(r.miss, r.cycles, r.instructions, r.truedep_stall_cycles)
+            for r in fused] != unfused:
         raise AssertionError("fused sweep diverged from unfused execution")
     clear_caches()
     return {
@@ -417,7 +195,7 @@ def bench_fusion(scale: float, repeats: int, smoke: bool):
 def bench_cnative(scale: float, repeats: int, smoke: bool):
     """Replay phase on streaming and associative cells: C vs scalar.
 
-    The compiled-C tier takes every replayable cell; it is measured on
+    The C kernel takes every replayable cell; it is measured on
     the cells where the scalar kernel's turbo lane helps least: two
     streaming FP models at the direct-mapped baseline corner and three
     set-associative corners.  Per workload the group's trace and
@@ -533,7 +311,7 @@ def bench_telemetry(workloads, scale: float, repeats: int):
     ``overhead_percent`` is their ratio.  Bit-identity of results with
     telemetry on vs off is still asserted on the realistic suite.
     """
-    repeats = max(repeats, 16)
+    repeats = max(repeats, TELEMETRY_MIN_REPEATS)
     scale = max(scale, 0.5)
 
     def run_suite():
@@ -541,7 +319,7 @@ def bench_telemetry(workloads, scale: float, repeats: int):
                 for workload in workloads]
 
     micro = make_hitloop(200)
-    micro_reps = 2000
+    micro_reps = TELEMETRY_MICRO_REPS
 
     def micro_sample(enabled: bool) -> float:
         telemetry.set_enabled(enabled)
@@ -846,8 +624,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench", nargs="?", default="all",
                         choices=("all", "bench_cnative", "bench_screen"),
-                        help="which suite to run: 'all' (default, the five "
-                             "historical measurements), "
+                        help="which suite to run: 'all' (default, the "
+                             "fusion and telemetry-overhead gates), "
                              "'bench_cnative' (the compiled-C kernel gate "
                              "only), or 'bench_screen' (analytical "
                              "screening tier vs exhaustive design-space "
@@ -859,14 +637,6 @@ def main() -> None:
                         help="run-length multiplier for the benchmarks")
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of-N timing repeats")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="pool size for the sweep benchmark")
-    parser.add_argument("--out", default="BENCH_engine.json")
-    parser.add_argument("--sweepcache-out", default="BENCH_sweepcache.json")
-    parser.add_argument("--pool-out", default="BENCH_pool.json")
-    parser.add_argument("--pool-workers", type=int, default=None,
-                        help="pool size for the trace-plane benchmark "
-                             "(default: max(4, --workers))")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny everything (CI wiring check, not a "
                              "meaningful measurement)")
@@ -906,60 +676,12 @@ def main() -> None:
     if args.smoke:
         args.scale = min(args.scale, 0.05)
         args.repeats = 1
-        workers = args.workers or 2
         hit_iterations = 20_000
     else:
-        workers = args.workers
         hit_iterations = 200_000
 
-    workloads = [
-        make_hitloop(hit_iterations),
-        get_benchmark("eqntott"),
-        get_benchmark("espresso"),
-        get_benchmark("ora"),
-    ]
-    serial = bench_serial(workloads, args.scale, args.repeats)
-    sweep_workloads = workloads + [
-        get_benchmark("tomcatv"), get_benchmark("xlisp"),
-    ]
-    sweep = bench_sweep(sweep_workloads, args.scale, args.repeats,
-                        workers or 2)
-
-    print("serial engine throughput (best of "
-          f"{args.repeats}, scale {args.scale}):\n")
-    print(format_table(
-        ["workload", "instructions", "fast M/s", "ref M/s", "speedup"],
-        [[r["workload"], r["instructions"],
-          round(r["fast_ips"] / 1e6, 2), round(r["ref_ips"] / 1e6, 2),
-          round(r["speedup"], 2)] for r in serial],
-    ))
-    print(f"\nparallel sweep, {sweep['cells']} cells, "
-          f"{sweep['workers']} workers:")
-    print(f"  grouped + fast engine : {sweep['grouped_fast_seconds']:.3f} s")
-    print(f"  ungrouped + reference : {sweep['ungrouped_ref_seconds']:.3f} s")
-    print(f"  speedup               : {sweep['speedup']:.2f}x")
-
-    sweepcache = bench_sweepcache(args.scale, workers or 2, args.repeats)
-    print(f"\nmemoized sweep, {sweepcache['cells']} cells "
-          f"({sweepcache['unique_cells']} unique, "
-          f"{sweepcache['deduplicated']} deduplicated), "
-          f"{sweepcache['workers']} workers:")
-    print(f"  cold (empty store)    : {sweepcache['cold_seconds']:.3f} s")
-    print(f"  warm (pure cache read): {sweepcache['warm_seconds']:.3f} s")
-    print(f"  speedup               : {sweepcache['speedup']:.1f}x")
-
-    pool_workers = args.pool_workers or max(4, workers or 0)
-    pool = bench_pool(args.scale, pool_workers, args.repeats)
-    print(f"\ncold multi-sweep ({pool['sweeps']} sweeps, "
-          f"{pool['cells']} cells), {pool['workers']} workers:")
-    print(f"  persistent pool + trace plane : "
-          f"{pool['persistent_plane_seconds']:.3f} s")
-    print(f"  fresh pools + local expansion : "
-          f"{pool['fresh_baseline_seconds']:.3f} s")
-    print(f"  speedup                       : {pool['speedup']:.2f}x")
-
     fusion = bench_fusion(args.scale, args.repeats, args.smoke)
-    print(f"\ncold multi-policy sweep ({fusion['benchmarks']} benchmarks x "
+    print(f"cold multi-policy sweep ({fusion['benchmarks']} benchmarks x "
           f"{fusion['policies']} policies, serial):")
     print(f"  fused (stream + replay)       : "
           f"{fusion['fused_seconds']:.3f} s")
@@ -967,64 +689,32 @@ def main() -> None:
           f"{fusion['unfused_seconds']:.3f} s")
     print(f"  speedup                       : {fusion['speedup']:.2f}x")
 
+    workloads = [
+        make_hitloop(hit_iterations),
+        get_benchmark("eqntott"),
+        get_benchmark("espresso"),
+        get_benchmark("ora"),
+    ]
     overhead = bench_telemetry(workloads, args.scale, args.repeats)
     print(f"\ntelemetry overhead (fixed per-cell cost vs realistic "
-          f"cells, best of {max(args.repeats, 16)}):")
+          f"cells, best of {max(args.repeats, TELEMETRY_MIN_REPEATS)}):")
     print(f"  fixed cost per cell   : "
           f"{overhead['fixed_us_per_cell']:.1f} us")
     print(f"  realistic cell length : {overhead['cell_ms']:.3f} ms")
     print(f"  overhead              : {overhead['overhead_percent']:+.2f}%")
 
-    snapshot = telemetry.snapshot()
     payload = {
         "scale": args.scale,
         "repeats": args.repeats,
         "smoke": args.smoke,
-        "serial": serial,
-        "sweep": sweep,
-        "telemetry_overhead": overhead,
-        "telemetry": snapshot,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"\nwrote {args.out}")
-
-    cache_payload = {
-        "scale": args.scale,
-        "repeats": args.repeats,
-        "smoke": args.smoke,
-        "sweepcache": sweepcache,
-        "telemetry": snapshot,
-    }
-    with open(args.sweepcache_out, "w") as fh:
-        json.dump(cache_payload, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.sweepcache_out}")
-
-    pool_payload = {
-        "scale": args.scale,
-        "repeats": args.repeats,
-        "smoke": args.smoke,
-        "pool": pool,
-        "telemetry": snapshot,
-    }
-    with open(args.pool_out, "w") as fh:
-        json.dump(pool_payload, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.pool_out}")
-
-    fusion_payload = {
-        "scale": args.scale,
-        "repeats": args.repeats,
-        "smoke": args.smoke,
         "fusion": fusion,
-        "telemetry": snapshot,
+        "telemetry_overhead": overhead,
+        "telemetry": telemetry.snapshot(),
     }
     with open(args.fusion_out, "w") as fh:
-        json.dump(fusion_payload, fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {args.fusion_out}")
+    print(f"\nwrote {args.fusion_out}")
 
     if args.assert_speedup is not None:
         if fusion["speedup"] < args.assert_speedup:
