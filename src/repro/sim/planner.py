@@ -19,7 +19,8 @@ This module is the single execution funnel for such lists:
    each group's trace once into the shared-memory trace plane
    (:mod:`repro.sim.traceplane`) and reuses the process-wide
    persistent pool, so consecutive planner runs keep worker caches
-   warm -- and persist their results, and
+   warm -- and persist their results together with the plan's
+   counter update, in one store transaction, and
 5. **reassemble** the full result list in the caller's cell order.
 
 A re-run of an already-simulated sweep is therefore a pure cache read,
@@ -160,6 +161,7 @@ def _run_plan_impl(
 
     resolved: Dict[str, SimulationResult] = {}
     missing: List[str] = []
+    simulated: List[SimulationResult] = []
     for fingerprint in unique_order:
         cached = store.load(fingerprint)
         if cached is None:
@@ -180,15 +182,17 @@ def _run_plan_impl(
             [unique_cells[fingerprint] for fingerprint in missing],
             workers=workers,
         )
-        for fingerprint, result in zip(missing, simulated):
-            store.store(fingerprint, result)
-            resolved[fingerprint] = result
+        resolved.update(zip(missing, simulated))
 
-    store.add_counters(
-        hits=len(unique_order) - len(missing),
-        misses=len(missing),
-        stores=len(missing),
-    )
+    # The plan's new rows and its counter update commit together.
+    with store.transaction():
+        stored = sum(store.store(fingerprint, result)
+                     for fingerprint, result in zip(missing, simulated))
+        store.add_counters(
+            hits=len(unique_order) - len(missing),
+            misses=len(missing),
+            stores=stored,
+        )
     report = PlanReport(
         cells=len(cells),
         unique=len(unique_order),
@@ -234,6 +238,7 @@ def cached_simulate(
         store.add_counters(hits=1)
         return result
     result = simulate(workload, config, load_latency=load_latency, scale=scale)
-    store.store(fingerprint, result)
-    store.add_counters(misses=1, stores=1)
+    with store.transaction():
+        stored = store.store(fingerprint, result)
+        store.add_counters(misses=1, stores=int(stored))
     return result

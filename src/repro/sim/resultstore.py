@@ -21,11 +21,22 @@ A cell is keyed by a **fingerprint**: a SHA-256 digest over
   field layout, penalty, issue width, write buffer), and
 * the scheduled load latency and run scale.
 
-Entries are JSON files under ``<root>/v<schema>/<aa>/<digest>.json``
-(two-level fan-out keeps directories small), written atomically
-(temp file + ``os.replace``) so a killed sweep never leaves a torn
-entry.  Reads are corruption-tolerant: any unreadable, truncated, or
-mismatched entry is treated as a miss (and unlinked), never an error.
+Entries and the store's lifetime counters live in one SQLite
+database, ``<root>/v<schema>/store.sqlite``, in WAL mode (SQLite's
+write-ahead log) with ``synchronous=NORMAL``: every commit is atomic,
+so a killed sweep never leaves a torn entry, and, as with an
+un-fsynced rename, a power cut can lose only the last commits.
+Lookups are per-cell point reads; a planner run writes its new rows
+and its counter update in one :meth:`ResultStore.transaction`.  Where
+SQLite cannot use WAL on a file system, the database keeps its
+rollback journal.
+
+Nothing here raises.  An entry that does not parse, carries another
+schema or another cell's fingerprint is deleted and counted as
+``corrupt``; so is a file that is not a database, which the next write
+recreates.  An unusable root (under a regular file, say) degrades to
+misses and dropped writes.  Several processes may share a store: they
+take the write lock in turn, waiting up to :data:`BUSY_TIMEOUT_S`.
 
 Environment knobs:
 
@@ -40,13 +51,14 @@ maintenance entry points.  See ``docs/caching.md``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
 import json
 import os
 import shutil
-import tempfile
+import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,10 +73,37 @@ from repro.workloads.workload import Workload
 
 #: On-disk layout version.  Bump when the entry format changes; old
 #: version directories are ignored by reads and reaped by ``gc``.
-STORE_SCHEMA = 1
+STORE_SCHEMA = 2
 
 #: Default store location (relative to the current directory).
 DEFAULT_ROOT = ".repro-cache"
+
+#: How long a writer waits for another process's write lock, in seconds.
+BUSY_TIMEOUT_S = 30.0
+
+#: The lifetime counters, in column order.
+COUNTERS = ("hits", "misses", "stores", "corrupt", "gc_removed")
+
+#: The schema-1 layout kept its lifetime counters at the root in a JSON
+#: file with this stem; ``gc`` reaps it along with the ``v1/`` tree.
+_V1_COUNTERS_STEM = "counters"
+
+_TABLES = """
+CREATE TABLE IF NOT EXISTS entries (
+    fingerprint TEXT PRIMARY KEY,
+    written REAL NOT NULL,
+    payload TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS counters (
+    id INTEGER PRIMARY KEY CHECK (id = 0),
+    hits INTEGER NOT NULL DEFAULT 0,
+    misses INTEGER NOT NULL DEFAULT 0,
+    stores INTEGER NOT NULL DEFAULT 0,
+    corrupt INTEGER NOT NULL DEFAULT 0,
+    gc_removed INTEGER NOT NULL DEFAULT 0
+);
+INSERT OR IGNORE INTO counters (id) VALUES (0);
+"""
 
 
 # -- content fingerprints ----------------------------------------------------
@@ -126,6 +165,19 @@ def config_key(config: MachineConfig) -> Tuple:
     return _freeze(config)
 
 
+def _key_repr(value, key) -> str:
+    """``repr(key(value))``, memoized on the instance.
+
+    Memoized per instance, never by equality: ``16 == 16.0`` but their
+    reprs, and so the digests, differ.
+    """
+    text = getattr(value, "_content_repr", None)
+    if text is None:
+        text = repr(key(value))
+        object.__setattr__(value, "_content_repr", text)
+    return text
+
+
 def cell_fingerprint(
     workload: Workload,
     config: MachineConfig,
@@ -136,18 +188,22 @@ def cell_fingerprint(
 
     Includes the store schema and the engine version tag, so bumping
     either invalidates every existing entry without touching the disk.
+    The digest is over ``repr`` of the tuple ``(STORE_SCHEMA,
+    ENGINE_VERSION, workload_key(workload), config_key(config),
+    int(load_latency), repr(float(scale)))``, spelled out here from the
+    memoized reprs of its two large members.
     """
     from repro.sim import simulator
 
-    key = (
+    text = "(%r, %r, %s, %s, %r, %r)" % (
         STORE_SCHEMA,
         simulator.ENGINE_VERSION,
-        workload_key(workload),
-        config_key(config),
+        _key_repr(workload, workload_key),
+        _key_repr(config, config_key),
         int(load_latency),
         repr(float(scale)),
     )
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # -- result (de)serialization -------------------------------------------------
@@ -202,8 +258,9 @@ class StoreStats:
     entries: int
     total_bytes: int
     #: Lifetime counters (survive across processes): planner store hits,
-    #: cells actually simulated, entries written, corrupt entries
-    #: reaped on read, entries removed by ``gc``.
+    #: cells actually simulated, entries written, corrupt entries or
+    #: database files reaped on read, entries and files removed by
+    #: ``gc``.
     hits: int
     misses: int
     stores: int
@@ -246,6 +303,40 @@ class StoreStats:
         )
 
 
+#: The connection every store in this process shares, as ``(pid, path,
+#: (st_dev, st_ino), connection)``.  One slot, not a dict by path:
+#: tests create hundreds of stores, and each connection holds file
+#: descriptors.
+_slot: Optional[Tuple] = None
+
+#: Connections inherited across ``fork``.  The parent still owns them:
+#: they stay referenced so that no finalizer in the child closes them.
+_inherited: list = []
+
+
+def _release_slot(path: Optional[str] = None) -> None:
+    """Empty the slot (if it holds ``path``, when one is given)."""
+    global _slot
+    if _slot is None or (path is not None and _slot[1] != path):
+        return
+    pid, _, _, conn = _slot
+    _slot = None
+    if pid == os.getpid():
+        conn.close()
+    else:
+        _inherited.append(conn)
+
+
+def _is_corrupt(exc: Exception) -> bool:
+    """Whether SQLite found the file itself unreadable.
+
+    ``SQLITE_NOTADB`` and ``SQLITE_CORRUPT`` are the codes the
+    ``sqlite3`` module raises as a plain ``DatabaseError``; busy, I/O,
+    permission and misuse errors have subclasses of their own.
+    """
+    return type(exc) is sqlite3.DatabaseError
+
+
 class ResultStore:
     """A content-addressed result cache rooted at one directory.
 
@@ -257,6 +348,9 @@ class ResultStore:
     def __init__(self, root, enabled: bool = True) -> None:
         self.root = Path(root)
         self.enabled = enabled
+        #: The connection of the open :meth:`transaction`, its depth.
+        self._txn: Optional[sqlite3.Connection] = None
+        self._depth = 0
 
     @classmethod
     def from_env(cls) -> "ResultStore":
@@ -265,82 +359,185 @@ class ResultStore:
         root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_ROOT)
         return cls(root, enabled=enabled)
 
-    # -- paths ---------------------------------------------------------------
-
     @property
-    def _entries_root(self) -> Path:
-        return self.root / f"v{STORE_SCHEMA}"
+    def path(self) -> Path:
+        """The database file."""
+        return self.root / f"v{STORE_SCHEMA}" / "store.sqlite"
 
-    def entry_path(self, fingerprint: str) -> Path:
-        """Where one cell's entry lives (two-level digest fan-out)."""
-        return self._entries_root / fingerprint[:2] / f"{fingerprint}.json"
+    # -- the connection ------------------------------------------------------
 
-    @property
-    def _counters_path(self) -> Path:
-        return self.root / "counters.json"
+    def _connect(self, create: bool) -> Optional[sqlite3.Connection]:
+        """This process's connection to the database, or ``None``.
+
+        Reuses the slot while the pid, the path and the file's
+        ``(st_dev, st_ino)`` all match, so a file deleted or replaced
+        under a live process is reopened.  Creates the file only with
+        ``create``.  Raises :class:`sqlite3.DatabaseError` when the file
+        is not a database.
+        """
+        global _slot
+        path = str(self.path)
+        try:
+            st = os.stat(path)
+            ident = (st.st_dev, st.st_ino)
+        except FileNotFoundError:
+            ident = None
+        except OSError:  # the root is unusable, e.g. under a regular file
+            return None
+        if _slot is not None and _slot[:3] == (os.getpid(), path, ident):
+            return _slot[3]
+        _release_slot()
+        if ident is None and not create:
+            return None
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            conn = sqlite3.connect(path, timeout=BUSY_TIMEOUT_S,
+                                   isolation_level=None)
+        except (OSError, sqlite3.Error):
+            return None
+        try:
+            # Without WAL (a file system lacking shared memory) the
+            # database keeps its rollback journal at full sync.
+            if conn.execute("PRAGMA journal_mode=WAL").fetchall() == \
+                    [("wal",)]:
+                conn.execute("PRAGMA synchronous=NORMAL")
+            conn.executescript(_TABLES)
+            st = os.stat(path)
+        except (sqlite3.Error, OSError) as exc:
+            conn.close()
+            if _is_corrupt(exc):
+                raise
+            return None
+        _slot = (os.getpid(), path, (st.st_dev, st.st_ino), conn)
+        return conn
+
+    def _discard(self) -> None:
+        """Delete a database file SQLite cannot read; count it corrupt."""
+        path = str(self.path)
+        _release_slot(path)
+        for suffix in ("", "-wal", "-shm", "-journal"):
+            with contextlib.suppress(OSError):
+                os.unlink(path + suffix)
+        self.add_counters(corrupt=1)
+
+    @contextlib.contextmanager
+    def transaction(self):
+        """Commit every write made inside the block at once.
+
+        ``BEGIN IMMEDIATE`` takes the write lock up front, waiting for
+        another process's writer, so the block's rows and counter
+        update land together or not at all.  Yields the connection, or
+        ``None`` when the store is disabled or unusable (the block's
+        writes are then dropped).  Nested blocks join the outer one.
+        A file that is not a database is deleted, counted and created
+        afresh.
+        """
+        if self._depth:
+            self._depth += 1
+            try:
+                yield self._txn
+            finally:
+                self._depth -= 1
+            return
+        conn = self._begin() if self.enabled else None
+        self._txn, self._depth = conn, 1
+        committed = False
+        try:
+            yield conn
+            committed = True
+        finally:
+            self._txn, self._depth = None, 0
+            if conn is not None and conn.in_transaction:
+                try:
+                    conn.execute("COMMIT" if committed else "ROLLBACK")
+                except sqlite3.Error:  # the block's writes are dropped
+                    with contextlib.suppress(sqlite3.Error):
+                        conn.execute("ROLLBACK")
+
+    def _begin(self) -> Optional[sqlite3.Connection]:
+        """A connection holding the write lock, or ``None``."""
+        for attempt in range(2):
+            try:
+                conn = self._connect(create=True)
+                if conn is not None:
+                    conn.execute("BEGIN IMMEDIATE")
+                return conn
+            except sqlite3.Error as exc:
+                if attempt or not _is_corrupt(exc):
+                    return None
+                self._discard()
+        return None
+
+    def _write(self, sql: str, params: Tuple) -> bool:
+        """One write statement, in the open :meth:`transaction` or its
+        own; returns False if the write was dropped."""
+        with self.transaction() as conn:
+            if conn is None or not conn.in_transaction:
+                return False
+            try:
+                conn.execute(sql, params)
+            except sqlite3.Error:
+                return False
+            return True
 
     # -- entry I/O -----------------------------------------------------------
 
     def load(self, fingerprint: str) -> Optional[SimulationResult]:
         """The stored result for a fingerprint, or ``None`` on any miss.
 
-        Corrupted, truncated, or shape-mismatched entries are unlinked
+        Corrupted, truncated, or shape-mismatched entries are deleted
         and reported as misses: the caller falls back to simulation and
-        overwrites them with a fresh entry.
+        stores a fresh entry.
         """
         if not self.enabled:
             return None
-        path = self.entry_path(fingerprint)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            conn = self._connect(create=False)
+            if conn is None:
+                return None
+            rows = conn.execute(
+                "SELECT payload FROM entries WHERE fingerprint = ?",
+                (fingerprint,),
+            ).fetchall()
+        except sqlite3.Error as exc:
+            if _is_corrupt(exc):
+                self._discard()
+            return None
+        if not rows:
+            return None
+        try:
+            payload = json.loads(rows[0][0])
             if payload["schema"] != STORE_SCHEMA:
                 raise ValueError("schema mismatch")
             if payload["fingerprint"] != fingerprint:
                 raise ValueError("fingerprint mismatch")
             return result_from_dict(payload["result"])
-        except FileNotFoundError:
-            return None
-        except Exception:
+        except (ValueError, TypeError, KeyError, AttributeError):
             # Tolerate (and reap) anything malformed.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            self.add_counters(corrupt=1)
+            with self.transaction():
+                self._write("DELETE FROM entries WHERE fingerprint = ?",
+                            (fingerprint,))
+                self.add_counters(corrupt=1)
             return None
 
     def store(self, fingerprint: str, result: SimulationResult) -> bool:
-        """Persist one result atomically; returns False if skipped."""
+        """Persist one result; returns False if the write was dropped.
+
+        Inside :meth:`transaction` the row commits with the block;
+        otherwise it is a transaction of its own.
+        """
         if not self.enabled:
             return False
-        path = self.entry_path(fingerprint)
-        payload = {
+        payload = json.dumps({
             "schema": STORE_SCHEMA,
             "fingerprint": fingerprint,
             "workload": result.workload,
             "policy": result.policy,
             "load_latency": result.load_latency,
             "result": result_to_dict(result),
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=".tmp-", suffix=".json", dir=str(path.parent)
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            return True
-        except OSError:
-            return False
+        })
+        return self._write("INSERT OR REPLACE INTO entries VALUES (?, ?, ?)",
+                           (fingerprint, time.time(), payload))
 
     # -- lifetime counters ---------------------------------------------------
 
@@ -348,92 +545,56 @@ class ResultStore:
         self, hits: int = 0, misses: int = 0, stores: int = 0,
         corrupt: int = 0, gc_removed: int = 0,
     ) -> None:
-        """Accumulate store lifetime counters into ``counters.json``.
+        """Accumulate store lifetime counters in the database.
 
-        Read-modify-write with an atomic replace; a lost update under
-        concurrent sweeps only skews the advisory statistics, never the
-        cached results themselves.  The same increments feed the
-        in-process telemetry registry (``store.*`` counters).
+        Inside :meth:`transaction` the update commits with the block's
+        rows; otherwise it is a transaction of its own.  Concurrent
+        sweeps add without losing updates.  The same increments feed
+        the in-process telemetry registry (``store.*`` counters).
         """
-        if not self.enabled or not (hits or misses or stores or corrupt
-                                    or gc_removed):
+        amounts = (hits, misses, stores, corrupt, gc_removed)
+        if not self.enabled or not any(amounts):
             return
         if telemetry.enabled():
             m = telemetry.metrics()
-            for name, amount in (("store.hits", hits),
-                                 ("store.misses", misses),
-                                 ("store.stores", stores),
-                                 ("store.corrupt", corrupt),
-                                 ("store.gc_removed", gc_removed)):
+            for name, amount in zip(COUNTERS, amounts):
                 if amount:
-                    m.counter(name).inc(amount)
-        current = self._read_counters()
-        current["hits"] += hits
-        current["misses"] += misses
-        current["stores"] += stores
-        current["corrupt"] += corrupt
-        current["gc_removed"] += gc_removed
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=".tmp-", suffix=".json", dir=str(self.root)
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(current, fh)
-            os.replace(tmp, self._counters_path)
-        except OSError:
-            pass
-
-    def _read_counters(self) -> Dict[str, int]:
-        counters = {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0,
-                    "gc_removed": 0}
-        try:
-            with open(self._counters_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            for key in counters:
-                counters[key] = int(data.get(key, 0))
-        except Exception:
-            pass
-        return counters
+                    m.counter(f"store.{name}").inc(amount)
+        self._write("UPDATE counters SET hits = hits + ?, "
+                    "misses = misses + ?, stores = stores + ?, "
+                    "corrupt = corrupt + ?, gc_removed = gc_removed + ?",
+                    amounts)
 
     # -- maintenance ---------------------------------------------------------
 
-    def _iter_entries(self):
-        root = self._entries_root
-        if not root.is_dir():
-            return
-        for path in root.rglob("*.json"):
-            if path.name.startswith(".tmp-"):
-                continue
-            yield path
-
     def stats(self) -> StoreStats:
-        """Entry count, footprint, and lifetime counters."""
-        entries = 0
-        total = 0
-        for path in self._iter_entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-            entries += 1
-        counters = self._read_counters()
+        """Entry count, payload footprint, and lifetime counters."""
+        entries = total = 0
+        counters = dict.fromkeys(COUNTERS, 0)
+        try:
+            conn = self._connect(create=False)
+            if conn is not None:
+                (entries, total), = conn.execute(
+                    "SELECT count(*), coalesce(sum(length(payload)), 0) "
+                    "FROM entries").fetchall()
+                row, = conn.execute(
+                    f"SELECT {', '.join(COUNTERS)} FROM counters").fetchall()
+                counters = dict(zip(COUNTERS, row))
+        except sqlite3.Error:
+            pass
         return StoreStats(
             root=str(self.root),
             enabled=self.enabled,
             schema=STORE_SCHEMA,
             entries=entries,
             total_bytes=total,
-            hits=counters["hits"],
-            misses=counters["misses"],
-            stores=counters["stores"],
-            corrupt=counters["corrupt"],
-            gc_removed=counters["gc_removed"],
+            **counters,
         )
 
     def clear(self) -> int:
-        """Remove the whole store (entries and counters); entry count."""
-        removed = sum(1 for _ in self._iter_entries())
+        """Remove the whole store root (entries and counters); entry count."""
+        removed = self.stats().entries
+        _release_slot(str(self.path))
         if self.root.is_dir():
             shutil.rmtree(self.root, ignore_errors=True)
         return removed
@@ -445,49 +606,55 @@ class ResultStore:
     ) -> int:
         """Prune the store; returns the number of entries removed.
 
-        Always drops entry trees left by other schema versions.  With
-        ``max_age_days``, drops entries older than the cutoff; with
-        ``max_bytes``, evicts oldest-first until the footprint fits.
+        Always removes the trees of other schema versions and the
+        schema-1 counters file, counting each file.  With
+        ``max_age_days``, drops entries written before the cutoff; with
+        ``max_bytes``, evicts oldest-written first until the payloads
+        fit.  Then ``VACUUM`` returns the freed pages, so the file
+        shrinks with its entries.
         """
         removed = 0
         if self.root.is_dir():
             for child in self.root.iterdir():
                 if (child.is_dir() and child.name.startswith("v")
-                        and child != self._entries_root):
-                    removed += sum(1 for _ in child.rglob("*.json"))
+                        and child != self.path.parent):
+                    removed += sum(1 for p in child.rglob("*") if p.is_file())
                     shutil.rmtree(child, ignore_errors=True)
-        aged = []
-        for path in self._iter_entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            aged.append((stat.st_mtime, stat.st_size, path))
-        aged.sort()
-        if max_age_days is not None:
-            cutoff = time.time() - max_age_days * 86400.0
-            keep = []
-            for mtime, size, path in aged:
-                if mtime < cutoff:
-                    try:
-                        os.unlink(path)
-                        removed += 1
-                    except OSError:
-                        pass
-                else:
-                    keep.append((mtime, size, path))
-            aged = keep
-        if max_bytes is not None:
-            total = sum(size for _, size, _ in aged)
-            for mtime, size, path in aged:
-                if total <= max_bytes:
-                    break
-                try:
-                    os.unlink(path)
-                    removed += 1
-                    total -= size
-                except OSError:
-                    pass
-        if removed:
+        try:
+            (self.root / _V1_COUNTERS_STEM).with_suffix(".json").unlink()
+            removed += 1
+        except OSError:
+            pass
+        try:
+            conn = self._connect(create=False) if self.enabled else None
+        except sqlite3.Error:  # not a database: the next write recreates it
+            conn = None
+        if conn is None:
             self.add_counters(gc_removed=removed)
+            return removed
+        with self.transaction() as txn:
+            if txn is not None and max_age_days is not None:
+                cutoff = time.time() - max_age_days * 86400.0
+                removed += txn.execute("DELETE FROM entries WHERE written < ?",
+                                       (cutoff,)).rowcount
+            if txn is not None and max_bytes is not None:
+                aged = txn.execute(
+                    "SELECT fingerprint, length(payload) FROM entries "
+                    "ORDER BY written, rowid").fetchall()
+                total = sum(size for _, size in aged)
+                doomed = []
+                for fingerprint, size in aged:
+                    if total <= max_bytes:
+                        break
+                    doomed.append((fingerprint,))
+                    total -= size
+                txn.executemany("DELETE FROM entries WHERE fingerprint = ?",
+                                doomed)
+                removed += len(doomed)
+            self.add_counters(gc_removed=removed)
+        try:
+            conn.execute("VACUUM")
+            conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        except sqlite3.Error:
+            pass
         return removed

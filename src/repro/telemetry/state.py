@@ -15,9 +15,10 @@ process's final snapshot into a small JSON state file:
 The file lives at ``$REPRO_TELEMETRY_DIR/telemetry.json``, falling
 back to the result store's root (``$REPRO_CACHE_DIR`` or
 ``.repro-cache``) so one directory holds all sweep-engine state.
-Writes are read-modify-write with an atomic replace, same as the
-store's ``counters.json``; a lost update under concurrent runs skews
-only advisory statistics.
+Writes are read-modify-write with an atomic replace; a lost update
+under concurrent runs skews only advisory statistics.  (The result
+store's own lifetime counters live in its database and lose no
+updates.)
 
 Flushing is automatic: :mod:`repro.telemetry` registers an ``atexit``
 hook in the process that first touches a metric.  Pool workers never

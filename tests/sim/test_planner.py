@@ -1,11 +1,17 @@
 """Tests for the unified sweep planner: dedup, memoization, equality."""
 
+import multiprocessing
+import pickle
+import shutil
+import sqlite3
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
 
 import repro.sim.planner as planner
 import repro.sim.simulator
+from repro import telemetry
 from repro.core.policies import (
     blocking_cache,
     fc,
@@ -26,6 +32,21 @@ from repro.workloads.spec92 import get_benchmark
 @pytest.fixture
 def store(tmp_path):
     return ResultStore(tmp_path / "store")
+
+
+def _shared_store_cells():
+    """Nine cells; :func:`_plan_into_file` runs two overlapping slices."""
+    return [(get_benchmark(name), baseline_config(policy), 10, 0.05)
+            for name in ("ora", "eqntott", "tomcatv")
+            for policy in (mc(1), fc(2), no_restrict())]
+
+
+def _plan_into_file(root, start, stop, out):
+    """Spawned-process body: plan one slice against a shared store."""
+    results, report = run_plan(_shared_store_cells()[start:stop],
+                               store=ResultStore(root))
+    with open(out, "wb") as fh:
+        pickle.dump((results, report.unique), fh)
 
 
 def _count_simulations(monkeypatch):
@@ -133,11 +154,72 @@ class TestMemoization:
         cell = (get_benchmark("ora"), baseline_config(mc(1)), 10, 0.05)
         first, _ = run_plan([cell], store=store)
         # Corrupt every stored entry in place.
-        for path in store._iter_entries():
-            path.write_text("garbage")
+        with closing(sqlite3.connect(store.path, isolation_level=None)) as c:
+            c.execute("UPDATE entries SET payload = 'garbage'")
         second, report = run_plan([cell], store=store)
         assert report.simulated == 1
         assert second == first
+        assert store.stats().corrupt == 1
+        assert run_plan([cell], store=store)[1].store_hits == 1
+
+    def test_database_deleted_under_live_process(self, store):
+        """A wipe or ``cache clear`` elsewhere: miss, then a new file."""
+        cell = (get_benchmark("ora"), baseline_config(mc(1)), 10, 0.05)
+        first, _ = run_plan([cell], store=store)
+        shutil.rmtree(store.path.parent)
+        second, report = run_plan([cell], store=store)
+        assert report.simulated == 1
+        assert second == first
+        assert store.path.exists()
+        assert store.stats().entries == 1
+        assert run_plan([cell], store=store)[1].store_hits == 1
+
+    def test_unusable_root_counts_a_miss_and_no_store(self, tmp_path):
+        """A root under a regular file: nothing written, nothing corrupt."""
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        store = ResultStore(blocker / "store")
+        telemetry.set_enabled(True)
+        cell = (get_benchmark("ora"), baseline_config(mc(1)), 10, 0.05)
+        _, report = run_plan([cell], store=store)
+        assert report.simulated == 1
+        counters = telemetry.snapshot()["counters"]
+        assert counters.get("store.misses") == 1
+        assert "store.stores" not in counters
+        assert "store.corrupt" not in counters
+        assert not blocker.is_dir()
+
+    def test_two_processes_share_one_store(self, store, tmp_path):
+        """Overlapping cold plans from two processes: no lost update."""
+        slices = [(0, 6), (3, 9)]
+        ctx = multiprocessing.get_context("spawn")
+        procs = []
+        try:
+            for i, (start, stop) in enumerate(slices):
+                proc = ctx.Process(target=_plan_into_file, args=(
+                    str(store.root), start, stop, str(tmp_path / f"out{i}")))
+                proc.start()
+                procs.append(proc)
+            for proc in procs:
+                proc.join(timeout=240)
+                assert not proc.is_alive()
+                assert proc.exitcode == 0
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+        cells = _shared_store_cells()
+        lookups = 0
+        for i, (start, stop) in enumerate(slices):
+            with open(tmp_path / f"out{i}", "rb") as fh:
+                results, unique = pickle.load(fh)
+            lookups += unique
+            assert results == execute_cells(
+                cells[start:stop], store=ResultStore(tmp_path / "serial"))
+        stats = store.stats()
+        assert stats.entries == len(cells)
+        assert stats.hits + stats.misses == lookups == 12
 
     def test_cached_simulate_matches_simulate(self, store):
         workload = get_benchmark("eqntott")

@@ -1,7 +1,10 @@
 """Tests for the content-addressed on-disk result store."""
 
+import hashlib
 import json
-import os
+import shutil
+import sqlite3
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
@@ -10,8 +13,10 @@ from repro.core.policies import fc, mc, no_restrict
 from repro.sim import simulator
 from repro.sim.config import baseline_config
 from repro.sim.resultstore import (
+    STORE_SCHEMA,
     ResultStore,
     cell_fingerprint,
+    config_key,
     result_from_dict,
     result_to_dict,
     workload_key,
@@ -32,6 +37,12 @@ def _cell():
 def _result():
     workload, config, latency, scale = _cell()
     return simulate(workload, config, load_latency=latency, scale=scale)
+
+
+def _edit(store, sql, *params):
+    """Run one statement on the store's database over a second connection."""
+    with closing(sqlite3.connect(store.path, isolation_level=None)) as conn:
+        conn.execute(sql, params)
 
 
 class TestFingerprint:
@@ -70,6 +81,33 @@ class TestFingerprint:
         monkeypatch.setattr(simulator, "ENGINE_VERSION", "engine-next")
         assert cell_fingerprint(*cell) != before
 
+    def test_memoized_digest_equals_tuple_repr(self):
+        """The memoized reprs spell out ``sha256(repr(key))`` bit for bit."""
+        ora = get_benchmark("ora")
+        base = baseline_config(mc(1))
+        penalty_16 = replace(base, miss_penalty=16)
+        penalty_16f = replace(base, miss_penalty=16.0)
+        assert penalty_16 == penalty_16f
+        cells = [
+            (ora, base, 10, 0.05),
+            (ora, base, 10, 1),
+            (replace(ora, description="copy"), base, 10, 0.05),
+            (replace(ora, seed=ora.seed + 1), base.with_policy(fc(2)), 6,
+             0.5),
+            (get_benchmark("tomcatv"), replace(base, issue_width=2), 1, 2.0),
+            (ora, penalty_16, 10, 0.05),
+            (ora, penalty_16f, 10, 0.05),
+        ]
+        for w, c, latency, scale in cells:
+            key = (STORE_SCHEMA, simulator.ENGINE_VERSION, workload_key(w),
+                   config_key(c), int(latency), repr(float(scale)))
+            expected = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+            for _ in range(2):  # cold, then from the instance memo
+                assert cell_fingerprint(w, c, latency, scale) == expected
+        # Equal configs whose reprs differ never share a digest.
+        assert cell_fingerprint(ora, penalty_16, 10, 0.05) != \
+            cell_fingerprint(ora, penalty_16f, 10, 0.05)
+
 
 class TestSerialization:
     def test_round_trip_is_bit_identical(self):
@@ -102,27 +140,53 @@ class TestStore:
     def test_corrupted_entry_falls_back_to_miss(self, store):
         fp = cell_fingerprint(*_cell())
         store.store(fp, _result())
-        store.entry_path(fp).write_text("{not json at all")
+        _edit(store, "UPDATE entries SET payload = ? WHERE fingerprint = ?",
+              "{not json at all", fp)
         assert store.load(fp) is None
-        # The broken file was reaped; a fresh store works again.
-        assert not store.entry_path(fp).exists()
+        # The broken row was deleted and counted; a fresh store works.
+        assert store.stats().entries == 0
+        assert store.stats().corrupt == 1
         assert store.store(fp, _result())
-        assert store.load(fp) is not None
+        assert store.load(fp) == _result()
 
     def test_truncated_entry_falls_back_to_miss(self, store):
         fp = cell_fingerprint(*_cell())
         store.store(fp, _result())
-        path = store.entry_path(fp)
-        path.write_text(path.read_text()[: 40])
+        _edit(store, "UPDATE entries SET payload = substr(payload, 1, 40)")
         assert store.load(fp) is None
+        assert store.stats().corrupt == 1
+
+    def test_foreign_schema_entry_is_a_miss(self, store):
+        fp = cell_fingerprint(*_cell())
+        store.store(fp, _result())
+        with closing(sqlite3.connect(store.path)) as conn:
+            (text,), = conn.execute("SELECT payload FROM entries")
+        payload = json.loads(text)
+        payload["schema"] = STORE_SCHEMA - 1
+        _edit(store, "UPDATE entries SET payload = ?", json.dumps(payload))
+        assert store.load(fp) is None
+        assert store.stats().corrupt == 1
 
     def test_fingerprint_mismatch_is_a_miss(self, store):
         fp = cell_fingerprint(*_cell())
         store.store(fp, _result())
         other = "f" * 64
-        os.makedirs(store.entry_path(other).parent, exist_ok=True)
-        os.rename(store.entry_path(fp), store.entry_path(other))
+        _edit(store, "UPDATE entries SET fingerprint = ?", other)
         assert store.load(other) is None
+        assert store.stats().entries == 0
+        assert store.stats().corrupt == 1
+
+    def test_garbage_database_is_a_miss_then_recreated(self, store):
+        fp = cell_fingerprint(*_cell())
+        store.store(fp, _result())
+        shutil.rmtree(store.path.parent)
+        store.path.parent.mkdir()
+        store.path.write_bytes(b"not a database, " * 512)
+        assert store.load(fp) is None
+        assert store.stats().corrupt == 1
+        assert store.store(fp, _result())
+        assert store.load(fp) == _result()
+        assert store.stats().entries == 1
 
     def test_engine_version_bump_invalidates(self, store, monkeypatch):
         cell = _cell()
@@ -173,18 +237,21 @@ class TestMaintenance:
             fp = cell_fingerprint(*cell)
             fps.append(fp)
             store.store(fp, result)
-            os.utime(store.entry_path(fp), (1000.0 * latency, 1000.0 * latency))
-        entry_size = store.entry_path(fps[0]).stat().st_size
-        removed = store.gc(max_bytes=2 * entry_size)
+            # Written in reverse of insertion: the last row is the oldest.
+            _edit(store, "UPDATE entries SET written = ? "
+                  "WHERE fingerprint = ?", 1000.0 * (4 - latency), fp)
+        # One byte over budget: evicting the oldest entry is enough.
+        removed = store.gc(max_bytes=store.stats().total_bytes - 1)
         assert removed == 1
-        assert store.load(fps[0]) is None  # the oldest went
+        assert store.load(fps[2]) is None  # the oldest went
+        assert store.load(fps[0]) is not None
         assert store.load(fps[1]) is not None
-        assert store.load(fps[2]) is not None
+        assert store.stats().gc_removed == 1
 
     def test_gc_by_age(self, store):
         fp = cell_fingerprint(*_cell())
         store.store(fp, _result())
-        os.utime(store.entry_path(fp), (0, 0))  # 1970: ancient
+        _edit(store, "UPDATE entries SET written = 0")  # 1970: ancient
         assert store.gc(max_age_days=1) == 1
         assert store.load(fp) is None
 
@@ -194,6 +261,10 @@ class TestMaintenance:
         stale = store.root / "v0" / "ab"
         stale.mkdir(parents=True)
         (stale / "deadbeef.json").write_text("{}")
-        assert store.gc() == 1
+        # The schema-1 JSON layout's counters file goes too.
+        (store.root / "counters.json").write_text("{}")
+        assert store.gc() == 2
         assert not (store.root / "v0").exists()
+        assert not (store.root / "counters.json").exists()
         assert store.load(fp) is not None
+        assert store.stats().gc_removed == 2

@@ -253,3 +253,28 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "gc", "--max-mb", "0"]) == 0
         assert "garbage-collected 1" in capsys.readouterr().out
+
+    def test_gc_max_mb_shrinks_the_file(self, capsys):
+        from repro.sim.resultstore import ResultStore
+
+        assert main(["sweep", "ora", "eqntott", "tomcatv", "--scale", "0.05",
+                     "--policy", "mc=1", "--policy", "fc=2",
+                     "--policy", "no restrict", "--workers", "1"]) == 0
+        capsys.readouterr()
+        store = ResultStore.from_env()
+
+        def footprint():
+            wal = store.path.with_name(store.path.name + "-wal")
+            return store.path.stat().st_size + (wal.stat().st_size
+                                                if wal.exists() else 0)
+
+        before = footprint()
+        budget = store.stats().total_bytes // 2
+        assert main(["cache", "gc", "--max-mb",
+                     str(budget / (1024 * 1024))]) == 0
+        assert "garbage-collected 0 cached" not in capsys.readouterr().out
+        assert 0 < store.stats().total_bytes <= budget
+        middle = footprint()
+        assert main(["cache", "gc", "--max-mb", "0"]) == 0
+        after = footprint()
+        assert before > middle > after
