@@ -11,21 +11,16 @@ implementations are provided:
   replacement; covers set-associative and (with one set) fully
   associative caches such as the Figure 10 configuration.
 
-Both share the :class:`TagStore` interface used by the simulator and
-the miss handler.
-
-For the hit fast path (see :mod:`repro.cpu.pipeline` and
-``docs/performance.md``) every tag store additionally maintains
-``resident`` -- a plain ``set`` of the block numbers currently held --
-updated on every install/evict/invalidate/flush, and exposes
-``hit_probe``: a callable equivalent to :meth:`TagStore.access`
-(including any replacement-state update) that the execution engines
-may call inline instead of going through the miss handler.
+Both share the :class:`TagStore` interface used by the miss handler
+(:mod:`repro.core.handler`) and the functional classification of the
+stream pass (:mod:`repro.sim.stream`).  The replay kernels keep their
+own tag arrays with the same semantics, checked against these stores
+through the reference loops.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import List, Optional
 
 from repro.cache.geometry import CacheGeometry
 
@@ -34,17 +29,6 @@ class TagStore:
     """Interface for cache tag state keyed on block addresses."""
 
     geometry: CacheGeometry
-    #: Blocks currently resident; maintained on fill/evict so the
-    #: execution engines can probe hits without a method call.
-    resident: Set[int]
-    #: Callable ``block -> bool`` equivalent to :meth:`access` --
-    #: membership test plus any replacement-state update.
-    hit_probe: Callable[[int], bool]
-    #: True when :attr:`hit_probe` is a pure membership test with no
-    #: replacement-state side effect (direct mapped), so the engines
-    #: may batch probes without replaying them in order.  False for
-    #: set-associative stores, whose hits must touch LRU one by one.
-    probe_is_pure: bool
 
     def probe(self, block: int) -> bool:
         """Return True if ``block`` is present (no LRU update)."""
@@ -88,11 +72,6 @@ class DirectMappedTags(TagStore):
         self.geometry = geometry
         self._mask = geometry.num_sets - 1
         self._tags: List[Optional[int]] = [None] * geometry.num_sets
-        self.resident: Set[int] = set()
-        # Direct-mapped access updates no replacement state, so the
-        # resident-set membership test IS the access -- a single C call.
-        self.hit_probe = self.resident.__contains__
-        self.probe_is_pure = True
 
     def probe(self, block: int) -> bool:
         return self._tags[block & self._mask] == block
@@ -106,22 +85,17 @@ class DirectMappedTags(TagStore):
         self._tags[idx] = block
         if old == block:
             return None
-        if old is not None:
-            self.resident.discard(old)
-        self.resident.add(block)
         return old
 
     def invalidate(self, block: int) -> bool:
         idx = block & self._mask
         if self._tags[idx] == block:
             self._tags[idx] = None
-            self.resident.discard(block)
             return True
         return False
 
     def flush(self) -> None:
         self._tags = [None] * self.geometry.num_sets
-        self.resident.clear()
 
     def occupancy(self) -> int:
         return sum(1 for t in self._tags if t is not None)
@@ -140,11 +114,6 @@ class SetAssociativeTags(TagStore):
         self._ways = geometry.ways
         self._num_sets = geometry.num_sets
         self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
-        self.resident: Set[int] = set()
-        # LRU state must move on every hit, so the fast-path probe is
-        # the access method itself (a miss leaves the state untouched).
-        self.hit_probe = self.access
-        self.probe_is_pure = False
 
     def _set_for(self, block: int) -> List[int]:
         return self._sets[block & (self._num_sets - 1)]
@@ -168,11 +137,8 @@ class SetAssociativeTags(TagStore):
             ways.insert(0, block)
             return None
         ways.insert(0, block)
-        self.resident.add(block)
         if len(ways) > self._ways:
-            victim = ways.pop()
-            self.resident.discard(victim)
-            return victim
+            return ways.pop()
         return None
 
     def invalidate(self, block: int) -> bool:
@@ -181,12 +147,10 @@ class SetAssociativeTags(TagStore):
             ways.remove(block)
         except ValueError:
             return False
-        self.resident.discard(block)
         return True
 
     def flush(self) -> None:
         self._sets = [[] for _ in range(self._num_sets)]
-        self.resident.clear()
 
     def occupancy(self) -> int:
         return sum(len(ways) for ways in self._sets)

@@ -315,7 +315,7 @@ _LANES = (
     ("dual", "dual issue, ideal write buffer", "C kernel",
      "reference dual-issue loop"),
     ("interp", "finite write buffer, warmup, single-issue perfect cache",
-     "interpreter", "interpreter"),
+     "reference loop", "reference loop"),
 )
 
 

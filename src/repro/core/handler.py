@@ -46,8 +46,10 @@ from repro.core.stats import HIST_BUCKETS, MissStats
 from repro.errors import SimulationError
 
 #: Sentinel "fill time" meaning no fetch is outstanding: any real cycle
-#: number compares below it, so ``cycle < next_fill_time()`` is the
-#: complete validity test for the hit fast path.
+#: number compares below it.  The replay kernels (:mod:`repro.cpu.replay`,
+#: ``kernel.c``) keep their fence -- the earliest outstanding fill time,
+#: before which no tag state can change -- at this value when their
+#: fetch FIFO is empty.
 FAR_FUTURE = 1 << 62
 
 
@@ -396,60 +398,6 @@ class MissHandler:
         self._advance(end_cycle)
         self.stats.observed_cycles = end_cycle
 
-    # -- the hit fast path -------------------------------------------------------
-
-    def next_fill_time(self) -> int:
-        """Fill time of the earliest outstanding fetch (the fast-path fence).
-
-        Until this cycle, :meth:`load`/:meth:`store` on a *resident*
-        block cannot observe any state change -- ``_drain`` would be a
-        no-op -- so the engines may account such hits inline.  Returns
-        :data:`FAR_FUTURE` when nothing is outstanding.
-        """
-        fifo = self._fifo
-        return fifo[0].fill_time if fifo else FAR_FUTURE
-
-    def absorb_fast_hits(
-        self, n_loads: int, n_stores: int, n_store_misses: int = 0
-    ) -> None:
-        """Credit accesses the engine accounted inline (fast path).
-
-        Every absorbed access was a 1-cycle access issued strictly
-        before :meth:`next_fill_time`: load hits and store hits on
-        resident blocks, plus -- under write-around with the ideal
-        write buffer -- store misses, which launch no fetch and
-        install no line, so the only state the slow path would have
-        touched is these counters (plus the LRU update, which the tag
-        store's ``hit_probe`` already performed, and the ideal write
-        buffer's traffic count).
-        """
-        stats = self.stats
-        if n_loads:
-            stats.loads += n_loads
-            stats.load_hits += n_loads
-        if n_stores or n_store_misses:
-            stats.stores += n_stores + n_store_misses
-            stats.store_hits += n_stores
-            stats.store_misses += n_store_misses
-            self.write_buffer.pushes += n_stores + n_store_misses
-
-    def replay_hooks(self):
-        """The replay kernel's view of this handler, or ``None``.
-
-        Returns ``(hit_probe, next_fill_time, store_mode,
-        absorb_fast_hits, pure_resident)`` -- the fast-path contract
-        minus ``offset_bits``, which the replay kernel does not need
-        because its event stream carries pre-shifted line addresses
-        (:mod:`repro.cpu.replay`).  ``None`` means the handler cannot
-        support inline hit accounting and the caller must fall back to
-        full execution.
-        """
-        hooks = self.fast_path_hooks()
-        if hooks is None:
-            return None
-        probe, next_fill, store_mode, _offset_bits, absorb, pure = hooks
-        return probe, next_fill, store_mode, absorb, pure
-
     def absorb_blocking_run(
         self,
         *,
@@ -504,40 +452,6 @@ class MissHandler:
         stats.evictions += evictions
         self.finalize(end)
         return end
-
-    def fast_path_hooks(self):
-        """The engines' inline-hit contract, or ``None`` if unsupported.
-
-        Returns ``(hit_probe, next_fill_time, store_mode,
-        offset_bits, absorb_fast_hits, pure_resident)``.
-
-        ``store_mode`` grades how much of the store path is inlinable:
-        0 -- none (finite write buffer: occupancy depends on every
-        push time); 1 -- hits only (write-miss-allocate: a miss
-        fetches and stalls); 2 -- hits *and* misses (write-around with
-        the ideal buffer: a store miss launches no fetch and installs
-        no line, so both outcomes are 1-cycle counter updates).
-
-        ``pure_resident`` is the resident-block set itself when probing
-        has no replacement-state side effect (direct mapped), letting
-        the specialized engine batch whole-execution hit checks; it is
-        ``None`` for set-associative stores, whose hits must replay
-        through ``hit_probe`` one by one to keep LRU order exact.
-        """
-        probe = getattr(self.tags, "hit_probe", None)
-        if probe is None:
-            return None
-        # Only the ideal buffer's push is time-independent (count-only).
-        if type(self.write_buffer) is not WriteBuffer:
-            store_mode = 0
-        elif self.policy.write_allocate_blocking:
-            store_mode = 1
-        else:
-            store_mode = 2
-        pure = self.tags.resident if getattr(
-            self.tags, "probe_is_pure", False) else None
-        return (probe, self.next_fill_time, store_mode,
-                self._offset_bits, self.absorb_fast_hits, pure)
 
     # -- introspection ----------------------------------------------------------
 

@@ -218,44 +218,6 @@ class MSHRFile:
         )
 
 
-def replay_events(
-    file: MSHRFile, events: List[tuple]
-) -> List[bool]:
-    """Drive a register-level MSHR file over a miss-event stream.
-
-    The replay-facing entry point for fused sweeps' diagnostics and
-    the policy cross-check tests: ``events`` is a sequence of
-    ``(block, offset, destination)`` miss records (the shape the event
-    stream's miss references reduce to), applied in order.  Outstanding
-    fetches fill in FIFO order, exactly like the timing model's
-    pipelined memory: when an event cannot allocate -- no matching
-    MSHR with a free field, or no free MSHR -- the oldest outstanding
-    fetch is filled and the event retries, mirroring the handler's
-    stall-until-earliest-fill arbitration.
-
-    Returns one flag per event: ``True`` if it was accepted without a
-    structural stall, ``False`` if at least one fill was needed first.
-    """
-    fifo: List[int] = []
-    flags: List[bool] = []
-    for block, offset, destination in events:
-        stalled = False
-        while True:
-            merging = file.probe(block) is not None
-            if file.allocate(block, offset, destination):
-                if not merging:
-                    fifo.append(block)
-                break
-            if not fifo:
-                raise SimulationError(
-                    "miss rejected with no fetch outstanding"
-                )
-            stalled = True
-            file.fill(fifo.pop(0))
-        flags.append(not stalled)
-    return flags
-
-
 class InvertedMSHRFile:
     """The inverted organization of Figure 3: one entry per destination.
 

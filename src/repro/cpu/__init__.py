@@ -1,4 +1,4 @@
-"""Processor models: ISA, single-issue pipeline, reference loops."""
+"""Processor models: ISA, perfect-cache handler, reference loop."""
 
 from repro.cpu.isa import (
     FP_BASE,
@@ -11,7 +11,8 @@ from repro.cpu.isa import (
     is_int_reg,
     reg_name,
 )
-from repro.cpu.pipeline import PerfectCacheHandler, run_single_issue
+from repro.cpu.pipeline import PerfectCacheHandler
+from repro.cpu.reference import run_single_issue_reference
 
 __all__ = [
     "Instruction",
@@ -23,6 +24,6 @@ __all__ = [
     "is_int_reg",
     "is_fp_reg",
     "reg_name",
-    "run_single_issue",
+    "run_single_issue_reference",
     "PerfectCacheHandler",
 ]

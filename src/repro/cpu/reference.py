@@ -1,13 +1,14 @@
 """Reference execution engines: the unoptimized oracle loops.
 
-These are the original (pre fast-path) single- and dual-issue
-interpreter loops, kept verbatim as the bit-exactness oracle for the
-two-tier engine in :mod:`repro.cpu.pipeline` and the C kernels'
-replay and dual-issue drivers (:mod:`repro.cpu.ckernel`).  Every
-access -- hit or miss -- goes through the handler's ``load``/``store``
-methods, and the body is re-dispatched op by op from parallel lists.
-The dual-issue loop is also the only interpreter of that machine:
-without a C compiler every dual-issue cell runs here.
+These are the original single- and dual-issue interpreter loops, kept
+verbatim as the bit-exactness oracle for the closed form, the scalar
+replay kernels (:mod:`repro.cpu.replay`) and the C kernel's replay
+and dual-issue drivers (:mod:`repro.cpu.ckernel`).  Every access --
+hit or miss -- goes through the handler's ``load``/``store`` methods,
+and the body is re-dispatched op by op from parallel lists.  They are
+also the only interpreters: interp-lane cells (a finite write buffer,
+a warmup discard, a single-issue perfect cache) run here, and so does
+every dual-issue cell without a C compiler.
 
 :func:`repro.sim.simulator.simulate_reference` runs a cell here; the
 equivalence suites (``tests/sim/test_fastpath_equivalence.py`` and
@@ -31,8 +32,15 @@ def run_single_issue_reference(
 ) -> Tuple[int, int, int]:
     """Execute the trace; returns (cycles, instructions, truedep_stalls).
 
-    Semantics are documented on :func:`repro.cpu.pipeline.run_single_issue`;
-    this is the slow every-access-through-the-handler rendition.
+    The single-issue machine of :mod:`repro.cpu.pipeline`.  ``handler``
+    is a :class:`~repro.core.handler.MissHandler`, a
+    :class:`~repro.cpu.pipeline.PerfectCacheHandler` or a wrapper such
+    as :class:`~repro.sim.tracelog.TracingHandler`; every access goes
+    through its ``load``/``store``.  ``warmup_executions`` discards the
+    first N body executions from every returned count and from the
+    handler's statistics (cache state is kept, so the measured window
+    starts warm) -- the control the paper's billion-reference runs
+    never needed.
     """
     body = trace.body
     n_body = len(body)

@@ -20,10 +20,15 @@ Exactness is by construction, mirrored clause for clause:
   checks are maxima, and composing "advance then max" chains yields
   this single max; the stream pass records which load slots can reach
   each check and with what cumulative advance);
-* the hit fast path, store grading, fence discipline, and turbo lane
-  are verbatim from the specialized engine
-  (:mod:`repro.cpu.codegen`), so every slow access happens at the
-  same cycle in both engines;
+* a hit before the fence -- the earliest outstanding fill time, up to
+  which the handler's ``_drain`` is a no-op, so no tag state can
+  change -- is accounted inline as a 1-cycle hit; stores are graded
+  (write-around stores before the fence are inline hit or miss,
+  write-miss-allocate misses take the slow path); and with an empty
+  fetch FIFO the direct-mapped *turbo lane* collapses whole all-hit
+  body executions into arithmetic (see ``docs/performance.md``), so
+  every slow access happens at the cycle the reference loop presents
+  it;
 * the slow paths transcribe :meth:`MissHandler.load` /
   :meth:`MissHandler.store` statement for statement -- same drain
   points, same histogram integration boundaries, same structural
@@ -81,7 +86,7 @@ def _emit_issue_time(lines: List[str], indent: int, pregap: int, terms) -> None:
 
 
 class _KernelShape:
-    """The codegen-time constants of one (geometry, policy) machine."""
+    """The build-time constants of one (geometry, policy) machine."""
 
     def __init__(self, config: "MachineConfig") -> None:
         geometry = config.geometry
@@ -482,12 +487,11 @@ def _emit_probe_hit(w, indent: int, shape, hit_body: str,
                     miss_body: str) -> None:
     """The per-slot fast-path probe: ``t < fence`` plus a tag hit.
 
-    Mirrors the engine's ``if cycle < fence and probe(addr >> ob)``:
-    the probe is only evaluated before the fence, and for
+    The probe is only evaluated before the fence, and for
     set-associative tags a probe that hits performs the LRU touch
     (a probe that misses touches nothing, and the slow path's
     re-access after its no-op drain misses again, exactly like
-    ``do_load`` after a failed ``hit_probe``).
+    :meth:`~repro.core.handler.MissHandler.load` after a miss).
     """
     if shape.dm:
         _emit(w, indent, "if t < fence and b in res:")
@@ -541,10 +545,11 @@ def build_replay_fn(
         _emit_slow_store(w, shape)
     w.append("        while it < it1:")
     if shape.dm:
-        # Turbo lane, verbatim from the specialized engine: with no
-        # fetch outstanding every lr value is already in the past, so
-        # an all-hit execution stalls nothing and advances by exactly
-        # the body length.
+        # Turbo lane: with no fetch outstanding every lr value is
+        # already in the past, so an all-hit execution stalls nothing
+        # and advances by exactly the body length.  A failed attempt
+        # backs off for 32 executions; probes are pure, so trying or
+        # not trying the chain never changes the simulation.
         chain = " and ".join(
             f"L{k}[it] in res" for k in range(len(slots)))
         _emit(w, 3, f"""
@@ -681,8 +686,8 @@ def run_replay(
 
     Returns ``(stats, cycles, instructions, truedep)`` bit-identical
     to what full execution through
-    :func:`repro.cpu.pipeline.run_single_issue` would produce for the
-    same cell.
+    :func:`repro.cpu.reference.run_single_issue_reference` would
+    produce for the same cell.
     """
     if not replay_supported(config):
         return None

@@ -3,11 +3,15 @@
 The replay runs the *entire* irregular recurrence -- MSHR occupancy,
 primary/secondary merging, structural arbitration, fill scheduling,
 LRU recency touches -- inside the one C kernel (``kernel.c``, built
-and loaded by :mod:`repro.cpu.ckernel`).  It accepts every cell the
-scalar replay kernel accepts: direct-mapped and set-associative
-geometries, write-around and write-miss-allocate stores, resident and
-streaming models alike.  The machine configuration reaches the kernel
-as a runtime parameter block (:func:`_param_block`).
+and loaded by :mod:`repro.cpu.ckernel`).  It accepts exactly the
+cells the scalar replay kernel accepts
+(:func:`repro.cpu.replay.replay_supported`): direct-mapped and
+set-associative geometries, write-around and write-miss-allocate
+stores, resident and streaming models alike.  The machine
+configuration reaches the kernel as a runtime parameter block
+(:func:`_param_block`).  Its hit fast path and fence are its own
+transcription of the scalar kernel's, and both are tested against
+the reference loops (:mod:`repro.cpu.reference`).
 
 The stream's static structure (slot kinds, readiness terms, pregaps)
 is flattened once per stream into int64 tables; per-call state (tags,
@@ -64,17 +68,6 @@ _CAUSES = (
 
 #: ``kind`` codes of the dual-issue driver; every other op is 0.
 _MEMORY_KIND = {OpClass.LOAD: 1, OpClass.STORE: 2}
-
-
-def cnative_supported(config: "MachineConfig") -> bool:
-    """Whether the C replay models this cell (= the replay contract).
-
-    The C kernel transcribes the whole scalar kernel, so the
-    envelope is exactly :func:`repro.cpu.replay.replay_supported`;
-    compiler availability is a separate, per-process question
-    (:func:`repro.cpu.ckernel.kernels_available`).
-    """
-    return replay_supported(config)
 
 
 def _count_fallback(cause: str) -> None:

@@ -17,8 +17,9 @@ A cell's machine fixes its lane (:func:`cell_lane`):
     (:mod:`repro.cpu.reference`) when no kernel can be had.
 ``interp``
     A finite write buffer, a warmup discard or a single-issue perfect
-    cache runs the per-cell interpreter (:mod:`repro.cpu.pipeline`;
-    the reference loop at dual issue).
+    cache runs the reference loop (:mod:`repro.cpu.reference`), as
+    does any cell the stream pass declines (a body without memory
+    ops).
 
 The one choice that changes speed -- C kernel or its fallback -- is
 made per cell from the compiler probe
@@ -43,8 +44,8 @@ def cell_lane(config, warmup: float = 0.0) -> str:
 
     ``closed_form`` (blocking, single issue), ``replay`` (non-blocking,
     single issue), ``dual`` (the C dual-issue driver) or ``interp``
-    (the per-cell interpreter: a finite write buffer, a warmup discard
-    or a single-issue perfect cache).  The one routing predicate:
+    (the reference loop: a finite write buffer, a warmup discard or a
+    single-issue perfect cache).  The one routing predicate:
     ``_simulate_impl`` dispatches on it, the pool clusters and
     pre-builds the C kernel by it, and ``python -m repro engines``
     reports it.

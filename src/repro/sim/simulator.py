@@ -16,11 +16,11 @@ from growing memory without limit; sizes were chosen so a full
 paper-scale sweep (18 benchmarks x 6 latencies) still fits.
 
 Each cell runs on the one lane its machine fixes
-(:func:`repro.sim.engines.cell_lane`): closed form, replay, dual issue
-or the per-cell interpreter, in the C kernel where one loads.
-:func:`simulate_reference` runs the same cell on the reference loops
-of :mod:`repro.cpu.reference`, the oracle every lane is tested
-against.
+(:func:`repro.sim.engines.cell_lane`): closed form, replay or dual
+issue, in the C kernel where one loads, or the reference loops of
+:mod:`repro.cpu.reference` for the rare cells no fast lane models.
+:func:`simulate_reference` runs any cell on those reference loops, the
+oracle every lane is tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 from repro import telemetry
 from repro.compiler.pipeline import CompiledBody, compile_kernel
 from repro.errors import ConfigurationError
-from repro.cpu.pipeline import PerfectCacheHandler, run_single_issue
+from repro.cpu.pipeline import PerfectCacheHandler
 from repro.cpu.reference import (
     run_dual_issue_reference,
     run_single_issue_reference,
@@ -51,6 +51,9 @@ from repro.workloads.workload import Workload
 #: cached result silently becomes a miss.  Pure speedups that keep
 #: results bit-identical must NOT bump it.
 ENGINE_VERSION = "engine-2"
+
+#: Interp-lane loop; perfbench/layers.py wraps it by this name (``interp``).
+run_single_issue = run_single_issue_reference
 
 #: Compiled bodies are small; traces hold the full address buffers, so
 #: their cache is kept tighter.
@@ -297,7 +300,7 @@ def simulate_reference(
         config = baseline_config()
     compiled, trace = _expand_cell(workload, config, load_latency, scale,
                                    unroll_override, warmup)
-    out = _interpret(trace, config, warmup, run_single_issue_reference)
+    out = _interpret(trace, config, warmup)
     return _result(workload, config, load_latency, compiled, out)
 
 
@@ -369,26 +372,23 @@ def _expand_cell(
     unroll_override: int,
     warmup: float,
 ) -> Tuple[CompiledBody, ExpandedTrace]:
-    """Compile and expand a cell's workload; validate its warmup."""
-    compiled, trace = expand_workload(
-        workload, load_latency, scale=scale, unroll_override=unroll_override
-    )
+    """Validate a cell's warmup, then compile and expand its workload."""
     if not 0.0 <= warmup < 1.0:
         raise ConfigurationError(f"warmup must lie in [0, 1): {warmup}")
     if warmup and config.issue_width != 1:
         raise ConfigurationError(
             "warmup discard is implemented for the single-issue model"
         )
-    return compiled, trace
+    return expand_workload(
+        workload, load_latency, scale=scale, unroll_override=unroll_override
+    )
 
 
-def _interpret(trace: ExpandedTrace, config: MachineConfig, warmup: float,
-               run_single) -> Tuple:
-    """Execute the whole trace on a fresh handler.
+def _interpret(trace: ExpandedTrace, config: MachineConfig,
+               warmup: float) -> Tuple:
+    """Execute the whole trace on a fresh handler, on the reference loops.
 
-    Returns ``(stats, cycles, instructions, truedep)``.  Single issue
-    runs on ``run_single``; dual issue on the reference loop, its only
-    interpreter.
+    Returns ``(stats, cycles, instructions, truedep)``.
     """
     if config.perfect_cache:
         handler = PerfectCacheHandler()
@@ -397,8 +397,8 @@ def _interpret(trace: ExpandedTrace, config: MachineConfig, warmup: float,
     if config.issue_width == 2:
         counts = run_dual_issue_reference(trace, handler)
     else:
-        counts = run_single(trace, handler,
-                            warmup_executions=int(trace.executions * warmup))
+        counts = run_single_issue(
+            trace, handler, warmup_executions=int(trace.executions * warmup))
     return (handler.stats,) + counts
 
 
@@ -427,7 +427,7 @@ def _simulate_impl(
     if out is None:
         if telemetry.enabled():
             _METRICS.get().bypasses.inc()
-        out = _interpret(trace, config, warmup, run_single_issue)
+        out = _interpret(trace, config, warmup)
     return _result(workload, config, load_latency, compiled, out)
 
 

@@ -110,11 +110,6 @@ class ExpandedTrace:
     _program: Optional[List[tuple]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Specialized single-issue runner, built lazily by
-    #: :mod:`repro.cpu.codegen` and cached here with the trace.
-    _single_issue_fn: Optional[object] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def num_instructions(self) -> int:

@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from repro.core.classify import AccessOutcome
 from repro.core.handler import MissHandler
-from repro.cpu.pipeline import run_single_issue
+from repro.cpu.reference import run_single_issue_reference
 from repro.sim.config import MachineConfig, baseline_config
 from repro.sim.simulator import expand_workload
 from repro.workloads.workload import Workload
@@ -109,14 +109,15 @@ def record_accesses(
 ) -> List[AccessRecord]:
     """Run a short simulation and return the first ``limit`` accesses.
 
-    Single-issue only (the tracing wrapper mirrors that engine's
-    handler interface).
+    Single-issue only: the trace runs on the reference loop
+    (:func:`repro.cpu.reference.run_single_issue_reference`), which
+    sends every access through the wrapped handler.
     """
     if config is None:
         config = baseline_config()
     _compiled, trace = expand_workload(workload, load_latency, scale=scale)
     handler = TracingHandler(config.make_handler(), limit=limit)
-    run_single_issue(trace, handler)
+    run_single_issue_reference(trace, handler)
     return handler.records
 
 

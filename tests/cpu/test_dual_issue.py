@@ -5,8 +5,11 @@ from repro.cache.memory import PipelinedMemory
 from repro.core.handler import MissHandler
 from repro.core.policies import blocking_cache, no_restrict
 from repro.cpu.isa import Instruction, OpClass
-from repro.cpu.pipeline import PerfectCacheHandler, run_single_issue
-from repro.cpu.reference import run_dual_issue_reference
+from repro.cpu.pipeline import PerfectCacheHandler
+from repro.cpu.reference import (
+    run_dual_issue_reference,
+    run_single_issue_reference,
+)
 from repro.sim.trace import ExpandedTrace
 
 GEOM = CacheGeometry(size=8 * 1024, line_size=32, associativity=1)
@@ -86,7 +89,7 @@ class TestWithRealCache:
             [0x100 + 64 * i for i in range(30)], None, None, None,
             [0x9000] * 30,
         ]
-        single_cycles, _, _ = run_single_issue(
+        single_cycles, _, _ = run_single_issue_reference(
             trace(body, addresses, executions=30), handler()
         )
         dual_cycles, _, _ = run_dual_issue_reference(

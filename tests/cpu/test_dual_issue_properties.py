@@ -20,8 +20,11 @@ from repro.core.policies import (
 )
 from repro.cpu import ckernel
 from repro.cpu.isa import Instruction, OpClass
-from repro.cpu.pipeline import PerfectCacheHandler, run_single_issue
-from repro.cpu.reference import run_dual_issue_reference
+from repro.cpu.pipeline import PerfectCacheHandler
+from repro.cpu.reference import (
+    run_dual_issue_reference,
+    run_single_issue_reference,
+)
 from repro.cpu.replay_cnative import run_dual_issue
 from repro.sim.config import MachineConfig
 from repro.sim.trace import ExpandedTrace
@@ -72,7 +75,7 @@ def test_dual_issue_bounded_by_single_issue(trace, policy):
     faster (same instruction count, >= half the cycles)."""
     single = MissHandler(policy, GEOM, PipelinedMemory(16))
     dual = MissHandler(policy, GEOM, PipelinedMemory(16))
-    s_cycles, s_instr, _ = run_single_issue(trace, single)
+    s_cycles, s_instr, _ = run_single_issue_reference(trace, single)
     d_cycles, d_instr, _ = run_dual_issue_reference(trace, dual)
     assert d_instr == s_instr
     assert d_cycles <= s_cycles + 1  # +1 for the end-of-run convention

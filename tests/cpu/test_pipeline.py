@@ -1,4 +1,4 @@
-"""Exact-cycle tests for the single-issue engine on hand-built traces."""
+"""Exact-cycle tests for the single-issue model on hand-built traces."""
 
 from typing import List, Optional, Sequence
 
@@ -7,7 +7,8 @@ from repro.cache.memory import PipelinedMemory
 from repro.core.handler import MissHandler
 from repro.core.policies import blocking_cache, mc, no_restrict
 from repro.cpu.isa import Instruction, OpClass
-from repro.cpu.pipeline import PerfectCacheHandler, run_single_issue
+from repro.cpu.pipeline import PerfectCacheHandler
+from repro.cpu.reference import run_single_issue_reference
 from repro.sim.trace import ExpandedTrace
 
 GEOM = CacheGeometry(size=8 * 1024, line_size=32, associativity=1)
@@ -42,7 +43,7 @@ STORE = lambda src, stream=0: Instruction(OpClass.STORE, srcs=(src,), stream=str
 class TestIdealTiming:
     def test_alu_stream_is_one_cpi(self):
         body = [IALU(1), IALU(2), IALU(3)]
-        cycles, instructions, truedep = run_single_issue(
+        cycles, instructions, truedep = run_single_issue_reference(
             trace(body, [None, None, None], executions=10), handler()
         )
         assert instructions == 30
@@ -55,7 +56,7 @@ class TestIdealTiming:
         # waits for execution 0's fill; after that every load hits and
         # costs one cycle.
         body = [LOAD(32)]
-        cycles, instructions, truedep = run_single_issue(
+        cycles, instructions, truedep = run_single_issue_reference(
             trace(body, [[0x100] * 5], executions=5), handler()
         )
         assert instructions == 5
@@ -66,7 +67,7 @@ class TestIdealTiming:
     def test_dependent_alu_no_stall(self):
         # Single-cycle producers never stall consumers.
         body = [IALU(1), IALU(2, 1)]
-        cycles, _, truedep = run_single_issue(
+        cycles, _, truedep = run_single_issue_reference(
             trace(body, [None, None], executions=4), handler()
         )
         assert cycles == 8
@@ -77,7 +78,7 @@ class TestMissTiming:
     def test_load_use_stall_equals_penalty(self):
         # load at cycle 0 (fill at 17); use stalls 16 cycles.
         body = [LOAD(32), IALU(1, 32)]
-        cycles, instructions, truedep = run_single_issue(
+        cycles, instructions, truedep = run_single_issue_reference(
             trace(body, [[0x100], None]), handler()
         )
         assert instructions == 2
@@ -88,7 +89,7 @@ class TestMissTiming:
         # Sixteen independent ALUs between load and use: no stall.
         body = [LOAD(32)] + [IALU(i) for i in range(1, 17)] + [IALU(20, 32)]
         addresses = [[0x100]] + [None] * 17
-        cycles, instructions, truedep = run_single_issue(
+        cycles, instructions, truedep = run_single_issue_reference(
             trace(body, addresses), handler()
         )
         assert truedep == 0
@@ -96,7 +97,7 @@ class TestMissTiming:
 
     def test_blocking_load_stalls_at_load(self):
         body = [LOAD(32), IALU(1)]  # the ALU is independent
-        cycles, _, truedep = run_single_issue(
+        cycles, _, truedep = run_single_issue_reference(
             trace(body, [[0x100], None]), handler(blocking_cache())
         )
         # Blocking: load costs 1+16, ALU 1.
@@ -106,7 +107,9 @@ class TestMissTiming:
     def test_two_overlapped_misses_unrestricted(self):
         body = [LOAD(32), LOAD(33, 1), IALU(1, 32), IALU(2, 33)]
         addresses = [[0x100], [0x200], None, None]
-        cycles, _, truedep = run_single_issue(trace(body, addresses), handler())
+        cycles, _, truedep = run_single_issue_reference(
+            trace(body, addresses), handler()
+        )
         # load@0 (fill 17), load@1 (fill 18), use@2 stalls to 17,
         # use@18 ready (fill 18 at cycle 18) -> issues 18, ends 19.
         assert cycles == 19
@@ -114,7 +117,9 @@ class TestMissTiming:
     def test_two_misses_hit_under_miss_serialize(self):
         body = [LOAD(32), LOAD(33, 1), IALU(1, 32), IALU(2, 33)]
         addresses = [[0x100], [0x200], None, None]
-        cycles, _, _ = run_single_issue(trace(body, addresses), handler(mc(1)))
+        cycles, _, _ = run_single_issue_reference(
+            trace(body, addresses), handler(mc(1))
+        )
         # Second load structurally stalls until 17 and refetches (fill
         # at 34); the first use issues during the wait, the second
         # stalls until the refetched fill.
@@ -123,7 +128,7 @@ class TestMissTiming:
     def test_waw_on_pending_fill_stalls(self):
         # Rewriting a register whose fill is outstanding waits for it.
         body = [LOAD(32), IALU(32)]
-        cycles, _, truedep = run_single_issue(
+        cycles, _, truedep = run_single_issue_reference(
             trace(body, [[0x100], None]), handler()
         )
         assert truedep == 16
@@ -131,7 +136,7 @@ class TestMissTiming:
 
     def test_store_is_timing_neutral(self):
         body = [IALU(1), STORE(1)]
-        cycles, _, _ = run_single_issue(
+        cycles, _, _ = run_single_issue_reference(
             trace(body, [None, [0x300] * 3], executions=3), handler()
         )
         assert cycles == 6
@@ -144,7 +149,7 @@ class TestAccountingIdentity:
                      [0x4000 + 64 * i for i in range(20)], None,
                      [0x8000] * 20]
         h = handler(mc(1))
-        cycles, instructions, truedep = run_single_issue(
+        cycles, instructions, truedep = run_single_issue_reference(
             trace(body, addresses, executions=20), h
         )
         memory_stalls = h.stats.memory_stall_cycles
@@ -155,7 +160,7 @@ class TestPerfectCache:
     def test_every_access_hits(self):
         body = [LOAD(32), IALU(1, 32)]
         h = PerfectCacheHandler()
-        cycles, instructions, truedep = run_single_issue(
+        cycles, instructions, truedep = run_single_issue_reference(
             trace(body, [[0x100] * 8, None], executions=8), h
         )
         assert cycles == instructions

@@ -1,13 +1,13 @@
 """The simulator's timing contract: bit-identical results.
 
 Whatever lane a cell takes -- closed form, replay, the dual-issue
-driver or the two-tier interpreter (inline hit fast path + per-trace
-specialized runner, ``docs/performance.md``) -- ``simulate`` must
-produce *exactly* the :class:`~repro.sim.stats.SimulationResult` the
-reference loops produce (:func:`repro.sim.simulator.simulate_reference`)
--- cycles, MCPI, and the complete ``MissStats`` including histograms --
-for every MSHR policy family, cache geometry, write buffer, issue
-width, and warmup setting.  ``SimulationResult`` is a frozen
+driver or the reference loop itself (``docs/performance.md``) --
+``simulate`` must produce *exactly* the
+:class:`~repro.sim.stats.SimulationResult` the reference loops produce
+(:func:`repro.sim.simulator.simulate_reference`) -- cycles, MCPI, and
+the complete ``MissStats`` including histograms -- for every MSHR
+policy family, cache geometry, write buffer, issue width, and warmup
+setting.  ``SimulationResult`` is a frozen
 dataclass, so ``==`` compares every field.
 """
 
@@ -79,8 +79,8 @@ class TestPolicyFamilies:
 
 class TestGeometries:
     def test_set_associative_lru(self):
-        # SA hits must touch LRU through hit_probe; a divergence shows
-        # up as a different victim on a later miss.
+        # SA hits must touch LRU in the replay kernels too; a
+        # divergence shows up as a different victim on a later miss.
         workload = get_benchmark("espresso")
         config = replace(
             baseline_config().with_policy(no_restrict()),
@@ -112,8 +112,8 @@ class TestGeometries:
 
 class TestOtherMachinery:
     def test_finite_write_buffer(self):
-        # Finite-buffer occupancy depends on push times, so the store
-        # fast path must disable itself; loads may still go fast.
+        # Finite-buffer occupancy depends on push times, which no fast
+        # lane models: the cell runs on the interp lane.
         workload = get_benchmark("eqntott")
         config = replace(
             baseline_config().with_policy(no_restrict()),

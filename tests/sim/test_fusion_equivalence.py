@@ -1,9 +1,8 @@
 """Policy-sibling fusion's timing contract: bit-identical results.
 
-Every lane -- the closed form and the replay over one stream pass per
-group (``docs/performance.md``), in the C kernel or the scalar
-fallback, the dual-issue driver and the per-cell interpreter -- must
-produce *exactly* the :class:`~repro.sim.stats.SimulationResult` the
+Every fast lane -- the closed form and the replay over one stream pass
+per group (``docs/performance.md``), in the C kernel or the scalar
+fallback, and the dual-issue driver -- must produce *exactly* the :class:`~repro.sim.stats.SimulationResult` the
 reference loops produce -- cycles, stall accounting, and the complete
 ``MissStats`` including histograms -- across every baseline policy,
 both issue widths, and the paper's cache-geometry corners.
@@ -26,13 +25,10 @@ from repro.core.policies import (
     no_restrict,
 )
 from repro.cpu import ckernel
-from repro.cpu.pipeline import run_single_issue
-from repro.cpu.reference import run_single_issue_reference
 from repro.sim import stream as stream_mod
 from repro.sim.config import baseline_config
 from repro.sim.simulator import (
     clear_caches,
-    expand_workload,
     simulate,
     simulate_reference,
 )
@@ -46,47 +42,6 @@ GEOMETRIES = [
 ]
 
 POLICIES = [(policy.name, policy) for policy in baseline_policies()]
-
-
-def _interpret(run, config, warmup=0.0):
-    """One cell on an interpreter loop: ``(stats, cycles, instr, truedep)``."""
-    _, trace = expand_workload(get_benchmark("eqntott"), 10, scale=0.1)
-    handler = config.make_handler()
-    counts = run(trace, handler,
-                 warmup_executions=int(trace.executions * warmup))
-    return (handler.stats,) + counts
-
-
-class TestInterpreterEquivalence:
-    """The per-cell interpreter against the reference loop, directly.
-
-    ``simulate`` runs :func:`repro.cpu.pipeline.run_single_issue` only
-    for interp-lane cells (a finite write buffer, a warmup discard, a
-    single-issue perfect cache), which may carry any policy, so the
-    interpreter gets the full policy x geometry matrix on fresh
-    handlers.
-    """
-
-    @pytest.mark.parametrize("label,policy", POLICIES,
-                             ids=[label for label, _ in POLICIES])
-    @pytest.mark.parametrize("geo_label,geometry", GEOMETRIES,
-                             ids=[label for label, _ in GEOMETRIES])
-    @pytest.mark.parametrize("write_buffer_depth", [None, 2],
-                             ids=["ideal-wb", "wb2"])
-    def test_interpreter_matches_reference(self, label, policy, geo_label,
-                                           geometry, write_buffer_depth):
-        config = replace(baseline_config().with_policy(policy),
-                         geometry=geometry,
-                         write_buffer_depth=write_buffer_depth)
-        assert _interpret(run_single_issue, config) == \
-            _interpret(run_single_issue_reference, config)
-
-    @pytest.mark.parametrize("label,policy", POLICIES,
-                             ids=[label for label, _ in POLICIES])
-    def test_warmup_matches_reference(self, label, policy):
-        config = baseline_config().with_policy(policy)
-        assert _interpret(run_single_issue, config, warmup=0.25) == \
-            _interpret(run_single_issue_reference, config, warmup=0.25)
 
 
 class TestPolicySiblingEquivalence:

@@ -9,6 +9,7 @@ from repro.sim.simulator import (
     compile_workload,
     expand_workload,
     simulate,
+    trace_cached,
 )
 from repro.workloads.spec92 import BENCHMARK_ORDER, get_benchmark
 
@@ -141,14 +142,18 @@ class TestWarmupDiscard:
                         scale=0.2, warmup=0.4).mcpi
         assert warm == _pytest.approx(cold, rel=0.01)
 
+    # A rejected warmup is caught before the trace is compiled and
+    # expanded, so nothing lands in the trace cache.
     def test_bad_warmup_rejected(self):
         import pytest as _pytest
 
         from repro.errors import ConfigurationError
 
+        clear_caches()
         with _pytest.raises(ConfigurationError):
             simulate(get_benchmark("ora"), baseline_config(mc(1)),
                      scale=0.05, warmup=1.5)
+        assert not trace_cached(get_benchmark("ora"), 10, 0.05)
 
     def test_dual_issue_warmup_rejected(self):
         import pytest as _pytest
@@ -157,5 +162,7 @@ class TestWarmupDiscard:
         from repro.errors import ConfigurationError
 
         config = replace(baseline_config(mc(1)), issue_width=2)
+        clear_caches()
         with _pytest.raises(ConfigurationError):
             simulate(get_benchmark("ora"), config, scale=0.05, warmup=0.2)
+        assert not trace_cached(get_benchmark("ora"), 10, 0.05)

@@ -57,7 +57,7 @@ class TestNonInterference:
                             load_latency=10, scale=0.05)
         # A traced run of the same configuration produces the same
         # aggregate counters.
-        from repro.cpu.pipeline import run_single_issue
+        from repro.cpu.reference import run_single_issue_reference
         from repro.sim.simulator import expand_workload
         from repro.sim.tracelog import TracingHandler
 
@@ -65,7 +65,7 @@ class TestNonInterference:
         handler = TracingHandler(
             baseline_config(no_restrict()).make_handler(), limit=10
         )
-        cycles, instructions, _ = run_single_issue(trace, handler)
+        cycles, instructions, _ = run_single_issue_reference(trace, handler)
         assert cycles == untraced.cycles
         assert instructions == untraced.instructions
 

@@ -74,6 +74,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "IPC" in out
 
+    def test_simulate_warmup_prints_the_reference_mcpi(self, capsys):
+        from repro.sim.config import baseline_config
+        from repro.sim.simulator import simulate_reference
+        from repro.workloads.spec92 import get_benchmark
+
+        assert main(["simulate", "xlisp", "--scale", "0.05",
+                     "--warmup", "0.25", "--policy", "mc=1"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        reference = simulate_reference(
+            get_benchmark("xlisp"), baseline_config(parse_policy("mc=1")),
+            load_latency=10, scale=0.05, warmup=0.25)
+        assert row[:2] == ["mc=1", f"{reference.mcpi:.3f}"]
+
+    def test_simulate_warmup_rejected_at_dual_issue(self, capsys):
+        assert main(["simulate", "xlisp", "--scale", "0.05", "--issue", "2",
+                     "--warmup", "0.2", "--policy", "mc=1"]) == 2
+        assert ("warmup discard is implemented for the single-issue model"
+                in capsys.readouterr().err)
+
     def test_simulate_unknown_benchmark(self, capsys):
         assert main(["simulate", "gcc"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -5,9 +5,9 @@ The default run takes two gated measurements and writes both to
 
 * **policy-sibling fusion** (``fusion``) -- a cold benchmarks x
   policies sweep through ``simulate`` (one stream pass per group, each
-  sibling on its closed form or replay kernel) vs the per-cell
-  interpreter re-executing the trace for every sibling, results
-  asserted bit-identical; CI enforces a floor via ``--assert-speedup``;
+  sibling on its closed form or replay kernel) vs the reference loop
+  re-executing the trace for every sibling, results asserted
+  bit-identical; CI enforces a floor via ``--assert-speedup``;
 * **telemetry overhead** (``telemetry_overhead``) -- the fixed
   per-cell cost of spans and counters against a realistic cell
   length, results asserted bit-identical with telemetry on and off;
@@ -21,7 +21,7 @@ Usage::
 
     python tools/perfbench.py [--scale 1.0] [--repeats 3]
     python tools/perfbench.py --smoke        # tiny, for CI
-    python tools/perfbench.py --smoke --assert-overhead 2 --assert-speedup 1.5
+    python tools/perfbench.py --smoke --assert-overhead 2 --assert-speedup 3
     python tools/perfbench.py bench_cnative --smoke --assert-speedup 5
     python tools/perfbench.py bench_screen --smoke --assert-prune 60
 
@@ -45,7 +45,7 @@ from repro import telemetry
 from repro.analysis import format_table
 from repro.compiler.ir import KernelBuilder
 from repro.core.policies import baseline_policies, blocking_cache
-from repro.cpu.pipeline import run_single_issue
+from repro.cpu.reference import run_single_issue_reference
 from repro.sim.config import baseline_config
 from repro.sim.resultstore import ResultStore
 from repro.sim.simulator import clear_caches, expand_workload, simulate
@@ -125,9 +125,10 @@ def bench_fusion(scale: float, repeats: int, smoke: bool):
     expanded and its event stream built once, blocking siblings
     collapse to the functional closed form, and each non-blocking
     sibling runs only its replay kernel.  Unfused, every sibling
-    re-executes the trace on the per-cell interpreter
-    (:func:`repro.cpu.pipeline.run_single_issue` on a fresh handler),
-    the work fusion exists to share.  Caches are cleared before every
+    re-executes the trace on the single-issue reference loop
+    (:func:`repro.cpu.reference.run_single_issue_reference` on a fresh
+    handler, the loop interp-lane cells run), the work fusion exists
+    to share.  Caches are cleared before every
     pass so both sides start cold, and every unfused cell's
     ``(stats, cycles, instructions, truedep)`` is asserted equal to the
     fused result's.
@@ -171,7 +172,7 @@ def bench_fusion(scale: float, repeats: int, smoke: bool):
         for workload, config, latency, s in cells:
             _, trace = expand_workload(workload, latency, scale=s)
             handler = config.make_handler()
-            counts = run_single_issue(trace, handler)
+            counts = run_single_issue_reference(trace, handler)
             out.append((handler.stats,) + counts)
         return out
 
@@ -209,8 +210,8 @@ def bench_cnative(scale: float, repeats: int, smoke: bool):
     """
     from repro.cache.geometry import FULLY_ASSOCIATIVE, CacheGeometry
     from repro.cpu import ckernel
-    from repro.cpu.replay import run_replay
-    from repro.cpu.replay_cnative import cnative_supported, run_cnative
+    from repro.cpu.replay import replay_supported, run_replay
+    from repro.cpu.replay_cnative import run_cnative
     from repro.sim import stream as stream_mod
     from repro.sim.config import MachineConfig
     from repro.sim.simulator import expand_workload
@@ -245,7 +246,7 @@ def bench_cnative(scale: float, repeats: int, smoke: bool):
                                          geometry.line_size)
         configs = [MachineConfig(geometry=geometry, policy=p)
                    for p in policies]
-        assert all(cnative_supported(c) for c in configs)
+        assert all(replay_supported(c) for c in configs)
         # Compiles/loads every kernel the sweep needs, so the timed
         # passes below never pay a build.
         for config in configs:
@@ -685,7 +686,7 @@ def main() -> None:
           f"{fusion['policies']} policies, serial):")
     print(f"  fused (stream + replay)       : "
           f"{fusion['fused_seconds']:.3f} s")
-    print(f"  unfused (per-cell execution)  : "
+    print(f"  unfused (reference loop)      : "
           f"{fusion['unfused_seconds']:.3f} s")
     print(f"  speedup                       : {fusion['speedup']:.2f}x")
 
