@@ -124,6 +124,13 @@ class TestSetAssociative:
         evicted = tags.install(32)  # third conflicting block
         assert evicted == 0
 
+    def test_probe_leaves_lru_untouched(self):
+        tags = SetAssociativeTags(CacheGeometry(1024, 32, 2))  # 16 sets
+        tags.install(0)
+        tags.install(16)  # 0 is now the LRU way of its set
+        assert tags.probe(0)
+        assert tags.install(32) == 0
+
     def test_make_tag_store_dispatch(self):
         assert isinstance(
             make_tag_store(CacheGeometry(1024, 32, 1)), DirectMappedTags
@@ -160,6 +167,12 @@ class _ModelLRU:
         if len(self.blocks) > self.capacity:
             return self.blocks.pop()
         return None
+
+    def invalidate(self, block: int) -> bool:
+        if block in self.blocks:
+            self.blocks.remove(block)
+            return True
+        return False
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,3 +212,69 @@ def test_direct_mapped_holds_last_block_per_set(blocks):
         expected = last_per_set[geometry.set_of_block(block)] == block
         assert tags.probe(block) == expected
     assert tags.occupancy() == len(last_per_set)
+
+
+#: Random tag traffic: every operation of the interface, flush included.
+_TRAFFIC = st.lists(
+    st.tuples(st.sampled_from(["access", "install", "probe", "invalidate",
+                               "flush"]),
+              st.integers(min_value=0, max_value=40)),
+    max_size=150,
+)
+
+
+@pytest.mark.parametrize("ways", [2, 4, FULLY_ASSOCIATIVE],
+                         ids=["2way", "4way", "full"])
+@settings(max_examples=60, deadline=None)
+@given(ops=_TRAFFIC)
+def test_set_associative_matches_per_set_model(ways, ops):
+    """Each set of a multi-set store is an independent textbook LRU."""
+    geometry = CacheGeometry(256, 32, ways)  # 8 lines
+    real = SetAssociativeTags(geometry)
+    models = {}
+
+    def model(block):
+        index = geometry.set_of_block(block)
+        return models.setdefault(index, _ModelLRU(geometry.ways))
+
+    for op, block in ops:
+        if op == "access":
+            assert real.access(block) == model(block).access(block)
+        elif op == "install":
+            assert real.install(block) == model(block).install(block)
+        elif op == "invalidate":
+            assert real.invalidate(block) == model(block).invalidate(block)
+        elif op == "flush":
+            real.flush()
+            models.clear()
+        else:
+            assert real.probe(block) == (block in model(block).blocks)
+    assert real.occupancy() == sum(len(m.blocks) for m in models.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_TRAFFIC)
+def test_direct_mapped_matches_model_under_invalidate_and_flush(ops):
+    """A DM store holds the last block installed per set, until removed."""
+    geometry = CacheGeometry(256, 32, 1)  # 8 sets
+    tags = DirectMappedTags(geometry)
+    held = {}
+    for op, block in ops:
+        index = geometry.set_of_block(block)
+        if op == "install":
+            evicted = held.get(index)
+            expected = None if evicted == block else evicted
+            assert tags.install(block) == expected
+            held[index] = block
+        elif op == "invalidate":
+            present = held.get(index) == block
+            assert tags.invalidate(block) == present
+            if present:
+                del held[index]
+        elif op == "flush":
+            tags.flush()
+            held.clear()
+        else:  # access and probe agree on a direct-mapped store
+            assert tags.probe(block) == (held.get(index) == block)
+            assert tags.access(block) == (held.get(index) == block)
+    assert tags.occupancy() == len(held)

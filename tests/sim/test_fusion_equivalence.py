@@ -2,12 +2,14 @@
 
 Every fast lane -- the closed form and the replay over one stream pass
 per group (``docs/performance.md``), in the C kernel or the scalar
-fallback, and the dual-issue driver -- must produce *exactly* the :class:`~repro.sim.stats.SimulationResult` the
-reference loops produce -- cycles, stall accounting, and the complete
-``MissStats`` including histograms -- across every baseline policy,
-both issue widths, and the paper's cache-geometry corners.
-``SimulationResult`` is a frozen dataclass, so ``==`` compares every
-field.
+fallback, and the dual-issue driver -- must produce *exactly* the
+:class:`~repro.sim.stats.SimulationResult` the reference loops produce
+-- cycles, stall accounting, and the complete ``MissStats`` including
+histograms -- across every baseline policy, both issue widths, and the
+paper's cache-geometry corners.  The interp lane is the reference loop
+itself; its finite write buffer is checked against the fast lanes at
+the buffer's ideal limit.  ``SimulationResult`` is a frozen dataclass,
+so ``==`` compares every field.
 """
 
 from __future__ import annotations
@@ -25,10 +27,14 @@ from repro.core.policies import (
     no_restrict,
 )
 from repro.cpu import ckernel
+from repro.cpu.reference import run_single_issue_reference
+from repro.sim import engines
+from repro.sim import simulator
 from repro.sim import stream as stream_mod
 from repro.sim.config import baseline_config
 from repro.sim.simulator import (
     clear_caches,
+    expand_workload,
     simulate,
     simulate_reference,
 )
@@ -42,6 +48,67 @@ GEOMETRIES = [
 ]
 
 POLICIES = [(policy.name, policy) for policy in baseline_policies()]
+
+#: Interp-lane machines: (label, machine, warmup fraction).
+INTERP_CELLS = [
+    ("wb4", replace(baseline_config(mc(1)), write_buffer_depth=4), 0.0),
+    ("warmup", baseline_config(mc(1)), 0.25),
+    ("perfect", replace(baseline_config(), perfect_cache=True), 0.0),
+]
+
+
+class TestInterpLane:
+    """Interp-lane cells on the single-issue reference loop.
+
+    A finite write buffer, a warmup discard or a single-issue perfect
+    cache runs :func:`repro.cpu.reference.run_single_issue_reference`
+    through the module-level name ``repro.sim.simulator.run_single_issue``,
+    which ``perfbench``'s ``interp`` site wraps.  A finite buffer that
+    can never fill must time exactly as the fast lanes do with the
+    paper's ideal buffer, for every policy at both issue widths.
+    """
+
+    @pytest.mark.parametrize("label,config,warmup", INTERP_CELLS,
+                             ids=[label for label, _, _ in INTERP_CELLS])
+    def test_runs_through_the_module_name(self, monkeypatch, label, config,
+                                          warmup):
+        assert simulator.run_single_issue is run_single_issue_reference
+        calls = []
+
+        def counting(trace, handler, warmup_executions=0):
+            calls.append(warmup_executions)
+            return run_single_issue_reference(trace, handler,
+                                              warmup_executions)
+
+        monkeypatch.setattr(simulator, "run_single_issue", counting)
+        workload = get_benchmark("xlisp")
+        assert engines.cell_lane(config, warmup) == "interp"
+        simulate(workload, config, load_latency=10, scale=0.1,
+                 warmup=warmup)
+        _, trace = expand_workload(workload, 10, scale=0.1)
+        assert calls == [int(trace.executions * warmup)]
+
+    @pytest.mark.parametrize("label,policy", POLICIES,
+                             ids=[label for label, _ in POLICIES])
+    @pytest.mark.parametrize("issue_width", [1, 2])
+    def test_one_entry_buffer_retiring_each_cycle_is_ideal(
+            self, label, policy, issue_width):
+        # One memory port issues at most one store a cycle, so a
+        # one-entry buffer that retires every cycle never fills.  The
+        # same buffer retiring every other cycle does stall on xlisp,
+        # so the run presses on it.
+        workload = get_benchmark("xlisp")
+        config = replace(baseline_config().with_policy(policy),
+                         issue_width=issue_width)
+        ideal = simulate(workload, config, load_latency=10, scale=0.1)
+        one_entry = replace(config, write_buffer_depth=1)
+        assert engines.cell_lane(one_entry) == "interp"
+        assert simulate(workload, one_entry, load_latency=10,
+                        scale=0.1) == ideal
+        slow = simulate(workload,
+                        replace(one_entry, write_buffer_retire_cycles=2),
+                        load_latency=10, scale=0.1)
+        assert slow.miss.write_buffer_stall_cycles > 0
 
 
 class TestPolicySiblingEquivalence:
@@ -77,8 +144,9 @@ class TestPolicySiblingEquivalence:
         assert stream_mod.cache_sizes() == (0, 0)
 
 
-#: The cnative matrix adds set-associative corners to the two
-#: direct-mapped ones, so the C kernels' LRU stacks are covered too.
+#: The cnative and no-compiler matrices add set-associative corners to
+#: the two direct-mapped ones, so the replay kernels' LRU stacks -- C
+#: and scalar -- are covered too.
 CNATIVE_GEOMETRIES = GEOMETRIES + [
     ("8KB/4way", CacheGeometry(size=8192, line_size=32, associativity=4)),
     ("64KB/2way", CacheGeometry(size=65536, line_size=32, associativity=2)),
@@ -262,8 +330,8 @@ class TestScalarFallbackEquivalence:
 
     @pytest.mark.parametrize("label,policy", POLICIES,
                              ids=[label for label, _ in POLICIES])
-    @pytest.mark.parametrize("geo_label,geometry", GEOMETRIES,
-                             ids=[label for label, _ in GEOMETRIES])
+    @pytest.mark.parametrize("geo_label,geometry", CNATIVE_GEOMETRIES,
+                             ids=[label for label, _ in CNATIVE_GEOMETRIES])
     def test_no_compiler_matches_reference(self, no_compiler, label,
                                            policy, geo_label, geometry):
         workload = get_benchmark("eqntott")
