@@ -310,7 +310,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 #: (lane, the cells on it, where it runs with a C kernel, without one).
 _LANES = (
-    ("closed_form", "blocking, single issue", "closed form", "closed form"),
+    ("closed_form", "blocking, single issue",
+     "closed form over C kernel classification",
+     "closed form over Python classification"),
     ("replay", "non-blocking, single issue", "C kernel", "scalar replay"),
     ("dual", "dual issue, ideal write buffer", "C kernel",
      "reference dual-issue loop"),

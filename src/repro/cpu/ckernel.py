@@ -2,11 +2,14 @@
 
 The scalar replay kernel (:mod:`repro.cpu.replay`) is generated
 Python; ``kernel.c`` beside this module is the same machine written in
-C -- ``repro_replay`` for event-stream replays and ``repro_dual`` for
-the dual-issue machine of Section 6.  Every MSHR organization and
-every numeric setting (set mask, ways, limits, penalty, sub-block
-layout) is a runtime parameter (:data:`PARAM_SLOTS`), so one compiled
-kernel serves every cell of every sweep.
+C -- ``repro_replay`` for event-stream replays, ``repro_dual`` for
+the dual-issue machine of Section 6, and ``repro_classify`` for the
+blocking caches' functional classification
+(:func:`repro.sim.stream.functional_summary`).  Every MSHR
+organization and every numeric setting (set mask, ways, limits,
+penalty, sub-block layout) is a runtime parameter
+(:data:`PARAM_SLOTS`), so one compiled kernel serves every cell of
+every sweep.
 
 Build pipeline: probe for a compiler (``REPRO_CC`` overrides; ``cc`` /
 ``gcc`` / ``clang`` on PATH otherwise), compile ``kernel.c`` with
@@ -18,8 +21,9 @@ The cache entry is named by a digest of the source text, the flags,
 so any source, flag or semantics change builds a new kernel;
 ``python -m repro cache gc`` removes every entry of another digest.
 No compiler, failed build, missing binding: the caller falls back to
-the scalar replay or the reference dual-issue loop
-(:mod:`repro.cpu.replay_cnative` tags the cause).
+the scalar replay, the reference dual-issue loop or the Python
+classification (:mod:`repro.cpu.replay_cnative` tags the cause of a
+replay or dual-issue cell's fallback).
 """
 
 from __future__ import annotations
@@ -226,6 +230,8 @@ _CDEF = (
     "long long repro_dual(const long long *, const long long *, "
     "const long long *, const long long *, const long long *, "
     "long long **, long long *, long long *, long long *, long long *);"
+    "long long repro_classify(const long long *, const long long *, "
+    "long long **, long long *, long long *, long long *);"
 )
 
 
@@ -242,7 +248,7 @@ class _CffiBinding:
 
     def load(self, path: Path):
         lib = self._ffi.dlopen(str(path))
-        return lib.repro_replay, lib.repro_dual
+        return lib.repro_replay, lib.repro_dual, lib.repro_classify
 
     def pointer(self, arr):
         return self._ffi.cast("long long *", arr.ctypes.data)
@@ -272,6 +278,7 @@ class _CtypesBinding:
         self._argtypes = {
             "repro_replay": [self._pll] * 7 + [rows] * 2 + [self._pll] * 4,
             "repro_dual": [self._pll] * 5 + [rows] + [self._pll] * 4,
+            "repro_classify": [self._pll] * 2 + [rows] + [self._pll] * 3,
         }
 
     def load(self, path: Path):
@@ -312,7 +319,8 @@ def get_binding():
 
 
 class LoadedKernel:
-    """The dlopen'd kernel (replay and dual-issue entry) plus provenance."""
+    """The dlopen'd kernel (replay, dual-issue and classify entries)
+    plus provenance."""
 
     def __init__(self, family: str, path: Path,
                  compile_seconds: float, built: bool) -> None:
@@ -326,7 +334,7 @@ class LoadedKernel:
         #: True when this process ran the compiler.
         self.built = built
         self._binding = get_binding()
-        self._replay, self._dual = self._binding.load(path)
+        self._replay, self._dual, self._classify = self._binding.load(path)
 
     def _call(self, fn, args) -> int:
         # An array is passed by pointer, a list of arrays as an array
@@ -345,6 +353,10 @@ class LoadedKernel:
     def invoke_dual(self, *args) -> int:
         """Run ``repro_dual``; arguments in its C order."""
         return self._call(self._dual, args)
+
+    def invoke_classify(self, *args) -> int:
+        """Run ``repro_classify``; arguments in its C order."""
+        return self._call(self._classify, args)
 
 
 _KERNEL: Optional[LoadedKernel] = None
@@ -378,7 +390,7 @@ def ensure_kernel(family: Optional[str] = None) -> LoadedKernel:
 
 
 def kernels_available() -> bool:
-    """Cheap gate for the C lanes and the prebuild: can kernels exist?"""
+    """Cheap gate for the C entries and the prebuild: can kernels exist?"""
     return find_compiler() is not None
 
 

@@ -6,6 +6,9 @@
  * boundaries, same structural causes, same stall arithmetic.
  * repro_dual runs the dual-issue machine of
  * repro.cpu.reference.run_dual_issue_reference over the same clauses.
+ * repro_classify walks a stream's line columns on an immediate-install
+ * cache (the blocking policies' machine) with the same LRU stacks and
+ * returns the hit/miss aggregates of repro.sim.stream.functional_summary.
  *
  * Every MSHR organization of Section 2 is one setting of the runtime
  * parameter block (repro.cpu.ckernel.PARAM_SLOTS), not a different
@@ -24,8 +27,9 @@
  * one by one is bit-identical, and in C fast enough that detecting
  * the run buys nothing.
  *
- * Both entries return 0, or an error code that repro.cpu.replay_cnative
- * maps onto the scalar kernel's SimulationError messages.
+ * The replay entries return 0, or an error code that
+ * repro.cpu.replay_cnative maps onto the scalar kernel's
+ * SimulationError messages; repro_classify cannot fail and returns 0.
  */
 
 #include <stdlib.h>
@@ -528,4 +532,40 @@ i64 repro_dual(const i64 *p, const i64 *kind, const i64 *dst,
     if (perfect) st.last_t = cycle;  /* no occupancy to integrate */
     out[40] = truedep; out[41] = blocked;
     return close_machine(&st, cycle, out);
+}
+
+/* Classify ``it1`` executions of a stream's slots on an
+ * immediate-install cache, the machine of every blocking policy: a
+ * hit is a recency touch, and a miss installs at once when it is a
+ * load or write-miss allocate is set (a write-around store miss
+ * leaves the line absent).  out[0..4] receive load hits, load misses,
+ * store hits, store misses and evictions. */
+i64 repro_classify(const i64 *p, const i64 *slot_kind, i64 **lines,
+                   i64 *tags, i64 *set_len, i64 *out)
+{
+    St st;
+    memset(&st, 0, sizeof st);
+    st.setmask = p[P_SETMASK];
+    st.ways = p[P_WAYS];
+    st.tags = tags;
+    st.set_len = set_len;
+    i64 it1 = p[P_IT1], n_slots = p[P_N_SLOTS], wma = p[P_WMA];
+    i64 hits[2] = {0, 0}, misses[2] = {0, 0};  /* [1] loads, [0] stores */
+    i64 it, k;
+    for (it = 0; it < it1; it++) {
+        for (k = 0; k < n_slots; k++) {
+            i64 b = lines[k][it];
+            int load = slot_kind[k] != 0;
+            if (access_touch(&st, b)) {
+                hits[load] += 1;
+                continue;
+            }
+            misses[load] += 1;
+            if (load || wma) install(&st, b);
+        }
+    }
+    out[0] = hits[1]; out[1] = misses[1];
+    out[2] = hits[0]; out[3] = misses[0];
+    out[4] = st.evictions;
+    return 0;
 }

@@ -1,4 +1,4 @@
-"""The C replay and dual-issue lanes: compiled-C execution of the recurrence.
+"""The C replay and dual-issue lanes, and the C functional classification.
 
 The replay runs the *entire* irregular recurrence -- MSHR occupancy,
 primary/secondary merging, structural arbitration, fill scheduling,
@@ -28,6 +28,14 @@ replay contract itself excludes, ``nocc`` when no C compiler is
 available (``REPRO_CC`` override included), ``build`` when
 compilation or loading failed.  All three degrade to the scalar
 replay (or the reference dual-issue loop) with bit-identical results.
+
+The blocking caches' closed form needs only hit/miss aggregates on an
+immediate-install cache.  :func:`classify_cnative` computes them in
+the same kernel (``repro_classify``) over the stream's cached kind
+and line columns, for :func:`repro.sim.stream.functional_summary`.
+It declines on the same ``nocc`` and ``build`` conditions, uncounted
+(a summary is a per-group precompute, not a cell), and the caller
+then classifies in Python.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from repro.errors import SimulationError
 from repro.sim.trace import P_LOAD
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cache.geometry import CacheGeometry
     from repro.sim.config import MachineConfig
     from repro.sim.stream import EventStream
     from repro.sim.trace import ExpandedTrace
@@ -143,8 +152,7 @@ def _param_block(config: "MachineConfig", n: int, tail_gap: int = 0):
         return ckernel.NO_LIMIT if value is None else value
 
     nsub = 1 if layout.unlimited else layout.n_subblocks
-    values = {
-        "it1": 0,
+    return _pack({
         "n_slots": n,
         "tail_gap": tail_gap,
         "setmask": geometry.num_sets - 1,
@@ -163,14 +171,17 @@ def _param_block(config: "MachineConfig", n: int, tail_gap: int = 0):
         "perfect": config.perfect_cache,
         "limited": not layout.unlimited,
         "wma": policy.write_allocate_blocking,
-    }
-    return np.array([values[name] for name in ckernel.PARAM_SLOTS],
+    })
+
+
+def _pack(values) -> np.ndarray:
+    """The parameter array from ``{slot: value}``; absent slots are 0."""
+    return np.array([values.get(name, 0) for name in ckernel.PARAM_SLOTS],
                     dtype=np.int64)
 
 
-def _tag_arrays(config: "MachineConfig"):
+def _tag_arrays(geometry: "CacheGeometry"):
     """Empty tags, plus per-set LRU lengths when set-associative."""
-    geometry = config.geometry
     if geometry.is_direct_mapped:
         return np.full(geometry.num_sets, -1, dtype=np.int64), None
     return (np.full(geometry.num_sets * geometry.ways, -1, dtype=np.int64),
@@ -218,7 +229,7 @@ def build_cnative_fn(
 
     def run(it1: int) -> Tuple:
         p[0] = it1
-        tags, set_len = _tag_arrays(config)
+        tags, set_len = _tag_arrays(config.geometry)
         lr = np.zeros(max(n_loads, 1), dtype=np.int64)
         out = np.zeros(ckernel.OUT_SLOTS, dtype=np.int64)
         rc = kernel.invoke(p, kind, slr, pregap, term_start, tlr,
@@ -299,7 +310,7 @@ def run_dual_issue(
     if len(addrs) != len(body) or any(
             k and len(a) < trace.executions for k, a in zip(kind, addrs)):
         raise SimulationError("trace addresses do not cover the run")
-    tags, set_len = _tag_arrays(config)
+    tags, set_len = _tag_arrays(config.geometry)
     reg_ready = np.zeros(NUM_REGS, dtype=np.int64)
     out = np.zeros(ckernel.OUT_SLOTS, dtype=np.int64)
     rc = kernel.invoke_dual(p, kind, dst, src_start, src, addrs, tags,
@@ -313,3 +324,38 @@ def run_dual_issue(
     stats.blocking_stall_cycles = stats.blocking_misses * int(
         p[ckernel.PARAM_SLOTS.index("penalty")])
     return stats, cycles, instructions, int(out[40])
+
+
+def classify_cnative(
+    stream: "EventStream", geometry: "CacheGeometry", write_allocate: bool
+) -> Optional[Tuple[int, int, int, int, int]]:
+    """Classify a stream on an immediate-install cache in C.
+
+    Returns ``(load_hits, load_misses, store_hits, store_misses,
+    evictions)`` -- the aggregates of
+    :class:`repro.sim.stream.FunctionalSummary` -- or ``None`` when no
+    kernel can be had (no compiler, failed build), on the same
+    conditions as :func:`run_cnative`.  A decline counts nothing: the
+    classification is a per-summary precompute, not a cell.
+    """
+    if not ckernel.kernels_available():
+        return None
+    try:
+        kernel = ckernel.ensure_kernel()
+    except ckernel.KernelBuildError:
+        return None
+    kind, _, _, _, _, _, lines = _stream_tables(stream)
+    if len(lines) != len(kind) or any(
+            len(column) < stream.executions for column in lines):
+        raise SimulationError("stream lines do not cover the run")
+    p = _pack({
+        "it1": stream.executions,
+        "n_slots": len(stream.slots),
+        "setmask": geometry.num_sets - 1,
+        "ways": geometry.ways,
+        "wma": write_allocate,
+    })
+    tags, set_len = _tag_arrays(geometry)
+    out = np.zeros(5, dtype=np.int64)
+    kernel.invoke_classify(p, kind, lines, tags, set_len, out)
+    return tuple(int(x) for x in out)

@@ -68,7 +68,6 @@ from repro.core.handler import blocking_end_cycle
 from repro.sim.lru import LRUCache
 from repro.sim.stream import (
     EventStream,
-    _flat_blocks,
     _stream_key,
     event_stream,
     functional_summary,
@@ -162,6 +161,21 @@ def clear_bounds_caches() -> None:
 def bounds_cache_sizes() -> Tuple[int, int]:
     """(first-load sets, floors) currently cached."""
     return len(_FIRST_LOAD_CACHE), len(_FLOOR_CACHE)
+
+
+def _flat_blocks(stream: EventStream) -> Tuple[np.ndarray, np.ndarray]:
+    """(blocks, is_load) flattened in reference order (execution-major)."""
+    n_slots = len(stream.slots)
+    grid = np.empty((stream.executions, n_slots), dtype=np.int64)
+    for k, buf in enumerate(stream.lines):
+        grid[:, k] = np.frombuffer(buf, dtype=np.int64)
+    kinds = np.array(
+        [slot.kind == P_LOAD for slot in stream.slots], dtype=bool
+    )
+    is_load = np.broadcast_to(
+        kinds, (stream.executions, n_slots)
+    ).reshape(-1)
+    return grid.reshape(-1), np.ascontiguousarray(is_load)
 
 
 def _first_load_refs(stream: EventStream) -> Tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,11 @@ A cell's machine fixes its lane (:func:`cell_lane`):
 
 ``closed_form``
     Blocking single-issue caches collapse to the functional summary's
-    closed form (:func:`repro.cpu.replay.run_blocking_summary`).
+    closed form (:func:`repro.cpu.replay.run_blocking_summary`).  The
+    summary's hit/miss counts come from one pass over the group's
+    event stream, classified in the C kernel
+    (:func:`repro.cpu.replay_cnative.classify_cnative`), or in Python
+    when no kernel can be had; the cell itself runs no C.
 ``replay``
     Non-blocking single-issue caches replay their policy over the
     group's shared event stream (:mod:`repro.sim.stream`) in the C
@@ -25,17 +29,21 @@ The one choice that changes speed -- C kernel or its fallback -- is
 made per cell from the compiler probe
 (:func:`repro.cpu.ckernel.kernels_available`): a C lane that cannot
 get a kernel degrades bit-identically, counted under
-``engine.cnative.fallback.<cause>``.  Every lane is bit-identical to
-the reference loops (:func:`repro.sim.simulator.simulate_reference`),
-so routing never changes a number and ``ENGINE_VERSION`` never
-depends on it.
+``engine.cnative.fallback.<cause>``.  A classification that cannot
+get one falls back the same way, uncounted: it is a per-summary
+precompute, like building the stream, not a cell.  Every lane is
+bit-identical to the reference loops
+(:func:`repro.sim.simulator.simulate_reference`), so routing never
+changes a number and ``ENGINE_VERSION`` never depends on it.
 """
 
 from __future__ import annotations
 
 from repro import telemetry
 
-#: Lanes that run in the C kernel when a compiler is available.
+#: Lanes whose cells themselves run in the C kernel when a compiler
+#: is available (a closed-form cell only reads a summary classified
+#: there).
 C_LANES = ("replay", "dual")
 
 

@@ -410,10 +410,13 @@ def _stream_affinity(config: MachineConfig) -> Tuple:
     siblings in the same pool group (and adjacent in serial runs), so
     the small stream/summary LRU caches stay hot across them.
 
-    Whether the cell is on a C lane (:data:`repro.sim.engines.C_LANES`)
-    leads the key so C-lane cells also cluster: they flatten stream
-    tables that closed-form and interpreted siblings never touch, and
-    interleaving them would spread that work across groups.
+    Whether the cell itself runs in C (:data:`repro.sim.engines.C_LANES`)
+    leads the key so replay and dual-issue cells cluster apart from
+    closed-form ones: a closed-form cell needs only the functional
+    summary it shares with every sibling of its geometry and store
+    policy, while a C cell binds its own kernel call (and, for limited
+    field layouts, the stream's address columns).  Interleaving them
+    would spread each kind's shared work across groups.
     """
     geometry = config.geometry
     return (
@@ -458,19 +461,22 @@ def _group_cells(cells: Sequence[Cell], max_group: int) -> List[_Group]:
 
 
 def _prebuild_kernels(cells: Sequence[Cell]) -> None:
-    """Compile the C kernel up front when any cell will run in it.
+    """Compile the C kernel up front when any cell will use it.
 
-    Workers inherit the on-disk kernel cache, so building in the
-    parent turns each worker's first C cell into a plain ``dlopen`` of
-    the cached ``.so`` instead of a racing compile.  Quietly does
-    nothing when no cell is on a C lane or no compiler exists, and
-    ignores a failed build -- the per-cell fallback handles those
-    paths.
+    Replay and dual-issue cells run in the kernel, and closed-form
+    cells classify their stream in it
+    (:func:`repro.sim.stream.functional_summary`); only interp cells
+    never touch it.  Workers inherit the on-disk kernel cache, so
+    building in the parent turns each worker's first use into a plain
+    ``dlopen`` of the cached ``.so`` instead of a racing compile.
+    Quietly does nothing when every cell is an interp cell or no
+    compiler exists, and ignores a failed build -- the per-cell and
+    per-summary fallbacks handle those paths.
     """
     from repro.cpu import ckernel
 
-    if not any(engines.cell_lane(config) in engines.C_LANES
-               for _workload, config, _latency, _scale in cells):
+    if all(engines.cell_lane(config) == "interp"
+           for _workload, config, _latency, _scale in cells):
         return
     if not ckernel.kernels_available():
         return

@@ -18,11 +18,14 @@ size) group:
   reaching-definitions walk over the flattened program extracts, per
   memory op, exactly which load slots can bind and with what delta --
   see ``docs/performance.md`` for the exactness argument;
-* **functional classification** -- the hit/miss outcome of every
+* **functional classification** -- the hit/miss aggregates of every
   reference under an immediate-install cache, which equals the
   *blocking* policy's machine exactly (a non-blocking cache's tag
   state diverges through in-flight fills, so siblings replay their
-  own tag store instead).
+  own tag store instead).  One linear pass per (geometry, store
+  policy), run by ``repro_classify`` in the C kernel
+  (:func:`repro.cpu.replay_cnative.classify_cnative`), or by
+  :func:`_lru_functional` in Python when no kernel can be had.
 
 The replay kernel (:mod:`repro.cpu.replay`) then advances each
 policy's :class:`~repro.core.handler.MissHandler` over the stream
@@ -43,6 +46,7 @@ import numpy as np
 from repro import telemetry
 from repro.cache.geometry import CacheGeometry
 from repro.cache.tags import make_tag_store
+from repro.cpu.replay_cnative import classify_cnative
 from repro.sim.lru import LRUCache
 from repro.sim.trace import P_LOAD, P_SCALAR, P_SKIP, P_STORE, ExpandedTrace
 from repro.workloads.workload import Workload
@@ -127,10 +131,6 @@ class FunctionalSummary:
     store_hits: int
     store_misses: int
     evictions: int
-    #: Reference indices (execution-major order) that missed, as an
-    #: ``array('q')``; diagnostics and tests use it, the closed form
-    #: needs only the aggregates.
-    miss_refs: array
 
 
 # -- structure extraction ------------------------------------------------------
@@ -300,158 +300,44 @@ def build_stream(
 # -- functional classification -------------------------------------------------
 
 
-def _flat_blocks(stream: EventStream) -> Tuple[np.ndarray, np.ndarray]:
-    """(blocks, is_load) flattened in reference order (execution-major)."""
-    n_slots = len(stream.slots)
-    grid = np.empty((stream.executions, n_slots), dtype=np.int64)
-    for k, buf in enumerate(stream.lines):
-        grid[:, k] = np.frombuffer(buf, dtype=np.int64)
-    kinds = np.array(
-        [slot.kind == P_LOAD for slot in stream.slots], dtype=bool
-    )
-    is_load = np.broadcast_to(
-        kinds, (stream.executions, n_slots)
-    ).reshape(-1)
-    return grid.reshape(-1), np.ascontiguousarray(is_load)
-
-
-def _dm_functional(
-    blocks: np.ndarray, is_load: np.ndarray, num_sets: int
-) -> Dict[bool, Tuple[np.ndarray, int]]:
-    """Vectorized classification for a direct-mapped cache.
-
-    Returns ``{write_allocate: (hit_mask, evictions)}`` for both store
-    policies in one pass (they share the sorted order).  The tricks:
-
-    * under write-miss allocate every reference leaves its own block
-      resident, so a reference hits iff the *previous reference* to
-      its set touched the same block;
-    * under write-around only load misses install, and a load install
-      always leaves the load's block resident, so residency equals
-      "the block of the last load to the set" and stores never change
-      tag state at all.  A reference hits iff the last *load* before
-      it in its set touched the same block.
-    """
-    n = blocks.size
-    sets = blocks & (num_sets - 1)
-    order = np.lexsort((np.arange(n), sets))
-    s_sorted = sets[order]
-    b_sorted = blocks[order]
-    l_sorted = is_load[order]
-
-    same_set = np.empty(n, dtype=bool)
-    same_set[0] = False
-    same_set[1:] = s_sorted[1:] == s_sorted[:-1]
-
-    # write-miss allocate: compare with the immediately preceding
-    # reference in the set.
-    hit_wma_sorted = np.empty(n, dtype=bool)
-    hit_wma_sorted[0] = False
-    hit_wma_sorted[1:] = same_set[1:] & (b_sorted[1:] == b_sorted[:-1])
-    hit_wma = np.empty(n, dtype=bool)
-    hit_wma[order] = hit_wma_sorted
-
-    # write-around: compare with the last preceding *load* in the set.
-    # Groups are contiguous and set-sorted, so a keyed running maximum
-    # of "position of the last load" resets itself at set boundaries.
-    idx = np.arange(n)
-    load_pos = np.where(l_sorted, idx, -1)
-    keyed = np.maximum.accumulate(s_sorted * (n + 1) + load_pos + 1)
-    last_load_incl = keyed - s_sorted * (n + 1) - 1
-    prev_load = np.empty(n, dtype=np.int64)
-    prev_load[0] = -1
-    prev_load[1:] = np.where(same_set[1:], last_load_incl[:-1], -1)
-    hit_wa_sorted = (prev_load >= 0) & (
-        b_sorted[np.maximum(prev_load, 0)] == b_sorted
-    )
-    hit_wa = np.empty(n, dtype=bool)
-    hit_wa[order] = hit_wa_sorted
-
-    # Evictions: the first install into a set evicts nothing; every
-    # later install evicts (its block differs from the resident one,
-    # else it would have hit).
-    misses_wma = n - int(np.count_nonzero(hit_wma))
-    evict_wma = misses_wma - int(np.unique(sets).size)
-    load_misses_wa = int(np.count_nonzero(is_load & ~hit_wa))
-    load_sets = np.unique(sets[is_load]).size if is_load.any() else 0
-    evict_wa = load_misses_wa - int(load_sets)
-    return {True: (hit_wma, evict_wma), False: (hit_wa, evict_wa)}
-
-
 def _lru_functional(
-    blocks: np.ndarray,
-    is_load: np.ndarray,
-    geometry: CacheGeometry,
-    write_allocate: bool,
-) -> Tuple[np.ndarray, int]:
-    """Sequential classification for set-associative (LRU) geometries."""
+    stream: EventStream, geometry: CacheGeometry, write_allocate: bool
+) -> Tuple[int, int, int, int, int]:
+    """Classify every reference in Python; the fallback without a kernel.
+
+    The walk of ``repro_classify`` in ``repro/cpu/kernel.c``, on the
+    tag store of ``geometry`` (one tag per set, or an LRU stack):
+    returns ``(load_hits, load_misses, store_hits, store_misses,
+    evictions)``.
+    """
     tags = make_tag_store(geometry)
     access = tags.access
     install = tags.install
-    hits = np.empty(blocks.size, dtype=bool)
-    evictions = 0
-    for i, (block, load) in enumerate(zip(blocks.tolist(),
-                                          is_load.tolist())):
-        if access(block):
-            hits[i] = True
-            continue
-        hits[i] = False
-        if load or write_allocate:
+    kinds = [slot.kind == P_LOAD for slot in stream.slots]
+    load_misses = store_misses = evictions = 0
+    for row in zip(*stream.lines):  # execution-major reference order
+        for block, load in zip(row, kinds):
+            if access(block):
+                continue
+            if load:
+                load_misses += 1
+            else:
+                store_misses += 1
+                if not write_allocate:
+                    continue
             if install(block) is not None:
                 evictions += 1
-    return hits, evictions
-
-
-def _summarize(
-    stream: EventStream,
-    geometry: CacheGeometry,
-    write_allocate: bool,
-    hits: np.ndarray,
-    is_load: np.ndarray,
-    evictions: int,
-) -> FunctionalSummary:
-    miss_refs = array("q")
-    missed = np.nonzero(~hits)[0].astype(np.int64)
-    miss_refs.frombytes(memoryview(np.ascontiguousarray(missed)).cast("B"))
-    return FunctionalSummary(
-        geometry=geometry,
-        write_allocate=write_allocate,
-        instructions=stream.instructions,
-        load_hits=int(np.count_nonzero(hits & is_load)),
-        load_misses=int(np.count_nonzero(~hits & is_load)),
-        store_hits=int(np.count_nonzero(hits & ~is_load)),
-        store_misses=int(np.count_nonzero(~hits & ~is_load)),
-        evictions=evictions,
-        miss_refs=miss_refs,
-    )
-
-
-def classify_stream(
-    stream: EventStream, geometry: CacheGeometry, write_allocate: bool
-) -> FunctionalSummary:
-    """Classify every reference on an immediate-install ``geometry``."""
-    if geometry.line_size != stream.line_size:
-        raise ValueError(
-            f"stream was built for {stream.line_size}B lines, "
-            f"geometry has {geometry.line_size}B"
-        )
-    blocks, is_load = _flat_blocks(stream)
-    if geometry.is_direct_mapped:
-        hit_masks = _dm_functional(blocks, is_load, geometry.num_sets)
-        hits, evictions = hit_masks[write_allocate]
-    else:
-        hits, evictions = _lru_functional(
-            blocks, is_load, geometry, write_allocate
-        )
-    return _summarize(stream, geometry, write_allocate, hits, is_load,
-                      evictions)
+    loads = stream.n_loads * stream.executions
+    stores = stream.n_stores * stream.executions
+    return (loads - load_misses, load_misses, stores - store_misses,
+            store_misses, evictions)
 
 
 # -- process-level caches ------------------------------------------------------
 
 #: Streams hold line buffers comparable in size to the trace cache's
 #: address buffers, so the bound stays tight; summaries are a few
-#: scalars plus the miss-index array.
+#: scalars.
 _STREAM_CACHE = LRUCache(16)
 _SUMMARY_CACHE = LRUCache(64)
 
@@ -553,9 +439,11 @@ def functional_summary(
 ) -> Optional[FunctionalSummary]:
     """Cached functional classification for one (group, geometry) pair.
 
-    Direct-mapped geometries compute both store policies in one sorted
-    pass, so asking for ``mc=0`` right after ``mc=0+wma`` is a cache
-    hit.
+    One linear pass over the stream on an immediate-install cache of
+    ``geometry``, per store policy: in the C kernel
+    (:func:`repro.cpu.replay_cnative.classify_cnative`), or in Python
+    (:func:`_lru_functional`) when no kernel can be had.  Both give
+    the same aggregates for every geometry.
     """
     base_key = _stream_key(workload, load_latency, scale,
                            geometry.line_size, unroll_override)
@@ -567,15 +455,10 @@ def functional_summary(
                           geometry.line_size, unroll_override)
     if stream is None:
         return None
-    if geometry.is_direct_mapped:
-        blocks, is_load = _flat_blocks(stream)
-        for wa, (hits, evictions) in _dm_functional(
-                blocks, is_load, geometry.num_sets).items():
-            _SUMMARY_CACHE.put(
-                (base_key, geometry, wa),
-                _summarize(stream, geometry, wa, hits, is_load, evictions),
-            )
-        return _SUMMARY_CACHE.get(key)
-    summary = classify_stream(stream, geometry, write_allocate)
+    counts = classify_cnative(stream, geometry, write_allocate)
+    if counts is None:
+        counts = _lru_functional(stream, geometry, write_allocate)
+    summary = FunctionalSummary(geometry, write_allocate,
+                                stream.instructions, *counts)
     _SUMMARY_CACHE.put(key, summary)
     return summary

@@ -19,7 +19,7 @@ import pytest
 from repro import telemetry
 from repro.cache.geometry import CacheGeometry
 from repro.cli import main
-from repro.core.policies import mc
+from repro.core.policies import blocking_cache, mc
 from repro.cpu import ckernel
 from repro.sim.config import baseline_config
 from repro.sim.simulator import clear_caches, simulate, simulate_reference
@@ -154,14 +154,17 @@ class TestDualIssueDriver:
             run_dual_issue(trace, config)
 
     @needs_cc
-    def test_ctypes_binding_runs_both_entries(self, kernel_dir,
-                                              monkeypatch):
+    def test_ctypes_binding_runs_all_three_entries(self, kernel_dir,
+                                                   monkeypatch):
         # The stdlib binding (used when cffi is missing) loads the
-        # replay and the dual-issue entry of each kernel.
+        # replay, the dual-issue and the classify entry of the kernel:
+        # a replay cell, a dual-issue cell and a blocking cell, whose
+        # closed form reads a summary classified in C.
         monkeypatch.setattr(ckernel, "_BINDING", ckernel._CtypesBinding())
         workload = get_benchmark("xlisp")
-        for width in (1, 2):
-            config = replace(baseline_config(mc(1)), geometry=ASSOC,
+        for policy, width in ((mc(1), 1), (mc(1), 2),
+                              (blocking_cache(), 1)):
+            config = replace(baseline_config(policy), geometry=ASSOC,
                              issue_width=width)
             clear_caches()
             c = simulate(workload, config, load_latency=10, scale=0.05)

@@ -198,11 +198,17 @@ class TestKernelPrebuild:
         assert self._prebuild(monkeypatch, configs) == [()]
 
     def test_no_c_cell_builds_nothing(self, monkeypatch):
-        # Blocking single-issue cells take the closed form and a finite
-        # write buffer the interpreter: neither needs the kernel.
+        # A finite write buffer runs the interpreter, which never
+        # touches the kernel.
+        configs = [replace(baseline_config(mc(1)), write_buffer_depth=4)]
+        assert self._prebuild(monkeypatch, configs) == []
+
+    def test_closed_form_cell_builds_the_kernel(self, monkeypatch):
+        # A blocking single-issue cell takes the closed form, whose
+        # functional summary is classified in the kernel.
         configs = [baseline_config(blocking_cache()),
                    replace(baseline_config(mc(1)), write_buffer_depth=4)]
-        assert self._prebuild(monkeypatch, configs) == []
+        assert self._prebuild(monkeypatch, configs) == [()]
 
     def test_failed_build_is_left_to_the_cells(self, monkeypatch):
         # The per-cell fallback reports a failed build; the prebuild

@@ -120,6 +120,12 @@ class TestCommands:
 
 
 class TestEnginesCommand:
+    @staticmethod
+    def _row(table: str, lane: str) -> str:
+        """The line of ``table`` that reports ``lane``."""
+        return next(line for line in table.splitlines()
+                    if line.split() and line.split()[0] == lane)
+
     def test_reports_where_each_lane_runs(self, capsys):
         from repro.cpu import ckernel
 
@@ -130,12 +136,14 @@ class TestEnginesCommand:
             assert lane in out
         if ckernel.kernels_available():
             assert "C kernel" in out
+            assert "C kernel classification" in self._row(out, "closed_form")
 
     def test_without_compiler_names_the_fallbacks(self, no_compiler,
                                                   capsys):
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
         assert "C compiler: none found" in out
+        assert "Python classification" in self._row(out, "closed_form")
         assert "scalar replay" in out
         assert "reference dual-issue loop" in out
         assert "C kernel" not in out
