@@ -9,9 +9,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.policies import fc, mc, no_restrict
+from repro.cache.geometry import CacheGeometry
+from repro.core.policies import explicit, fc, mc, no_restrict
 from repro.sim import simulator
-from repro.sim.config import baseline_config
+from repro.sim.config import MachineConfig, baseline_config
 from repro.sim.resultstore import (
     STORE_SCHEMA,
     ResultStore,
@@ -107,6 +108,30 @@ class TestFingerprint:
         # Equal configs whose reprs differ never share a digest.
         assert cell_fingerprint(ora, penalty_16, 10, 0.05) != \
             cell_fingerprint(ora, penalty_16f, 10, 0.05)
+
+    @pytest.mark.parametrize("name, config, latency, scale, digest", [
+        ("tomcatv", baseline_config(), 10, 1.0,
+         "a8ccd05a821df2719e10dcd2f64982fa3b4ef7ce0f34b183ddf011e245082d1d"),
+        ("su2cor", MachineConfig(
+            geometry=CacheGeometry(size=64 * 1024, line_size=64),
+            miss_penalty=None), 6, 1.0,
+         "9b94f2395e3fa3fc0f63240637d397be3062f8581724ba8b003e0f6a46fa78d0"),
+        ("xlisp", baseline_config(explicit(4)), 1, 0.5,
+         "0524b0b02eda321fca2de4108aa2937beed93e47e674375019d788acdac26de0"),
+        ("doduc", replace(baseline_config(mc(1)), write_buffer_depth=4,
+                          write_buffer_retire_cycles=2), 20, 1.0,
+         "1507f61fa8a58bd2e9ee17693632675d81d53edc59da3f8a983dfa3b959b9eab"),
+        ("compress", replace(baseline_config(fc(2)), issue_width=2), 3, 0.25,
+         "42a2cfab4309085923fa2cb58b2615a0d4ee210aa582357561e5c53ac3197324"),
+    ])
+    def test_spelled_digests_stay_put(self, name, config, latency, scale,
+                                      digest):
+        """Literal digests: a silent key change would orphan every row.
+
+        The workload is a fresh copy, so nothing comes from a memo.
+        """
+        workload = replace(get_benchmark(name))
+        assert cell_fingerprint(workload, config, latency, scale) == digest
 
 
 class TestSerialization:
