@@ -124,12 +124,9 @@ class Kernel:
     def invariant_vregs(self) -> List[int]:
         """Vregs read but never defined in the body (loop invariants)."""
         defined = {op.dst for op in self.ops if op.dst is not None}
-        seen: List[int] = []
-        for op in self.ops:
-            for src in op.srcs:
-                if src not in defined and src not in seen:
-                    seen.append(src)
-        return seen
+        return list(dict.fromkeys(
+            src for op in self.ops for src in op.srcs if src not in defined
+        ))
 
     def loop_carried_pairs(self) -> List[Tuple[int, int]]:
         """(def_index, use_index) pairs whose dependence crosses iterations.

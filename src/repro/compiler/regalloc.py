@@ -23,6 +23,7 @@ references -- exactly the Figure 4 effect.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -113,12 +114,14 @@ def allocate(kernel: Kernel, schedule: Schedule) -> AllocatedBody:
     int_scratch = list(range(usable_int, NUM_INT_REGS))
     fp_scratch = list(range(FP_BASE + usable_fp, FP_BASE + NUM_INT_REGS))
 
-    def pool_for(vreg: int) -> _Pool:
-        return int_pool if kernel.vreg_classes[vreg] is RegClass.INT else fp_pool
+    pools = {
+        vreg: int_pool if cls is RegClass.INT else fp_pool
+        for vreg, cls in kernel.vreg_classes.items()
+    }
 
     assignment: Dict[int, int] = {}
     for vreg in sorted(permanent):
-        reg = pool_for(vreg).take()
+        reg = pools[vreg].take()
         if reg is None:
             raise CompilationError(
                 f"kernel '{kernel.name}': too many loop-carried/invariant "
@@ -132,24 +135,22 @@ def allocate(kernel: Kernel, schedule: Schedule) -> AllocatedBody:
     temporaries = sorted(
         (v for v in def_pos if v not in permanent), key=lambda v: def_pos[v]
     )
-    active: List[Tuple[int, int]] = []  # (last_use_pos, vreg), kept sorted
+    # Allocated intervals as a heap of (last_use_pos, def_pos, vreg):
+    # intervals ending together expire in definition order.
+    active: List[Tuple[int, int, int]] = []
 
     for vreg in temporaries:
         start = def_pos[vreg]
         end = last_use.get(vreg, start)
         while active and active[0][0] < start:
-            _, expired = active.pop(0)
-            pool_for(expired).release(assignment[expired])
-        reg = pool_for(vreg).take()
+            expired = heapq.heappop(active)[2]
+            pools[expired].release(assignment[expired])
+        reg = pools[vreg].take()
         if reg is None:
             spilled.add(vreg)
             continue
         assignment[vreg] = reg
-        # Insertion keeping `active` sorted by expiry.
-        lo = 0
-        while lo < len(active) and active[lo][0] <= end:
-            lo += 1
-        active.insert(lo, (end, vreg))
+        heapq.heappush(active, (end, start, vreg))
 
     # -- emit, expanding spill code ------------------------------------------------
     spill_stream = kernel.num_streams

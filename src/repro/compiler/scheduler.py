@@ -43,8 +43,9 @@ the body the way a latency-directed trace scheduler does.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.compiler.ir import NUM_SCRATCH, Kernel, RegClass
 from repro.cpu.isa import NUM_INT_REGS, OpClass
@@ -77,13 +78,12 @@ class Schedule:
 
 
 def _build_edges(
-    kernel: Kernel, load_latency: int
+    kernel: Kernel, defs: Dict[int, int], load_latency: int
 ) -> Tuple[List[List[Tuple[int, int]]], List[int]]:
     """Return (successor lists with latencies, predecessor counts)."""
     n = len(kernel.ops)
     succs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     preds = [0] * n
-    defs = kernel.defs()
     for use_idx, op in enumerate(kernel.ops):
         for src in op.srcs:
             def_idx = defs.get(src)
@@ -131,30 +131,22 @@ def _priorities(
 
 
 def _register_budgets(
-    kernel: Kernel, reserve_registers: int = 0
-) -> Dict[RegClass, int]:
-    """Live-temporary budget per class, net of permanent registers.
+    kernel: Kernel, permanent: Set[int], reserve_registers: int = 0
+) -> List[int]:
+    """Live-temporary budget per class index, net of permanent registers.
 
-    ``reserve_registers`` holds back additional registers per class for
-    a later pass (the software-pipelining rotation gives loop-long
-    registers to rotated values, which must not be double-booked by
-    in-flight temporaries).
+    ``permanent`` holds the vregs that keep one register for the whole
+    loop (invariants and loop-carried values).  ``reserve_registers``
+    holds back additional registers per class for a later pass (the
+    software-pipelining rotation gives loop-long registers to rotated
+    values, which must not be double-booked by in-flight temporaries).
     """
-    defs = kernel.defs()
-    permanent: set = set(kernel.invariant_vregs())
-    for def_idx, _use_idx in kernel.loop_carried_pairs():
-        vreg = kernel.ops[def_idx].dst
-        if vreg is not None:
-            permanent.add(vreg)
     usable = NUM_INT_REGS - NUM_SCRATCH - PRESSURE_MARGIN - reserve_registers
-    budgets = {RegClass.INT: usable, RegClass.FP: usable}
+    budgets = [usable, usable]
     for vreg in permanent:
-        cls = kernel.vreg_classes[vreg]
-        budgets[cls] -= 1
-    for cls in budgets:
-        if budgets[cls] < 4:
-            budgets[cls] = 4  # always allow a little scheduling freedom
-    return budgets
+        budgets[int(kernel.vreg_classes[vreg] is RegClass.FP)] -= 1
+    # Always allow a little scheduling freedom.
+    return [max(budget, 4) for budget in budgets]
 
 
 def list_schedule(
@@ -166,46 +158,75 @@ def list_schedule(
     (the paper's code-scheduling parameter), not a machine property.
     ``reserve_registers`` tightens the pressure budget on behalf of the
     software-pipelining pass.
+
+    Selection rule, each cycle, over the ready ops:
+
+    * take the highest critical-path priority, ties to the lowest body
+      index -- one integer ``rank = prio * n + (n - 1 - idx)``;
+    * while a register class is saturated (live temporaries at its
+      budget), skip an op whose result joins a saturated class unless
+      one of its reads of that class dies at it (the op issues that
+      value's last remaining use), since issuing it grows the class;
+    * if every ready op is skipped, take the highest rank anyway (the
+      allocator will spill).
+
+    The rule reads tables built once per call: ``grows[i]``, the class
+    index (0 integer, 1 floating point) a non-permanent result of op
+    ``i`` joins, or -1; ``reads[i]``, the distinct temporaries op ``i``
+    reads, each with its use count in the op and its class index; and
+    ``kills[i]``, the ``(vreg, uses)`` pairs of ``reads[i]`` in class
+    ``grows[i]``, the reads that can offset the growth.
     """
     if load_latency < 1:
         raise CompilationError(f"load latency must be >= 1: {load_latency}")
-    n = len(kernel.ops)
-    succs, preds = _build_edges(kernel, load_latency)
-    prio = _priorities(n, succs, preds)
+    ops = kernel.ops
+    n = len(ops)
     defs = kernel.defs()
-    budgets = _register_budgets(kernel, reserve_registers)
+    succs, preds = _build_edges(kernel, defs, load_latency)
+    prio = _priorities(n, succs, preds)
 
-    # Permanent vregs are excluded from live-pressure tracking.
-    permanent: set = set(kernel.invariant_vregs())
-    for def_idx, _use_idx in kernel.loop_carried_pairs():
-        vreg = kernel.ops[def_idx].dst
-        if vreg is not None:
-            permanent.add(vreg)
-
-    # Remaining intra-iteration uses per temp vreg (for kill detection).
-    remaining_uses: Dict[int, int] = {}
-    for use_idx, op in enumerate(kernel.ops):
+    # Invariants and loop-carried values hold a register for the whole
+    # loop, so they are excluded from live-pressure tracking; every
+    # other defined vreg is a temporary, all of whose reads are
+    # intra-iteration.  One pass also finds each value's first reader.
+    permanent: Set[int] = set()
+    intra_reads: Dict[int, int] = {}
+    first_use: Dict[int, int] = {}
+    for use_idx, op in enumerate(ops):
         for src in op.srcs:
             def_idx = defs.get(src)
-            if def_idx is None or def_idx >= use_idx or src in permanent:
-                continue
-            remaining_uses[src] = remaining_uses.get(src, 0) + 1
+            if def_idx is None or def_idx >= use_idx:
+                permanent.add(src)
+            else:
+                intra_reads[src] = intra_reads.get(src, 0) + 1
+                if def_idx not in first_use:
+                    first_use[def_idx] = use_idx
+    budgets = _register_budgets(kernel, permanent, reserve_registers)
 
-    def pressure_delta(op_idx: int) -> Dict[RegClass, int]:
-        """Net live-set change per class if ``op_idx`` issues now."""
-        op = kernel.ops[op_idx]
-        delta: Dict[RegClass, int] = {}
-        if op.dst is not None and op.dst not in permanent:
-            cls = kernel.vreg_classes[op.dst]
-            delta[cls] = delta.get(cls, 0) + 1
-        for src in set(op.srcs):
-            if src in remaining_uses and remaining_uses[src] == _op_uses(op, src):
-                cls = kernel.vreg_classes[src]
-                delta[cls] = delta.get(cls, 0) - 1
-        return delta
-
-    def _op_uses(op, src: int) -> int:
-        return sum(1 for s in op.srcs if s == src)
+    class_of = {
+        vreg: int(cls is RegClass.FP)
+        for vreg, cls in kernel.vreg_classes.items()
+    }
+    # Reads of each temporary not yet issued (for kill detection).
+    remaining = {
+        vreg: count for vreg, count in intra_reads.items()
+        if vreg not in permanent
+    }
+    grows: List[int] = []
+    reads: List[Tuple[Tuple[int, int, int], ...]] = []
+    kills: List[Tuple[Tuple[int, int], ...]] = []
+    for op in ops:
+        dst = op.dst
+        cls = -1 if dst is None or dst in permanent else class_of[dst]
+        op_reads = tuple(
+            (src, op.srcs.count(src), class_of[src])
+            for src in dict.fromkeys(op.srcs) if src in remaining
+        )
+        grows.append(cls)
+        reads.append(op_reads)
+        kills.append(tuple((src, uses) for src, uses, c in op_reads
+                           if c == cls))
+    rank = [prio[i] * n + (n - 1 - i) for i in range(n)]
 
     earliest = [0] * n
     # Just-in-time release times for loads: a load may be hoisted at
@@ -216,87 +237,69 @@ def list_schedule(
     # definition of the knob -- and spreads the otherwise symmetric
     # unrolled copies instead of bunching every load at the top.
     hoist_window = load_latency + HOIST_SLACK
-    first_use: Dict[int, int] = {}
-    for use_idx, op in enumerate(kernel.ops):
-        for src in op.srcs:
-            def_idx = defs.get(src)
-            if def_idx is not None and def_idx < use_idx:
-                if def_idx not in first_use:
-                    first_use[def_idx] = use_idx
-    for i, op in enumerate(kernel.ops):
+    for i, op in enumerate(ops):
         if op.op is OpClass.LOAD:
             # Anchor the release to the *use's* program position, so
             # loads whose consumers sit together are hoisted together
             # (the burst shape real latency-directed schedules have).
-            anchor = first_use.get(i, i)
-            release = anchor - hoist_window
+            release = first_use.get(i, i) - hoist_window
             if release > 0:
                 earliest[i] = release
     remaining_preds = list(preds)
-    waiting: List[Tuple[int, int, int]] = []  # (earliest, -prio, idx)
-    ready: List[int] = []  # plain list; selection scans it
+    waiting: List[Tuple[int, int]] = []  # (earliest, rank) heap
+    ready: List[int] = []  # ranks, ascending
     for i in range(n):
         if remaining_preds[i] == 0:
-            heapq.heappush(waiting, (earliest[i], -prio[i], i))
+            heapq.heappush(waiting, (earliest[i], rank[i]))
 
-    live = {RegClass.INT: 0, RegClass.FP: 0}
+    live = [0, 0]
     order: List[int] = []
     cycles: List[int] = []
     cycle = 0
-    scheduled = 0
-    while scheduled < n:
+    while len(order) < n:
         while waiting and waiting[0][0] <= cycle:
-            _, _neg, idx = heapq.heappop(waiting)
-            ready.append(idx)
+            insort(ready, heapq.heappop(waiting)[1])
         if not ready:
             if not waiting:
                 raise CompilationError("scheduler deadlock (corrupt graph)")
             cycle = waiting[0][0]
             continue
 
-        saturated = [cls for cls in live if live[cls] >= budgets[cls]]
-        best = -1
-        best_key = None
-        for idx in ready:
-            if saturated:
-                delta = pressure_delta(idx)
-                if any(delta.get(cls, 0) > 0 for cls in saturated):
-                    continue
-            key = (prio[idx], -idx)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = idx
-        if best < 0:
-            # Every ready op grows a saturated class; take the most
-            # critical one anyway (the allocator will spill).
-            for idx in ready:
-                key = (prio[idx], -idx)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = idx
-        ready.remove(best)
+        pos = len(ready) - 1
+        saturated = (live[0] >= budgets[0], live[1] >= budgets[1])
+        if saturated[0] or saturated[1]:
+            while pos >= 0:
+                idx = n - 1 - ready[pos] % n
+                cls = grows[idx]
+                if cls < 0 or not saturated[cls]:
+                    break
+                kill = kills[idx]
+                if kill and any(remaining[src] == uses for src, uses in kill):
+                    break
+                pos -= 1
+            if pos < 0:
+                # Every ready op grows a saturated class; take the most
+                # critical one anyway (the allocator will spill).
+                pos = len(ready) - 1
+        best = n - 1 - ready.pop(pos) % n
 
         # Update live pressure.
-        op = kernel.ops[best]
-        if op.dst is not None and op.dst not in permanent:
-            live[kernel.vreg_classes[op.dst]] += 1
-        for src in set(op.srcs):
-            if src in remaining_uses:
-                remaining_uses[src] -= _op_uses(op, src)
-                if remaining_uses[src] <= 0:
-                    del remaining_uses[src]
-                    live[kernel.vreg_classes[src]] -= 1
+        if grows[best] >= 0:
+            live[grows[best]] += 1
+        for src, uses, cls in reads[best]:
+            remaining[src] -= uses
+            if remaining[src] == 0:
+                live[cls] -= 1
 
         order.append(best)
         cycles.append(cycle)
-        scheduled += 1
         for succ, lat in succs[best]:
             when = cycle + lat
             if when > earliest[succ]:
                 earliest[succ] = when
             remaining_preds[succ] -= 1
             if remaining_preds[succ] == 0:
-                heapq.heappush(waiting, (earliest[succ], -prio[succ], succ))
+                heapq.heappush(waiting, (earliest[succ], rank[succ]))
         cycle += 1
 
     return Schedule(order=tuple(order), cycles=tuple(cycles),

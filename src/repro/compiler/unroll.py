@@ -21,7 +21,6 @@ through); only the final copy keeps its loop-closing branch.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List
 
 from repro.compiler.ir import Kernel, VOp
@@ -44,7 +43,9 @@ def unroll(kernel: Kernel, factor: int) -> Kernel:
     classes = dict(kernel.vreg_classes)
     next_vreg = max(classes) + 1 if classes else 0
 
-    # Fresh names for every defined vreg in every copy.
+    # Fresh names for every defined vreg in every copy.  The walk is
+    # over the set, not ``defs``: the numbering orders the allocator's
+    # ``sorted(permanent)`` and so decides the register assignment.
     renames: List[Dict[int, int]] = []
     for _ in range(factor):
         mapping: Dict[int, int] = {}
@@ -71,7 +72,9 @@ def unroll(kernel: Kernel, factor: int) -> Kernel:
                 else:
                     srcs.append(prev_mapping[src])  # loop-carried
             dst = mapping[op.dst] if op.dst is not None else None
-            new_ops.append(replace(op, dst=dst, srcs=tuple(srcs)))
+            new_ops.append(
+                VOp(op.op, dst, tuple(srcs), op.stream, op.width, op.comment)
+            )
 
     return Kernel(
         name=f"{kernel.name}*{factor}",

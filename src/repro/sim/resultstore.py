@@ -109,6 +109,13 @@ INSERT OR IGNORE INTO counters (id) VALUES (0);
 # -- content fingerprints ----------------------------------------------------
 
 
+#: Types :func:`_freeze` returns as they are.
+_ATOMS = frozenset((int, float, str, bool, type(None)))
+
+#: Field names per type met by :func:`_freeze` (``None``: no dataclass).
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
 def _freeze(value):
     """Recursively convert a value into a stable, hashable tuple form.
 
@@ -117,13 +124,22 @@ def _freeze(value):
     sequences.  The result round-trips through ``repr`` untouched, so
     it can feed a digest.
     """
+    cls = type(value)
+    if cls in _ATOMS:
+        return value
     if isinstance(value, enum.Enum):
-        return (type(value).__name__, value.name)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (type(value).__name__,) + tuple(
-            (f.name, _freeze(getattr(value, f.name)))
-            for f in dataclasses.fields(value)
+        return (cls.__name__, value.name)
+    try:
+        names = _FIELD_NAMES[cls]
+    except KeyError:
+        names = _FIELD_NAMES[cls] = (
+            tuple(f.name for f in dataclasses.fields(cls))
+            if dataclasses.is_dataclass(cls) else None
         )
+    if names is not None:
+        return (cls.__name__,) + tuple([
+            (name, _freeze(getattr(value, name))) for name in names
+        ])
     if isinstance(value, dict):
         return tuple(
             (k, _freeze(v)) for k, v in sorted(value.items())
@@ -348,6 +364,8 @@ class ResultStore:
     def __init__(self, root, enabled: bool = True) -> None:
         self.root = Path(root)
         self.enabled = enabled
+        #: :attr:`path` as a string, built once: ``_connect`` runs per cell.
+        self._db = str(self.path)
         #: The connection of the open :meth:`transaction`, its depth.
         self._txn: Optional[sqlite3.Connection] = None
         self._depth = 0
@@ -376,7 +394,7 @@ class ResultStore:
         is not a database.
         """
         global _slot
-        path = str(self.path)
+        path = self._db
         try:
             st = os.stat(path)
             ident = (st.st_dev, st.st_ino)
@@ -413,7 +431,7 @@ class ResultStore:
 
     def _discard(self) -> None:
         """Delete a database file SQLite cannot read; count it corrupt."""
-        path = str(self.path)
+        path = self._db
         _release_slot(path)
         for suffix in ("", "-wal", "-shm", "-journal"):
             with contextlib.suppress(OSError):
@@ -594,7 +612,7 @@ class ResultStore:
     def clear(self) -> int:
         """Remove the whole store root (entries and counters); entry count."""
         removed = self.stats().entries
-        _release_slot(str(self.path))
+        _release_slot(self._db)
         if self.root.is_dir():
             shutil.rmtree(self.root, ignore_errors=True)
         return removed

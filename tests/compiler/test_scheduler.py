@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.compiler.ir import Kernel, KernelBuilder, RegClass, VOp
-from repro.compiler.scheduler import Schedule, list_schedule, load_use_distances
+from repro.compiler.scheduler import (
+    HOIST_SLACK,
+    Schedule,
+    list_schedule,
+    load_use_distances,
+)
 from repro.compiler.unroll import unroll
 from repro.cpu.isa import OpClass
 from repro.errors import CompilationError
@@ -130,23 +135,82 @@ class TestPressureAwareness:
 
 @st.composite
 def random_dag_kernels(draw):
-    """Random straight-line kernels with arbitrary true dependences."""
-    n = draw(st.integers(min_value=2, max_value=25))
+    """Random kernel bodies of up to 120 ops.
+
+    Loads over declared streams (some address-dependent), integer and
+    floating-point ops and stores, reading earlier values, loop-carried
+    values (a use at or before its def) and invariants.  Long bodies
+    keep enough temporaries live that a register class saturates, so
+    the pressure throttle and the load release times both engage.
+    """
+    n = draw(st.integers(min_value=2, max_value=120))
+    num_streams = draw(st.integers(min_value=1, max_value=4))
+    n_invariants = draw(st.integers(min_value=0, max_value=3))
+    kinds = draw(st.lists(
+        st.sampled_from([OpClass.LOAD, OpClass.LOAD, OpClass.IALU,
+                         OpClass.FALU, OpClass.STORE]),
+        min_size=n, max_size=n,
+    ))
+    # Op i defines vreg i (a store's vreg stays undefined, so reading
+    # it reads an invariant); vregs n.. are invariant bases.
+    classes = {n + k: RegClass.INT for k in range(n_invariants)}
+    for i, kind in enumerate(kinds):
+        if kind is OpClass.LOAD:
+            classes[i] = draw(st.sampled_from([RegClass.INT, RegClass.FP]))
+        else:
+            classes[i] = RegClass.FP if kind is OpClass.FALU else RegClass.INT
+
+    def source(i):
+        pick = draw(st.integers(min_value=0, max_value=9))
+        if pick == 0:
+            return draw(st.integers(min_value=i, max_value=n - 1))
+        if pick == 1 and n_invariants:
+            return n + draw(st.integers(min_value=0,
+                                        max_value=n_invariants - 1))
+        if i == 0:
+            return i
+        return draw(st.integers(min_value=0, max_value=i - 1))
+
     ops = []
-    classes = {}
-    for i in range(n):
-        n_srcs = draw(st.integers(min_value=0, max_value=min(2, i)))
-        srcs = tuple(
-            draw(st.integers(min_value=0, max_value=i - 1))
-            for _ in range(n_srcs)
-        )
-        ops.append(VOp(OpClass.IALU, dst=i, srcs=srcs))
-        classes[i] = RegClass.INT
-    return Kernel(name="random", ops=ops, vreg_classes=classes, num_streams=0)
+    for i, kind in enumerate(kinds):
+        if kind is OpClass.LOAD:
+            n_srcs = draw(st.integers(min_value=0, max_value=1))
+        elif kind is OpClass.STORE:
+            n_srcs = draw(st.integers(min_value=1, max_value=2))
+        else:
+            n_srcs = draw(st.integers(min_value=0, max_value=3))
+        srcs = tuple(source(i) for _ in range(n_srcs))
+        if kind in (OpClass.LOAD, OpClass.STORE):
+            stream = draw(st.integers(min_value=0, max_value=num_streams - 1))
+            dst = i if kind is OpClass.LOAD else None
+            ops.append(VOp(kind, dst=dst, srcs=srcs, stream=stream))
+        else:
+            ops.append(VOp(kind, dst=i, srcs=srcs))
+    return Kernel(name="random", ops=ops, vreg_classes=classes,
+                  num_streams=num_streams)
 
 
-@settings(max_examples=80, deadline=None)
-@given(kernel=random_dag_kernels(), latency=st.sampled_from([1, 3, 10]))
-def test_random_dags_schedule_topologically(kernel, latency):
-    schedule = list_schedule(kernel, latency)
+@settings(max_examples=100, deadline=None)
+@given(kernel=random_dag_kernels(), latency=st.sampled_from([1, 3, 10, 20]),
+       reserve=st.sampled_from([0, 8, 12]))
+def test_random_dags_schedule_topologically(kernel, latency, reserve):
+    schedule = list_schedule(kernel, latency, reserve_registers=reserve)
     assert_schedule_legal(kernel, schedule)
+    assert all(a < b for a, b in zip(schedule.cycles, schedule.cycles[1:]))
+    cycle = dict(zip(schedule.order, schedule.cycles))
+    defs = kernel.defs()
+    first_use = {}
+    for use_idx, op in enumerate(kernel.ops):
+        for src in op.srcs:
+            def_idx = defs.get(src)
+            if def_idx is None or def_idx >= use_idx:
+                continue
+            # A true edge: the use waits out the producer's latency.
+            producer = kernel.ops[def_idx]
+            lat = latency if producer.op is OpClass.LOAD else 1
+            assert cycle[use_idx] - cycle[def_idx] >= lat
+            first_use.setdefault(def_idx, use_idx)
+    for i, op in enumerate(kernel.ops):
+        if op.op is OpClass.LOAD:
+            release = first_use.get(i, i) - (latency + HOIST_SLACK)
+            assert cycle[i] >= release
