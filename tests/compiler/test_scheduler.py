@@ -190,7 +190,7 @@ def random_dag_kernels(draw):
                   num_streams=num_streams)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(kernel=random_dag_kernels(), latency=st.sampled_from([1, 3, 10, 20]),
        reserve=st.sampled_from([0, 8, 12]))
 def test_random_dags_schedule_topologically(kernel, latency, reserve):
