@@ -38,6 +38,8 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import SimulationError
 
 #: Bumped when the cache entry layout changes in a way the source
@@ -226,12 +228,12 @@ _CDEF = (
     "long long repro_replay(const long long *, const long long *, "
     "const long long *, const long long *, const long long *, "
     "const long long *, const long long *, long long **, long long **, "
-    "long long *, long long *, long long *, long long *);"
+    "long long *, long long *);"
     "long long repro_dual(const long long *, const long long *, "
     "const long long *, const long long *, const long long *, "
-    "long long **, long long *, long long *, long long *, long long *);"
+    "long long **, long long *, long long *);"
     "long long repro_classify(const long long *, const long long *, "
-    "long long **, long long *, long long *, long long *);"
+    "long long **, long long *);"
 )
 
 
@@ -256,8 +258,8 @@ class _CffiBinding:
     def pointer_array(self, arrs):
         if not arrs:
             return self._ffi.NULL
-        return self._ffi.new("long long *[]",
-                             [self.pointer(a) for a in arrs])
+        return self._ffi.new("long long *[]", [
+            self._ffi.NULL if a is None else self.pointer(a) for a in arrs])
 
     @property
     def null(self):
@@ -276,9 +278,9 @@ class _CtypesBinding:
         self._pll = ctypes.POINTER(ctypes.c_longlong)
         rows = ctypes.POINTER(self._pll)
         self._argtypes = {
-            "repro_replay": [self._pll] * 7 + [rows] * 2 + [self._pll] * 4,
-            "repro_dual": [self._pll] * 5 + [rows] + [self._pll] * 4,
-            "repro_classify": [self._pll] * 2 + [rows] + [self._pll] * 3,
+            "repro_replay": [self._pll] * 7 + [rows] * 2 + [self._pll] * 2,
+            "repro_dual": [self._pll] * 5 + [rows] + [self._pll] * 2,
+            "repro_classify": [self._pll] * 2 + [rows] + [self._pll],
         }
 
     def load(self, path: Path):
@@ -297,7 +299,8 @@ class _CtypesBinding:
     def pointer_array(self, arrs):
         if not arrs:
             return None
-        return (self._pll * len(arrs))(*[self.pointer(a) for a in arrs])
+        return (self._pll * len(arrs))(*[
+            None if a is None else self.pointer(a) for a in arrs])
 
     @property
     def null(self):
@@ -336,15 +339,33 @@ class LoadedKernel:
         self._binding = get_binding()
         self._replay, self._dual, self._classify = self._binding.load(path)
 
+    def pointer(self, arr):
+        """A C-contiguous int64 array as a ``long long *``.
+
+        The pointer does not keep ``arr`` alive; the caller must.
+        """
+        return self._binding.pointer(arr)
+
+    def pointer_array(self, arrs):
+        """Int64 arrays as a ``long long **``; a ``None`` entry is NULL.
+
+        The result owns the array of pointers, not the arrays: the
+        caller keeps them alive.  An empty list is NULL.
+        """
+        return self._binding.pointer_array(arrs)
+
+    @property
+    def null(self):
+        """NULL, as this kernel's binding passes it."""
+        return self._binding.null
+
     def _call(self, fn, args) -> int:
-        # An array is passed by pointer, a list of arrays as an array
-        # of pointers, and ``None`` as NULL.
-        b = self._binding
-        return int(fn(*[
-            b.null if a is None else
-            b.pointer_array(a) if isinstance(a, list) else b.pointer(a)
-            for a in args
-        ]))
+        # A numpy array is passed by pointer; anything else is already
+        # a C argument of this kernel's binding (from pointer(),
+        # pointer_array() or null).
+        cast = self._binding.pointer
+        return int(fn(*[cast(a) if isinstance(a, np.ndarray) else a
+                        for a in args]))
 
     def invoke(self, *args) -> int:
         """Run ``repro_replay``; arguments in its C order."""

@@ -7,13 +7,15 @@
  * repro_dual runs the dual-issue machine of
  * repro.cpu.reference.run_dual_issue_reference over the same clauses.
  * repro_classify walks a stream's line columns on an immediate-install
- * cache (the blocking policies' machine) with the same LRU stacks and
+ * cache (the blocking policies' machine) with the same tag store and
  * returns the hit/miss aggregates of repro.sim.stream.functional_summary.
+ * Each entry allocates its own tag store from P_SETMASK and P_WAYS.
  *
  * Every MSHR organization of Section 2 is one setting of the runtime
  * parameter block (repro.cpu.ckernel.PARAM_SLOTS), not a different
  * program:
- *   - a direct-mapped cache is set_len == NULL (no recency state);
+ *   - a direct-mapped cache is ways == 1 (one tag per set, no recency
+ *     state);
  *   - an absent max_misses / max_fetches / max_fetches_per_set, and
  *     an unlimited destination-field count, is a value no count
  *     reaches, so the general merge and launch clauses reduce to each
@@ -27,15 +29,15 @@
  * one by one is bit-identical, and in C fast enough that detecting
  * the run buys nothing.
  *
- * The replay entries return 0, or an error code that
- * repro.cpu.replay_cnative maps onto the scalar kernel's
- * SimulationError messages; repro_classify cannot fail and returns 0.
+ * Every entry returns 0, or an error code that repro.cpu.replay_cnative
+ * maps onto the scalar kernel's SimulationError messages.
  */
 
 #include <stdlib.h>
 #include <string.h>
 
 typedef long long i64;
+typedef unsigned long long u64;
 
 #define FAR_FUTURE (((i64)1) << 62)
 
@@ -48,7 +50,7 @@ typedef long long i64;
 /* Error codes. */
 #define ERR_NO_SET_FETCH 1  /* per-set limit hit with no fetch in the set */
 #define ERR_NO_PROGRESS  2  /* structural stall made no progress */
-#define ERR_NO_MEMORY    3  /* fetch queue allocation failed */
+#define ERR_NO_MEMORY    3  /* tag store or fetch queue allocation failed */
 
 /* Parameter block layout: keep in step with ckernel.PARAM_SLOTS. */
 enum {
@@ -57,11 +59,21 @@ enum {
     P_OFFSET_BITS, P_BLOCKING, P_PERFECT, P_LIMITED, P_WMA
 };
 
+/* A way slot of a set-associative set, linked MRU to LRU. */
+typedef struct { i64 tag, prev, next; } Way;
+
+/* A set's MRU and LRU slots; only its first ``fill`` slots are in use. */
+typedef struct { i64 mru, lru, fill; } Set;
+
 typedef struct {
     i64 setmask, ways, maxm, maxf, maxs, nsub, sublim;
     i64 line_mask, sub_shift, ports, penalty, wma;
-    i64 *tags;          /* per set: one tag, or an MRU-first LRU stack */
-    i64 *set_len;       /* LRU stack depths; NULL when direct-mapped */
+    i64 *tags;          /* direct-mapped: one tag per set */
+    Way *way;           /* set-associative: ways slots per set */
+    Set *set;
+    i64 *slot_of;       /* block -> way slot, open addressing */
+    u64 hmask;
+    int hshift;
     i64 *fifo;          /* entry: block, set, ready, merged, counts[nsub] */
     i64 head, tail, cap, stride;
     i64 loads, load_hits, primary, secondary, structural;
@@ -120,15 +132,142 @@ static i64 *find_block(St *s, i64 b) {
 
 /* -- tags ------------------------------------------------------------------
  *
- * A set-associative set is an LRU stack, MRU first, mirroring the
- * Python list exactly: a hit moves the block to the front, an install
- * inserts at the front and pops (counting an eviction) when the set
- * overflows.  A direct-mapped set holds one tag and no recency state.
+ * A direct-mapped set (ways == 1) holds one tag and no recency state.
+ * A set-associative set keeps its blocks in way slots linked from MRU
+ * to LRU, and a hash from block to slot finds a block in any set, so
+ * a probe, a recency move and an eviction each take constant time
+ * whatever the associativity.  The semantics are those of the Python
+ * list (repro.cache.tags.SetAssociativeTags): a hit moves the block
+ * to the MRU end, an install of a present block does the same, and an
+ * install of an absent block into a full set evicts the LRU end
+ * (counting an eviction) and inserts at the MRU end.
+ *
+ * The hash is open addressing with linear probing over a power-of-two
+ * table of at least twice the cache's lines, so a probe run stays
+ * short.  A block's home entry is the high bits of the block times
+ * 2^64/phi (Fibonacci hashing), and an eviction deletes its entry by
+ * shifting the rest of the run back, so no tombstones accumulate.  -1
+ * marks an empty tag and an empty hash entry.
  */
 
-static inline void install(St *s, i64 b) {
+static int open_tags(St *s) {
+    i64 sets = s->setmask + 1;
+    if (s->ways == 1) {
+        s->tags = (i64 *)malloc((size_t)sets * sizeof(i64));
+        if (!s->tags) return ERR_NO_MEMORY;
+        memset(s->tags, 0xff, (size_t)sets * sizeof(i64));
+        return 0;
+    }
+    i64 lines = sets * s->ways;
+    u64 cap = 1;
+    s->hshift = 64;
+    while (cap < (u64)(2 * lines)) {
+        cap <<= 1;
+        s->hshift -= 1;
+    }
+    s->hmask = cap - 1;
+    s->way = (Way *)malloc((size_t)lines * sizeof(Way));
+    s->set = (Set *)calloc((size_t)sets, sizeof(Set));
+    s->slot_of = (i64 *)malloc((size_t)cap * sizeof(i64));
+    if (!s->way || !s->set || !s->slot_of) return ERR_NO_MEMORY;
+    memset(s->slot_of, 0xff, (size_t)cap * sizeof(i64));
+    return 0;
+}
+
+static void close_tags(St *s) {
+    free(s->tags);
+    free(s->way);
+    free(s->set);
+    free(s->slot_of);
+}
+
+static inline u64 home(const St *s, i64 b) {
+    return ((u64)b * 0x9E3779B97F4A7C15ULL) >> s->hshift;
+}
+
+/* The slot holding block ``b``, or -1. */
+static i64 find_slot(const St *s, i64 b) {
+    u64 h;
+    for (h = home(s, b);; h = (h + 1) & s->hmask) {
+        i64 w = s->slot_of[h];
+        if (w < 0 || s->way[w].tag == b) return w;
+    }
+}
+
+/* Delete block ``b``'s entry, which names slot ``w``. */
+static void unhash(St *s, i64 b, i64 w) {
+    u64 m = s->hmask, i = home(s, b), j;
+    while (s->slot_of[i] != w) i = (i + 1) & m;
+    for (j = (i + 1) & m; s->slot_of[j] >= 0; j = (j + 1) & m) {
+        /* The entry at j may fill the hole at i unless its home lies
+         * cyclically in (i, j]. */
+        u64 h = home(s, s->way[s->slot_of[j]].tag);
+        if (((j - h) & m) >= ((j - i) & m)) {
+            s->slot_of[i] = s->slot_of[j];
+            i = j;
+        }
+    }
+    s->slot_of[i] = -1;
+}
+
+static void link_mru(St *s, Set *set, i64 w) {
+    s->way[w].prev = -1;
+    s->way[w].next = set->mru;
+    s->way[set->mru].prev = w;
+    set->mru = w;
+}
+
+/* Move a resident block's slot to its set's MRU end. */
+static void touch_slot(St *s, i64 w) {
+    Set *set = s->set + (s->way[w].tag & s->setmask);
+    Way *x = s->way + w;
+    if (set->mru == w) return;
+    s->way[x->prev].next = x->next;
+    if (x->next >= 0) s->way[x->next].prev = x->prev;
+    else set->lru = x->prev;
+    link_mru(s, set, w);
+}
+
+/* Out of line, so the direct-mapped call sites stay small. */
+static __attribute__((noinline)) int assoc_touch(St *s, i64 b) {
+    i64 w = find_slot(s, b);
+    if (w < 0) return 0;
+    touch_slot(s, w);
+    return 1;
+}
+
+static __attribute__((noinline)) void assoc_install(St *s, i64 b) {
+    i64 w = find_slot(s, b);
+    if (w >= 0) {
+        touch_slot(s, w);
+        return;
+    }
     i64 si = b & s->setmask;
-    if (!s->set_len) {
+    Set *set = s->set + si;
+    if (set->fill < s->ways) {
+        w = si * s->ways + set->fill++;
+        s->way[w].tag = b;
+        if (set->fill == 1) {
+            s->way[w].prev = s->way[w].next = -1;
+            set->mru = set->lru = w;
+        } else {
+            link_mru(s, set, w);
+        }
+    } else {
+        w = set->lru;
+        s->evictions += 1;
+        unhash(s, s->way[w].tag, w);
+        s->way[w].tag = b;
+        touch_slot(s, w);
+    }
+    u64 h = home(s, b);
+    while (s->slot_of[h] >= 0) h = (h + 1) & s->hmask;
+    s->slot_of[h] = w;
+}
+
+static inline void install(St *s, i64 b) {
+    if (s->ways == 1) {
+        i64 si = b & s->setmask;
         i64 old = s->tags[si];
         if (old != b) {
             s->tags[si] = b;
@@ -136,40 +275,13 @@ static inline void install(St *s, i64 b) {
         }
         return;
     }
-    i64 *row = s->tags + si * s->ways;
-    i64 len = s->set_len[si];
-    i64 j;
-    for (j = 0; j < len; j++)
-        if (row[j] == b) break;
-    if (j < len) {
-        memmove(row + 1, row, (size_t)j * sizeof(i64));
-        row[0] = b;
-    } else {
-        if (len == s->ways) {
-            s->evictions += 1;
-            len -= 1;
-        }
-        memmove(row + 1, row, (size_t)len * sizeof(i64));
-        row[0] = b;
-        s->set_len[si] = len + 1;
-    }
+    assoc_install(s, b);
 }
 
 /* Residency probe; a hit becomes the set's most recent block. */
 static inline int access_touch(St *s, i64 b) {
-    i64 si = b & s->setmask;
-    if (!s->set_len) return s->tags[si] == b;
-    i64 *row = s->tags + si * s->ways;
-    i64 len = s->set_len[si];
-    i64 j;
-    for (j = 0; j < len; j++) {
-        if (row[j] == b) {
-            memmove(row + 1, row, (size_t)j * sizeof(i64));
-            row[0] = b;
-            return 1;
-        }
-    }
-    return 0;
+    if (s->ways == 1) return s->tags[b & s->setmask] == b;
+    return assoc_touch(s, b);
 }
 
 /* -- the miss handler ------------------------------------------------------ */
@@ -329,7 +441,7 @@ static i64 slow_store(St *s, i64 b, i64 now) {
 
 /* -- entry points ---------------------------------------------------------- */
 
-static int open_machine(St *s, const i64 *p, i64 *tags, i64 *set_len) {
+static int open_machine(St *s, const i64 *p) {
     memset(s, 0, sizeof *s);
     s->setmask = p[P_SETMASK];
     s->ways = p[P_WAYS];
@@ -343,12 +455,14 @@ static int open_machine(St *s, const i64 *p, i64 *tags, i64 *set_len) {
     s->ports = p[P_PORTS];
     s->penalty = p[P_PENALTY];
     s->wma = p[P_WMA];
-    s->tags = tags;
-    s->set_len = set_len;
     s->stride = 4 + s->nsub;
     s->cap = 1024;
     s->fifo = (i64 *)malloc((size_t)(s->cap * s->stride) * sizeof(i64));
-    if (!s->fifo) return ERR_NO_MEMORY;
+    if (!s->fifo || open_tags(s)) {
+        free(s->fifo);
+        close_tags(s);
+        return ERR_NO_MEMORY;
+    }
     s->fence = FAR_FUTURE;
     return 0;
 }
@@ -374,11 +488,13 @@ static i64 close_machine(St *s, i64 cycle, i64 *out) {
     out[37] = s->fast_loads; out[38] = s->fast_stores;
     out[39] = s->fast_smiss;
     free(s->fifo);
+    close_tags(s);
     return 0;
 }
 
 static i64 fail(St *s) {
     free(s->fifo);
+    close_tags(s);
     return s->err;
 }
 
@@ -390,12 +506,10 @@ i64 repro_replay(const i64 *p,
                  const i64 *slot_pregap,
                  const i64 *term_start, const i64 *term_lr,
                  const i64 *term_delta,
-                 i64 **lines, i64 **addrs,
-                 i64 *tags, i64 *set_len, i64 *lr,
-                 i64 *out)
+                 i64 **lines, i64 **addrs, i64 *lr, i64 *out)
 {
     St st;
-    i64 rc = open_machine(&st, p, tags, set_len);
+    i64 rc = open_machine(&st, p);
     if (rc) return rc;
     i64 it1 = p[P_IT1], n_slots = p[P_N_SLOTS], tail_gap = p[P_TAIL_GAP];
     int limited = (int)p[P_LIMITED];
@@ -457,11 +571,10 @@ i64 repro_replay(const i64 *p,
  * and the blocking misses. */
 i64 repro_dual(const i64 *p, const i64 *kind, const i64 *dst,
                const i64 *src_start, const i64 *src,
-               i64 **addrs, i64 *tags, i64 *set_len, i64 *reg_ready,
-               i64 *out)
+               i64 **addrs, i64 *reg_ready, i64 *out)
 {
     St st;
-    i64 rc = open_machine(&st, p, tags, set_len);
+    i64 rc = open_machine(&st, p);
     if (rc) return rc;
     i64 executions = p[P_IT1], n_body = p[P_N_SLOTS];
     i64 offset_bits = p[P_OFFSET_BITS];
@@ -541,14 +654,16 @@ i64 repro_dual(const i64 *p, const i64 *kind, const i64 *dst,
  * leaves the line absent).  out[0..4] receive load hits, load misses,
  * store hits, store misses and evictions. */
 i64 repro_classify(const i64 *p, const i64 *slot_kind, i64 **lines,
-                   i64 *tags, i64 *set_len, i64 *out)
+                   i64 *out)
 {
     St st;
     memset(&st, 0, sizeof st);
     st.setmask = p[P_SETMASK];
     st.ways = p[P_WAYS];
-    st.tags = tags;
-    st.set_len = set_len;
+    if (open_tags(&st)) {
+        close_tags(&st);
+        return ERR_NO_MEMORY;
+    }
     i64 it1 = p[P_IT1], n_slots = p[P_N_SLOTS], wma = p[P_WMA];
     i64 hits[2] = {0, 0}, misses[2] = {0, 0};  /* [1] loads, [0] stores */
     i64 it, k;
@@ -567,5 +682,6 @@ i64 repro_classify(const i64 *p, const i64 *slot_kind, i64 **lines,
     out[0] = hits[1]; out[1] = misses[1];
     out[2] = hits[0]; out[3] = misses[0];
     out[4] = st.evictions;
+    close_tags(&st);
     return 0;
 }

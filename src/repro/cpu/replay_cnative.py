@@ -14,11 +14,18 @@ transcription of the scalar kernel's, and both are tested against
 the reference loops (:mod:`repro.cpu.reference`).
 
 The stream's static structure (slot kinds, readiness terms, pregaps)
-is flattened once per stream into int64 tables; per-call state (tags,
-load-ready registers, the output counter block) is allocated fresh so
-a kernel invocation is a pure function of ``(stream, machine)``, like
-the scalar replay.  The C function returns the same raw 22-counter
-tuple the generated Python kernels produce, folded through
+and its line columns are flattened into int64 tables and cast to C
+pointers once per stream (:func:`_stream_args`), a dual-issue body's
+once per trace (:func:`_body_args`); both casts are cached with the
+loaded kernel they were made for, so a kernel loaded through another
+binding casts afresh, and no cached entry refers back to its stream
+or trace.  Per call only the parameter block, the load-ready
+registers and the output counter block are fresh, and the kernel
+allocates and frees its own tag store, so a kernel invocation is a
+pure function of ``(stream, machine)``, like the scalar replay.
+Column lengths are checked against the run before any pointer
+reaches C.  The C function returns the same raw 22-counter tuple the
+generated Python kernels produce, folded through
 :func:`repro.cpu.replay.finish_replay`, so bit-identity is checked by
 the same equivalence matrix and accounting identity as every other
 lane.
@@ -63,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _KERNEL_ERRORS = {
     1: "per-set limit hit with no fetch in the set",
     2: "structural stall made no progress",
-    3: "replay kernel allocation failed",
+    3: "kernel allocation failed",
 }
 
 #: Cause order used when folding the C cause counters back into the
@@ -74,6 +81,9 @@ _CAUSES = (
     StructuralCause.NO_SET_SLOT,
     StructuralCause.NO_DEST_FIELD,
 )
+
+#: Index of the limited-field-layout flag in the parameter block.
+_LIMITED = ckernel.PARAM_SLOTS.index("limited")
 
 #: ``kind`` codes of the dual-issue driver; every other op is 0.
 _MEMORY_KIND = {OpClass.LOAD: 1, OpClass.STORE: 2}
@@ -89,15 +99,20 @@ def _as_i64(buf) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.int64)
 
 
-def _stream_tables(stream: "EventStream"):
-    """Flatten the stream's static structure into C-readable tables.
+def _stream_args(stream: "EventStream", kernel: ckernel.LoadedKernel):
+    """The stream's static tables as C pointers, cast once per kernel.
 
-    Cached on the stream object (like the kernel cache) so policy
-    siblings share one flattening.
+    Returns ``(args, covered)``: ``args`` are ``repro_replay``'s slot
+    kinds, load-ready indices, pregaps, the three term arrays and the
+    line columns, in its argument order; ``covered`` is how many
+    executions every line column covers.  Cached on the stream, with
+    the int64 tables the pointers address, so policy siblings and
+    classifications share one flattening and one cast; a kernel loaded
+    through another binding casts afresh.
     """
-    tables = getattr(stream, "_cnative_tables", None)
-    if tables is not None:
-        return tables
+    cached = getattr(stream, "_cnative_args", None)
+    if cached is not None and cached[0] is kernel:
+        return cached[1]
     slots = stream.slots
     n = len(slots)
     kind = np.fromiter(
@@ -122,19 +137,34 @@ def _stream_tables(stream: "EventStream"):
     tlr = np.asarray(term_lr, dtype=np.int64)
     tdelta = np.asarray(term_delta, dtype=np.int64)
     lines = [_as_i64(buf) for buf in stream.lines]
-    tables = (kind, slr, pregap, term_start, tlr, tdelta, lines)
-    stream._cnative_tables = tables
-    return tables
+    tables = (kind, slr, pregap, term_start, tlr, tdelta)
+    args = tuple(kernel.pointer(t) for t in tables) + (
+        kernel.pointer_array(lines),)
+    entry = (args, _covered(lines, n))
+    stream._cnative_args = (kernel, entry, tables, lines)
+    return entry
 
 
-def _addr_tables(stream: "EventStream", trace: "ExpandedTrace"):
-    """Per-slot byte-address columns (limited field layouts only)."""
-    addrs = getattr(stream, "_cnative_addrs", None)
-    if addrs is None:
-        addrs = [_as_i64(trace.addresses[s.body_index])
-                 for s in stream.slots]
-        stream._cnative_addrs = addrs
-    return addrs
+def _addr_args(stream: "EventStream", trace: "ExpandedTrace",
+               kernel: ckernel.LoadedKernel):
+    """Per-slot byte-address columns (limited field layouts only) as a
+    C pointer array, cast once per kernel; returns ``(pointer,
+    covered)`` like :func:`_stream_args`."""
+    cached = getattr(stream, "_cnative_addrs", None)
+    if cached is not None and cached[0] is kernel:
+        return cached[1]
+    addrs = [_as_i64(trace.addresses[s.body_index]) for s in stream.slots]
+    entry = (kernel.pointer_array(addrs), _covered(addrs, len(stream.slots)))
+    stream._cnative_addrs = (kernel, entry, addrs)
+    return entry
+
+
+def _covered(columns, n: int) -> int:
+    """Executions that all ``n`` per-slot columns cover (-1 when a
+    column is missing)."""
+    if len(columns) != n:
+        return -1
+    return min((len(c) for c in columns), default=ckernel.NO_LIMIT)
 
 
 def _param_block(config: "MachineConfig", n: int, tail_gap: int = 0):
@@ -180,14 +210,6 @@ def _pack(values) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _tag_arrays(geometry: "CacheGeometry"):
-    """Empty tags, plus per-set LRU lengths when set-associative."""
-    if geometry.is_direct_mapped:
-        return np.full(geometry.num_sets, -1, dtype=np.int64), None
-    return (np.full(geometry.num_sets * geometry.ways, -1, dtype=np.int64),
-            np.zeros(geometry.num_sets, dtype=np.int64))
-
-
 def _fold_raw(out: np.ndarray) -> Tuple:
     """Map the C output block onto the shared 22-counter raw tuple."""
     causes = {}
@@ -210,36 +232,26 @@ def _fold_raw(out: np.ndarray) -> Tuple:
     )
 
 
-def build_cnative_fn(
-    stream: "EventStream", trace: "ExpandedTrace", config: "MachineConfig"
-):
-    """Bind one (stream, machine) pair to the compiled kernel.
-
-    Raises :class:`~repro.cpu.ckernel.KernelBuildError` when the
-    kernel cannot be built; callers translate that into a cause-tagged
-    fallback.
-    """
+def _replay(stream: "EventStream", trace: "ExpandedTrace",
+            p: np.ndarray) -> Tuple:
+    """Replay ``stream`` in C under parameter block ``p``; returns the
+    raw counter tuple."""
     kernel = ckernel.ensure_kernel()
-    kind, slr, pregap, term_start, tlr, tdelta, lines = \
-        _stream_tables(stream)
-    limited = not config.policy.layout.unlimited
-    addrs = _addr_tables(stream, trace) if limited else []
-    p = _param_block(config, len(stream.slots), stream.tail_gap)
-    n_loads = stream.n_loads
-
-    def run(it1: int) -> Tuple:
-        p[0] = it1
-        tags, set_len = _tag_arrays(config.geometry)
-        lr = np.zeros(max(n_loads, 1), dtype=np.int64)
-        out = np.zeros(ckernel.OUT_SLOTS, dtype=np.int64)
-        rc = kernel.invoke(p, kind, slr, pregap, term_start, tlr,
-                           tdelta, lines, addrs, tags, set_len, lr, out)
-        if rc != 0:
-            raise SimulationError(
-                _KERNEL_ERRORS.get(rc, f"replay kernel error {rc}"))
-        return _fold_raw(out)
-
-    return run
+    args, covered = _stream_args(stream, kernel)
+    addrs = kernel.null
+    if p[_LIMITED]:
+        addrs, addr_covered = _addr_args(stream, trace, kernel)
+        covered = min(covered, addr_covered)
+    if covered < stream.executions:
+        raise SimulationError("stream columns do not cover the run")
+    p[0] = stream.executions
+    lr = np.zeros(max(stream.n_loads, 1), dtype=np.int64)
+    out = np.zeros(ckernel.OUT_SLOTS, dtype=np.int64)
+    rc = kernel.invoke(p, *args, addrs, lr, out)
+    if rc != 0:
+        raise SimulationError(
+            _KERNEL_ERRORS.get(rc, f"replay kernel error {rc}"))
+    return _fold_raw(out)
 
 
 def run_cnative(
@@ -247,28 +259,63 @@ def run_cnative(
 ) -> Optional[Tuple[MissStats, int, int, int]]:
     """Replay one machine through the C kernel; ``None`` = fall back.
 
-    Same contract and per-stream kernel cache as
-    :func:`repro.cpu.replay.run_replay`, under a distinct key.
-    Declines (unsupported policy, no compiler, failed build) are
-    counted under ``engine.cnative.fallback.*`` when telemetry is on.
+    Same contract as :func:`repro.cpu.replay.run_replay`; the stream
+    caches each machine's parameter block in its replay-kernel cache,
+    under a distinct key.  Declines (unsupported policy, no compiler,
+    failed build) are counted under ``engine.cnative.fallback.*`` when
+    telemetry is on.
     """
     if not replay_supported(config):
         _count_fallback("policy")
         return None
     key = ("cnative", config.geometry, config.policy,
            config.effective_penalty)
-    fn = stream._replay_fns.get(key)
-    if fn is None:
+    p = stream._replay_fns.get(key)
+    if p is None:
         if not ckernel.kernels_available():
             _count_fallback("nocc")
             return None
         try:
-            fn = build_cnative_fn(stream, trace, config)
+            ckernel.ensure_kernel()
         except ckernel.KernelBuildError:
             _count_fallback("build")
             return None
-        stream._replay_fns[key] = fn
-    return finish_replay(stream.instructions, fn(stream.executions))
+        p = _param_block(config, len(stream.slots), stream.tail_gap)
+        stream._replay_fns[key] = p
+    return finish_replay(stream.instructions, _replay(stream, trace, p))
+
+
+def _body_args(trace: "ExpandedTrace", kernel: ckernel.LoadedKernel):
+    """The dual-issue body's tables as C pointers, cast once per kernel.
+
+    Returns ``(args, covered)``: ``args`` are ``repro_dual``'s op
+    kinds, destinations, source offsets, sources and address columns
+    (NULL for a non-memory op), in its argument order; ``covered`` is
+    how many executions every memory op's column covers.  Cached on
+    the trace like :func:`_stream_args` on the stream.
+    """
+    cached = getattr(trace, "_cnative_body", None)
+    if cached is not None and cached[0] is kernel:
+        return cached[1]
+    body = trace.body
+    kind = np.array([_MEMORY_KIND.get(op.op, 0) for op in body],
+                    dtype=np.int64)
+    dst = np.array([-1 if op.dst is None else op.dst for op in body],
+                   dtype=np.int64)
+    src_start = np.cumsum([0] + [len(op.srcs) for op in body],
+                          dtype=np.int64)
+    src = np.array([r for op in body for r in op.srcs], dtype=np.int64)
+    addrs = [np.ascontiguousarray([] if a is None else a, dtype=np.int64)
+             if k else None for k, a in zip(kind, trace.addresses)]
+    covered = (min((len(a) for a in addrs if a is not None),
+                   default=ckernel.NO_LIMIT)
+               if len(trace.addresses) == len(body) else -1)
+    tables = (kind, dst, src_start, src)
+    args = tuple(kernel.pointer(t) for t in tables) + (
+        kernel.pointer_array(addrs),)
+    entry = (args, covered)
+    trace._cnative_body = (kernel, entry, tables, addrs)
+    return entry
 
 
 def run_dual_issue(
@@ -296,25 +343,14 @@ def run_dual_issue(
         _count_fallback("build")
         return None
     body = trace.body
+    args, covered = _body_args(trace, kernel)
+    if covered < trace.executions:
+        raise SimulationError("trace addresses do not cover the run")
     p = _param_block(config, len(body))
     p[0] = trace.executions
-    kind = np.array([_MEMORY_KIND.get(op.op, 0) for op in body],
-                    dtype=np.int64)
-    dst = np.array([-1 if op.dst is None else op.dst for op in body],
-                   dtype=np.int64)
-    src_start = np.cumsum([0] + [len(op.srcs) for op in body],
-                          dtype=np.int64)
-    src = np.array([r for op in body for r in op.srcs], dtype=np.int64)
-    addrs = [np.ascontiguousarray([0] if a is None else a, dtype=np.int64)
-             for a in trace.addresses]
-    if len(addrs) != len(body) or any(
-            k and len(a) < trace.executions for k, a in zip(kind, addrs)):
-        raise SimulationError("trace addresses do not cover the run")
-    tags, set_len = _tag_arrays(config.geometry)
     reg_ready = np.zeros(NUM_REGS, dtype=np.int64)
     out = np.zeros(ckernel.OUT_SLOTS, dtype=np.int64)
-    rc = kernel.invoke_dual(p, kind, dst, src_start, src, addrs, tags,
-                            set_len, reg_ready, out)
+    rc = kernel.invoke_dual(p, *args, reg_ready, out)
     if rc != 0:
         raise SimulationError(
             _KERNEL_ERRORS.get(rc, f"dual-issue kernel error {rc}"))
@@ -344,9 +380,8 @@ def classify_cnative(
         kernel = ckernel.ensure_kernel()
     except ckernel.KernelBuildError:
         return None
-    kind, _, _, _, _, _, lines = _stream_tables(stream)
-    if len(lines) != len(kind) or any(
-            len(column) < stream.executions for column in lines):
+    (kind, _, _, _, _, _, lines), covered = _stream_args(stream, kernel)
+    if covered < stream.executions:
         raise SimulationError("stream lines do not cover the run")
     p = _pack({
         "it1": stream.executions,
@@ -355,7 +390,9 @@ def classify_cnative(
         "ways": geometry.ways,
         "wma": write_allocate,
     })
-    tags, set_len = _tag_arrays(geometry)
     out = np.zeros(5, dtype=np.int64)
-    kernel.invoke_classify(p, kind, lines, tags, set_len, out)
+    rc = kernel.invoke_classify(p, kind, lines, out)
+    if rc != 0:
+        raise SimulationError(
+            _KERNEL_ERRORS.get(rc, f"classify kernel error {rc}"))
     return tuple(int(x) for x in out)

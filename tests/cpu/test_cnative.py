@@ -174,6 +174,46 @@ class TestDualIssueDriver:
             "ctypes"]
 
 
+class TestPointerCache:
+    @needs_cc
+    def test_switching_binding_recasts_cached_pointers(self, kernel_dir,
+                                                       monkeypatch):
+        # A stream's and a trace's tables are cast once per kernel.
+        # A kernel loaded through another binding must cast them
+        # afresh (ctypes refuses cffi pointers) and give the same
+        # numbers on the same stream and trace objects.
+        from repro.core.policies import implicit
+        from repro.cpu.replay_cnative import (classify_cnative,
+                                              run_cnative, run_dual_issue)
+        from repro.sim.stream import event_stream
+        from repro.sim.simulator import expand_workload
+
+        pytest.importorskip("cffi")
+        monkeypatch.setattr(ckernel, "_BINDING", ckernel._CffiBinding())
+        workload = get_benchmark("xlisp")
+        _, trace = expand_workload(workload, 10, scale=0.05)
+        stream = event_stream(workload, 10, 0.05, ASSOC.line_size)
+        replays = [replace(baseline_config(policy), geometry=ASSOC)
+                   for policy in (mc(1), implicit())]
+        dual = replace(baseline_config(mc(1)), geometry=ASSOC,
+                       issue_width=2)
+
+        def run_all():
+            return ([run_cnative(stream, trace, c) for c in replays]
+                    + [classify_cnative(stream, ASSOC, wa)
+                       for wa in (False, True)]
+                    + [run_dual_issue(trace, dual)])
+
+        first = run_all()
+        monkeypatch.setattr(ckernel, "_BINDING", ckernel._CtypesBinding())
+        monkeypatch.setattr(ckernel, "_KERNEL", None)
+        second = run_all()
+        assert None not in first
+        assert second == first
+        assert [k._binding.name for k in ckernel.loaded_kernels()] == [
+            "ctypes"]
+
+
 class TestNoCompilerFallback:
     def test_probe_and_build_refuse(self, no_compiler, monkeypatch):
         # As in a fresh process: no kernel loaded, no failure memoized.
