@@ -16,7 +16,7 @@ kernels do not benefit and real compilers leave them nearly alone).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.compiler.ir import Kernel
 from repro.compiler.pipelining import ROTATION_RESERVE, rotate_schedule
@@ -39,6 +39,26 @@ def unroll_factor_for(load_latency: int, max_unroll: int) -> int:
         return 1
     factor = 1 + load_latency // 2
     return max(1, min(max_unroll, factor))
+
+
+class CompileFacts(NamedTuple):
+    """A compiled body's reference counts: what Figure 4 tabulates.
+
+    Five integers, small enough to keep as a result-store row
+    (:func:`repro.sim.planner.compile_facts`), so Figure 4 can read
+    them back without compiling.
+    """
+
+    instructions: int
+    loads: int
+    stores: int
+    unroll_factor: int
+    spill_count: int
+
+    def per_original_iteration(self) -> Tuple[float, float, float]:
+        """(instructions, loads, stores) per *original* loop iteration."""
+        u = self.unroll_factor
+        return (self.instructions / u, self.loads / u, self.stores / u)
 
 
 @dataclass(frozen=True)
@@ -71,14 +91,15 @@ class CompiledBody:
     def num_stores(self) -> int:
         return sum(1 for i in self.instructions if i.op is OpClass.STORE)
 
+    def facts(self) -> CompileFacts:
+        """The body's reference counts, unroll factor and spill count."""
+        return CompileFacts(self.num_instructions, self.num_loads,
+                            self.num_stores, self.unroll_factor,
+                            self.spill_count)
+
     def per_original_iteration(self) -> Tuple[float, float, float]:
         """(instructions, loads, stores) per *original* loop iteration."""
-        u = self.unroll_factor
-        return (
-            self.num_instructions / u,
-            self.num_loads / u,
-            self.num_stores / u,
-        )
+        return self.facts().per_original_iteration()
 
     def render(self) -> str:
         """Disassembly-style listing of the compiled body."""

@@ -23,9 +23,9 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.policies import fs, no_restrict
 from repro.experiments.base import ExperimentOptions, ExperimentResult, register
 from repro.sim.config import baseline_config
-# Memoized front end: identical signature/results to
-# ``repro.sim.simulator.simulate``, backed by the on-disk result store.
-from repro.sim.planner import cached_simulate as simulate
+from repro.sim.planner import execute_cells
+
+WAYS = (1, 2, 4)
 
 
 @register(
@@ -43,20 +43,20 @@ def run(options: ExperimentOptions) -> ExperimentResult:
     headers = ["ways", "in-cache MSHRs (fs=ways)", "no restrict",
                "fs penalty x"]
     rows: List[List[object]] = []
-    for ways in (1, 2, 4):
+    cells = []
+    for ways in WAYS:
         base = replace(
             baseline_config(),
             geometry=CacheGeometry(size=8 * 1024, line_size=32,
                                    associativity=ways),
         )
-        limited = simulate(
-            workload, base.with_policy(fs(ways)),
-            load_latency=load_latency, scale=scale,
-        ).mcpi
-        free = simulate(
-            workload, base.with_policy(no_restrict()),
-            load_latency=load_latency, scale=scale,
-        ).mcpi
+        for policy in (fs(ways), no_restrict()):
+            cells.append((workload, base.with_policy(policy), load_latency,
+                          scale))
+    results = iter(execute_cells(cells))
+    for ways in WAYS:
+        limited = next(results).mcpi
+        free = next(results).mcpi
         rows.append([
             ways, limited, free,
             round(limited / free, 2) if free else None,

@@ -15,9 +15,7 @@ from typing import List
 from repro.core.policies import no_restrict
 from repro.experiments.base import ExperimentOptions, ExperimentResult, register
 from repro.sim.config import baseline_config
-# Memoized front end: identical signature/results to
-# ``repro.sim.simulator.simulate``, backed by the on-disk result store.
-from repro.sim.planner import cached_simulate as simulate
+from repro.sim.planner import execute_cells
 from repro.sim.sweep import PAPER_LATENCIES
 from repro.workloads.spec92 import get_benchmark
 
@@ -38,8 +36,9 @@ def run(options: ExperimentOptions) -> ExperimentResult:
         + ["7+", "max #"]
     )
     rows: List[List[object]] = []
-    for lat in PAPER_LATENCIES:
-        result = simulate(workload, config, load_latency=lat, scale=scale)
+    results = execute_cells([(workload, config, lat, scale)
+                             for lat in PAPER_LATENCIES])
+    for lat, result in zip(PAPER_LATENCIES, results):
         miss = result.miss
         for kind, pct, dist, peak in (
             ("misses", miss.pct_time_misses_inflight,

@@ -28,9 +28,7 @@ from repro.core.cost import explicit_mshr_bits, hybrid_mshr_bits, implicit_mshr_
 from repro.core.policies import no_restrict, with_layout
 from repro.experiments.base import ExperimentOptions, ExperimentResult, register
 from repro.sim.config import baseline_config
-# Memoized front end: identical signature/results to
-# ``repro.sim.simulator.simulate``, backed by the on-disk result store.
-from repro.sim.planner import cached_simulate as simulate
+from repro.sim.planner import execute_cells
 from repro.workloads.spec92 import get_benchmark
 
 #: (n_subblocks, misses_per_subblock) cells of the paper's table;
@@ -65,11 +63,14 @@ def run(options: ExperimentOptions) -> ExperimentResult:
     load_latency = options.resolved_latency(10)
     workload = get_benchmark(benchmark)
     base = baseline_config()
-
-    reference = simulate(
-        workload, base.with_policy(no_restrict()),
-        load_latency=load_latency, scale=scale,
-    ).mcpi
+    policies = [no_restrict()] + [
+        with_layout(*cell) for cell in GRID if cell is not None
+    ]
+    results = iter(execute_cells([
+        (workload, base.with_policy(policy), load_latency, scale)
+        for policy in policies
+    ]))
+    reference = next(results).mcpi
 
     headers = ["sub-blocks", "misses/sub-block", "MCPI", "ratio", "bits/MSHR"]
     rows: List[List[object]] = []
@@ -78,11 +79,7 @@ def run(options: ExperimentOptions) -> ExperimentResult:
             rows.append(["inf", "inf", reference, format_ratio(1.0), None])
             continue
         n_sub, misses = cell
-        policy = with_layout(n_sub, misses)
-        result = simulate(
-            workload, base.with_policy(policy),
-            load_latency=load_latency, scale=scale,
-        )
+        result = next(results)
         rows.append([
             n_sub,
             misses,

@@ -13,6 +13,9 @@ detailed benchmarks:
    dual-issue MCPI as (scaled single-issue MCPI) / IPC;
 4. report the prediction error -- the paper sees first-order agreement,
    mostly within +/-15% with outliers around +28%.
+
+Steps 1-2 run as one plan; the single-issue cells of step 3 depend on
+the IPC it measured, so they run as a second.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from repro.analysis.scaling import (
 from repro.core.policies import blocking_cache, fc, mc, no_restrict
 from repro.experiments.base import ExperimentOptions, ExperimentResult, register
 from repro.sim.config import baseline_config
-# Memoized front end: identical signature/results to
-# ``repro.sim.simulator.simulate``, backed by the on-disk result store.
-from repro.sim.planner import cached_simulate as simulate
+from repro.sim.planner import execute_cells
 from repro.workloads.spec92 import DETAILED_FIVE, get_benchmark
 
 #: The four organizations of the paper's Figure 19.
@@ -51,32 +52,43 @@ def run(options: ExperimentOptions) -> ExperimentResult:
     for policy in FIG19_POLICIES:
         headers.extend([f"{policy.name} mcpi", "%"])
 
+    workloads = [get_benchmark(name) for name in DETAILED_FIVE]
+    dual_base = replace(baseline_config(), issue_width=2,
+                        miss_penalty=miss_penalty)
+    # Plan 1, per benchmark: the perfect-cache run, then the dual-issue
+    # machine under each organization.
+    dual_configs = [replace(dual_base, perfect_cache=True)] + [
+        dual_base.with_policy(policy) for policy in FIG19_POLICIES
+    ]
+    results = iter(execute_cells([
+        (workload, config, load_latency, scale)
+        for workload in workloads for config in dual_configs
+    ]))
+    duals = [[next(results) for _ in dual_configs] for _ in workloads]
+    # Plan 2: the single-issue runs at the parameters scaled by each
+    # benchmark's measured IPC.
+    scaled = [
+        scaled_parameters(dual[0].ipc, load_latency=load_latency,
+                          miss_penalty=miss_penalty)
+        for dual in duals
+    ]
+    singles = iter(execute_cells([
+        (workload,
+         replace(baseline_config(), policy=policy, miss_penalty=scaled_pen),
+         scaled_lat, scale)
+        for workload, (scaled_lat, scaled_pen) in zip(workloads, scaled)
+        for policy in FIG19_POLICIES
+    ]))
+
     rows: List[List[object]] = []
-    for name in DETAILED_FIVE:
-        workload = get_benchmark(name)
-        dual_base = replace(baseline_config(), issue_width=2,
-                            miss_penalty=miss_penalty)
-        perfect = simulate(
-            workload, replace(dual_base, perfect_cache=True),
-            load_latency=load_latency, scale=scale,
-        )
+    for name, dual, (scaled_lat, scaled_pen) in zip(DETAILED_FIVE, duals,
+                                                      scaled):
+        perfect = dual[0]
         ipc = perfect.ipc
-        scaled_lat, scaled_pen = scaled_parameters(
-            ipc, load_latency=load_latency, miss_penalty=miss_penalty
-        )
         row: List[object] = [name, round(ipc, 2), scaled_lat, scaled_pen]
-        for policy in FIG19_POLICIES:
-            dual = simulate(
-                workload, dual_base.with_policy(policy),
-                load_latency=load_latency, scale=scale,
-            )
-            measured = dual_issue_mcpi(dual, perfect)
-            single = simulate(
-                workload,
-                replace(baseline_config(), policy=policy,
-                        miss_penalty=scaled_pen),
-                load_latency=scaled_lat, scale=scale,
-            )
+        for policy, result in zip(FIG19_POLICIES, dual[1:]):
+            measured = dual_issue_mcpi(result, perfect)
+            single = next(singles)
             comparison = ScalingComparison(
                 workload=name,
                 policy=policy.name,

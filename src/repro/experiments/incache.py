@@ -23,9 +23,7 @@ from repro.core.cost import explicit_mshr_cost, in_cache_storage_cost
 from repro.core.policies import fs, in_cache, no_restrict
 from repro.experiments.base import ExperimentOptions, ExperimentResult, register
 from repro.sim.config import baseline_config
-# Memoized front end: identical signature/results to
-# ``repro.sim.simulator.simulate``, backed by the on-disk result store.
-from repro.sim.planner import cached_simulate as simulate
+from repro.sim.planner import execute_cells
 
 
 @register(
@@ -54,14 +52,14 @@ def run(options: ExperimentOptions) -> ExperimentResult:
         "no restrict": discrete,
     }
     rows: List[List[object]] = []
+    benchmarks = [get_benchmark(bench) for bench in ("su2cor", "doduc")]
+    results = iter(execute_cells([
+        (workload, baseline_config(policy), load_latency, scale)
+        for policy in policies for workload in benchmarks
+    ]))
     for policy in policies:
         row: List[object] = [policy.name]
-        for bench in ("su2cor", "doduc"):
-            result = simulate(
-                get_benchmark(bench), baseline_config(policy),
-                load_latency=load_latency, scale=scale,
-            )
-            row.append(result.mcpi)
+        row.extend(next(results).mcpi for _ in benchmarks)
         row.append(storage[policy.name])
         rows.append(row)
     return ExperimentResult(

@@ -25,9 +25,7 @@ from repro.cache.memory import penalty_for_line_size
 from repro.core.policies import fc, mc, no_restrict
 from repro.experiments.base import ExperimentOptions, ExperimentResult, register
 from repro.sim.config import baseline_config
-# Memoized front end: identical signature/results to
-# ``repro.sim.simulator.simulate``, backed by the on-disk result store.
-from repro.sim.planner import cached_simulate as simulate
+from repro.sim.planner import execute_cells
 
 LINE_SIZES: Tuple[int, ...] = (8, 16, 32, 64, 128)
 
@@ -47,20 +45,21 @@ def run(options: ExperimentOptions) -> ExperimentResult:
     headers = ["line size", "penalty", "mc=1", "fc=1", "mc=2",
                "no restrict", "fc=1 position"]
     rows: List[List[object]] = []
+    policies = (mc(1), fc(1), mc(2), no_restrict())
+    cells = []
     for line_size in LINE_SIZES:
-        penalty = penalty_for_line_size(line_size)
         base = replace(
             baseline_config(),
             geometry=CacheGeometry(size=8 * 1024, line_size=line_size,
                                    associativity=1),
-            miss_penalty=penalty,
+            miss_penalty=penalty_for_line_size(line_size),
         )
-        values = {}
-        for policy in (mc(1), fc(1), mc(2), no_restrict()):
-            values[policy.name] = simulate(
-                workload, base.with_policy(policy),
-                load_latency=load_latency, scale=scale,
-            ).mcpi
+        cells.extend((workload, base.with_policy(policy), load_latency, scale)
+                     for policy in policies)
+    results = iter(execute_cells(cells))
+    for line_size in LINE_SIZES:
+        penalty = penalty_for_line_size(line_size)
+        values = {policy.name: next(results).mcpi for policy in policies}
         gap = values["mc=1"] - values["mc=2"]
         position = ((values["mc=1"] - values["fc=1"]) / gap
                     if gap > 1e-9 else 0.0)

@@ -21,9 +21,7 @@ from typing import List
 from repro.core.policies import blocking_cache, no_restrict
 from repro.experiments.base import ExperimentOptions, ExperimentResult, register
 from repro.sim.config import baseline_config
-# Memoized front end: identical signature/results to
-# ``repro.sim.simulator.simulate``, backed by the on-disk result store.
-from repro.sim.planner import cached_simulate as simulate
+from repro.sim.planner import execute_cells
 
 
 @register(
@@ -46,16 +44,21 @@ def run(options: ExperimentOptions) -> ExperimentResult:
         "hw+sched x",
     ]
     rows: List[List[object]] = []
+    blocking = base.with_policy(blocking_cache())
+    free = base.with_policy(no_restrict())
+    cells = []
     for name in BENCHMARK_ORDER:
         workload = get_benchmark(name)
-        blocking_hit = simulate(workload, base.with_policy(blocking_cache()),
-                                load_latency=1, scale=scale).mcpi
-        free_hit = simulate(workload, base.with_policy(no_restrict()),
-                            load_latency=1, scale=scale).mcpi
-        free_10 = simulate(workload, base.with_policy(no_restrict()),
-                           load_latency=10, scale=scale).mcpi
-        free_20 = simulate(workload, base.with_policy(no_restrict()),
-                           load_latency=20, scale=scale).mcpi
+        cells.extend([
+            (workload, blocking, 1, scale),
+            (workload, free, 1, scale),
+            (workload, free, 10, scale),
+            (workload, free, 20, scale),
+        ])
+    results = iter(execute_cells(cells))
+    for name in BENCHMARK_ORDER:
+        blocking_hit, free_hit, free_10, free_20 = (
+            next(results).mcpi for _ in range(4))
         best = min(free_10, free_20)
 
         def factor(denominator: float) -> object:

@@ -8,18 +8,18 @@ gives experiments an honest error bar.
 
 The compiled schedule is seed-independent (seeds only drive address
 generation), so replications share compilation and differ only in the
-expanded traces.
+expanded traces.  The seeds of one configuration run as one plan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.config import MachineConfig, baseline_config
-from repro.sim.planner import cached_simulate
+from repro.sim.planner import execute_cells
 from repro.workloads.workload import Workload
 
 #: Two-sided 95% normal quantile (adequate for the ~5-10 replications
@@ -86,16 +86,15 @@ def replicate(
         raise ConfigurationError("replicate needs at least one seed")
     if config is None:
         config = baseline_config()
-    mcpis: List[float] = []
-    for seed in seeds:
-        # A distinct seed gives a fresh Workload; the kernel object is
-        # shared, so compiled schedules stay cached.  Each seed has its
-        # own content fingerprint, so the result store keeps the
-        # replications distinct.
-        variant = replace(workload, seed=seed)
-        result = cached_simulate(variant, config, load_latency=load_latency,
-                                 scale=scale)
-        mcpis.append(result.mcpi)
+    # A distinct seed gives a fresh Workload; the kernel object is
+    # shared, so compiled schedules stay cached.  Each seed has its own
+    # content fingerprint, so the result store keeps the replications
+    # distinct.
+    results = execute_cells([
+        (replace(workload, seed=seed), config, load_latency, scale)
+        for seed in seeds
+    ])
+    mcpis = [result.mcpi for result in results]
     return ReplicationSummary(
         workload=workload.name,
         policy=config.policy.name,

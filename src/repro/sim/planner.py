@@ -1,8 +1,11 @@
 """The unified sweep planner: dedup, memoize, then dispatch.
 
-Every sweep in the repository -- the curve figures, the Figure 13
-table, the penalty sweeps, the CLI's benchmark x policy grid -- lowers
-to one flat list of cells ``(workload, config, load_latency, scale)``.
+Every sweep and every experiment in the repository -- the curve
+figures, the Figure 13 table, the penalty sweeps, every other
+experiment driver, seed replication, the CLI's benchmark x policy
+grid, and the one-cell :func:`cached_simulate` behind
+:func:`repro.api.simulate` -- lowers to one flat list of cells
+``(workload, config, load_latency, scale)``.
 This module is the single execution funnel for such lists:
 
 1. **fingerprint** every cell with
@@ -23,9 +26,10 @@ This module is the single execution funnel for such lists:
    counter update, in one store transaction, and
 5. **reassemble** the full result list in the caller's cell order.
 
-A re-run of an already-simulated sweep is therefore a pure cache read,
-and a first run simulates each distinct cell exactly once no matter
-how many figures share it.  Results are bit-identical to calling
+A re-run of an already-simulated sweep is therefore a pure cache read
+in one write transaction (its counter update), and a first run
+simulates each distinct cell exactly once no matter how many figures
+share it.  Results are bit-identical to calling
 :func:`repro.sim.simulator.simulate` per cell -- the tests assert
 exact equality across serial, parallel, and cached executions.
 
@@ -38,14 +42,21 @@ planner for tens of cells instead of thousands while the results that
 do land here are memoized and dispatched exactly as before.  Only
 genuinely simulated results enter the store; interval estimates never
 do.
+
+Figure 4 tabulates compiled bodies rather than simulations.
+:func:`compile_facts` serves those from the same store: one row per
+body, compiled only when the row is missing, so a warm pass of every
+experiment compiles nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.compiler.pipeline import CompileFacts
 from repro.sim.config import MachineConfig, baseline_config
 from repro.sim.parallel import (
     Cell,
@@ -53,7 +64,12 @@ from repro.sim.parallel import (
     _stream_affinity,
     dispatch,
 )
-from repro.sim.resultstore import ResultStore, cell_fingerprint, workload_key
+from repro.sim.resultstore import (
+    ResultStore,
+    cell_fingerprint,
+    compile_fingerprint,
+    workload_key,
+)
 from repro.sim.stats import SimulationResult
 from repro.workloads.workload import Workload
 
@@ -95,6 +111,18 @@ class PlanReport:
 #: CLI prints it after a sweep.  Purely advisory.
 last_report: Optional[PlanReport] = None
 
+#: The ``plan.*`` metrics, looked up once per registry generation.
+_METRICS = telemetry.MetricHandles(lambda m: SimpleNamespace(
+    runs=m.counter("plan.runs"),
+    cells=m.counter("plan.cells"),
+    unique=m.counter("plan.unique"),
+    deduplicated=m.counter("plan.deduplicated"),
+    store_hits=m.counter("plan.store_hits"),
+    simulated=m.counter("plan.simulated"),
+    cells_per_run=m.histogram("plan.cells_per_run",
+                              bounds=telemetry.SIZE_BUCKETS),
+))
+
 
 def run_plan(
     cells: Sequence[Cell],
@@ -122,15 +150,14 @@ def run_plan(
                          store_hits=report.store_hits,
                          simulated=report.simulated)
     if telemetry.enabled():
-        m = telemetry.metrics()
-        m.counter("plan.runs").inc()
-        m.counter("plan.cells").inc(report.cells)
-        m.counter("plan.unique").inc(report.unique)
-        m.counter("plan.deduplicated").inc(report.deduplicated)
-        m.counter("plan.store_hits").inc(report.store_hits)
-        m.counter("plan.simulated").inc(report.simulated)
-        m.histogram("plan.cells_per_run",
-                    bounds=telemetry.SIZE_BUCKETS).observe(report.cells)
+        m = _METRICS.get()
+        m.runs.inc()
+        m.cells.inc(report.cells)
+        m.unique.inc(report.unique)
+        m.deduplicated.inc(report.deduplicated)
+        m.store_hits.inc(report.store_hits)
+        m.simulated.inc(report.simulated)
+        m.cells_per_run.observe(report.cells)
     last_report = report
     return results, report
 
@@ -221,24 +248,49 @@ def cached_simulate(
 ) -> SimulationResult:
     """A drop-in memoized :func:`repro.sim.simulator.simulate`.
 
-    For experiment drivers that run one configuration at a time (the
-    histogram, layout-grid, and scaling studies): same signature for
-    the common arguments, same bit-identical result, backed by the
-    store.
+    A one-cell plan: same signature for the common arguments, same
+    bit-identical result, served from and written to the store like
+    any other plan.
     """
-    from repro.sim.simulator import simulate
-
     if config is None:
         config = baseline_config()
+    return execute_cells([(workload, config, load_latency, scale)],
+                         store=store)[0]
+
+
+def compile_facts(
+    pairs: Sequence[Tuple[Workload, int]],
+    store: Optional[ResultStore] = None,
+) -> List[CompileFacts]:
+    """The compile facts of ``(workload, load_latency)`` pairs, in order.
+
+    Reads every pair's row, compiles only the bodies whose row is
+    missing (through :func:`repro.sim.simulator.compile_workload` and
+    its cache) and writes their rows in one transaction, so a warm call
+    compiles and writes nothing.  Facts lookups count neither as store
+    hits nor as misses, which stay per planned cell; rows written count
+    as ``stores`` and malformed rows as ``corrupt``.  A disabled or
+    unusable store compiles every body.
+    """
+    from repro.sim.simulator import compile_workload
+
     if store is None:
         store = ResultStore.from_env()
-    fingerprint = cell_fingerprint(workload, config, load_latency, scale)
-    result = store.load(fingerprint)
-    if result is not None:
-        store.add_counters(hits=1)
-        return result
-    result = simulate(workload, config, load_latency=load_latency, scale=scale)
-    with store.transaction():
-        stored = store.store(fingerprint, result)
-        store.add_counters(misses=1, stores=int(stored))
-    return result
+    fingerprints = [compile_fingerprint(workload, load_latency)
+                    for workload, load_latency in pairs]
+    facts: Dict[str, CompileFacts] = {}
+    missing: Dict[str, CompileFacts] = {}
+    for fingerprint, (workload, load_latency) in zip(fingerprints, pairs):
+        if fingerprint in facts:
+            continue
+        found = store.load_facts(fingerprint)
+        if found is None:
+            found = missing[fingerprint] = compile_workload(
+                workload, load_latency).facts()
+        facts[fingerprint] = found
+    if missing:
+        with store.transaction():
+            stored = sum(store.store_facts(fingerprint, found)
+                         for fingerprint, found in missing.items())
+            store.add_counters(stores=stored)
+    return [facts[fingerprint] for fingerprint in fingerprints]

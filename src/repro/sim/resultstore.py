@@ -21,13 +21,21 @@ A cell is keyed by a **fingerprint**: a SHA-256 digest over
   field layout, penalty, issue width, write buffer), and
 * the scheduled load latency and run scale.
 
+The same table keeps Figure 4's **compile facts**: the reference
+counts, unroll factor and spill count of one compiled body, keyed by
+:func:`compile_fingerprint` over the store schema, the engine version,
+a ``"compile"`` tag and what the compile cache keys on (kernel
+identity, latency, unroll bounds, pipelining).  Neither key can take
+the other's value, so the two row kinds share one table.
+
 Entries and the store's lifetime counters live in one SQLite
 database, ``<root>/v<schema>/store.sqlite``, in WAL mode (SQLite's
 write-ahead log) with ``synchronous=NORMAL``: every commit is atomic,
 so a killed sweep never leaves a torn entry, and, as with an
 un-fsynced rename, a power cut can lose only the last commits.
 Lookups are per-cell point reads; a planner run writes its new rows
-and its counter update in one :meth:`ResultStore.transaction`.  Where
+and its counter update in one :meth:`ResultStore.transaction`, and so
+does :func:`repro.sim.planner.compile_facts`.  Where
 SQLite cannot use WAL on a file system, the database keeps its
 rollback journal.
 
@@ -65,6 +73,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro import telemetry
+from repro.compiler.pipeline import CompileFacts
 from repro.core.classify import StructuralCause
 from repro.core.stats import MissStats
 from repro.sim.config import MachineConfig
@@ -83,6 +92,14 @@ BUSY_TIMEOUT_S = 30.0
 
 #: The lifetime counters, in column order.
 COUNTERS = ("hits", "misses", "stores", "corrupt", "gc_removed")
+
+#: SQLite's primary result codes for a lock another connection holds.
+_SQLITE_BUSY, _SQLITE_LOCKED = 5, 6
+
+#: The ``store.<counter>`` telemetry counters, each registered when
+#: first incremented.
+_METRICS = telemetry.MetricHandles(
+    lambda m: telemetry.CounterFamily(m, "store."))
 
 #: The schema-1 layout kept its lifetime counters at the root in a JSON
 #: file with this stem; ``gc`` reaps it along with the ``v1/`` tree.
@@ -222,7 +239,35 @@ def cell_fingerprint(
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# -- result (de)serialization -------------------------------------------------
+def compile_fingerprint(
+    workload: Workload, load_latency: int, unroll_override: int = 0,
+) -> str:
+    """SHA-256 fingerprint of one compiled body's facts row (hex digest).
+
+    The digest is over ``repr`` of the tuple ``(STORE_SCHEMA,
+    ENGINE_VERSION, "compile", (workload.name, kernel.fingerprint()),
+    int(load_latency), workload.max_unroll, int(unroll_override),
+    workload.software_pipeline)``: what
+    :func:`repro.sim.simulator.compile_workload` keys its cache on.
+    The run scale and the address patterns do not shape the schedule,
+    so they are not part of it.
+    """
+    from repro.sim import simulator
+
+    text = "(%r, %r, 'compile', (%r, %s), %r, %r, %r, %r)" % (
+        STORE_SCHEMA,
+        simulator.ENGINE_VERSION,
+        workload.name,
+        _key_repr(workload.kernel, lambda kernel: kernel.fingerprint()),
+        int(load_latency),
+        workload.max_unroll,
+        int(unroll_override),
+        workload.software_pipeline,
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# -- row (de)serialization ----------------------------------------------------
 
 
 def result_to_dict(result: SimulationResult) -> Dict:
@@ -261,6 +306,15 @@ def result_from_dict(data: Dict) -> SimulationResult:
     return SimulationResult(miss=miss, **kwargs)
 
 
+def facts_from_dict(data: Dict) -> CompileFacts:
+    """Rebuild compile facts; raises on any shape mismatch (caller catches)."""
+    facts = CompileFacts(**data)
+    if any(type(v) is not int or v < 0 for v in facts) or \
+            facts.unroll_factor < 1:
+        raise ValueError("malformed compile facts")
+    return facts
+
+
 # -- the store ----------------------------------------------------------------
 
 
@@ -274,9 +328,9 @@ class StoreStats:
     entries: int
     total_bytes: int
     #: Lifetime counters (survive across processes): planner store hits,
-    #: cells actually simulated, entries written, corrupt entries or
-    #: database files reaped on read, entries and files removed by
-    #: ``gc``.
+    #: cells actually simulated, entries written (result and compile
+    #: facts rows), corrupt entries or database files reaped on read,
+    #: entries and files removed by ``gc``.
     hits: int
     misses: int
     stores: int
@@ -353,6 +407,39 @@ def _is_corrupt(exc: Exception) -> bool:
     return type(exc) is sqlite3.DatabaseError
 
 
+def _is_busy(exc: sqlite3.Error) -> bool:
+    """Whether SQLite refused because another connection holds a lock."""
+    code = getattr(exc, "sqlite_errorcode", None)  # Python 3.11 and later
+    if code is None:
+        return "locked" in str(exc)
+    return code & 0xFF in (_SQLITE_BUSY, _SQLITE_LOCKED)
+
+
+def _initialize(conn: sqlite3.Connection) -> None:
+    """Put a new connection in WAL mode and create the tables.
+
+    Switching the journal mode of a file that another process is
+    creating at the same moment fails at once with "database is
+    locked": SQLite does not wait out the busy timeout for it.  Such
+    answers are retried until :data:`BUSY_TIMEOUT_S`; without that, the
+    second of two processes opening a fresh store would run without one.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
+    while True:
+        try:
+            # Without WAL (a file system lacking shared memory) the
+            # database keeps its rollback journal at full sync.
+            if conn.execute("PRAGMA journal_mode=WAL").fetchall() == \
+                    [("wal",)]:
+                conn.execute("PRAGMA synchronous=NORMAL")
+            conn.executescript(_TABLES)
+            return
+        except sqlite3.OperationalError as exc:
+            if not _is_busy(exc) or time.monotonic() >= deadline:
+                raise
+        time.sleep(0.01)
+
+
 class ResultStore:
     """A content-addressed result cache rooted at one directory.
 
@@ -414,12 +501,7 @@ class ResultStore:
         except (OSError, sqlite3.Error):
             return None
         try:
-            # Without WAL (a file system lacking shared memory) the
-            # database keeps its rollback journal at full sync.
-            if conn.execute("PRAGMA journal_mode=WAL").fetchall() == \
-                    [("wal",)]:
-                conn.execute("PRAGMA synchronous=NORMAL")
-            conn.executescript(_TABLES)
+            _initialize(conn)
             st = os.stat(path)
         except (sqlite3.Error, OSError) as exc:
             conn.close()
@@ -507,6 +589,17 @@ class ResultStore:
         and reported as misses: the caller falls back to simulation and
         stores a fresh entry.
         """
+        return self._load(fingerprint, "result", result_from_dict)
+
+    def load_facts(self, fingerprint: str) -> Optional[CompileFacts]:
+        """The compile facts stored under a :func:`compile_fingerprint`.
+
+        ``None`` on any miss; malformed rows are reaped as by :meth:`load`.
+        """
+        return self._load(fingerprint, "compile", facts_from_dict)
+
+    def _load(self, fingerprint: str, field: str, decode):
+        """Decode ``payload[field]`` of one row; reap it if malformed."""
         if not self.enabled:
             return None
         try:
@@ -529,7 +622,7 @@ class ResultStore:
                 raise ValueError("schema mismatch")
             if payload["fingerprint"] != fingerprint:
                 raise ValueError("fingerprint mismatch")
-            return result_from_dict(payload["result"])
+            return decode(payload[field])
         except (ValueError, TypeError, KeyError, AttributeError):
             # Tolerate (and reap) anything malformed.
             with self.transaction():
@@ -546,13 +639,25 @@ class ResultStore:
         """
         if not self.enabled:
             return False
-        payload = json.dumps({
-            "schema": STORE_SCHEMA,
-            "fingerprint": fingerprint,
+        return self._put(fingerprint, {
             "workload": result.workload,
             "policy": result.policy,
             "load_latency": result.load_latency,
             "result": result_to_dict(result),
+        })
+
+    def store_facts(self, fingerprint: str, facts: CompileFacts) -> bool:
+        """Persist one body's compile facts, as :meth:`store` does a result."""
+        if not self.enabled:
+            return False
+        return self._put(fingerprint, {"compile": facts._asdict()})
+
+    def _put(self, fingerprint: str, fields: Dict) -> bool:
+        """Write one row: the schema/fingerprint envelope plus ``fields``."""
+        payload = json.dumps({
+            "schema": STORE_SCHEMA,
+            "fingerprint": fingerprint,
+            **fields,
         })
         return self._write("INSERT OR REPLACE INTO entries VALUES (?, ?, ?)",
                            (fingerprint, time.time(), payload))
@@ -574,10 +679,10 @@ class ResultStore:
         if not self.enabled or not any(amounts):
             return
         if telemetry.enabled():
-            m = telemetry.metrics()
+            counters = _METRICS.get()
             for name, amount in zip(COUNTERS, amounts):
                 if amount:
-                    m.counter(f"store.{name}").inc(amount)
+                    counters[name].inc(amount)
         self._write("UPDATE counters SET hits = hits + ?, "
                     "misses = misses + ?, stores = stores + ?, "
                     "corrupt = corrupt + ?, gc_removed = gc_removed + ?",

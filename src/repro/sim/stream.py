@@ -51,6 +51,10 @@ from repro.sim.lru import LRUCache
 from repro.sim.trace import P_LOAD, P_SCALAR, P_SKIP, P_STORE, ExpandedTrace
 from repro.workloads.workload import Workload
 
+#: The stream cache's and the stream builder's counters, looked up once
+#: per registry generation and each registered when first incremented.
+_METRICS = telemetry.MetricHandles(telemetry.CounterFamily)
+
 
 @dataclass(frozen=True)
 class SlotSpec:
@@ -286,7 +290,7 @@ def build_stream(
         for k in range(len(mem_kinds))
     )
     if telemetry.enabled():
-        telemetry.counter("fusion.streams_built").inc()
+        _METRICS.get()["fusion.streams_built"].inc()
     return EventStream(
         workload_name=trace.workload_name,
         line_size=line_size,
@@ -421,7 +425,7 @@ def event_stream(
     stream = _STREAM_CACHE.get(key)
     if stream is None:
         if telemetry.enabled():
-            telemetry.counter("sim.stream_cache.misses").inc()
+            _METRICS.get()["sim.stream_cache.misses"].inc()
         _, trace = expand_workload(workload, load_latency, scale=scale,
                                    unroll_override=unroll_override)
         stream = build_stream(trace, line_size)
@@ -429,7 +433,7 @@ def event_stream(
             return None
         _STREAM_CACHE.put(key, stream)
     elif telemetry.enabled():
-        telemetry.counter("sim.stream_cache.hits").inc()
+        _METRICS.get()["sim.stream_cache.hits"].inc()
     return stream
 
 

@@ -65,6 +65,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricHandles",
+    "CounterFamily",
     "DURATION_BUCKETS",
     "SIZE_BUCKETS",
     "enabled",
@@ -151,6 +152,25 @@ class MetricHandles:
             self._handles = self._build(_REGISTRY)
             self._generation = generation
         return self._handles
+
+
+class CounterFamily(dict):
+    """Counters a :class:`MetricHandles` bundle registers on first use.
+
+    ``family[name]`` is the counter ``prefix + name``, looked up in the
+    registry once per bundle.  A site that increments only some of its
+    counters on a call (a cache hit *or* a miss) thereby keeps the
+    untouched names out of snapshots, as a by-name lookup would.
+    """
+
+    def __init__(self, registry: MetricsRegistry, prefix: str = "") -> None:
+        super().__init__()
+        self._registry = registry
+        self._prefix = prefix
+
+    def __missing__(self, name: str) -> Counter:
+        counter = self[name] = self._registry.counter(self._prefix + name)
+        return counter
 
 
 def counter(name: str, help: str = "") -> Counter:

@@ -22,3 +22,16 @@ def compiler_hidden():
     with mock.patch.dict(os.environ, {"REPRO_CC": "no-such-compiler-xyz"}):
         clear_caches()
         yield
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` with a call counter; returns the call list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls

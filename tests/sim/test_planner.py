@@ -283,6 +283,42 @@ class TestReportPlumbing:
         assert planner.last_report is report
         assert "1 simulated" in report.describe()
 
+    def test_plan_and_store_metrics(self, store):
+        """The plan's and the store's telemetry counters, by name."""
+        telemetry.set_enabled(True)
+        cell = (get_benchmark("ora"), baseline_config(mc(1)), 10, 0.05)
+        run_plan([cell, cell], store=store)
+        run_plan([cell], store=store)
+        snap = telemetry.snapshot()
+        counters = snap["counters"]
+        assert {name: counters[name] for name in (
+            "plan.runs", "plan.cells", "plan.unique", "plan.deduplicated",
+            "plan.store_hits", "plan.simulated",
+            "store.hits", "store.misses", "store.stores",
+            "sim.stream_cache.misses", "fusion.streams_built",
+        )} == {
+            "plan.runs": 2, "plan.cells": 3, "plan.unique": 2,
+            "plan.deduplicated": 1, "plan.store_hits": 1,
+            "plan.simulated": 1, "store.hits": 1, "store.misses": 1,
+            "store.stores": 1, "sim.stream_cache.misses": 1,
+            "fusion.streams_built": 1,
+        }
+        assert "store.corrupt" not in counters
+        assert snap["histograms"]["plan.cells_per_run"]["count"] == 2
+
+    def test_cached_simulate_is_a_one_cell_plan(self, store):
+        workload = get_benchmark("ora")
+        config = baseline_config(mc(1))
+        cached_simulate(workload, config, load_latency=10, scale=0.05,
+                        store=store)
+        assert planner.last_report == planner.PlanReport(
+            cells=1, unique=1, store_hits=0, simulated=1)
+        cached_simulate(workload, config, load_latency=10, scale=0.05,
+                        store=store)
+        assert planner.last_report.store_hits == 1
+        stats = store.stats()
+        assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
+
     def test_counters_accumulate_in_store(self, store):
         cell = (get_benchmark("ora"), baseline_config(mc(1)), 10, 0.05)
         run_plan([cell], store=store)

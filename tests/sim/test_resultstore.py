@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import multiprocessing
 import shutil
 import sqlite3
+import sys
 from contextlib import closing
 from dataclasses import replace
 
@@ -13,17 +15,20 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.policies import explicit, fc, mc, no_restrict
 from repro.sim import simulator
 from repro.sim.config import MachineConfig, baseline_config
+from repro.sim.planner import compile_facts
 from repro.sim.resultstore import (
     STORE_SCHEMA,
     ResultStore,
     cell_fingerprint,
+    compile_fingerprint,
     config_key,
     result_from_dict,
     result_to_dict,
     workload_key,
 )
 from repro.sim.simulator import simulate
-from repro.workloads.spec92 import get_benchmark
+from repro.workloads.spec92 import BENCHMARK_ORDER, get_benchmark
+from tests.helpers import count_calls
 
 
 @pytest.fixture
@@ -44,6 +49,14 @@ def _edit(store, sql, *params):
     """Run one statement on the store's database over a second connection."""
     with closing(sqlite3.connect(store.path, isolation_level=None)) as conn:
         conn.execute(sql, params)
+
+
+def _open_fresh_store(root, barrier):
+    """Forked-process body: open a new store the instant the peer does."""
+    barrier.wait()
+    conn = ResultStore(root)._connect(create=True)
+    mode = conn.execute("PRAGMA journal_mode").fetchall() if conn else None
+    sys.exit(0 if mode == [("wal",)] else 1)
 
 
 class TestFingerprint:
@@ -293,3 +306,167 @@ class TestMaintenance:
         assert not (store.root / "counters.json").exists()
         assert store.load(fp) is not None
         assert store.stats().gc_removed == 2
+
+
+class TestConcurrentOpen:
+    def test_two_processes_create_one_store_at_once(self, tmp_path):
+        """Neither of two processes creating one file runs without a store.
+
+        Switching a file to WAL while another process creates it fails
+        at once with "database is locked"; the open retries it.
+        """
+        ctx = multiprocessing.get_context("fork")
+        for pair in range(50):
+            barrier = ctx.Barrier(2)
+            procs = [ctx.Process(target=_open_fresh_store,
+                                 args=(str(tmp_path / f"root{pair}"), barrier))
+                     for _ in range(2)]
+            try:
+                for proc in procs:
+                    proc.start()
+                for proc in procs:
+                    proc.join(timeout=60)
+            finally:
+                for proc in procs:
+                    if proc.is_alive():
+                        proc.kill()
+                        proc.join()
+            assert [proc.exitcode for proc in procs] == [0, 0], pair
+
+
+class TestCompileFacts:
+    def test_stored_facts_equal_compiled_counts(self, store):
+        """All 18 models at latencies 1-20, read back from their rows."""
+        pairs = [(get_benchmark(name), latency)
+                 for name in BENCHMARK_ORDER for latency in range(1, 21)]
+        written = compile_facts(pairs, store=store)
+        assert store.stats().entries == store.stats().stores == len(pairs)
+        for (workload, latency), facts in zip(pairs, written):
+            body = simulator.compile_workload(workload, latency)
+            stored = store.load_facts(compile_fingerprint(workload, latency))
+            assert stored == facts == (
+                body.num_instructions, body.num_loads, body.num_stores,
+                body.unroll_factor, body.spill_count)
+            u = body.unroll_factor
+            assert stored.per_original_iteration() == (
+                body.num_instructions / u, body.num_loads / u,
+                body.num_stores / u)
+
+    def test_warm_call_compiles_and_writes_nothing(self, store, monkeypatch):
+        pairs = [(get_benchmark("doduc"), latency) for latency in (1, 10)]
+        cold = compile_facts(pairs, store=store)
+        simulator.clear_caches()
+        compiles = count_calls(monkeypatch, simulator, "compile_kernel")
+        assert compile_facts(pairs + pairs, store=store) == cold + cold
+        assert compiles == []
+        stats = store.stats()
+        assert (stats.entries, stats.stores) == (2, 2)
+        # Facts lookups are not planner lookups.
+        assert stats.hits == stats.misses == 0
+
+    def test_other_engine_version_misses(self, store, monkeypatch):
+        pair = (get_benchmark("doduc"), 10)
+        version = simulator.ENGINE_VERSION
+        monkeypatch.setattr(simulator, "ENGINE_VERSION", "engine-next")
+        compile_facts([pair], store=store)
+        monkeypatch.setattr(simulator, "ENGINE_VERSION", version)
+        assert store.stats().entries == 1
+        assert store.load_facts(compile_fingerprint(*pair)) is None
+        simulator.clear_caches()
+        compiles = count_calls(monkeypatch, simulator, "compile_kernel")
+        compile_facts([pair], store=store)
+        assert len(compiles) == 1
+        assert store.stats().entries == 2
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda facts: "{not json at all",
+        lambda facts: json.dumps({**facts, "schema": STORE_SCHEMA - 1}),
+        lambda facts: json.dumps({k: v for k, v in facts.items()
+                                  if k != "compile"}),
+        lambda facts: json.dumps({**facts, "compile": {
+            **facts["compile"], "loads": -1}}),
+        lambda facts: json.dumps({**facts, "compile": {
+            **facts["compile"], "unroll_factor": 0}}),
+        lambda facts: json.dumps({**facts, "compile": {
+            **facts["compile"], "stores": "6"}}),
+        lambda facts: json.dumps({**facts, "compile": {
+            **facts["compile"], "extra": 1}}),
+        lambda facts: json.dumps({**facts, "compile": [1, 2, 3, 4, 5]}),
+    ])
+    def test_malformed_row_is_reaped_and_recompiled(self, store, corrupt):
+        pair = (get_benchmark("doduc"), 10)
+        fingerprint = compile_fingerprint(*pair)
+        expected, = compile_facts([pair], store=store)
+        with closing(sqlite3.connect(store.path)) as conn:
+            (text,), = conn.execute("SELECT payload FROM entries")
+        _edit(store, "UPDATE entries SET payload = ?",
+              corrupt(json.loads(text)))
+        assert store.load_facts(fingerprint) is None
+        assert store.stats().entries == 0
+        assert store.stats().corrupt == 1
+        assert compile_facts([pair], store=store) == [expected]
+        assert store.load_facts(fingerprint) == expected
+
+    def test_unusable_store_compiles_every_body(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        pairs = [(get_benchmark("ora"), latency) for latency in (1, 10)]
+        expected = [simulator.compile_workload(*pair).facts()
+                    for pair in pairs]
+        simulator.clear_caches()
+        compiles = count_calls(monkeypatch, simulator, "compile_kernel")
+        for store in (ResultStore(blocker / "store"),
+                      ResultStore(tmp_path / "off", enabled=False)):
+            assert compile_facts(pairs, store=store) == expected
+        assert len(compiles) == 2  # the second store hit the compile cache
+        assert not (tmp_path / "off").exists()
+
+    def test_keys_cover_the_compile_cache_key(self):
+        workload = get_benchmark("tomcatv")
+        base = compile_fingerprint(workload, 10)
+        assert compile_fingerprint(replace(workload, description="copy"),
+                                   10) == base
+        # Scale, seed and address patterns do not shape the schedule.
+        assert compile_fingerprint(replace(workload, seed=7), 10) == base
+        for other in (
+            compile_fingerprint(workload, 6),
+            compile_fingerprint(workload, 10, unroll_override=2),
+            compile_fingerprint(replace(workload, max_unroll=2), 10),
+            compile_fingerprint(replace(
+                workload, software_pipeline=not workload.software_pipeline),
+                10),
+            compile_fingerprint(get_benchmark("doduc"), 10),
+        ):
+            assert other != base
+        # A facts key never takes a cell's value.
+        assert base != cell_fingerprint(workload, baseline_config(), 10)
+
+    def test_memoized_digest_equals_tuple_repr(self):
+        for name, latency, unroll_override in (
+                ("ora", 10, 0), ("tomcatv", 1, 0), ("doduc", 20, 3)):
+            workload = get_benchmark(name)
+            key = (STORE_SCHEMA, simulator.ENGINE_VERSION, "compile",
+                   (workload.name, workload.kernel.fingerprint()), latency,
+                   workload.max_unroll, unroll_override,
+                   workload.software_pipeline)
+            expected = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+            for _ in range(2):  # cold, then from the kernel's memo
+                assert compile_fingerprint(
+                    workload, latency, unroll_override) == expected
+
+    @pytest.mark.parametrize("name, latency, unroll_override, digest", [
+        ("tomcatv", 10, 0,
+         "2e654ee0d88f0c490f37b7fd19d5e7205a1dbbdc38648e04ff9015c96ae4739f"),
+        ("doduc", 1, 0,
+         "fe259cddf07bdfe71ffbc9716dedf07775225560670f6c7495b3da4a7a5e7d7b"),
+        ("xlisp", 20, 0,
+         "05a8824c0635aca9f6bb0dbd9737416c85fcb364857ca60dbbf68f4e74225e65"),
+        ("su2cor", 6, 4,
+         "d65333f6bc8def25ec774a0ebd06055b7747702d6592565ab748c253320df8c7"),
+    ])
+    def test_spelled_digests_stay_put(self, name, latency, unroll_override,
+                                      digest):
+        """Literal digests: a silent key change would orphan every row."""
+        workload = get_benchmark(name)
+        assert compile_fingerprint(workload, latency, unroll_override) == \
+            digest
