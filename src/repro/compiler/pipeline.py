@@ -97,10 +97,6 @@ class CompiledBody:
                             self.num_stores, self.unroll_factor,
                             self.spill_count)
 
-    def per_original_iteration(self) -> Tuple[float, float, float]:
-        """(instructions, loads, stores) per *original* loop iteration."""
-        return self.facts().per_original_iteration()
-
     def render(self) -> str:
         """Disassembly-style listing of the compiled body."""
         header = (

@@ -14,9 +14,7 @@ from typing import List
 
 from repro.core.policies import no_restrict
 from repro.experiments.base import ExperimentOptions, ExperimentResult, register
-from repro.sim.config import baseline_config
-from repro.sim.planner import execute_cells
-from repro.sim.sweep import PAPER_LATENCIES
+from repro.sim.sweep import run_curves
 from repro.workloads.spec92 import get_benchmark
 
 
@@ -29,16 +27,15 @@ def run(options: ExperimentOptions) -> ExperimentResult:
     scale = options.scale
     benchmark = options.resolved_benchmark("doduc")
     workload = get_benchmark(benchmark)
-    config = baseline_config(no_restrict())
+    policy = no_restrict()
     headers = (
         ["load latency", "% time >0 in flight", "kind"]
         + [str(i) for i in range(1, 7)]
         + ["7+", "max #"]
     )
     rows: List[List[object]] = []
-    results = execute_cells([(workload, config, lat, scale)
-                             for lat in PAPER_LATENCIES])
-    for lat, result in zip(PAPER_LATENCIES, results):
+    sweep = run_curves(workload, [policy], scale=scale)
+    for lat, result in zip(sweep.latencies, sweep.results[policy.name]):
         miss = result.miss
         for kind, pct, dist, peak in (
             ("misses", miss.pct_time_misses_inflight,

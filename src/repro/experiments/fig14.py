@@ -27,8 +27,7 @@ from repro.analysis.tables import format_ratio, ratio
 from repro.core.cost import explicit_mshr_bits, hybrid_mshr_bits, implicit_mshr_bits
 from repro.core.policies import no_restrict, with_layout
 from repro.experiments.base import ExperimentOptions, ExperimentResult, register
-from repro.sim.config import baseline_config
-from repro.sim.planner import execute_cells
+from repro.sim.sweep import run_table
 from repro.workloads.spec92 import get_benchmark
 
 #: (n_subblocks, misses_per_subblock) cells of the paper's table;
@@ -62,15 +61,11 @@ def run(options: ExperimentOptions) -> ExperimentResult:
     benchmark = options.resolved_benchmark("doduc")
     load_latency = options.resolved_latency(10)
     workload = get_benchmark(benchmark)
-    base = baseline_config()
-    policies = [no_restrict()] + [
-        with_layout(*cell) for cell in GRID if cell is not None
-    ]
-    results = iter(execute_cells([
-        (workload, base.with_policy(policy), load_latency, scale)
-        for policy in policies
-    ]))
-    reference = next(results).mcpi
+    unrestricted = no_restrict()
+    layouts = {cell: with_layout(*cell) for cell in GRID if cell is not None}
+    table = run_table([workload], [unrestricted, *layouts.values()],
+                      load_latency=load_latency, scale=scale)
+    reference = table.mcpi(workload.name, unrestricted.name)
 
     headers = ["sub-blocks", "misses/sub-block", "MCPI", "ratio", "bits/MSHR"]
     rows: List[List[object]] = []
@@ -79,12 +74,12 @@ def run(options: ExperimentOptions) -> ExperimentResult:
             rows.append(["inf", "inf", reference, format_ratio(1.0), None])
             continue
         n_sub, misses = cell
-        result = next(results)
+        mcpi = table.mcpi(workload.name, layouts[cell].name)
         rows.append([
             n_sub,
             misses,
-            result.mcpi,
-            format_ratio(ratio(result.mcpi, reference)),
+            mcpi,
+            format_ratio(ratio(mcpi, reference)),
             _cost_bits(n_sub, misses),
         ])
     return ExperimentResult(

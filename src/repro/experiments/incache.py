@@ -22,8 +22,7 @@ from typing import List
 from repro.core.cost import explicit_mshr_cost, in_cache_storage_cost
 from repro.core.policies import fs, in_cache, no_restrict
 from repro.experiments.base import ExperimentOptions, ExperimentResult, register
-from repro.sim.config import baseline_config
-from repro.sim.planner import execute_cells
+from repro.sim.sweep import run_table
 
 
 @register(
@@ -52,14 +51,12 @@ def run(options: ExperimentOptions) -> ExperimentResult:
         "no restrict": discrete,
     }
     rows: List[List[object]] = []
-    benchmarks = [get_benchmark(bench) for bench in ("su2cor", "doduc")]
-    results = iter(execute_cells([
-        (workload, baseline_config(policy), load_latency, scale)
-        for policy in policies for workload in benchmarks
-    ]))
+    benchmarks = ("su2cor", "doduc")
+    table = run_table([get_benchmark(bench) for bench in benchmarks],
+                      policies, load_latency=load_latency, scale=scale)
     for policy in policies:
         row: List[object] = [policy.name]
-        row.extend(next(results).mcpi for _ in benchmarks)
+        row.extend(table.mcpi(bench, policy.name) for bench in benchmarks)
         row.append(storage[policy.name])
         rows.append(row)
     return ExperimentResult(

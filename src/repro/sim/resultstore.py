@@ -239,29 +239,27 @@ def cell_fingerprint(
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def compile_fingerprint(
-    workload: Workload, load_latency: int, unroll_override: int = 0,
-) -> str:
+def compile_fingerprint(workload: Workload, load_latency: int) -> str:
     """SHA-256 fingerprint of one compiled body's facts row (hex digest).
 
     The digest is over ``repr`` of the tuple ``(STORE_SCHEMA,
     ENGINE_VERSION, "compile", (workload.name, kernel.fingerprint()),
-    int(load_latency), workload.max_unroll, int(unroll_override),
+    int(load_latency), workload.max_unroll, 0,
     workload.software_pipeline)``: what
-    :func:`repro.sim.simulator.compile_workload` keys its cache on.
+    :func:`repro.sim.simulator.compile_workload` keys its cache on, the
+    ``0`` standing for the unroll override no stored body carries.
     The run scale and the address patterns do not shape the schedule,
     so they are not part of it.
     """
     from repro.sim import simulator
 
-    text = "(%r, %r, 'compile', (%r, %s), %r, %r, %r, %r)" % (
+    text = "(%r, %r, 'compile', (%r, %s), %r, %r, 0, %r)" % (
         STORE_SCHEMA,
         simulator.ENGINE_VERSION,
         workload.name,
         _key_repr(workload.kernel, lambda kernel: kernel.fingerprint()),
         int(load_latency),
         workload.max_unroll,
-        int(unroll_override),
         workload.software_pipeline,
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

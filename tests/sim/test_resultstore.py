@@ -430,7 +430,6 @@ class TestCompileFacts:
         assert compile_fingerprint(replace(workload, seed=7), 10) == base
         for other in (
             compile_fingerprint(workload, 6),
-            compile_fingerprint(workload, 10, unroll_override=2),
             compile_fingerprint(replace(workload, max_unroll=2), 10),
             compile_fingerprint(replace(
                 workload, software_pipeline=not workload.software_pipeline),
@@ -442,31 +441,25 @@ class TestCompileFacts:
         assert base != cell_fingerprint(workload, baseline_config(), 10)
 
     def test_memoized_digest_equals_tuple_repr(self):
-        for name, latency, unroll_override in (
-                ("ora", 10, 0), ("tomcatv", 1, 0), ("doduc", 20, 3)):
+        for name, latency in (("ora", 10), ("tomcatv", 1), ("doduc", 20)):
             workload = get_benchmark(name)
             key = (STORE_SCHEMA, simulator.ENGINE_VERSION, "compile",
                    (workload.name, workload.kernel.fingerprint()), latency,
-                   workload.max_unroll, unroll_override,
-                   workload.software_pipeline)
+                   workload.max_unroll, 0, workload.software_pipeline)
             expected = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
             for _ in range(2):  # cold, then from the kernel's memo
-                assert compile_fingerprint(
-                    workload, latency, unroll_override) == expected
+                assert compile_fingerprint(workload, latency) == expected
 
-    @pytest.mark.parametrize("name, latency, unroll_override, digest", [
-        ("tomcatv", 10, 0,
+    @pytest.mark.parametrize("name, latency, digest", [
+        ("tomcatv", 10,
          "2e654ee0d88f0c490f37b7fd19d5e7205a1dbbdc38648e04ff9015c96ae4739f"),
-        ("doduc", 1, 0,
+        ("doduc", 1,
          "fe259cddf07bdfe71ffbc9716dedf07775225560670f6c7495b3da4a7a5e7d7b"),
-        ("xlisp", 20, 0,
+        ("xlisp", 20,
          "05a8824c0635aca9f6bb0dbd9737416c85fcb364857ca60dbbf68f4e74225e65"),
-        ("su2cor", 6, 4,
-         "d65333f6bc8def25ec774a0ebd06055b7747702d6592565ab748c253320df8c7"),
+        ("su2cor", 6,
+         "f83be0b32e11a37a2d8bd339b042aa3e64115bb5d9aa81235274a2b005268660"),
     ])
-    def test_spelled_digests_stay_put(self, name, latency, unroll_override,
-                                      digest):
+    def test_spelled_digests_stay_put(self, name, latency, digest):
         """Literal digests: a silent key change would orphan every row."""
-        workload = get_benchmark(name)
-        assert compile_fingerprint(workload, latency, unroll_override) == \
-            digest
+        assert compile_fingerprint(get_benchmark(name), latency) == digest
