@@ -66,12 +66,8 @@ import numpy as np
 
 from repro.core.handler import blocking_end_cycle
 from repro.sim.lru import LRUCache
-from repro.sim.stream import (
-    EventStream,
-    _stream_key,
-    event_stream,
-    functional_summary,
-)
+from repro.sim.resultstore import group_key
+from repro.sim.stream import EventStream, event_stream, functional_summary
 from repro.sim.trace import P_LOAD
 from repro.workloads.workload import Workload
 
@@ -142,11 +138,11 @@ def screen_support(config) -> Optional[str]:
 
 # -- compulsory references and floors ------------------------------------------
 
-#: base stream key -> (flat indices of first-load refs, their blocks,
-#: n_slots).  Policy-independent, so one entry serves a whole sweep.
+#: (group key, line size) -> (flat indices of first-load refs, their
+#: blocks).  Policy-independent, so one entry serves a whole sweep.
 _FIRST_LOAD_CACHE = LRUCache(16)
 
-#: (base stream key, penalty) -> relaxed-machine end cycle.  The floor
+#: (group key, line size, penalty) -> relaxed-machine end cycle.  The floor
 #: depends on the policy only through its effective penalty, so the
 #: cache collapses sibling policies of one design space.
 _FLOOR_CACHE = LRUCache(64)
@@ -199,7 +195,7 @@ def first_load_refs(
     workload: Workload, load_latency: int, scale: float, stream: EventStream
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Cached :func:`_first_load_refs` for one stream group."""
-    key = _stream_key(workload, load_latency, scale, stream.line_size, 0)
+    key = (group_key(workload, load_latency, scale), stream.line_size)
     cached = _FIRST_LOAD_CACHE.get(key)
     if cached is None:
         cached = _first_load_refs(stream)
@@ -332,10 +328,8 @@ def dependency_floor(
     penalty: int,
 ) -> int:
     """Cached :func:`_dependency_floor` for one (group, penalty) pair."""
-    key = (
-        _stream_key(workload, load_latency, scale, stream.line_size, 0),
-        penalty,
-    )
+    key = (group_key(workload, load_latency, scale), stream.line_size,
+           penalty)
     cached = _FLOOR_CACHE.get(key)
     if cached is None:
         first_flat, _blocks = first_load_refs(

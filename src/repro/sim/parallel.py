@@ -10,17 +10,17 @@ runs serially in-process, with no pool and no serialization; anything
 larger fans the cells across a process pool and reassembles the same
 structures the serial harness produces.
 
-Cells are dispatched *cache-affinely*: cells sharing a
-(workload, load latency, scale) triple need the same compiled schedule
-and expanded trace, so they are grouped and shipped to the pool as
-units.  On top of the grouping, two mechanisms remove the remaining
-redundant data movement:
+Cells are dispatched *cache-affinely*: cells of one group
+(:func:`repro.sim.resultstore.group_key`: workload content, load
+latency, scale) need the same compiled schedule and expanded trace, so
+they are shipped to the pool as units.  On top of the grouping, two
+mechanisms remove the remaining redundant data movement:
 
 * **the trace plane** (:mod:`repro.sim.traceplane`): the parent
   expands each group's trace once and publishes the address buffers
   into shared memory; workers attach zero-copy instead of re-running
-  ``expand()``.  ``REPRO_SHM=0`` (or any publish failure) falls back
-  to worker-local expansion, bit-identically.
+  ``expand()``.  Without POSIX shared memory, or when a publish
+  fails, workers expand locally, bit-identically.
 * **the persistent pool**: one lazily created, process-wide
   ``ProcessPoolExecutor`` is reused across every :func:`dispatch`
   call -- all sweeps and all experiment drivers -- so worker compile/trace
@@ -28,8 +28,8 @@ redundant data movement:
   number of dispatchable groups, shuts itself down after
   ``REPRO_POOL_IDLE`` seconds of disuse, is never reused across a
   fork, and can be retired explicitly via
-  :func:`repro.api.shutdown_pool`.  ``REPRO_POOL_PERSIST=0`` restores
-  a fresh pool per call.
+  :func:`repro.api.shutdown_pool`.  A dispatch that needs more workers
+  while another holds the shared pool gets a private pool instead.
 
 Every piece of a cell description (workloads, policies, configs) is a
 plain picklable dataclass, and each worker process builds its own
@@ -54,7 +54,7 @@ from repro import telemetry
 from repro.errors import CellExecutionError, ConfigurationError
 from repro.sim import engines
 from repro.sim.config import MachineConfig
-from repro.sim.resultstore import workload_key
+from repro.sim.resultstore import group_key
 from repro.sim.stats import SimulationResult
 from repro.sim import traceplane
 from repro.workloads.workload import Workload
@@ -62,9 +62,9 @@ from repro.workloads.workload import Workload
 #: One sweep cell: everything a worker needs.
 Cell = Tuple[Workload, MachineConfig, int, float]
 
-#: One pool task: a workload/latency/scale triple plus the configs to
-#: run against it, each tagged with its position in the caller's cell
-#: list.
+#: One pool task: a group's workload, latency and scale plus the
+#: configs to run against it, each tagged with its position in the
+#: caller's cell list.
 _Group = Tuple[Workload, int, float, List[Tuple[int, MachineConfig]]]
 
 
@@ -198,16 +198,6 @@ def _checked_workers(workers: Optional[int]) -> int:
 # -- the persistent pool -------------------------------------------------------
 
 
-def persistent_pool_enabled() -> bool:
-    """Whether :func:`dispatch` reuses one process-wide pool.
-
-    ``REPRO_POOL_PERSIST=0`` restores the old fresh-pool-per-call
-    behaviour (each dispatch pays process start-up and cold worker
-    caches); anything else keeps the pool warm between sweeps.
-    """
-    return os.environ.get("REPRO_POOL_PERSIST", "1") != "0"
-
-
 def pool_idle_seconds() -> float:
     """How long the persistent pool may sit unused before self-retiring."""
     override = os.environ.get("REPRO_POOL_IDLE")
@@ -245,17 +235,15 @@ class _PoolState:
 _STATE = _PoolState()
 
 
-def _lease_pool(workers: int, reuse: bool) -> Tuple[ProcessPoolExecutor, bool]:
+def _lease_pool(workers: int) -> Tuple[ProcessPoolExecutor, bool]:
     """A pool with at least ``workers`` workers; ``(pool, caller_owns)``.
 
-    With ``reuse`` the process-wide pool is handed out (created or
-    resized if the live one is too small, discarded if it belongs to a
-    pre-fork parent); the caller must pass it to :func:`_return_pool`.
-    Without ``reuse`` a fresh private pool is returned and the caller
-    shuts it down.
+    Hands out the process-wide pool (created or resized if the live one
+    is too small, discarded if it belongs to a pre-fork parent), or a
+    fresh private pool when the shared one is too small and leased by
+    another dispatch.  Either way the caller passes it to
+    :func:`_return_pool`, which shuts a private pool down.
     """
-    if not reuse:
-        return ProcessPoolExecutor(max_workers=workers), True
     state = _STATE
     with state.lock:
         if state.pid is not None and state.pid != os.getpid():
@@ -431,12 +419,12 @@ def _stream_affinity(config: MachineConfig) -> Tuple:
 
 
 def _group_cells(cells: Sequence[Cell], max_group: int) -> List[_Group]:
-    """Bucket cells by (workload content, latency, scale), keeping tags.
+    """Bucket cells by :func:`~repro.sim.resultstore.group_key`, keeping tags.
 
-    Workload identity is by *content* (:func:`workload_key`), not by
-    object: equal-but-distinct ``Workload`` instances -- e.g. the
-    ``replace(workload, seed=...)`` copies seed replication builds --
-    land in the same bucket and share one compile and trace expansion.
+    Workload identity is by *content*, not by object: equal-but-distinct
+    ``Workload`` instances land in the same bucket and share one trace
+    expansion, while workloads that differ in any field expansion reads
+    (patterns, seed, ...) never do.
     Members are ordered stream-affinely (:func:`_stream_affinity`)
     before chunking, and groups are capped at ``max_group`` members so
     one giant bucket cannot serialize the whole pool behind a single
@@ -445,7 +433,7 @@ def _group_cells(cells: Sequence[Cell], max_group: int) -> List[_Group]:
     buckets: Dict[Tuple, List[Tuple[int, MachineConfig]]] = {}
     keys: Dict[Tuple, Tuple[Workload, int, float]] = {}
     for index, (workload, config, load_latency, scale) in enumerate(cells):
-        key = (workload_key(workload), load_latency, scale)
+        key = group_key(workload, load_latency, scale)
         buckets.setdefault(key, []).append((index, config))
         keys.setdefault(key, (workload, load_latency, scale))
     groups: List[_Group] = []
@@ -498,10 +486,7 @@ def dispatch(
     single cell) everything runs in-process, which keeps tests and
     small sweeps free of pool overhead; otherwise the cells go through
     the cache-affine process pool, which never exceeds the number of
-    dispatchable groups.  Results are bit-identical either way.  The
-    pool's strategy follows the environment
-    (:func:`persistent_pool_enabled`,
-    :func:`repro.sim.traceplane.shm_enabled`).
+    dispatchable groups.  Results are bit-identical either way.
     """
     cells = list(cells)
     if telemetry.enabled():
@@ -523,14 +508,14 @@ def dispatch(
         return [_run_cell(cell) for cell in cells]
 
     _prebuild_kernels(cells)
-    plane = traceplane.plane() if traceplane.shm_enabled() else None
+    plane = traceplane.plane() if traceplane.shm_available() else None
     handles: List[Optional[traceplane.TraceHandle]] = []
     stream_sets: List[List[traceplane.StreamHandle]] = []
     results: List[Optional[SimulationResult]] = [None] * len(cells)
     telemetry_on = telemetry.enabled()
     busy_total = 0.0
     dispatch_start = time.perf_counter()
-    pool, owned = _lease_pool(workers, persistent_pool_enabled())
+    pool, owned = _lease_pool(workers)
     broken = False
     try:
         if plane is not None:

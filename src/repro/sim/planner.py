@@ -68,7 +68,7 @@ from repro.sim.resultstore import (
     ResultStore,
     cell_fingerprint,
     compile_fingerprint,
-    workload_key,
+    group_key,
 )
 from repro.sim.stats import SimulationResult
 from repro.workloads.workload import Workload
@@ -165,9 +165,7 @@ def run_plan(
 def _dispatch_key(cell: Cell) -> Tuple:
     """Stream-key ordering for dispatch: group, then stream siblings."""
     workload, config, load_latency, scale = cell
-    return (
-        workload_key(workload), load_latency, scale,
-    ) + _stream_affinity(config)
+    return group_key(workload, load_latency, scale) + _stream_affinity(config)
 
 
 def _run_plan_impl(

@@ -24,9 +24,13 @@ A cell is keyed by a **fingerprint**: a SHA-256 digest over
 The same table keeps Figure 4's **compile facts**: the reference
 counts, unroll factor and spill count of one compiled body, keyed by
 :func:`compile_fingerprint` over the store schema, the engine version,
-a ``"compile"`` tag and what the compile cache keys on (kernel
-identity, latency, unroll bounds, pipelining).  Neither key can take
-the other's value, so the two row kinds share one table.
+a ``"compile"`` tag and the compile identity (:func:`compile_key`:
+name, kernel content, latency, unroll bound, pipelining).  Neither key
+can take the other's value, so the two row kinds share one table.
+
+The in-process caches key their work on the same content:
+:func:`group_key` names one trace expansion, :func:`compile_key` one
+compiled body.
 
 Entries and the store's lifetime counters live in one SQLite
 database, ``<root>/v<schema>/store.sqlite``, in WAL mode (SQLite's
@@ -73,6 +77,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro import telemetry
+from repro.compiler.ir import Kernel
 from repro.compiler.pipeline import CompileFacts
 from repro.core.classify import StructuralCause
 from repro.core.stats import MissStats
@@ -171,10 +176,10 @@ def workload_key(workload: Workload) -> Tuple:
 
     Two distinct ``Workload`` instances with equal keys produce
     bit-identical simulations, so the key is both the store's workload
-    component and the grouping key for cache-affine dispatch
-    (:mod:`repro.sim.parallel`).  Cosmetic fields (``description``,
-    ``is_fp``) are excluded.  Memoized on the instance: workloads are
-    frozen dataclasses treated as immutable after construction.
+    component and the workload part of :func:`group_key`.  Cosmetic
+    fields (``description``, ``is_fp``) are excluded.  Memoized on the
+    instance: workloads are frozen dataclasses treated as immutable
+    after construction.
     """
     cached = getattr(workload, "_content_key", None)
     if cached is None:
@@ -211,6 +216,34 @@ def _key_repr(value, key) -> str:
     return text
 
 
+def group_key(workload: Workload, load_latency: int, scale: float) -> Tuple:
+    """The group identity: everything expanding a workload's trace reads.
+
+    Workload content (:func:`workload_key`), scheduled load latency and
+    run scale.  It keys the trace cache, the stream cache (with the
+    line size), the summary cache (with geometry and store policy),
+    the bounds caches, the trace plane, pool grouping and dispatch
+    order.  The workload part is the memoized repr that
+    :func:`cell_fingerprint` hashes, so a lookup hashes one string whose
+    hash Python caches, not the kernel's op tuple.
+    """
+    return (_key_repr(workload, workload_key), load_latency, scale)
+
+
+def compile_key(workload: Workload, load_latency: int) -> Tuple:
+    """The compile identity: everything the schedule reads.
+
+    ``(name, kernel content, load latency, max_unroll,
+    software_pipeline)``, with the kernel as the memoized repr of
+    :meth:`~repro.compiler.ir.Kernel.fingerprint`.  Address patterns,
+    seed, iteration count and scale do not shape the schedule, so seed
+    replicas (:func:`repro.sim.confidence.replicate`) share one compile.
+    It keys the compile cache and :func:`compile_fingerprint`.
+    """
+    return (workload.name, _key_repr(workload.kernel, Kernel.fingerprint),
+            load_latency, workload.max_unroll, workload.software_pipeline)
+
+
 def cell_fingerprint(
     workload: Workload,
     config: MachineConfig,
@@ -245,22 +278,22 @@ def compile_fingerprint(workload: Workload, load_latency: int) -> str:
     The digest is over ``repr`` of the tuple ``(STORE_SCHEMA,
     ENGINE_VERSION, "compile", (workload.name, kernel.fingerprint()),
     int(load_latency), workload.max_unroll, 0,
-    workload.software_pipeline)``: what
-    :func:`repro.sim.simulator.compile_workload` keys its cache on, the
-    ``0`` standing for the unroll override no stored body carries.
-    The run scale and the address patterns do not shape the schedule,
-    so they are not part of it.
+    workload.software_pipeline)``, spelled out from
+    :func:`compile_key`; the ``0`` is kept from a retired unroll
+    override, so every stored row keeps its key.
     """
     from repro.sim import simulator
 
+    name, kernel, latency, max_unroll, pipeline = compile_key(
+        workload, load_latency)
     text = "(%r, %r, 'compile', (%r, %s), %r, %r, 0, %r)" % (
         STORE_SCHEMA,
         simulator.ENGINE_VERSION,
-        workload.name,
-        _key_repr(workload.kernel, lambda kernel: kernel.fingerprint()),
-        int(load_latency),
-        workload.max_unroll,
-        workload.software_pipeline,
+        name,
+        kernel,
+        int(latency),
+        max_unroll,
+        pipeline,
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -8,12 +8,15 @@ selected processor model, and returns a
 :class:`repro.sim.stats.SimulationResult`.
 
 Caching: compiled bodies and expanded traces are memoized in bounded
-LRU caches keyed on the *content* of the kernel (workload name plus
-:meth:`repro.compiler.ir.Kernel.fingerprint`), never on ``id()`` --
-object ids are reused after garbage collection and would silently
-alias entries during long sweeps.  The bounds keep week-long sweeps
-from growing memory without limit; sizes were chosen so a full
-paper-scale sweep (18 benchmarks x 6 latencies) still fits.
+LRU caches keyed on *content*, never on ``id()`` -- object ids are
+reused after garbage collection and would silently alias entries
+during long sweeps.  Bodies are keyed on the compile identity
+(:func:`repro.sim.resultstore.compile_key`), traces on the group
+identity (:func:`repro.sim.resultstore.group_key`): the whole
+workload's content, as the result store keys it, with the latency and
+scale.  The bounds keep week-long sweeps from growing memory without
+limit; sizes were chosen so a full paper-scale sweep (18 benchmarks x
+6 latencies) still fits.
 
 Each cell runs on the one lane its machine fixes
 (:func:`repro.sim.engines.cell_lane`): closed form, replay or dual
@@ -40,6 +43,7 @@ from repro.cpu.replay_cnative import run_dual_issue
 from repro.sim import engines as engines_mod
 from repro.sim.config import MachineConfig, baseline_config
 from repro.sim.lru import LRUCache
+from repro.sim.resultstore import compile_key, group_key
 from repro.sim.stats import SimulationResult
 from repro.sim.trace import ExpandedTrace, expand
 from repro.workloads.workload import Workload
@@ -125,17 +129,9 @@ def _update_cache_gauges() -> None:
     m.cache_summaries.set(sizes[3])
 
 
-def _kernel_identity(workload: Workload) -> Tuple:
-    """Stable cache-key component for a workload's kernel."""
-    return (workload.name, workload.kernel.fingerprint())
-
-
-def compile_workload(
-    workload: Workload, load_latency: int, unroll_override: int = 0
-) -> CompiledBody:
+def compile_workload(workload: Workload, load_latency: int) -> CompiledBody:
     """Compile (with caching) a workload's kernel for ``load_latency``."""
-    key = (_kernel_identity(workload), load_latency, workload.max_unroll,
-           unroll_override, workload.software_pipeline)
+    key = compile_key(workload, load_latency)
     body = _COMPILE_CACHE.get(key)
     if body is None:
         if telemetry.enabled():
@@ -144,7 +140,6 @@ def compile_workload(
             workload.kernel,
             load_latency,
             max_unroll=workload.max_unroll,
-            unroll_override=unroll_override,
             software_pipeline=workload.software_pipeline,
         )
         _COMPILE_CACHE.put(key, body)
@@ -153,30 +148,8 @@ def compile_workload(
     return body
 
 
-def _trace_key(
-    workload: Workload,
-    load_latency: int,
-    scale: float,
-    unroll_override: int = 0,
-) -> Tuple:
-    """The trace cache key: everything expansion depends on."""
-    return (
-        _kernel_identity(workload),
-        load_latency,
-        workload.max_unroll,
-        unroll_override,
-        workload.software_pipeline,
-        workload.iterations,
-        workload.seed,
-        scale,
-    )
-
-
 def trace_cached(
-    workload: Workload,
-    load_latency: int,
-    scale: float = 1.0,
-    unroll_override: int = 0,
+    workload: Workload, load_latency: int, scale: float = 1.0
 ) -> bool:
     """Whether this process already holds the workload's expanded trace.
 
@@ -184,7 +157,7 @@ def trace_cached(
     segment (:mod:`repro.sim.traceplane`): a persistent worker's warm
     cache makes the attach redundant.
     """
-    key = _trace_key(workload, load_latency, scale, unroll_override)
+    key = group_key(workload, load_latency, scale)
     return _TRACE_CACHE.get(key) is not None
 
 
@@ -193,7 +166,6 @@ def install_trace(
     load_latency: int,
     trace: ExpandedTrace,
     scale: float = 1.0,
-    unroll_override: int = 0,
 ) -> None:
     """Seed the trace cache with an externally built expansion.
 
@@ -204,19 +176,15 @@ def install_trace(
     produce for the same key -- the parallel-equivalence tests enforce
     it end to end.
     """
-    key = _trace_key(workload, load_latency, scale, unroll_override)
-    _TRACE_CACHE.put(key, trace)
+    _TRACE_CACHE.put(group_key(workload, load_latency, scale), trace)
 
 
 def expand_workload(
-    workload: Workload,
-    load_latency: int,
-    scale: float = 1.0,
-    unroll_override: int = 0,
+    workload: Workload, load_latency: int, scale: float = 1.0
 ) -> Tuple[CompiledBody, ExpandedTrace]:
     """Compile and expand (with caching) a workload."""
-    compiled = compile_workload(workload, load_latency, unroll_override)
-    key = _trace_key(workload, load_latency, scale, unroll_override)
+    compiled = compile_workload(workload, load_latency)
+    key = group_key(workload, load_latency, scale)
     trace = _TRACE_CACHE.get(key)
     if trace is None:
         if telemetry.enabled():
@@ -233,7 +201,6 @@ def simulate(
     config: Optional[MachineConfig] = None,
     load_latency: int = 10,
     scale: float = 1.0,
-    unroll_override: int = 0,
     warmup: float = 0.0,
 ) -> SimulationResult:
     """Run ``workload`` on ``config`` with the given scheduled latency.
@@ -257,15 +224,14 @@ def simulate(
     if config is None:
         config = baseline_config()
     if not telemetry.enabled():
-        return _simulate_impl(workload, config, load_latency, scale,
-                              unroll_override, warmup)
+        return _simulate_impl(workload, config, load_latency, scale, warmup)
     policy_name = "perfect" if config.perfect_cache else config.policy.name
     with telemetry.span(
         "simulate", workload=workload.name, policy=policy_name,
         load_latency=load_latency, scale=scale,
     ):
         result = _simulate_impl(workload, config, load_latency, scale,
-                                unroll_override, warmup)
+                                warmup)
     miss = result.miss
     m = _METRICS.get()
     m.cells.inc()
@@ -285,7 +251,6 @@ def simulate_reference(
     config: Optional[MachineConfig] = None,
     load_latency: int = 10,
     scale: float = 1.0,
-    unroll_override: int = 0,
     warmup: float = 0.0,
 ) -> SimulationResult:
     """The same cell as :func:`simulate`, on the reference loops.
@@ -299,7 +264,7 @@ def simulate_reference(
     if config is None:
         config = baseline_config()
     compiled, trace = _expand_cell(workload, config, load_latency, scale,
-                                   unroll_override, warmup)
+                                   warmup)
     out = _interpret(trace, config, warmup)
     return _result(workload, config, load_latency, compiled, out)
 
@@ -309,7 +274,6 @@ def _try_fused(
     config: MachineConfig,
     load_latency: int,
     scale: float,
-    unroll_override: int,
     trace: ExpandedTrace,
 ):
     """Run one ``closed_form`` or ``replay`` cell over the stream pass.
@@ -328,7 +292,7 @@ def _try_fused(
     if config.policy.blocking:
         summary = stream_mod.functional_summary(
             workload, load_latency, scale, config.geometry,
-            config.policy.write_allocate_blocking, unroll_override,
+            config.policy.write_allocate_blocking,
         )
         if summary is None:
             return None
@@ -343,7 +307,6 @@ def _try_fused(
     else:
         stream = stream_mod.event_stream(
             workload, load_latency, scale, config.geometry.line_size,
-            unroll_override,
         )
         if stream is None:
             return None
@@ -369,7 +332,6 @@ def _expand_cell(
     config: MachineConfig,
     load_latency: int,
     scale: float,
-    unroll_override: int,
     warmup: float,
 ) -> Tuple[CompiledBody, ExpandedTrace]:
     """Validate a cell's warmup, then compile and expand its workload."""
@@ -379,9 +341,7 @@ def _expand_cell(
         raise ConfigurationError(
             "warmup discard is implemented for the single-issue model"
         )
-    return expand_workload(
-        workload, load_latency, scale=scale, unroll_override=unroll_override
-    )
+    return expand_workload(workload, load_latency, scale=scale)
 
 
 def _interpret(trace: ExpandedTrace, config: MachineConfig,
@@ -407,11 +367,10 @@ def _simulate_impl(
     config: MachineConfig,
     load_latency: int,
     scale: float,
-    unroll_override: int,
     warmup: float,
 ) -> SimulationResult:
     compiled, trace = _expand_cell(workload, config, load_latency, scale,
-                                   unroll_override, warmup)
+                                   warmup)
     lane = engines_mod.cell_lane(config, warmup)
     out = None
     if lane == "dual":
@@ -419,8 +378,7 @@ def _simulate_impl(
         if out is not None and telemetry.enabled():
             _METRICS.get().cnative_dual.inc()
     elif lane != "interp":
-        out = _try_fused(workload, config, load_latency, scale,
-                         unroll_override, trace)
+        out = _try_fused(workload, config, load_latency, scale, trace)
     elif config.write_buffer_depth is not None:
         # The C lanes model only the ideal write buffer.
         engines_mod.count_cnative_fallback("policy")

@@ -48,6 +48,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.tags import make_tag_store
 from repro.cpu.replay_cnative import classify_cnative
 from repro.sim.lru import LRUCache
+from repro.sim.resultstore import group_key
 from repro.sim.trace import P_LOAD, P_SCALAR, P_SKIP, P_STORE, ExpandedTrace
 from repro.workloads.workload import Workload
 
@@ -361,33 +362,18 @@ def cache_sizes() -> Tuple[int, int]:
     return len(_STREAM_CACHE), len(_SUMMARY_CACHE)
 
 
-def _stream_key(
-    workload: Workload,
-    load_latency: int,
-    scale: float,
-    line_size: int,
-    unroll_override: int,
-) -> Tuple:
-    from repro.sim.simulator import _trace_key
-
-    return (_trace_key(workload, load_latency, scale, unroll_override),
-            line_size)
-
-
 def stream_cached(
     workload: Workload,
     load_latency: int,
     scale: float = 1.0,
     line_size: int = 32,
-    unroll_override: int = 0,
 ) -> bool:
     """Whether this process already holds the group's event stream.
 
     Pool workers consult this before attaching a shared-memory stream
     segment, exactly like :func:`repro.sim.simulator.trace_cached`.
     """
-    key = _stream_key(workload, load_latency, scale, line_size,
-                      unroll_override)
+    key = (group_key(workload, load_latency, scale), line_size)
     return _STREAM_CACHE.get(key) is not None
 
 
@@ -396,7 +382,6 @@ def install_stream(
     load_latency: int,
     stream: EventStream,
     scale: float = 1.0,
-    unroll_override: int = 0,
 ) -> None:
     """Seed the stream cache with an externally assembled stream.
 
@@ -405,8 +390,7 @@ def install_stream(
     bit-identical to what :func:`build_stream` would produce for the
     same key.
     """
-    key = _stream_key(workload, load_latency, scale, stream.line_size,
-                      unroll_override)
+    key = (group_key(workload, load_latency, scale), stream.line_size)
     _STREAM_CACHE.put(key, stream)
 
 
@@ -415,19 +399,16 @@ def event_stream(
     load_latency: int,
     scale: float = 1.0,
     line_size: int = 32,
-    unroll_override: int = 0,
 ) -> Optional[EventStream]:
     """The group's event stream, built once and cached (or ``None``)."""
     from repro.sim.simulator import expand_workload
 
-    key = _stream_key(workload, load_latency, scale, line_size,
-                      unroll_override)
+    key = (group_key(workload, load_latency, scale), line_size)
     stream = _STREAM_CACHE.get(key)
     if stream is None:
         if telemetry.enabled():
             _METRICS.get()["sim.stream_cache.misses"].inc()
-        _, trace = expand_workload(workload, load_latency, scale=scale,
-                                   unroll_override=unroll_override)
+        _, trace = expand_workload(workload, load_latency, scale=scale)
         stream = build_stream(trace, line_size)
         if stream is None:
             return None
@@ -443,7 +424,6 @@ def functional_summary(
     scale: float,
     geometry: CacheGeometry,
     write_allocate: bool,
-    unroll_override: int = 0,
 ) -> Optional[FunctionalSummary]:
     """Cached functional classification for one (group, geometry) pair.
 
@@ -453,14 +433,12 @@ def functional_summary(
     (:func:`_lru_functional`) when no kernel can be had.  Both give
     the same aggregates for every geometry.
     """
-    base_key = _stream_key(workload, load_latency, scale,
-                           geometry.line_size, unroll_override)
-    key = (base_key, geometry, write_allocate)
+    key = (group_key(workload, load_latency, scale), geometry,
+           write_allocate)
     summary = _SUMMARY_CACHE.get(key)
     if summary is not None:
         return summary
-    stream = event_stream(workload, load_latency, scale,
-                          geometry.line_size, unroll_override)
+    stream = event_stream(workload, load_latency, scale, geometry.line_size)
     if stream is None:
         return None
     counts = classify_cnative(stream, geometry, write_allocate)

@@ -6,9 +6,10 @@ already materialized the identical address buffers -- with the
 interpreter 10x faster, that redundant data movement dominated cold
 parallel sweeps.  The trace plane eliminates it:
 
-1. the **parent** expands each unique (workload, load latency, scale)
-   trace once (through the simulator's own caches) and publishes its
-   ``array('q')`` address buffers, back to back, into one
+1. the **parent** expands each group's trace
+   (:func:`repro.sim.resultstore.group_key`: workload content, load
+   latency, scale) once, through the simulator's own caches, and
+   publishes its ``array('q')`` address buffers, back to back, into one
    :class:`multiprocessing.shared_memory.SharedMemory` segment;
 2. a picklable :class:`TraceHandle` (segment name + per-op byte spans)
    rides to the pool with the group instead of nothing -- the address
@@ -27,12 +28,11 @@ frees the pages when the last map closes -- so a persistent pool's
 warm trace caches survive the unlink.  An ``atexit`` hook unlinks
 anything still alive if a process dies mid-dispatch.
 
-Everything degrades cleanly: if shared memory is unavailable
-(``REPRO_SHM=0``, an exotic platform, a full ``/dev/shm``, or a
-workload whose expansion itself fails), ``acquire`` returns ``None``
-and the worker falls back to today's local expansion.  Results are
-bit-identical either way -- the shared buffers hold exactly the bytes
-``expand()`` produces.
+Everything degrades cleanly: if shared memory is unavailable (an
+exotic platform, a full ``/dev/shm``, or a workload whose expansion
+itself fails), ``acquire`` returns ``None`` and the worker falls back
+to local expansion.  Results are bit-identical either way -- the
+shared buffers hold exactly the bytes ``expand()`` produces.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
-from repro.sim.resultstore import workload_key
+from repro.sim.resultstore import group_key
 from repro.workloads.workload import Workload
 
 try:  # pragma: no cover - exercised indirectly via shm_available()
@@ -60,11 +60,6 @@ SEGMENT_PREFIX = "repro-trace"
 def shm_available() -> bool:
     """Whether the platform offers POSIX shared memory at all."""
     return _shared_memory is not None
-
-
-def shm_enabled() -> bool:
-    """Whether the trace plane should be used (``REPRO_SHM=0`` opts out)."""
-    return shm_available() and os.environ.get("REPRO_SHM", "1") != "0"
 
 
 def _attach_untracked(name: str):
@@ -136,8 +131,8 @@ class _Segment:
         self.refs = 1
 
 
-#: Plane key: the content identity of one expanded trace.
-_Key = Tuple[Tuple, int, float]
+#: Plane key: the group identity of one expanded trace.
+_Key = Tuple[str, int, float]
 
 
 #: Monotonic per-process segment sequence number.  Module-global (not
@@ -162,10 +157,6 @@ class TracePlane:
         self._streams: Dict[Tuple[_Key, int], _Segment] = {}
         self._lock = threading.Lock()
 
-    @staticmethod
-    def key(workload: Workload, load_latency: int, scale: float) -> _Key:
-        return (workload_key(workload), load_latency, scale)
-
     def acquire(
         self, workload: Workload, load_latency: int, scale: float
     ) -> Optional[TraceHandle]:
@@ -177,9 +168,9 @@ class TracePlane:
         expands locally, where a genuine workload error surfaces with
         full cell context.
         """
-        if not shm_enabled():
+        if not shm_available():
             return None
-        key = self.key(workload, load_latency, scale)
+        key = group_key(workload, load_latency, scale)
         with self._lock:
             record = self._segments.get(key)
             if record is not None:
@@ -247,7 +238,7 @@ class TracePlane:
         self, workload: Workload, load_latency: int, scale: float
     ) -> None:
         """Drop one reference; unlink the segment when the last one goes."""
-        key = self.key(workload, load_latency, scale)
+        key = group_key(workload, load_latency, scale)
         with self._lock:
             record = self._segments.get(key)
             if record is None:
@@ -273,9 +264,9 @@ class TracePlane:
         like :meth:`acquire`: ``None`` means the worker builds the
         stream locally, bit-identically.
         """
-        if not shm_enabled():
+        if not shm_available():
             return None
-        key = (self.key(workload, load_latency, scale), line_size)
+        key = (group_key(workload, load_latency, scale), line_size)
         with self._lock:
             record = self._streams.get(key)
             if record is not None:
@@ -335,7 +326,7 @@ class TracePlane:
         line_size: int,
     ) -> None:
         """Drop one stream reference; unlink on the last one."""
-        key = (self.key(workload, load_latency, scale), line_size)
+        key = (group_key(workload, load_latency, scale), line_size)
         with self._lock:
             record = self._streams.get(key)
             if record is None:

@@ -18,6 +18,20 @@ def _fresh_caches():
     clear_caches()
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _session_cache_dir(tmp_path_factory):
+    """Point the result store and the kernel cache at the session's tmp dir.
+
+    Module-scoped fixtures run before the per-test store below, so
+    without this they would plan into (and build the kernel under)
+    ``.repro-cache/`` in the current directory.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR",
+                     str(tmp_path_factory.mktemp("repro-cache")))
+        yield
+
+
 @pytest.fixture(autouse=True)
 def _isolated_result_store(tmp_path, monkeypatch):
     """Point the on-disk result store at a per-test directory.

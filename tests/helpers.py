@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import os
+from dataclasses import replace
 from unittest import mock
 
 from repro.sim.simulator import clear_caches
+from repro.workloads.patterns import Strided
 
 
 @contextlib.contextmanager
@@ -35,3 +37,16 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def readdressed(workload):
+    """``workload`` with its streams 256 KB apart, colliding in 8 KB.
+
+    Same name, kernel and compile hints, other addresses: the copy
+    shares the original's compiled body but never its trace.
+    """
+    return replace(workload, patterns={
+        stream: Strided(base=0x1000000 + stream * 0x40000, stride=8,
+                        region=pattern.region)
+        for stream, pattern in workload.patterns.items()
+    })

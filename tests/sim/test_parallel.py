@@ -139,14 +139,6 @@ class TestPersistentPool:
             "active", "workers", "created", "reused", "shutdowns",
         }
 
-    def test_fresh_pool_opt_out(self, monkeypatch):
-        shutdown_pool()
-        cells = self._cells()
-        serial = dispatch(cells, workers=1)
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "0")
-        assert dispatch(cells, workers=2) == serial
-        assert not pool_stats()["active"]  # private pool already gone
-
 
 class TestGrouping:
     def test_equal_but_distinct_workloads_share_a_group(self):

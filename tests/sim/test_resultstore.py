@@ -1,5 +1,6 @@
 """Tests for the content-addressed on-disk result store."""
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -21,14 +22,18 @@ from repro.sim.resultstore import (
     ResultStore,
     cell_fingerprint,
     compile_fingerprint,
+    compile_key,
     config_key,
+    group_key,
     result_from_dict,
     result_to_dict,
     workload_key,
 )
 from repro.sim.simulator import simulate
+from repro.workloads.patterns import stack_pattern
 from repro.workloads.spec92 import BENCHMARK_ORDER, get_benchmark
-from tests.helpers import count_calls
+from repro.workloads.workload import Workload
+from tests.helpers import count_calls, readdressed
 
 
 @pytest.fixture
@@ -145,6 +150,67 @@ class TestFingerprint:
         """
         workload = replace(get_benchmark(name))
         assert cell_fingerprint(workload, config, latency, scale) == digest
+
+
+#: One change per ``Workload`` field of tomcatv, by the field's name.
+_FIELD_CHANGES = {
+    "name": lambda w: replace(w, name="tomcatv-copy"),
+    "kernel": lambda w: replace(w, kernel=get_benchmark("doduc").kernel),
+    "patterns": readdressed,
+    "iterations": lambda w: replace(w, iterations=w.iterations + 1),
+    "max_unroll": lambda w: replace(w, max_unroll=w.max_unroll - 1),
+    "software_pipeline": lambda w: replace(
+        w, software_pipeline=not w.software_pipeline),
+    "is_fp": lambda w: replace(w, is_fp=not w.is_fp),
+    "description": lambda w: replace(w, description="a copy"),
+    "seed": lambda w: replace(w, seed=w.seed + 1),
+    "spill_pattern": lambda w: replace(
+        w, spill_pattern=stack_pattern(frame=1024)),
+}
+
+
+class TestCacheIdentities:
+    """The group and compile identities every in-process cache keys on."""
+
+    def test_every_workload_field_is_classified(self):
+        assert set(_FIELD_CHANGES) == {
+            f.name for f in dataclasses.fields(Workload)}
+
+    @pytest.mark.parametrize("field", sorted(_FIELD_CHANGES))
+    def test_group_key_follows_what_expansion_reads(self, field):
+        workload = get_benchmark("tomcatv")
+        changed = _FIELD_CHANGES[field](workload)
+        cosmetic = field in ("description", "is_fp")
+        assert (group_key(changed, 10, 0.05) ==
+                group_key(workload, 10, 0.05)) == cosmetic
+        # The group key changes exactly when the stored cell does.
+        config = baseline_config()
+        assert (cell_fingerprint(changed, config, 10, 0.05) ==
+                cell_fingerprint(workload, config, 10, 0.05)) == cosmetic
+
+    @pytest.mark.parametrize("field", sorted(_FIELD_CHANGES))
+    def test_compile_key_follows_what_the_schedule_reads(self, field):
+        workload = get_benchmark("tomcatv")
+        changed = _FIELD_CHANGES[field](workload)
+        shapes_schedule = field in ("name", "kernel", "max_unroll",
+                                    "software_pipeline")
+        assert (compile_key(changed, 10) !=
+                compile_key(workload, 10)) == shapes_schedule
+        assert (compile_fingerprint(changed, 10) !=
+                compile_fingerprint(workload, 10)) == shapes_schedule
+
+    def test_latency_and_scale(self):
+        workload = get_benchmark("tomcatv")
+        assert group_key(workload, 10, 0.05) != group_key(workload, 6, 0.05)
+        assert group_key(workload, 10, 0.05) != group_key(workload, 10, 0.1)
+        assert compile_key(workload, 10) != compile_key(workload, 6)
+
+    def test_equal_content_shares_both_keys(self):
+        workload = get_benchmark("tomcatv")
+        twin = replace(workload)
+        assert twin is not workload
+        assert group_key(twin, 10, 0.05) == group_key(workload, 10, 0.05)
+        assert compile_key(twin, 10) == compile_key(workload, 10)
 
 
 class TestSerialization:

@@ -110,8 +110,8 @@ class TestPublishAttach:
         plane.release(workload, 10, 0.05)
         assert attach_trace(workload, handle) is None
 
-    def test_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
+    def test_no_shared_memory_returns_none(self, monkeypatch):
+        monkeypatch.setattr(traceplane, "shm_available", lambda: False)
         plane = TracePlane()
         assert plane.acquire(get_benchmark("ora"), 10, 0.05) is None
         assert plane.live_segments() == 0
@@ -173,8 +173,8 @@ class TestStreamPublishAttach:
         plane.release_stream(workload, 10, 0.05, 32)
         assert traceplane.attach_stream(trace, handle) is None
 
-    def test_stream_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
+    def test_stream_no_shared_memory_returns_none(self, monkeypatch):
+        monkeypatch.setattr(traceplane, "shm_available", lambda: False)
         plane = TracePlane()
         assert plane.acquire_stream(get_benchmark("ora"), 10, 0.05, 32) is None
         assert plane.live_segments() == 0
@@ -205,7 +205,7 @@ class TestStreamPublishAttach:
 
 class TestPoolIntegration:
     def test_fallback_path_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
+        monkeypatch.setattr(traceplane, "shm_available", lambda: False)
         cells = [
             (get_benchmark(name), baseline_config(policy), 10, 0.05)
             for name in ("ora", "eqntott")
@@ -218,8 +218,7 @@ class TestPoolIntegration:
         finally:
             shutdown_pool()
 
-    def test_plane_path_matches_serial_and_cleans_up(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "1")
+    def test_plane_path_matches_serial_and_cleans_up(self):
         cells = [
             (get_benchmark(name), baseline_config(policy), latency, 0.05)
             for name in ("ora", "eqntott")
@@ -236,8 +235,7 @@ class TestPoolIntegration:
         assert traceplane.plane().live_segments() == 0
         assert shm_segments() == before
 
-    def test_worker_failure_names_the_cell_and_cleans_up(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "1")
+    def test_worker_failure_names_the_cell_and_cleans_up(self):
         good = get_benchmark("ora")
         cells = [
             (good, baseline_config(mc(1)), 10, 0.05),

@@ -39,6 +39,7 @@ from repro.core.policies import (
 )
 from repro.errors import CellExecutionError, ConfigurationError
 from repro.experiments import get_experiment
+from repro.sim import traceplane
 from repro.sim.config import baseline_config
 from repro.sim.parallel import dispatch, pool_stats, shutdown_pool
 from repro.sim.planner import execute_cells, run_plan
@@ -94,7 +95,6 @@ def make_poison_workload() -> Workload:
 @pytest.fixture(autouse=True)
 def _fresh_pool(monkeypatch):
     """Each test leases its own persistent pool and retires it."""
-    monkeypatch.delenv("REPRO_POOL_PERSIST", raising=False)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     shutdown_pool()
     yield
@@ -338,15 +338,14 @@ class TestDispatch:
         assert [r.workload for r in results] == names
 
     @pytest.mark.parametrize("trace_plane", [True, False])
-    @pytest.mark.parametrize("reuse_pool", [True, False])
-    def test_pool_strategy_never_changes_results(self, reuse_pool,
-                                                 trace_plane, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "1" if reuse_pool else "0")
-        monkeypatch.setenv("REPRO_SHM", "1" if trace_plane else "0")
+    def test_pool_strategy_never_changes_results(self, trace_plane,
+                                                 monkeypatch):
+        if not trace_plane:
+            monkeypatch.setattr(traceplane, "shm_available", lambda: False)
         cells = _two_workload_cells()
         serial = dispatch(cells, workers=1)
         assert dispatch(cells, workers=2) == serial
-        assert pool_stats()["active"] == reuse_pool
+        assert pool_stats()["active"]
 
     def test_single_cell_never_leases_the_pool(self):
         before = _leases()
