@@ -56,6 +56,7 @@ from repro.sim.config import MachineConfig, baseline_config
 from repro.sim.parallel import Cell, _checked_workers
 from repro.sim.planner import execute_cells
 from repro.sim.stats import SimulationResult
+from repro.sim.sweep import _require_unique_names
 from repro.workloads.workload import Workload
 
 # -- the fidelity ladder -------------------------------------------------------
@@ -584,6 +585,8 @@ def run_screen_table(
     pricing, so no cell is ever pruned here.
     """
     _checked_workers(workers)
+    _require_unique_names("workloads", workloads)
+    _require_unique_names("policies", policies)
     if base is None:
         base = baseline_config()
     fid = get_fidelity(fidelity)

@@ -25,8 +25,7 @@ Four groups of names:
   :class:`ExperimentOptions`, :class:`ExperimentResult`;
 * **pool lifecycle** -- :func:`shutdown_pool` and :func:`pool_stats`
   for the persistent process pool behind ``workers > 1`` sweeps (see
-  the "Trace plane and pool lifecycle" section of
-  ``docs/performance.md``);
+  the "Pool lifecycle" section of ``docs/performance.md``);
 * **telemetry** -- :func:`telemetry_enabled`, :func:`metrics_snapshot`,
   :func:`telemetry_summary`, :func:`flush_telemetry`, and the
   :func:`span` context manager (see ``docs/observability.md``).
@@ -235,11 +234,10 @@ def shutdown_pool() -> bool:
 
     ``workers > 1`` sweeps share one lazily created, process-wide pool
     so worker compile/trace caches stay warm across consecutive
-    sweeps.  The pool also retires itself after ``REPRO_POOL_IDLE``
-    seconds of disuse (default 120) and at interpreter exit;
-    long-lived services should call this when a burst of sweeps
-    finishes instead of keeping idle workers around.  A later sweep
-    transparently creates a fresh pool.
+    sweeps.  The pool also retires itself after two minutes of disuse
+    and at interpreter exit; long-lived services should call this when
+    a burst of sweeps finishes instead of keeping idle workers around.
+    A later sweep transparently creates a fresh pool.
     """
     from repro.sim.parallel import shutdown_pool as _shutdown
 

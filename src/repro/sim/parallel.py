@@ -13,23 +13,18 @@ structures the serial harness produces.
 Cells are dispatched *cache-affinely*: cells of one group
 (:func:`repro.sim.resultstore.group_key`: workload content, load
 latency, scale) need the same compiled schedule and expanded trace, so
-they are shipped to the pool as units.  On top of the grouping, two
-mechanisms remove the remaining redundant data movement:
+they are shipped to the pool as units, and each worker compiles and
+expands its group once through its own caches.
 
-* **the trace plane** (:mod:`repro.sim.traceplane`): the parent
-  expands each group's trace once and publishes the address buffers
-  into shared memory; workers attach zero-copy instead of re-running
-  ``expand()``.  Without POSIX shared memory, or when a publish
-  fails, workers expand locally, bit-identically.
-* **the persistent pool**: one lazily created, process-wide
-  ``ProcessPoolExecutor`` is reused across every :func:`dispatch`
-  call -- all sweeps and all experiment drivers -- so worker compile/trace
-  caches stay warm between dispatches.  The pool is capped at the
-  number of dispatchable groups, shuts itself down after
-  ``REPRO_POOL_IDLE`` seconds of disuse, is never reused across a
-  fork, and can be retired explicitly via
-  :func:`repro.api.shutdown_pool`.  A dispatch that needs more workers
-  while another holds the shared pool gets a private pool instead.
+The pool is **persistent**: one lazily created, process-wide
+``ProcessPoolExecutor`` is reused across every :func:`dispatch` call
+-- all sweeps and all experiment drivers -- so worker compile/trace
+caches stay warm between dispatches.  The pool is capped at the number
+of dispatchable groups, shuts itself down after
+:data:`POOL_IDLE_SECONDS` of disuse, is never reused across a fork,
+and can be retired explicitly via :func:`repro.api.shutdown_pool`.  A
+dispatch that needs more workers while another holds the shared pool
+gets a private pool instead.
 
 Every piece of a cell description (workloads, policies, configs) is a
 plain picklable dataclass, and each worker process builds its own
@@ -56,7 +51,6 @@ from repro.sim import engines
 from repro.sim.config import MachineConfig
 from repro.sim.resultstore import group_key
 from repro.sim.stats import SimulationResult
-from repro.sim import traceplane
 from repro.workloads.workload import Workload
 
 #: One sweep cell: everything a worker needs.
@@ -84,20 +78,13 @@ def _run_cell(cell: Cell) -> SimulationResult:
     return simulate(workload, config, load_latency=load_latency, scale=scale)
 
 
-def _run_group(group: _Group, handle=None, stream_handles=None):
+def _run_group(group: _Group):
     """Worker entry point: simulate one cache-affine group of cells.
 
-    With a :class:`~repro.sim.traceplane.TraceHandle` the worker first
-    seeds its trace cache from the shared-memory segment (skipped when
-    a previous dispatch on this persistent worker already cached the
-    trace); otherwise the first ``simulate`` call compiles and expands
-    locally.  ``stream_handles`` carries the group's published
-    event-stream segments (one per line size the group's fused cells
-    replay over): the worker seeds its stream cache with zero-copy
-    views the same way, so policy siblings replay without re-deriving
-    line addresses.  Either way the remaining cells hit the
-    worker-local caches because workload, latency, and scale are
-    constant within a group.
+    The first ``simulate`` call compiles and expands the group's trace
+    (unless a previous dispatch on this persistent worker already
+    cached it); the remaining cells hit the worker-local caches because
+    workload, latency, and scale are constant within a group.
 
     Returns ``(pairs, telemetry_delta, started_at)``: the indexed
     results, the worker's metric activity for exactly this group (a
@@ -105,7 +92,6 @@ def _run_group(group: _Group, handle=None, stream_handles=None):
     equal the sum of serial runs), and the wall-clock instant the group
     started executing (the parent derives queue wait from it).
     """
-    from repro.sim import simulator
     from repro.sim.simulator import simulate
 
     workload, load_latency, scale, members = group
@@ -113,27 +99,6 @@ def _run_group(group: _Group, handle=None, stream_handles=None):
     before = telemetry.snapshot() if telemetry_on else None
     started_at = time.time()
     busy_start = time.perf_counter()
-    trace = None
-    if handle is not None and not simulator.trace_cached(
-            workload, load_latency, scale):
-        trace = traceplane.attach_trace(workload, handle)
-        if trace is not None:
-            simulator.install_trace(workload, load_latency, trace,
-                                    scale=scale)
-    if stream_handles:
-        from repro.sim import stream as stream_mod
-
-        for stream_handle in stream_handles:
-            if stream_mod.stream_cached(workload, load_latency, scale,
-                                        stream_handle.line_size):
-                continue
-            if trace is None:
-                _, trace = simulator.expand_workload(
-                    workload, load_latency, scale=scale)
-            stream = traceplane.attach_stream(trace, stream_handle)
-            if stream is not None:
-                stream_mod.install_stream(workload, load_latency, stream,
-                                          scale=scale)
     pairs = []
     for index, config in members:
         try:
@@ -198,22 +163,8 @@ def _checked_workers(workers: Optional[int]) -> int:
 # -- the persistent pool -------------------------------------------------------
 
 
-def pool_idle_seconds() -> float:
-    """How long the persistent pool may sit unused before self-retiring."""
-    override = os.environ.get("REPRO_POOL_IDLE")
-    if override is None:
-        return 120.0
-    try:
-        idle = float(override)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_POOL_IDLE must be a number of seconds: {override!r}"
-        ) from None
-    if idle <= 0:
-        raise ConfigurationError(
-            f"REPRO_POOL_IDLE must be positive: {idle}"
-        )
-    return idle
+#: Seconds the persistent pool may sit unused before it retires itself.
+POOL_IDLE_SECONDS = 120.0
 
 
 class _PoolState:
@@ -308,8 +259,7 @@ def _return_pool(pool: ProcessPoolExecutor, owned: bool,
 
 
 def _arm_idle_timer_locked(state: _PoolState) -> None:
-    idle = pool_idle_seconds()
-    timer = threading.Timer(idle, _idle_shutdown)
+    timer = threading.Timer(POOL_IDLE_SECONDS, _idle_shutdown)
     timer.daemon = True
     state.idle_timer = timer
     timer.start()
@@ -321,7 +271,7 @@ def _idle_shutdown() -> None:
         if (state.pool is None or state.leases > 0
                 or state.pid != os.getpid()):
             return
-        if time.monotonic() - state.last_used < pool_idle_seconds() * 0.5:
+        if time.monotonic() - state.last_used < POOL_IDLE_SECONDS * 0.5:
             _arm_idle_timer_locked(state)
             return
         pool = state.pool
@@ -508,65 +458,35 @@ def dispatch(
         return [_run_cell(cell) for cell in cells]
 
     _prebuild_kernels(cells)
-    plane = traceplane.plane() if traceplane.shm_available() else None
-    handles: List[Optional[traceplane.TraceHandle]] = []
-    stream_sets: List[List[traceplane.StreamHandle]] = []
     results: List[Optional[SimulationResult]] = [None] * len(cells)
     telemetry_on = telemetry.enabled()
     busy_total = 0.0
     dispatch_start = time.perf_counter()
     pool, owned = _lease_pool(workers)
     broken = False
+    submitted_at = {}
+    futures = []
     try:
-        if plane is not None:
-            for workload, load_latency, scale, members in groups:
-                handles.append(plane.acquire(workload, load_latency, scale))
-                streams: List[traceplane.StreamHandle] = []
-                line_sizes = sorted({
-                    config.geometry.line_size
-                    for _index, config in members
-                    if not config.perfect_cache
-                })
-                for line_size in line_sizes:
-                    stream_handle = plane.acquire_stream(
-                        workload, load_latency, scale, line_size)
-                    if stream_handle is not None:
-                        streams.append(stream_handle)
-                stream_sets.append(streams)
-        else:
-            handles = [None] * len(groups)
-            stream_sets = [[] for _ in groups]
-        submitted_at = {}
-        futures = []
-        for group, handle, streams in zip(groups, handles, stream_sets):
-            future = pool.submit(_run_group, group, handle, streams or None)
+        for group in groups:
+            future = pool.submit(_run_group, group)
             submitted_at[future] = time.time()
             futures.append(future)
-        try:
-            for future in as_completed(futures):
-                pairs, delta, started_at = future.result()
-                for index, result in pairs:
-                    results[index] = result
-                if telemetry_on and delta is not None:
-                    telemetry.merge(delta)
-                    busy_total += delta.get("counters", {}).get(
-                        "pool.worker_busy_seconds", 0.0)
-                    telemetry.histogram("pool.queue_wait_seconds").observe(
-                        max(0.0, started_at - submitted_at[future]))
-        except BaseException as exc:
-            broken = isinstance(exc, BrokenProcessPool)
-            for future in futures:
-                future.cancel()
-            raise
+        for future in as_completed(futures):
+            pairs, delta, started_at = future.result()
+            for index, result in pairs:
+                results[index] = result
+            if telemetry_on and delta is not None:
+                telemetry.merge(delta)
+                busy_total += delta.get("counters", {}).get(
+                    "pool.worker_busy_seconds", 0.0)
+                telemetry.histogram("pool.queue_wait_seconds").observe(
+                    max(0.0, started_at - submitted_at[future]))
+    except BaseException as exc:
+        broken = isinstance(exc, BrokenProcessPool)
+        for future in futures:
+            future.cancel()
+        raise
     finally:
-        if plane is not None:
-            for group, handle in zip(groups, handles):
-                if handle is not None:
-                    plane.release(group[0], group[1], group[2])
-            for group, streams in zip(groups, stream_sets):
-                for stream_handle in streams:
-                    plane.release_stream(group[0], group[1], group[2],
-                                         stream_handle.line_size)
         _return_pool(pool, owned, broken=broken)
     if telemetry_on:
         elapsed = time.perf_counter() - dispatch_start

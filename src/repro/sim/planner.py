@@ -18,11 +18,9 @@ This module is the single execution funnel for such lists:
    the content-addressed :class:`~repro.sim.resultstore.ResultStore`;
 4. **dispatch** only the misses through
    :func:`repro.sim.parallel.dispatch` -- in-process for one worker,
-   otherwise across the cache-affine process pool, which publishes
-   each group's trace once into the shared-memory trace plane
-   (:mod:`repro.sim.traceplane`) and reuses the process-wide
-   persistent pool, so consecutive planner runs keep worker caches
-   warm -- and persist their results together with the plan's
+   otherwise across the cache-affine process pool, which lives on
+   between planner runs so consecutive runs keep worker caches warm
+   -- and persist their results together with the plan's
    counter update, in one store transaction, and
 5. **reassemble** the full result list in the caller's cell order.
 

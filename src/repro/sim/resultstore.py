@@ -222,8 +222,7 @@ def group_key(workload: Workload, load_latency: int, scale: float) -> Tuple:
     Workload content (:func:`workload_key`), scheduled load latency and
     run scale.  It keys the trace cache, the stream cache (with the
     line size), the summary cache (with geometry and store policy),
-    the bounds caches, the trace plane, pool grouping and dispatch
-    order.  The workload part is the memoized repr that
+    the bounds caches, pool grouping and dispatch order.  The workload part is the memoized repr that
     :func:`cell_fingerprint` hashes, so a lookup hashes one string whose
     hash Python caches, not the kernel's op tuple.
     """

@@ -148,37 +148,6 @@ def compile_workload(workload: Workload, load_latency: int) -> CompiledBody:
     return body
 
 
-def trace_cached(
-    workload: Workload, load_latency: int, scale: float = 1.0
-) -> bool:
-    """Whether this process already holds the workload's expanded trace.
-
-    Pool workers consult this before attaching a shared-memory trace
-    segment (:mod:`repro.sim.traceplane`): a persistent worker's warm
-    cache makes the attach redundant.
-    """
-    key = group_key(workload, load_latency, scale)
-    return _TRACE_CACHE.get(key) is not None
-
-
-def install_trace(
-    workload: Workload,
-    load_latency: int,
-    trace: ExpandedTrace,
-    scale: float = 1.0,
-) -> None:
-    """Seed the trace cache with an externally built expansion.
-
-    The trace plane uses this to hand workers zero-copy traces built
-    over shared memory; the subsequent ``simulate`` call then hits the
-    cache exactly as if the worker had expanded locally.  The caller
-    guarantees the trace is bit-identical to what :func:`expand` would
-    produce for the same key -- the parallel-equivalence tests enforce
-    it end to end.
-    """
-    _TRACE_CACHE.put(group_key(workload, load_latency, scale), trace)
-
-
 def expand_workload(
     workload: Workload, load_latency: int, scale: float = 1.0
 ) -> Tuple[CompiledBody, ExpandedTrace]:

@@ -98,10 +98,9 @@ class EventStream:
     #: Readiness terms of the post-body stall sites (same shape as
     #: :attr:`SlotSpec.terms`).
     tail_terms: Tuple[Tuple[int, int], ...]
-    #: Parallel to ``slots``: per-execution *line* addresses
-    #: (``array('q')`` locally, ``memoryview('q')`` when attached from
-    #: the shared-memory plane).
-    lines: List[Sequence[int]]
+    #: Parallel to ``slots``: per-execution *line* addresses, one
+    #: ``array('q')`` per memory op.
+    lines: List[array]
     #: Compiled replay kernels, built lazily by
     #: :mod:`repro.cpu.replay` and cached here with the stream, keyed
     #: by ``(geometry, policy, effective_penalty)``; the C lane
@@ -257,16 +256,13 @@ def _line_array(buf: Sequence[int], offset_bits: int) -> array:
 
 
 def build_stream(
-    trace: ExpandedTrace,
-    line_size: int,
-    lines: Optional[List[Sequence[int]]] = None,
+    trace: ExpandedTrace, line_size: int
 ) -> Optional[EventStream]:
     """Build the event stream for one expanded trace.
 
-    ``lines`` supplies pre-built line-address buffers (the
-    shared-memory plane hands workers zero-copy ``memoryview`` windows
-    here); when omitted they are computed from the trace's byte
-    addresses.  Returns ``None`` for a body with no memory ops.
+    Each memory op's line addresses are its byte addresses with the
+    line-offset bits shifted off.  Returns ``None`` for a body with no
+    memory ops.
     """
     structure = _extract_structure(trace.program())
     if structure is None:
@@ -275,11 +271,8 @@ def build_stream(
      n_loads, n_stores) = structure
     body_indices = _mem_body_indices(trace)
     offset_bits = line_size.bit_length() - 1
-    if lines is None:
-        lines = [
-            _line_array(trace.addresses[j], offset_bits)
-            for j in body_indices
-        ]
+    lines = [_line_array(trace.addresses[j], offset_bits)
+             for j in body_indices]
     slots = tuple(
         SlotSpec(
             kind=mem_kinds[k],
@@ -302,7 +295,7 @@ def build_stream(
         slots=slots,
         tail_gap=tail_gap,
         tail_terms=tail_terms,
-        lines=list(lines),
+        lines=lines,
     )
 
 
@@ -360,38 +353,6 @@ def clear_stream_caches() -> None:
 def cache_sizes() -> Tuple[int, int]:
     """(streams, summaries) currently cached, for the telemetry gauges."""
     return len(_STREAM_CACHE), len(_SUMMARY_CACHE)
-
-
-def stream_cached(
-    workload: Workload,
-    load_latency: int,
-    scale: float = 1.0,
-    line_size: int = 32,
-) -> bool:
-    """Whether this process already holds the group's event stream.
-
-    Pool workers consult this before attaching a shared-memory stream
-    segment, exactly like :func:`repro.sim.simulator.trace_cached`.
-    """
-    key = (group_key(workload, load_latency, scale), line_size)
-    return _STREAM_CACHE.get(key) is not None
-
-
-def install_stream(
-    workload: Workload,
-    load_latency: int,
-    stream: EventStream,
-    scale: float = 1.0,
-) -> None:
-    """Seed the stream cache with an externally assembled stream.
-
-    The trace plane uses this to hand workers zero-copy streams built
-    over shared memory; the caller guarantees the stream is
-    bit-identical to what :func:`build_stream` would produce for the
-    same key.
-    """
-    key = (group_key(workload, load_latency, scale), stream.line_size)
-    _STREAM_CACHE.put(key, stream)
 
 
 def event_stream(

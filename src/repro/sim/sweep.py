@@ -9,6 +9,10 @@ the content-addressed result store, and dispatches the remainder
 through the cache-affine pool.  ``workers=1`` (the default) keeps
 execution in-process and bit-identical to direct ``simulate`` calls;
 any other value fans the missing cells across processes.
+
+Each helper keys its results by name, so it refuses two workloads or
+two policies that share one before it plans a cell: otherwise one of
+them would silently lose its row.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.policies import MSHRPolicy
+from repro.errors import ConfigurationError
 from repro.sim.config import MachineConfig, baseline_config
 from repro.sim.parallel import Cell
 from repro.sim.planner import execute_cells
@@ -26,6 +31,18 @@ from repro.workloads.workload import Workload
 #: The load latencies the paper's compiler sweep used (Section 6:
 #: "the set {1,2,3,6,10,20}").
 PAPER_LATENCIES: Tuple[int, ...] = (1, 2, 3, 6, 10, 20)
+
+
+def _require_unique_names(kind: str, entries: Sequence) -> None:
+    """Refuse two ``entries`` that share a name; the results key by it."""
+    first: Dict[str, int] = {}
+    for index, entry in enumerate(entries):
+        earlier = first.setdefault(entry.name, index)
+        if earlier != index:
+            raise ConfigurationError(
+                f"{kind}[{earlier}] and {kind}[{index}] are both named "
+                f"{entry.name!r}; the sweep keys its results by name, so "
+                f"one would be lost -- give each a distinct name")
 
 
 @dataclass
@@ -54,6 +71,7 @@ def run_curves(
     workers: Optional[int] = 1,
 ) -> CurveSweep:
     """Sweep load latency x policy for one workload."""
+    _require_unique_names("policies", policies)
     if base is None:
         base = baseline_config()
     lat_list = tuple(latencies)
@@ -101,6 +119,8 @@ def run_table(
     workers: Optional[int] = 1,
 ) -> TableSweep:
     """Sweep benchmarks x policies at a single scheduled latency."""
+    _require_unique_names("workloads", workloads)
+    _require_unique_names("policies", policies)
     if base is None:
         base = baseline_config()
     cells: List[Cell] = [
@@ -134,6 +154,7 @@ def run_penalty_sweep(
     workers: Optional[int] = 1,
 ) -> Dict[str, Dict[int, SimulationResult]]:
     """Sweep miss penalty x policy (Figure 18 shape)."""
+    _require_unique_names("policies", policies)
     if base is None:
         base = baseline_config()
     cells: List[Cell] = [

@@ -1,5 +1,6 @@
 """Tests for the multiprocess sweep runner."""
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -8,13 +9,13 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.policies import blocking_cache, fc, mc, no_restrict
 from repro.cpu import ckernel
 from repro.errors import ConfigurationError
+from repro.sim import parallel
 from repro.sim.config import baseline_config
 from repro.sim.parallel import (
     _group_cells,
     _prebuild_kernels,
     default_workers,
     dispatch,
-    pool_idle_seconds,
     pool_stats,
     shutdown_pool,
 )
@@ -74,16 +75,6 @@ class TestWorkerEnvValidation:
         with pytest.raises(ConfigurationError, match=">= 1"):
             default_workers()
 
-    def test_pool_idle_env_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_IDLE", "45")
-        assert pool_idle_seconds() == 45.0
-        monkeypatch.setenv("REPRO_POOL_IDLE", "soon")
-        with pytest.raises(ConfigurationError, match="number of seconds"):
-            pool_idle_seconds()
-        monkeypatch.setenv("REPRO_POOL_IDLE", "0")
-        with pytest.raises(ConfigurationError, match="positive"):
-            pool_idle_seconds()
-
 
 class TestPersistentPool:
     def _cells(self, scale=0.05):
@@ -133,6 +124,21 @@ class TestPersistentPool:
     def test_idle_shutdown_reports_nothing_live(self):
         shutdown_pool()
         assert shutdown_pool() is False
+
+    def test_unused_pool_retires_itself(self, monkeypatch):
+        monkeypatch.setattr(parallel, "POOL_IDLE_SECONDS", 0.05)
+        shutdown_pool()
+        try:
+            dispatch(self._cells(), workers=2)
+            shutdowns = pool_stats()["shutdowns"]
+            deadline = time.monotonic() + 10.0
+            while pool_stats()["active"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            stats = pool_stats()
+            assert not stats["active"]
+            assert stats["shutdowns"] == shutdowns + 1
+        finally:
+            shutdown_pool()
 
     def test_stats_are_the_process_pool_keys(self):
         assert set(pool_stats()) == {

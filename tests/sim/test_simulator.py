@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.core.policies import blocking_cache, mc, no_restrict
 from repro.sim.config import baseline_config
 from repro.sim.simulator import (
@@ -9,9 +10,13 @@ from repro.sim.simulator import (
     compile_workload,
     expand_workload,
     simulate,
-    trace_cached,
 )
 from repro.workloads.spec92 import BENCHMARK_ORDER, get_benchmark
+
+
+def _trace_misses() -> float:
+    """Trace-cache misses so far: each one is an expansion."""
+    return telemetry.snapshot()["counters"].get("sim.trace_cache.misses", 0)
 
 
 class TestBasicRuns:
@@ -143,17 +148,19 @@ class TestWarmupDiscard:
         assert warm == _pytest.approx(cold, rel=0.01)
 
     # A rejected warmup is caught before the trace is compiled and
-    # expanded, so nothing lands in the trace cache.
+    # expanded: the emptied trace cache records no miss.
     def test_bad_warmup_rejected(self):
         import pytest as _pytest
 
         from repro.errors import ConfigurationError
 
+        telemetry.set_enabled(True)
         clear_caches()
+        before = _trace_misses()
         with _pytest.raises(ConfigurationError):
             simulate(get_benchmark("ora"), baseline_config(mc(1)),
                      scale=0.05, warmup=1.5)
-        assert not trace_cached(get_benchmark("ora"), 10, 0.05)
+        assert _trace_misses() == before
 
     def test_dual_issue_warmup_rejected(self):
         import pytest as _pytest
@@ -162,7 +169,9 @@ class TestWarmupDiscard:
         from repro.errors import ConfigurationError
 
         config = replace(baseline_config(mc(1)), issue_width=2)
+        telemetry.set_enabled(True)
         clear_caches()
+        before = _trace_misses()
         with _pytest.raises(ConfigurationError):
             simulate(get_benchmark("ora"), config, scale=0.05, warmup=0.2)
-        assert not trace_cached(get_benchmark("ora"), 10, 0.05)
+        assert _trace_misses() == before

@@ -1,8 +1,14 @@
 """Tests for the sweep harness."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import api
+from repro.analysis import screen
 from repro.core.policies import blocking_cache, mc, no_restrict
+from repro.errors import ConfigurationError
+from repro.sim import sweep
 from repro.sim.config import baseline_config
 from repro.sim.sweep import (
     PAPER_LATENCIES,
@@ -11,6 +17,7 @@ from repro.sim.sweep import (
     run_table,
 )
 from repro.workloads.spec92 import get_benchmark
+from tests.helpers import readdressed
 
 
 class TestCurves:
@@ -95,3 +102,47 @@ class TestWorkersPlumbing:
         pooled = run_penalty_sweep(w, [no_restrict()], penalties=(8, 16),
                                    load_latency=10, scale=0.05, workers=2)
         assert pooled == serial
+
+
+class TestDuplicateNames:
+    """Results are keyed by name, so a shared name would lose a row."""
+
+    @pytest.fixture(autouse=True)
+    def _nothing_planned(self, monkeypatch):
+        def planned(*args, **kwargs):
+            raise AssertionError("a cell was planned")
+
+        monkeypatch.setattr(sweep, "execute_cells", planned)
+        monkeypatch.setattr(screen, "screen_cells", planned)
+        monkeypatch.setattr(screen, "execute_cells", planned)
+
+    #: tomcatv and a copy that differs only in its addresses.
+    TWINS = (get_benchmark("tomcatv"), readdressed(get_benchmark("tomcatv")))
+
+    #: Two different machines under one label.
+    SAME_LABEL = (mc(1), replace(mc(2), name="mc=1"))
+
+    @pytest.mark.parametrize("run", [
+        lambda w: run_table(w, [mc(1)]),
+        lambda w: api.sweep(w, policies=["mc=1"]),
+        lambda w: api.sweep(w, policies=["mc=1"], fidelity="screen"),
+    ], ids=["run_table", "api.sweep", "api.sweep-screen"])
+    def test_workloads_sharing_a_name_are_refused(self, run):
+        with pytest.raises(ConfigurationError,
+                           match=r"workloads\[0\] and workloads\[1\] are "
+                                 r"both named 'tomcatv'"):
+            run(list(self.TWINS))
+
+    @pytest.mark.parametrize("run", [
+        lambda p: run_table([get_benchmark("ora")], p),
+        lambda p: run_curves(get_benchmark("ora"), p),
+        lambda p: run_penalty_sweep(get_benchmark("ora"), p, [16, 32]),
+        lambda p: api.sweep(["ora"], policies=p),
+        lambda p: api.sweep(["ora"], policies=p, fidelity="screen"),
+    ], ids=["run_table", "run_curves", "run_penalty_sweep", "api.sweep",
+            "api.sweep-screen"])
+    def test_policies_sharing_a_name_are_refused(self, run):
+        with pytest.raises(ConfigurationError,
+                           match=r"policies\[0\] and policies\[1\] are "
+                                 r"both named 'mc=1'"):
+            run(list(self.SAME_LABEL))

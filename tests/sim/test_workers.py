@@ -39,7 +39,6 @@ from repro.core.policies import (
 )
 from repro.errors import CellExecutionError, ConfigurationError
 from repro.experiments import get_experiment
-from repro.sim import traceplane
 from repro.sim.config import baseline_config
 from repro.sim.parallel import dispatch, pool_stats, shutdown_pool
 from repro.sim.planner import execute_cells, run_plan
@@ -337,15 +336,30 @@ class TestDispatch:
         assert _leases() == before + 1
         assert [r.workload for r in results] == names
 
-    @pytest.mark.parametrize("trace_plane", [True, False])
-    def test_pool_strategy_never_changes_results(self, trace_plane,
-                                                 monkeypatch):
-        if not trace_plane:
-            monkeypatch.setattr(traceplane, "shm_available", lambda: False)
+    def test_pool_strategy_never_changes_results(self):
         cells = _two_workload_cells()
         serial = dispatch(cells, workers=1)
         assert dispatch(cells, workers=2) == serial
         assert pool_stats()["active"]
+
+    def test_worker_failure_names_the_cell_and_keeps_the_pool(self):
+        good = get_benchmark("ora")
+        cells = [
+            (good, baseline_config(mc(1)), 10, 0.05),
+            (good, baseline_config(no_restrict()), 10, 0.05),
+            (make_poison_workload(), baseline_config(mc(2)), 10, 1.0),
+            (make_poison_workload(), baseline_config(mc(4)), 10, 1.0),
+        ]
+        with pytest.raises(CellExecutionError) as err:
+            dispatch(cells, workers=2)
+        message = str(err.value)
+        assert "workload='poison'" in message
+        assert "load_latency=10" in message
+        assert "poisoned address stream" in message
+        created = pool_stats()["created"]
+        healthy = _two_workload_cells()
+        assert dispatch(healthy, workers=2) == dispatch(healthy, workers=1)
+        assert pool_stats()["created"] == created  # the same pool served it
 
     def test_single_cell_never_leases_the_pool(self):
         before = _leases()
