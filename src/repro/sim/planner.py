@@ -15,7 +15,9 @@ This module is the single execution funnel for such lists:
    substantially) -- each distinct cell is simulated at most once per
    planner call;
 3. **partition** the unique cells into store hits and misses against
-   the content-addressed :class:`~repro.sim.resultstore.ResultStore`;
+   the content-addressed :class:`~repro.sim.resultstore.ResultStore`,
+   reading every row of the plan at once
+   (:meth:`~repro.sim.resultstore.ResultStore.load_many`);
 4. **dispatch** only the misses through
    :func:`repro.sim.parallel.dispatch` -- in-process for one worker,
    otherwise across the cache-affine process pool, which lives on
@@ -24,8 +26,8 @@ This module is the single execution funnel for such lists:
    counter update, in one store transaction, and
 5. **reassemble** the full result list in the caller's cell order.
 
-A re-run of an already-simulated sweep is therefore a pure cache read
-in one write transaction (its counter update), and a first run
+A re-run of an already-simulated sweep is therefore one batched store
+read and one write transaction (its counter update), and a first run
 simulates each distinct cell exactly once no matter how many figures
 share it.  Results are bit-identical to calling
 :func:`repro.sim.simulator.simulate` per cell -- the tests assert
@@ -182,15 +184,10 @@ def _run_plan_impl(
             unique_cells[fingerprint] = cell
             unique_order.append(fingerprint)
 
-    resolved: Dict[str, SimulationResult] = {}
-    missing: List[str] = []
+    resolved = store.load_many(unique_order)
+    missing = [fingerprint for fingerprint in unique_order
+               if fingerprint not in resolved]
     simulated: List[SimulationResult] = []
-    for fingerprint in unique_order:
-        cached = store.load(fingerprint)
-        if cached is None:
-            missing.append(fingerprint)
-        else:
-            resolved[fingerprint] = cached
 
     if missing:
         # Dispatch in stream-key order: cells sharing a (workload,
@@ -260,8 +257,8 @@ def compile_facts(
 ) -> List[CompileFacts]:
     """The compile facts of ``(workload, load_latency)`` pairs, in order.
 
-    Reads every pair's row, compiles only the bodies whose row is
-    missing (through :func:`repro.sim.simulator.compile_workload` and
+    Reads every pair's row in one batched read, compiles only the
+    bodies whose row is missing (through :func:`repro.sim.simulator.compile_workload` and
     its cache) and writes their rows in one transaction, so a warm call
     compiles and writes nothing.  Facts lookups count neither as store
     hits nor as misses, which stay per planned cell; rows written count
@@ -274,16 +271,12 @@ def compile_facts(
         store = ResultStore.from_env()
     fingerprints = [compile_fingerprint(workload, load_latency)
                     for workload, load_latency in pairs]
-    facts: Dict[str, CompileFacts] = {}
+    facts = store.load_facts_many(fingerprints)
     missing: Dict[str, CompileFacts] = {}
     for fingerprint, (workload, load_latency) in zip(fingerprints, pairs):
-        if fingerprint in facts:
-            continue
-        found = store.load_facts(fingerprint)
-        if found is None:
-            found = missing[fingerprint] = compile_workload(
+        if fingerprint not in facts:
+            facts[fingerprint] = missing[fingerprint] = compile_workload(
                 workload, load_latency).facts()
-        facts[fingerprint] = found
     if missing:
         with store.transaction():
             stored = sum(store.store_facts(fingerprint, found)

@@ -37,16 +37,17 @@ database, ``<root>/v<schema>/store.sqlite``, in WAL mode (SQLite's
 write-ahead log) with ``synchronous=NORMAL``: every commit is atomic,
 so a killed sweep never leaves a torn entry, and, as with an
 un-fsynced rename, a power cut can lose only the last commits.
-Lookups are per-cell point reads; a planner run writes its new rows
-and its counter update in one :meth:`ResultStore.transaction`, and so
-does :func:`repro.sim.planner.compile_facts`.  Where
-SQLite cannot use WAL on a file system, the database keeps its
-rollback journal.
+A planner run reads all its rows at once (:meth:`ResultStore.load_many`:
+one ``SELECT ... WHERE fingerprint IN (...)`` per :data:`READ_CHUNK`
+fingerprints) and writes its new rows and its counter update in one
+:meth:`ResultStore.transaction`; :func:`repro.sim.planner.compile_facts`
+does the same with facts rows.  Where SQLite cannot use WAL on a file
+system, the database keeps its rollback journal.
 
 Nothing here raises.  An entry that does not parse, carries another
 schema or another cell's fingerprint is deleted and counted as
-``corrupt``; so is a file that is not a database, which the next write
-recreates.  An unusable root (under a regular file, say) degrades to
+``corrupt`` (all of one read's bad rows in one transaction); so is a
+file that is not a database, which the next write recreates.  An unusable root (under a regular file, say) degrades to
 misses and dropped writes.  Several processes may share a store: they
 take the write lock in turn, waiting up to :data:`BUSY_TIMEOUT_S`.
 
@@ -74,7 +75,7 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.compiler.ir import Kernel
@@ -94,6 +95,10 @@ DEFAULT_ROOT = ".repro-cache"
 
 #: How long a writer waits for another process's write lock, in seconds.
 BUSY_TIMEOUT_S = 30.0
+
+#: Fingerprints per ``SELECT ... IN (...)`` of one read: well under
+#: SQLite's host-parameter limit, which older builds set at 999.
+READ_CHUNK = 500
 
 #: The lifetime counters, in column order.
 COUNTERS = ("hits", "misses", "stores", "corrupt", "gc_removed")
@@ -203,6 +208,55 @@ def config_key(config: MachineConfig) -> Tuple:
     return _freeze(config)
 
 
+#: Per type met by :func:`_member_repr`: its field names and the text
+#: of its frozen tuple with a ``%s`` per field (``None``: not a frozen
+#: dataclass).
+_FROZEN: Dict[type, Optional[Tuple[Tuple[str, ...], str]]] = {}
+
+
+def _frozen_layout(cls: type) -> Optional[Tuple[Tuple[str, ...], str]]:
+    """Field names and text template of a frozen dataclass type."""
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        return None
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    if not names:
+        return names, "(%r,)" % cls.__name__
+    return names, "(%r, %s)" % (
+        cls.__name__, ", ".join(["(%r, %%s)" % name for name in names]))
+
+
+def _member_repr(value) -> str:
+    """``repr(_freeze(value))``, memoized on every frozen dataclass in it.
+
+    A frozen dataclass's text is joined from its members' texts, each
+    memoized on its own instance, so a fresh ``with_policy`` copy of a
+    config costs one join over its geometry's and policy's memos.
+    Memoized per instance, never by equality: ``16 == 16.0`` but their
+    reprs, and so the digests, differ.
+    """
+    cls = type(value)
+    if cls in _ATOMS:
+        return repr(value)
+    try:
+        layout = _FROZEN[cls]
+    except KeyError:
+        layout = _FROZEN[cls] = _frozen_layout(cls)
+    if layout is None:
+        return repr(_freeze(value))
+    text = value.__dict__.get("_frozen_repr")
+    if text is None:
+        names, template = layout
+        members = []
+        for name in names:
+            member = getattr(value, name)
+            members.append(repr(member) if type(member) in _ATOMS
+                           else _member_repr(member))
+        text = template % tuple(members)
+        object.__setattr__(value, "_frozen_repr", text)
+    return text
+
+
 def _key_repr(value, key) -> str:
     """``repr(key(value))``, memoized on the instance.
 
@@ -256,7 +310,9 @@ def cell_fingerprint(
     The digest is over ``repr`` of the tuple ``(STORE_SCHEMA,
     ENGINE_VERSION, workload_key(workload), config_key(config),
     int(load_latency), repr(float(scale)))``, spelled out here from the
-    memoized reprs of its two large members.
+    memoized reprs of its two large members.  The config's text is
+    joined from the memoized texts of its frozen members (policy,
+    geometry, field layout), so a fresh copy costs no walk.
     """
     from repro.sim import simulator
 
@@ -264,7 +320,7 @@ def cell_fingerprint(
         STORE_SCHEMA,
         simulator.ENGINE_VERSION,
         _key_repr(workload, workload_key),
-        _key_repr(config, config_key),
+        _member_repr(config),
         int(load_latency),
         repr(float(scale)),
     )
@@ -481,7 +537,8 @@ class ResultStore:
     def __init__(self, root, enabled: bool = True) -> None:
         self.root = Path(root)
         self.enabled = enabled
-        #: :attr:`path` as a string, built once: ``_connect`` runs per cell.
+        #: :attr:`path` as a string, built once: ``_connect`` runs per
+        #: read and per transaction.
         self._db = str(self.path)
         #: The connection of the open :meth:`transaction`, its depth.
         self._txn: Optional[sqlite3.Connection] = None
@@ -598,14 +655,18 @@ class ResultStore:
                 self._discard()
         return None
 
-    def _write(self, sql: str, params: Tuple) -> bool:
-        """One write statement, in the open :meth:`transaction` or its
-        own; returns False if the write was dropped."""
+    def _write(self, sql: str, params, many: bool = False) -> bool:
+        """One write statement (run once per parameter tuple with
+        ``many``), in the open :meth:`transaction` or its own; returns
+        False if the write was dropped."""
         with self.transaction() as conn:
             if conn is None or not conn.in_transaction:
                 return False
             try:
-                conn.execute(sql, params)
+                if many:
+                    conn.executemany(sql, params)
+                else:
+                    conn.execute(sql, params)
             except sqlite3.Error:
                 return False
             return True
@@ -619,47 +680,80 @@ class ResultStore:
         and reported as misses: the caller falls back to simulation and
         stores a fresh entry.
         """
-        return self._load(fingerprint, "result", result_from_dict)
+        return self._read((fingerprint,), "result",
+                          result_from_dict).get(fingerprint)
+
+    def load_many(
+        self, fingerprints: Sequence[str],
+    ) -> Dict[str, SimulationResult]:
+        """The stored results among ``fingerprints``, by fingerprint.
+
+        One read for all of them; a missing or malformed row is absent
+        from the answer, and malformed rows are reaped as by
+        :meth:`load`.
+        """
+        return self._read(fingerprints, "result", result_from_dict)
 
     def load_facts(self, fingerprint: str) -> Optional[CompileFacts]:
         """The compile facts stored under a :func:`compile_fingerprint`.
 
         ``None`` on any miss; malformed rows are reaped as by :meth:`load`.
         """
-        return self._load(fingerprint, "compile", facts_from_dict)
+        return self._read((fingerprint,), "compile",
+                          facts_from_dict).get(fingerprint)
 
-    def _load(self, fingerprint: str, field: str, decode):
-        """Decode ``payload[field]`` of one row; reap it if malformed."""
-        if not self.enabled:
-            return None
+    def load_facts_many(
+        self, fingerprints: Sequence[str],
+    ) -> Dict[str, CompileFacts]:
+        """:meth:`load_facts` for many rows in one read, as :meth:`load_many`."""
+        return self._read(fingerprints, "compile", facts_from_dict)
+
+    def _read(self, fingerprints: Sequence[str], field: str, decode) -> Dict:
+        """Decode ``payload[field]`` of every stored row among ``fingerprints``.
+
+        One connection and one ``SELECT ... IN (...)`` per
+        :data:`READ_CHUNK` fingerprints.  Rows that do not decode are
+        deleted together, in one transaction, and counted ``corrupt``;
+        like misses, they are absent from the answer.
+        """
+        if not self.enabled or not fingerprints:
+            return {}
+        wanted = list(dict.fromkeys(fingerprints))
+        rows: list = []
         try:
             conn = self._connect(create=False)
             if conn is None:
-                return None
-            rows = conn.execute(
-                "SELECT payload FROM entries WHERE fingerprint = ?",
-                (fingerprint,),
-            ).fetchall()
+                return {}
+            for start in range(0, len(wanted), READ_CHUNK):
+                chunk = wanted[start:start + READ_CHUNK]
+                rows += conn.execute(
+                    "SELECT fingerprint, payload FROM entries "
+                    f"WHERE fingerprint IN ({', '.join('?' * len(chunk))})",
+                    chunk,
+                ).fetchall()
         except sqlite3.Error as exc:
             if _is_corrupt(exc):
                 self._discard()
-            return None
-        if not rows:
-            return None
-        try:
-            payload = json.loads(rows[0][0])
-            if payload["schema"] != STORE_SCHEMA:
-                raise ValueError("schema mismatch")
-            if payload["fingerprint"] != fingerprint:
-                raise ValueError("fingerprint mismatch")
-            return decode(payload[field])
-        except (ValueError, TypeError, KeyError, AttributeError):
-            # Tolerate (and reap) anything malformed.
+            return {}
+        found: Dict = {}
+        malformed = []
+        for fingerprint, text in rows:
+            try:
+                payload = json.loads(text)
+                if payload["schema"] != STORE_SCHEMA:
+                    raise ValueError("schema mismatch")
+                if payload["fingerprint"] != fingerprint:
+                    raise ValueError("fingerprint mismatch")
+                found[fingerprint] = decode(payload[field])
+            except (ValueError, TypeError, KeyError, AttributeError):
+                # Tolerate (and reap) anything malformed.
+                malformed.append((fingerprint,))
+        if malformed:
             with self.transaction():
                 self._write("DELETE FROM entries WHERE fingerprint = ?",
-                            (fingerprint,))
-                self.add_counters(corrupt=1)
-            return None
+                            malformed, many=True)
+                self.add_counters(corrupt=len(malformed))
+        return found
 
     def store(self, fingerprint: str, result: SimulationResult) -> bool:
         """Persist one result; returns False if the write was dropped.

@@ -24,7 +24,8 @@ from repro.errors import ConfigurationError
 from repro.sim.config import baseline_config
 from repro.sim.parallel import dispatch
 from repro.sim.planner import cached_simulate, execute_cells, run_plan
-from repro.sim.resultstore import ResultStore
+from repro.sim import resultstore
+from repro.sim.resultstore import ResultStore, cell_fingerprint
 from repro.sim.simulator import simulate
 from repro.workloads.spec92 import get_benchmark
 
@@ -161,6 +162,41 @@ class TestMemoization:
         assert second == first
         assert store.stats().corrupt == 1
         assert run_plan([cell], store=store)[1].store_hits == 1
+
+    def test_one_malformed_row_among_good_ones(self, store, monkeypatch):
+        """The good rows are served; only the bad cell runs again."""
+        cells = [(get_benchmark("ora"), baseline_config(p), 10, 0.05)
+                 for p in (blocking_cache(), mc(1), no_restrict())]
+        first, _ = run_plan(cells, store=store)
+        bad = cell_fingerprint(*cells[1])
+        with closing(sqlite3.connect(store.path, isolation_level=None)) as c:
+            c.execute("UPDATE entries SET payload = 'garbage' "
+                      "WHERE fingerprint = ?", (bad,))
+        calls = _count_simulations(monkeypatch)
+        second, report = run_plan(cells, store=store)
+        assert second == first
+        assert (report.store_hits, report.simulated) == (2, 1)
+        assert [args[1] for args in calls] == [cells[1][1]]
+        stats = store.stats()
+        assert (stats.entries, stats.corrupt, stats.stores) == (3, 1, 4)
+
+    def test_warm_plan_issues_one_select_per_chunk(self, store,
+                                                   monkeypatch):
+        cells = [(get_benchmark("ora"), baseline_config(p), 10, 0.05)
+                 for p in (blocking_cache(), mc(1), fc(2), fs(1),
+                           no_restrict())]
+        run_plan(cells + cells, store=store)
+        conn = store._connect(create=False)
+        statements = []
+        conn.set_trace_callback(statements.append)
+        try:
+            assert run_plan(cells + cells, store=store)[1].store_hits == 5
+            monkeypatch.setattr(resultstore, "READ_CHUNK", 2)
+            assert run_plan(cells, store=store)[1].store_hits == 5
+        finally:
+            conn.set_trace_callback(None)
+        selects = [sql for sql in statements if sql.startswith("SELECT")]
+        assert len(selects) == 1 + 3
 
     def test_database_deleted_under_live_process(self, store):
         """A wipe or ``cache clear`` elsewhere: miss, then a new file."""

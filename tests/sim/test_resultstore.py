@@ -18,6 +18,7 @@ from repro.sim import simulator
 from repro.sim.config import MachineConfig, baseline_config
 from repro.sim.planner import compile_facts
 from repro.sim.resultstore import (
+    READ_CHUNK,
     STORE_SCHEMA,
     ResultStore,
     cell_fingerprint,
@@ -54,6 +55,25 @@ def _edit(store, sql, *params):
     """Run one statement on the store's database over a second connection."""
     with closing(sqlite3.connect(store.path, isolation_level=None)) as conn:
         conn.execute(sql, params)
+
+
+def _trace_statements(store):
+    """Record every statement the store's connection runs from now on.
+
+    The connection is the one every store in the process shares; the
+    caller stops the trace with :func:`_untrace`.
+    """
+    statements = []
+    store._connect(create=False).set_trace_callback(statements.append)
+    return statements
+
+
+def _untrace(store):
+    store._connect(create=False).set_trace_callback(None)
+
+
+def _selects(statements):
+    return [sql for sql in statements if sql.startswith("SELECT")]
 
 
 def _open_fresh_store(root, barrier):
@@ -126,6 +146,32 @@ class TestFingerprint:
         # Equal configs whose reprs differ never share a digest.
         assert cell_fingerprint(ora, penalty_16, 10, 0.05) != \
             cell_fingerprint(ora, penalty_16f, 10, 0.05)
+
+    def test_member_memos_are_per_instance(self):
+        """A config's text joins its members' memos, each per instance.
+
+        ``with_policy`` copies reuse the policy's and the geometry's
+        memoized texts; equal members whose reprs differ keep their
+        own, so their configs never share a digest.
+        """
+        ora = get_benchmark("ora")
+        base = baseline_config()
+        one, one_f = mc(1), replace(mc(1), max_misses=1.0)
+        assert one == one_f
+        copies = [base.with_policy(policy)
+                  for policy in (one, one_f, one, one_f)]
+        digests = []
+        for config in copies:
+            key = (STORE_SCHEMA, simulator.ENGINE_VERSION, workload_key(ora),
+                   config_key(config), 10, repr(0.05))
+            digests.append(cell_fingerprint(ora, config, 10, 0.05))
+            assert digests[-1] == hashlib.sha256(
+                repr(key).encode("utf-8")).hexdigest()
+        assert digests[0] == digests[2] != digests[1] == digests[3]
+        # The geometry and the policy were spelled once, then reused.
+        assert "_frozen_repr" in base.geometry.__dict__
+        assert "_frozen_repr" in one.__dict__ and "_frozen_repr" in \
+            one.layout.__dict__
 
     @pytest.mark.parametrize("name, config, latency, scale, digest", [
         ("tomcatv", baseline_config(), 10, 1.0,
@@ -313,6 +359,63 @@ class TestStore:
         assert ResultStore.from_env().enabled
         monkeypatch.setenv("REPRO_CACHE", "0")
         assert not ResultStore.from_env().enabled
+
+
+class TestBatchedRead:
+    """A plan reads all its rows at once, one ``SELECT`` per chunk."""
+
+    def test_three_chunks_and_one_return_every_row(self, store):
+        result = _result()
+        stored = [f"{i:064x}" for i in range(3 * READ_CHUNK + 1)]
+        with store.transaction():
+            for fingerprint in stored:
+                store.store(fingerprint, result)
+        absent = "f" * 64
+        statements = _trace_statements(store)
+        try:
+            found = store.load_many(stored + [absent] + stored[:3])
+        finally:
+            _untrace(store)
+        assert len(_selects(statements)) == 4
+        assert sorted(found) == stored
+        assert all(found[fingerprint] == result for fingerprint in stored)
+
+    def test_malformed_rows_reaped_in_one_transaction(self, store,
+                                                      monkeypatch):
+        result = _result()
+        fingerprints = [f"{i:064x}" for i in range(5)]
+        for fingerprint in fingerprints:
+            store.store(fingerprint, result)
+        bad = fingerprints[1], fingerprints[3]
+        for fingerprint in bad:
+            _edit(store, "UPDATE entries SET payload = '[1, 2' "
+                  "WHERE fingerprint = ?", fingerprint)
+        transactions = count_calls(monkeypatch, ResultStore, "_begin")
+        found = store.load_many(fingerprints)
+        assert sorted(found) == sorted(set(fingerprints) - set(bad))
+        assert len(transactions) == 1
+        stats = store.stats()
+        assert (stats.entries, stats.corrupt) == (3, 2)
+
+    def test_facts_read_in_one_select(self, store):
+        pairs = [(get_benchmark("doduc"), latency) for latency in (1, 10, 20)]
+        expected = compile_facts(pairs, store=store)
+        statements = _trace_statements(store)
+        try:
+            found = store.load_facts_many(
+                [compile_fingerprint(*pair) for pair in pairs])
+        finally:
+            _untrace(store)
+        assert len(_selects(statements)) == 1
+        assert [found[compile_fingerprint(*pair)] for pair in pairs] == \
+            expected
+
+    def test_nothing_to_read_opens_nothing(self, store, monkeypatch):
+        connects = count_calls(monkeypatch, ResultStore, "_connect")
+        assert store.load_many([]) == {}
+        assert ResultStore(store.root, enabled=False).load_many(
+            ["0" * 64]) == {}
+        assert connects == []
 
 
 class TestMaintenance:
