@@ -21,6 +21,13 @@ A cell is keyed by a **fingerprint**: a SHA-256 digest over
   field layout, penalty, issue width, write buffer), and
 * the scheduled load latency and run scale.
 
+A result row is a JSON envelope, ``{"schema", "fingerprint",
+"result"}``, whose ``result`` is a positional list in
+:class:`~repro.sim.stats.SimulationResult` field order, its ``miss``
+entry a list in :class:`~repro.core.stats.MissStats` field order with
+the structural causes as ``[name, count]`` pairs
+(:func:`result_to_row`).  A row of another length is malformed.
+
 The same table keeps Figure 4's **compile facts**: the reference
 counts, unroll factor and spill count of one compiled body, keyed by
 :func:`compile_fingerprint` over the store schema, the engine version,
@@ -47,9 +54,10 @@ system, the database keeps its rollback journal.
 Nothing here raises.  An entry that does not parse, carries another
 schema or another cell's fingerprint is deleted and counted as
 ``corrupt`` (all of one read's bad rows in one transaction); so is a
-file that is not a database, which the next write recreates.  An unusable root (under a regular file, say) degrades to
-misses and dropped writes.  Several processes may share a store: they
-take the write lock in turn, waiting up to :data:`BUSY_TIMEOUT_S`.
+file that is not a database, which the next write recreates.  An
+unusable root (under a regular file, say) degrades to misses and
+dropped writes.  Several processes may share a store: they take the
+write lock in turn, waiting up to :data:`BUSY_TIMEOUT_S`.
 
 Environment knobs:
 
@@ -88,7 +96,8 @@ from repro.workloads.workload import Workload
 
 #: On-disk layout version.  Bump when the entry format changes; old
 #: version directories are ignored by reads and reaped by ``gc``.
-STORE_SCHEMA = 2
+#: Schema 3 stores a result as a positional row (:func:`result_to_row`).
+STORE_SCHEMA = 3
 
 #: Default store location (relative to the current directory).
 DEFAULT_ROOT = ".repro-cache"
@@ -356,40 +365,50 @@ def compile_fingerprint(workload: Workload, load_latency: int) -> str:
 # -- row (de)serialization ----------------------------------------------------
 
 
-def result_to_dict(result: SimulationResult) -> Dict:
-    """Serialize a result to plain JSON-compatible types."""
-    out: Dict = {}
-    for f in dataclasses.fields(SimulationResult):
-        value = getattr(result, f.name)
-        if f.name == "miss":
-            miss: Dict = {}
-            for mf in dataclasses.fields(MissStats):
-                mv = getattr(value, mf.name)
-                if mf.name == "structural_causes":
-                    mv = {cause.name: int(n) for cause, n in mv.items()}
-                miss[mf.name] = mv
-            value = miss
-        out[f.name] = value
-    return out
+#: A result row's positions: :class:`SimulationResult`'s fields, and
+#: inside its ``miss`` entry :class:`MissStats`'s, in dataclass order.
+#: Changing either tuple changes what a position means, so it needs a
+#: :data:`STORE_SCHEMA` bump (a tier-1 test pins them together).
+RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(SimulationResult))
+MISS_FIELDS = tuple(f.name for f in dataclasses.fields(MissStats))
+
+_MISS_AT = RESULT_FIELDS.index("miss")
+_CAUSES_AT = MISS_FIELDS.index("structural_causes")
 
 
-def result_from_dict(data: Dict) -> SimulationResult:
+def result_to_row(result: SimulationResult) -> list:
+    """A result as a positional JSON list, in :data:`RESULT_FIELDS` order.
+
+    Its ``miss`` entry is a list in :data:`MISS_FIELDS` order, with the
+    structural causes as ``[name, count]`` pairs.
+    """
+    miss = [getattr(result.miss, name) for name in MISS_FIELDS]
+    miss[_CAUSES_AT] = [[cause.name, int(count)]
+                        for cause, count in miss[_CAUSES_AT].items()]
+    row = [getattr(result, name) for name in RESULT_FIELDS]
+    row[_MISS_AT] = miss
+    return row
+
+
+def result_from_row(row: list) -> SimulationResult:
     """Rebuild a result; raises on any shape mismatch (caller catches).
 
-    Unknown or missing fields raise ``TypeError``/``KeyError``, which
-    the store treats as a cache miss -- so entries written by an older
-    code revision with a different result shape silently invalidate.
+    A row or ``miss`` list of the wrong length raises ``ValueError``,
+    an unknown cause ``KeyError``, which the store treats as a cache
+    miss: every field has a position, and a short row would otherwise
+    fill the defaulted fields silently.
     """
-    kwargs = dict(data)
-    miss_data = dict(kwargs.pop("miss"))
-    causes = miss_data.pop("structural_causes", {})
-    miss = MissStats(
-        structural_causes={
-            StructuralCause[name]: int(count) for name, count in causes.items()
-        },
-        **miss_data,
-    )
-    return SimulationResult(miss=miss, **kwargs)
+    if type(row) is not list or len(row) != len(RESULT_FIELDS):
+        raise ValueError("malformed result row")
+    miss = row[_MISS_AT]
+    if type(miss) is not list or len(miss) != len(MISS_FIELDS):
+        raise ValueError("malformed miss statistics")
+    miss = miss.copy()
+    miss[_CAUSES_AT] = {StructuralCause[name]: int(count)
+                        for name, count in miss[_CAUSES_AT]}
+    row = row.copy()
+    row[_MISS_AT] = MissStats(*miss)
+    return SimulationResult(*row)
 
 
 def facts_from_dict(data: Dict) -> CompileFacts:
@@ -681,7 +700,7 @@ class ResultStore:
         stores a fresh entry.
         """
         return self._read((fingerprint,), "result",
-                          result_from_dict).get(fingerprint)
+                          result_from_row).get(fingerprint)
 
     def load_many(
         self, fingerprints: Sequence[str],
@@ -692,7 +711,7 @@ class ResultStore:
         from the answer, and malformed rows are reaped as by
         :meth:`load`.
         """
-        return self._read(fingerprints, "result", result_from_dict)
+        return self._read(fingerprints, "result", result_from_row)
 
     def load_facts(self, fingerprint: str) -> Optional[CompileFacts]:
         """The compile facts stored under a :func:`compile_fingerprint`.
@@ -756,19 +775,15 @@ class ResultStore:
         return found
 
     def store(self, fingerprint: str, result: SimulationResult) -> bool:
-        """Persist one result; returns False if the write was dropped.
+        """Persist one result as a compact row (:func:`result_to_row`);
+        returns False if the write was dropped.
 
         Inside :meth:`transaction` the row commits with the block;
         otherwise it is a transaction of its own.
         """
         if not self.enabled:
             return False
-        return self._put(fingerprint, {
-            "workload": result.workload,
-            "policy": result.policy,
-            "load_latency": result.load_latency,
-            "result": result_to_dict(result),
-        })
+        return self._put(fingerprint, {"result": result_to_row(result)})
 
     def store_facts(self, fingerprint: str, facts: CompileFacts) -> bool:
         """Persist one body's compile facts, as :meth:`store` does a result."""

@@ -17,8 +17,11 @@ from repro.core.policies import explicit, fc, mc, no_restrict
 from repro.sim import simulator
 from repro.sim.config import MachineConfig, baseline_config
 from repro.sim.planner import compile_facts
+from repro.core.stats import MissStats
 from repro.sim.resultstore import (
+    MISS_FIELDS,
     READ_CHUNK,
+    RESULT_FIELDS,
     STORE_SCHEMA,
     ResultStore,
     cell_fingerprint,
@@ -26,11 +29,12 @@ from repro.sim.resultstore import (
     compile_key,
     config_key,
     group_key,
-    result_from_dict,
-    result_to_dict,
+    result_from_row,
+    result_to_row,
     workload_key,
 )
 from repro.sim.simulator import simulate
+from repro.sim.stats import SimulationResult
 from repro.workloads.patterns import stack_pattern
 from repro.workloads.spec92 import BENCHMARK_ORDER, get_benchmark
 from repro.workloads.workload import Workload
@@ -175,18 +179,18 @@ class TestFingerprint:
 
     @pytest.mark.parametrize("name, config, latency, scale, digest", [
         ("tomcatv", baseline_config(), 10, 1.0,
-         "a8ccd05a821df2719e10dcd2f64982fa3b4ef7ce0f34b183ddf011e245082d1d"),
+         "368e6e057c7ff1acd022a7ef17f2dcc13c525625b47162f1156ccf6941ff9eea"),
         ("su2cor", MachineConfig(
             geometry=CacheGeometry(size=64 * 1024, line_size=64),
             miss_penalty=None), 6, 1.0,
-         "9b94f2395e3fa3fc0f63240637d397be3062f8581724ba8b003e0f6a46fa78d0"),
+         "cf2f73766e4f74bfd251ab2946426656199db8ccd71c64cc0849c43ef38fb35e"),
         ("xlisp", baseline_config(explicit(4)), 1, 0.5,
-         "0524b0b02eda321fca2de4108aa2937beed93e47e674375019d788acdac26de0"),
+         "f5dadf30d03ac77ad6fa62c7af01cdea06b355b14228adde6fc0578e21db7353"),
         ("doduc", replace(baseline_config(mc(1)), write_buffer_depth=4,
                           write_buffer_retire_cycles=2), 20, 1.0,
-         "1507f61fa8a58bd2e9ee17693632675d81d53edc59da3f8a983dfa3b959b9eab"),
+         "4cc78a4c89ac0c6af7c63ffb5ddc3588c00386cbbca080cfb6961b663fbac08b"),
         ("compress", replace(baseline_config(fc(2)), issue_width=2), 3, 0.25,
-         "42a2cfab4309085923fa2cb58b2615a0d4ee210aa582357561e5c53ac3197324"),
+         "c3587949c9c39174a82bb806afe650c8854068e97c7367ddb9a23eae683290ca"),
     ])
     def test_spelled_digests_stay_put(self, name, config, latency, scale,
                                       digest):
@@ -259,22 +263,69 @@ class TestCacheIdentities:
         assert compile_key(twin, 10) == compile_key(workload, 10)
 
 
+#: The row layout each store schema reads: :class:`SimulationResult`'s
+#: field names, then :class:`MissStats`'s.  A row is positional, so a
+#: field added, removed or reordered under the same schema would be
+#: read into the wrong fields.
+ROW_LAYOUTS = {
+    3: (
+        ("workload", "policy", "load_latency", "instructions", "cycles",
+         "truedep_stall_cycles", "miss", "issue_width", "unroll_factor",
+         "spill_count"),
+        ("loads", "load_hits", "primary_misses", "secondary_misses",
+         "structural_misses", "blocking_misses", "structural_causes",
+         "stores", "store_hits", "store_misses", "structural_stall_cycles",
+         "blocking_stall_cycles", "write_allocate_stall_cycles",
+         "write_buffer_stall_cycles", "fetches_launched", "evictions",
+         "miss_inflight_hist", "fetch_inflight_hist", "max_misses_inflight",
+         "max_fetches_inflight", "observed_cycles"),
+    ),
+}
+
+
 class TestSerialization:
+    def test_row_layout_is_pinned_to_the_schema(self):
+        layout = (tuple(f.name for f in dataclasses.fields(SimulationResult)),
+                  tuple(f.name for f in dataclasses.fields(MissStats)))
+        assert STORE_SCHEMA in ROW_LAYOUTS, (
+            f"pin the row layout of STORE_SCHEMA {STORE_SCHEMA} in "
+            "ROW_LAYOUTS")
+        assert layout == ROW_LAYOUTS[STORE_SCHEMA], (
+            "a SimulationResult or MissStats field was added, removed or "
+            "reordered: bump STORE_SCHEMA and pin the new layout")
+        assert (RESULT_FIELDS, MISS_FIELDS) == layout
+
     def test_round_trip_is_bit_identical(self):
         result = _result()
-        assert result_from_dict(
-            json.loads(json.dumps(result_to_dict(result)))) == result
+        assert result_from_row(
+            json.loads(json.dumps(result_to_row(result)))) == result
 
     def test_round_trip_preserves_histograms_and_causes(self):
         # tomcatv under a tight policy exercises structural causes.
         workload = get_benchmark("tomcatv")
         result = simulate(workload, baseline_config(mc(1)),
                           load_latency=10, scale=0.05)
-        rebuilt = result_from_dict(result_to_dict(result))
+        assert result.miss.structural_causes
+        rebuilt = result_from_row(json.loads(json.dumps(
+            result_to_row(result))))
+        assert rebuilt == result
         assert rebuilt.miss.structural_causes == result.miss.structural_causes
+        assert list(rebuilt.miss.structural_causes) == \
+            list(result.miss.structural_causes)
         assert rebuilt.miss.miss_inflight_hist == result.miss.miss_inflight_hist
         assert rebuilt.miss.fetch_inflight_hist == \
             result.miss.fetch_inflight_hist
+
+    def test_row_is_positional(self):
+        result = _result()
+        row = result_to_row(result)
+        assert len(row) == len(RESULT_FIELDS)
+        assert row[:3] == [result.workload, result.policy,
+                           result.load_latency]
+        miss = row[RESULT_FIELDS.index("miss")]
+        assert len(miss) == len(MISS_FIELDS)
+        assert all(type(pair) is list and len(pair) == 2
+                   for pair in miss[MISS_FIELDS.index("structural_causes")])
 
 
 class TestStore:
@@ -315,6 +366,26 @@ class TestStore:
         payload["schema"] = STORE_SCHEMA - 1
         _edit(store, "UPDATE entries SET payload = ?", json.dumps(payload))
         assert store.load(fp) is None
+        assert store.stats().corrupt == 1
+
+    @pytest.mark.parametrize("reshape", [
+        lambda row: row[:-1],
+        lambda row: row + [0],
+        lambda row: row[:6] + [row[6][:-1]] + row[7:],
+        lambda row: row[:6] + [row[6] + [0]] + row[7:],
+        lambda row: dict(zip(RESULT_FIELDS, row)),
+    ])
+    def test_row_of_the_wrong_shape_is_reaped(self, store, reshape):
+        """A short row would fill the defaulted fields silently."""
+        fp = cell_fingerprint(*_cell())
+        store.store(fp, _result())
+        with closing(sqlite3.connect(store.path)) as conn:
+            (text,), = conn.execute("SELECT payload FROM entries")
+        payload = json.loads(text)
+        payload["result"] = reshape(payload["result"])
+        _edit(store, "UPDATE entries SET payload = ?", json.dumps(payload))
+        assert store.load(fp) is None
+        assert store.stats().entries == 0
         assert store.stats().corrupt == 1
 
     def test_fingerprint_mismatch_is_a_miss(self, store):
@@ -621,13 +692,13 @@ class TestCompileFacts:
 
     @pytest.mark.parametrize("name, latency, digest", [
         ("tomcatv", 10,
-         "2e654ee0d88f0c490f37b7fd19d5e7205a1dbbdc38648e04ff9015c96ae4739f"),
+         "5f70fd3767a1b838c795f503bc7a75851eee390494b94489174eaaa0976d7137"),
         ("doduc", 1,
-         "fe259cddf07bdfe71ffbc9716dedf07775225560670f6c7495b3da4a7a5e7d7b"),
+         "8b440cf3e7c64eb341f485e611c3b3b6ac85022e2e8f1a52658644f2d496406c"),
         ("xlisp", 20,
-         "05a8824c0635aca9f6bb0dbd9737416c85fcb364857ca60dbbf68f4e74225e65"),
+         "32eef62f9a57922a55e767b85b438dcbbed9866fca76b9ea5f7f651a9c0e1203"),
         ("su2cor", 6,
-         "f83be0b32e11a37a2d8bd339b042aa3e64115bb5d9aa81235274a2b005268660"),
+         "4b45a65ea5ccbcabac10c6beea24290b8cad35c6181040d6fc9115a0ebbb8371"),
     ])
     def test_spelled_digests_stay_put(self, name, latency, digest):
         """Literal digests: a silent key change would orphan every row."""

@@ -284,11 +284,16 @@ class TestCacheCommand:
     def test_gc_max_mb_shrinks_the_file(self, capsys):
         from repro.sim.resultstore import ResultStore
 
-        assert main(["sweep", "ora", "eqntott", "tomcatv", "--scale", "0.05",
-                     "--policy", "mc=1", "--policy", "fc=2",
+        # 36 rows: their payloads span several pages, so evicting half
+        # of them frees whole pages for VACUUM to return.
+        assert main(["sweep", "ora", "eqntott", "tomcatv", "doduc", "xlisp",
+                     "compress", "--scale", "0.05", "--policy", "mc=0",
+                     "--policy", "mc=1", "--policy", "mc=2",
+                     "--policy", "fc=2", "--policy", "fs=1",
                      "--policy", "no restrict", "--workers", "1"]) == 0
         capsys.readouterr()
         store = ResultStore.from_env()
+        assert store.stats().total_bytes > 2 * 4096
 
         def footprint():
             wal = store.path.with_name(store.path.name + "-wal")
