@@ -258,9 +258,10 @@ def compile_facts(
     """The compile facts of ``(workload, load_latency)`` pairs, in order.
 
     Reads every pair's row in one batched read, compiles only the
-    bodies whose row is missing (through :func:`repro.sim.simulator.compile_workload` and
-    its cache) and writes their rows in one transaction, so a warm call
-    compiles and writes nothing.  Facts lookups count neither as store
+    bodies whose row is missing (through
+    :func:`repro.sim.simulator.compile_workload` and its cache) and
+    writes their rows in one transaction, so a warm call compiles and
+    writes nothing.  Facts lookups count neither as store
     hits nor as misses, which stay per planned cell; rows written count
     as ``stores`` and malformed rows as ``corrupt``.  A disabled or
     unusable store compiles every body.

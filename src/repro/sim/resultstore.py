@@ -735,16 +735,15 @@ class ResultStore:
         deleted together, in one transaction, and counted ``corrupt``;
         like misses, they are absent from the answer.
         """
-        if not self.enabled or not fingerprints:
+        if not self.enabled:
             return {}
-        wanted = list(dict.fromkeys(fingerprints))
         rows: list = []
         try:
             conn = self._connect(create=False)
             if conn is None:
                 return {}
-            for start in range(0, len(wanted), READ_CHUNK):
-                chunk = wanted[start:start + READ_CHUNK]
+            for start in range(0, len(fingerprints), READ_CHUNK):
+                chunk = fingerprints[start:start + READ_CHUNK]
                 rows += conn.execute(
                     "SELECT fingerprint, payload FROM entries "
                     f"WHERE fingerprint IN ({', '.join('?' * len(chunk))})",

@@ -39,6 +39,27 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+@contextlib.contextmanager
+def selects(store):
+    """The ``SELECT`` statements the store's connection runs in the block.
+
+    The list fills as statements run; the connection is the one every
+    store in the process shares, so the trace ends with the block.
+    """
+    conn = store._connect(create=False)
+    statements = []
+
+    def record(sql):
+        if sql.startswith("SELECT"):
+            statements.append(sql)
+
+    conn.set_trace_callback(record)
+    try:
+        yield statements
+    finally:
+        conn.set_trace_callback(None)
+
+
 def readdressed(workload):
     """``workload`` with its streams 256 KB apart, colliding in 8 KB.
 

