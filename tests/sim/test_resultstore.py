@@ -14,10 +14,10 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.policies import explicit, fc, mc, no_restrict
+from repro.core.stats import MissStats
 from repro.sim import simulator
 from repro.sim.config import MachineConfig, baseline_config
-from repro.sim.planner import compile_facts
-from repro.core.stats import MissStats
+from repro.sim.planner import compile_facts, run_plan
 from repro.sim.resultstore import (
     MISS_FIELDS,
     READ_CHUNK,
@@ -515,6 +515,23 @@ class TestMaintenance:
         assert not (store.root / "counters.json").exists()
         assert store.load(fp) is not None
         assert store.stats().gc_removed == 2
+
+    def test_schema_2_store_is_ignored_then_reaped(self, store):
+        """The keyed-JSON layout's database: never read, reaped by gc."""
+        cell = _cell()
+        old = store.root / "v2" / "store.sqlite"
+        old.parent.mkdir(parents=True)
+        with closing(sqlite3.connect(old)) as conn, conn:
+            conn.execute("CREATE TABLE entries (fingerprint TEXT PRIMARY "
+                         "KEY, written REAL NOT NULL, payload TEXT NOT NULL)")
+            conn.execute("INSERT INTO entries VALUES (?, 0, '{}')",
+                         (cell_fingerprint(*cell),))
+        _, report = run_plan([cell], store=store)
+        assert report.simulated == 1
+        assert store.stats().corrupt == 0
+        assert store.gc() == 1
+        assert not old.parent.exists()
+        assert store.load(cell_fingerprint(*cell)) == _result()
 
 
 class TestConcurrentOpen:
