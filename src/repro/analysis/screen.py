@@ -146,19 +146,23 @@ WIDTH_BUCKETS: Tuple[float, ...] = (
     0.0, 0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0
 )
 
-_SCREEN_METRICS = telemetry.MetricHandles(lambda m: {
-    "cells": m.counter("screen.cells"),
-    "exact": m.counter("screen.exact"),
-    "interval": m.counter("screen.interval"),
-    "fallbacks": m.counter("screen.fallbacks"),
-    "fallback.dual_issue": m.counter("screen.fallback.dual_issue"),
-    "fallback.fill_ports": m.counter("screen.fallback.fill_ports"),
-    "fallback.wma_nonblocking": m.counter("screen.fallback.wma_nonblocking"),
-    "pruned": m.counter("screen.pruned"),
-    "simulated": m.counter("screen.simulated"),
-    "frontier_overlap": m.counter("screen.frontier_overlap"),
-    "width": m.histogram("screen.bound_width", bounds=WIDTH_BUCKETS),
-})
+def _screen_metrics():
+    """The ``screen.*`` metrics, all registered together."""
+    m = telemetry.metrics()
+    return {
+        "cells": m.counter("screen.cells"),
+        "exact": m.counter("screen.exact"),
+        "interval": m.counter("screen.interval"),
+        "fallbacks": m.counter("screen.fallbacks"),
+        "fallback.dual_issue": m.counter("screen.fallback.dual_issue"),
+        "fallback.fill_ports": m.counter("screen.fallback.fill_ports"),
+        "fallback.wma_nonblocking": m.counter(
+            "screen.fallback.wma_nonblocking"),
+        "pruned": m.counter("screen.pruned"),
+        "simulated": m.counter("screen.simulated"),
+        "frontier_overlap": m.counter("screen.frontier_overlap"),
+        "width": m.histogram("screen.bound_width", bounds=WIDTH_BUCKETS),
+    }
 
 
 def screen_cell(cell: Cell) -> ScreenedCell:
@@ -175,7 +179,7 @@ def screen_cells(cells: Sequence[Cell]) -> List[ScreenedCell]:
     """Bracket every cell, recording the ``screen.*`` telemetry."""
     screened = [screen_cell(cell) for cell in cells]
     if telemetry.enabled():
-        handles = _SCREEN_METRICS.get()
+        handles = _screen_metrics()
         handles["cells"].inc(len(screened))
         for s in screened:
             if s.cause is not None:
@@ -491,7 +495,7 @@ def run_band(
     report.pruned = sum(1 for e in entries if e.pruned)
 
     if telemetry.enabled():
-        handles = _SCREEN_METRICS.get()
+        handles = _screen_metrics()
         handles["pruned"].inc(report.pruned)
         handles["simulated"].inc(report.simulated)
         handles["frontier_overlap"].inc(
@@ -625,7 +629,7 @@ def run_screen_table(
             e.result = r
         report.simulated += len(to_run)
     if telemetry.enabled():
-        _SCREEN_METRICS.get()["simulated"].inc(report.simulated)
+        _screen_metrics()["simulated"].inc(report.simulated)
 
     global last_report
     last_report = report

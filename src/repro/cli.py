@@ -328,8 +328,7 @@ def cmd_engines(_args: argparse.Namespace) -> int:
     kstats = ckernel.kernel_cache_stats()
     print(f"C compiler: {compiler or 'none found (set REPRO_CC)'}")
     print(f"kernel cache: {kstats['kernels']} compiled kernels, "
-          f"{kstats['bytes'] / 1024:.1f} KiB at {kstats['path']} "
-          f"[{kstats['binding']} binding]\n")
+          f"{kstats['bytes'] / 1024:.1f} KiB at {kstats['path']}\n")
     rows = [[lane, cells, with_c if compiler else without_c]
             for lane, cells, with_c, without_c in _LANES]
     print(format_table(["lane", "cells", "runs in"], rows))

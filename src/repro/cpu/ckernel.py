@@ -14,20 +14,21 @@ every sweep.
 Build pipeline: probe for a compiler (``REPRO_CC`` overrides; ``cc`` /
 ``gcc`` / ``clang`` on PATH otherwise), compile ``kernel.c`` with
 :data:`CFLAGS` into the kernel cache next to the result store
-(``<cache-root>/kernels/``), and load it through cffi in ABI mode
-(ctypes when cffi is unavailable -- both just ``dlopen`` the ``.so``).
-The cache entry is named by a digest of the source text, the flags,
-:data:`KERNEL_SCHEMA` and :data:`~repro.sim.simulator.ENGINE_VERSION`,
-so any source, flag or semantics change builds a new kernel;
-``python -m repro cache gc`` removes every entry of another digest.
-No compiler, failed build, missing binding: the caller falls back to
-the scalar replay, the reference dual-issue loop or the Python
-classification (:mod:`repro.cpu.replay_cnative` tags the cause of a
-replay or dual-issue cell's fallback).
+(``<cache-root>/kernels/``), and load it with the standard library's
+``ctypes`` (``dlopen`` of the ``.so``).  The cache entry is named by a
+digest of the source text, the flags, :data:`KERNEL_SCHEMA` and
+:data:`~repro.sim.simulator.ENGINE_VERSION`, so any source, flag or
+semantics change builds a new kernel; ``python -m repro cache gc``
+removes every entry of another digest.  No compiler or a failed
+build: the caller falls back to the scalar replay, the reference
+dual-issue loop or the Python classification
+(:func:`repro.sim.simulator.simulate` names the cause of a replay or
+dual-issue cell's fallback in its telemetry outcome).
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -222,108 +223,26 @@ def compile_kernel_so() -> Tuple[Path, float, bool]:
     return so_path, time.perf_counter() - started, True
 
 
-# -- bindings ------------------------------------------------------------------
+# -- loading -------------------------------------------------------------------
 
-_CDEF = (
-    "long long repro_replay(const long long *, const long long *, "
-    "const long long *, const long long *, const long long *, "
-    "const long long *, const long long *, long long **, long long **, "
-    "long long *, long long *);"
-    "long long repro_dual(const long long *, const long long *, "
-    "const long long *, const long long *, const long long *, "
-    "long long **, long long *, long long *);"
-    "long long repro_classify(const long long *, const long long *, "
-    "long long **, long long *);"
-)
+#: ``long long *`` and ``long long **``, the kernel's argument types.
+_PLL = ctypes.POINTER(ctypes.c_longlong)
+_ROWS = ctypes.POINTER(_PLL)
 
-
-class _CffiBinding:
-    """ABI-mode cffi: ``dlopen`` the cached shared object."""
-
-    name = "cffi"
-
-    def __init__(self) -> None:
-        import cffi
-
-        self._ffi = cffi.FFI()
-        self._ffi.cdef(_CDEF)
-
-    def load(self, path: Path):
-        lib = self._ffi.dlopen(str(path))
-        return lib.repro_replay, lib.repro_dual, lib.repro_classify
-
-    def pointer(self, arr):
-        return self._ffi.cast("long long *", arr.ctypes.data)
-
-    def pointer_array(self, arrs):
-        if not arrs:
-            return self._ffi.NULL
-        return self._ffi.new("long long *[]", [
-            self._ffi.NULL if a is None else self.pointer(a) for a in arrs])
-
-    @property
-    def null(self):
-        return self._ffi.NULL
-
-
-class _CtypesBinding:
-    """Stdlib fallback when cffi is unavailable: ``ctypes.CDLL``."""
-
-    name = "ctypes"
-
-    def __init__(self) -> None:
-        import ctypes
-
-        self._ctypes = ctypes
-        self._pll = ctypes.POINTER(ctypes.c_longlong)
-        rows = ctypes.POINTER(self._pll)
-        self._argtypes = {
-            "repro_replay": [self._pll] * 7 + [rows] * 2 + [self._pll] * 2,
-            "repro_dual": [self._pll] * 5 + [rows] + [self._pll] * 2,
-            "repro_classify": [self._pll] * 2 + [rows] + [self._pll],
-        }
-
-    def load(self, path: Path):
-        lib = self._ctypes.CDLL(str(path))
-        fns = []
-        for name, argtypes in self._argtypes.items():
-            fn = getattr(lib, name)
-            fn.restype = self._ctypes.c_longlong
-            fn.argtypes = argtypes
-            fns.append(fn)
-        return tuple(fns)
-
-    def pointer(self, arr):
-        return self._ctypes.cast(arr.ctypes.data, self._pll)
-
-    def pointer_array(self, arrs):
-        if not arrs:
-            return None
-        return (self._pll * len(arrs))(*[
-            None if a is None else self.pointer(a) for a in arrs])
-
-    @property
-    def null(self):
-        return None
-
-
-_BINDING = None
-
-
-def get_binding():
-    """The (memoized) FFI binding: cffi preferred, ctypes fallback."""
-    global _BINDING
-    if _BINDING is None:
-        try:
-            _BINDING = _CffiBinding()
-        except ImportError:  # pragma: no cover - cffi is in the image
-            _BINDING = _CtypesBinding()
-    return _BINDING
+#: Each entry point's argument types, in its C order.
+_ARGTYPES = {
+    "repro_replay": [_PLL] * 7 + [_ROWS] * 2 + [_PLL] * 2,
+    "repro_dual": [_PLL] * 5 + [_ROWS] + [_PLL] * 2,
+    "repro_classify": [_PLL] * 2 + [_ROWS] + [_PLL],
+}
 
 
 class LoadedKernel:
     """The dlopen'd kernel (replay, dual-issue and classify entries)
     plus provenance."""
+
+    #: NULL, as the entries take it.
+    null = None
 
     def __init__(self, family: str, path: Path,
                  compile_seconds: float, built: bool) -> None:
@@ -336,34 +255,39 @@ class LoadedKernel:
         self.compile_seconds = compile_seconds
         #: True when this process ran the compiler.
         self.built = built
-        self._binding = get_binding()
-        self._replay, self._dual, self._classify = self._binding.load(path)
+        lib = ctypes.CDLL(str(path))
+        fns = []
+        for name, argtypes in _ARGTYPES.items():
+            fn = getattr(lib, name)
+            fn.restype = ctypes.c_longlong
+            fn.argtypes = argtypes
+            fns.append(fn)
+        self._replay, self._dual, self._classify = fns
 
-    def pointer(self, arr):
+    @staticmethod
+    def pointer(arr):
         """A C-contiguous int64 array as a ``long long *``.
 
         The pointer does not keep ``arr`` alive; the caller must.
         """
-        return self._binding.pointer(arr)
+        return ctypes.cast(arr.ctypes.data, _PLL)
 
-    def pointer_array(self, arrs):
+    @classmethod
+    def pointer_array(cls, arrs):
         """Int64 arrays as a ``long long **``; a ``None`` entry is NULL.
 
         The result owns the array of pointers, not the arrays: the
         caller keeps them alive.  An empty list is NULL.
         """
-        return self._binding.pointer_array(arrs)
-
-    @property
-    def null(self):
-        """NULL, as this kernel's binding passes it."""
-        return self._binding.null
+        if not arrs:
+            return None
+        return (_PLL * len(arrs))(*[
+            None if a is None else cls.pointer(a) for a in arrs])
 
     def _call(self, fn, args) -> int:
         # A numpy array is passed by pointer; anything else is already
-        # a C argument of this kernel's binding (from pointer(),
-        # pointer_array() or null).
-        cast = self._binding.pointer
+        # a C argument (from pointer(), pointer_array() or null).
+        cast = self.pointer
         return int(fn(*[cast(a) if isinstance(a, np.ndarray) else a
                         for a in args]))
 
@@ -440,7 +364,6 @@ def kernel_cache_stats() -> dict:
         "kernels": kernels,
         "bytes": total_bytes,
         "compiler": find_compiler(),
-        "binding": get_binding().name,
     }
 
 

@@ -17,9 +17,9 @@ The stream's static structure (slot kinds, readiness terms, pregaps)
 and its line columns are flattened into int64 tables and cast to C
 pointers once per stream (:func:`_stream_args`), a dual-issue body's
 once per trace (:func:`_body_args`); both casts are cached with the
-loaded kernel they were made for, so a kernel loaded through another
-binding casts afresh, and no cached entry refers back to its stream
-or trace.  Per call only the parameter block, the load-ready
+loaded kernel they were made for, so a kernel loaded again (after
+:func:`repro.cpu.ckernel.reset_probe`) casts afresh, and no cached
+entry refers back to its stream or trace.  Per call only the parameter block, the load-ready
 registers and the output counter block are fresh, and the kernel
 allocates and frees its own tag store, so a kernel invocation is a
 pure function of ``(stream, machine)``, like the scalar replay.
@@ -30,19 +30,20 @@ generated Python kernels produce, folded through
 the same equivalence matrix and accounting identity as every other
 lane.
 
-Fallback is transparent and cause-tagged: ``policy`` for machines the
-replay contract itself excludes, ``nocc`` when no C compiler is
-available (``REPRO_CC`` override included), ``build`` when
-compilation or loading failed.  All three degrade to the scalar
-replay (or the reference dual-issue loop) with bit-identical results.
+Fallback is transparent: an entry returns ``None`` for a machine the
+replay contract itself excludes, when no C compiler is available
+(``REPRO_CC`` override included), or when compilation or loading
+failed, and the caller degrades to the scalar replay (or the reference
+dual-issue loop) with bit-identical results.  The entries count
+nothing; :func:`repro.sim.simulator.simulate` names the cause of a
+cell's fallback in its telemetry outcome.
 
 The blocking caches' closed form needs only hit/miss aggregates on an
 immediate-install cache.  :func:`classify_cnative` computes them in
 the same kernel (``repro_classify``) over the stream's cached kind
 and line columns, for :func:`repro.sim.stream.functional_summary`.
-It declines on the same ``nocc`` and ``build`` conditions, uncounted
-(a summary is a per-group precompute, not a cell), and the caller
-then classifies in Python.
+It declines when no compiler is available or the build failed, and
+the caller then classifies in Python.
 """
 
 from __future__ import annotations
@@ -89,12 +90,6 @@ _LIMITED = ckernel.PARAM_SLOTS.index("limited")
 _MEMORY_KIND = {OpClass.LOAD: 1, OpClass.STORE: 2}
 
 
-def _count_fallback(cause: str) -> None:
-    from repro.sim import engines as engines_mod
-
-    engines_mod.count_cnative_fallback(cause)
-
-
 def _as_i64(buf) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.int64)
 
@@ -108,7 +103,7 @@ def _stream_args(stream: "EventStream", kernel: ckernel.LoadedKernel):
     executions every line column covers.  Cached on the stream, with
     the int64 tables the pointers address, so policy siblings and
     classifications share one flattening and one cast; a kernel loaded
-    through another binding casts afresh.
+    again casts afresh.
     """
     cached = getattr(stream, "_cnative_args", None)
     if cached is not None and cached[0] is kernel:
@@ -261,24 +256,20 @@ def run_cnative(
 
     Same contract as :func:`repro.cpu.replay.run_replay`; the stream
     caches each machine's parameter block in its replay-kernel cache,
-    under a distinct key.  Declines (unsupported policy, no compiler,
-    failed build) are counted under ``engine.cnative.fallback.*`` when
-    telemetry is on.
+    under a distinct key.  Declines an unsupported policy, and declines
+    when no compiler is available or the build failed.
     """
     if not replay_supported(config):
-        _count_fallback("policy")
         return None
     key = ("cnative", config.geometry, config.policy,
            config.effective_penalty)
     p = stream._replay_fns.get(key)
     if p is None:
         if not ckernel.kernels_available():
-            _count_fallback("nocc")
             return None
         try:
             ckernel.ensure_kernel()
         except ckernel.KernelBuildError:
-            _count_fallback("build")
             return None
         p = _param_block(config, len(stream.slots), stream.tail_gap)
         stream._replay_fns[key] = p
@@ -325,22 +316,18 @@ def run_dual_issue(
 
     Returns ``(stats, cycles, instructions, truedep)`` bit-identical to
     :func:`repro.cpu.reference.run_dual_issue_reference` on the cell's
-    handler.  Declines are counted under the same causes as
-    :func:`run_cnative`'s (``policy`` for a cell off the dual-issue
-    lane, such as a finite write buffer).
+    handler.  Declines as :func:`run_cnative` does, a cell off the
+    dual-issue lane (such as a finite write buffer) included.
     """
     from repro.sim.engines import cell_lane
 
     if cell_lane(config) != "dual":
-        _count_fallback("policy")
         return None
     if not ckernel.kernels_available():
-        _count_fallback("nocc")
         return None
     try:
         kernel = ckernel.ensure_kernel()
     except ckernel.KernelBuildError:
-        _count_fallback("build")
         return None
     body = trace.body
     args, covered = _body_args(trace, kernel)
@@ -371,8 +358,7 @@ def classify_cnative(
     evictions)`` -- the aggregates of
     :class:`repro.sim.stream.FunctionalSummary` -- or ``None`` when no
     kernel can be had (no compiler, failed build), on the same
-    conditions as :func:`run_cnative`.  A decline counts nothing: the
-    classification is a per-summary precompute, not a cell.
+    conditions as :func:`run_cnative`.
     """
     if not ckernel.kernels_available():
         return None

@@ -28,18 +28,18 @@ A cell's machine fixes its lane (:func:`cell_lane`):
 The one choice that changes speed -- C kernel or its fallback -- is
 made per cell from the compiler probe
 (:func:`repro.cpu.ckernel.kernels_available`): a C lane that cannot
-get a kernel degrades bit-identically, counted under
-``engine.cnative.fallback.<cause>``.  A classification that cannot
-get one falls back the same way, uncounted: it is a per-summary
-precompute, like building the stream, not a cell.  Every lane is
-bit-identical to the reference loops
+get a kernel degrades bit-identically.  ``simulate`` names the cause
+in the cell's telemetry outcome, counted per simulated cell under
+``engine.cnative.fallback.<cause>``
+(:data:`repro.sim.simulator.OUTCOME_COUNTERS`).  A classification
+that cannot get a kernel falls back the same way, uncounted: it is a
+per-summary precompute, like building the stream, not a cell.  Every
+lane is bit-identical to the reference loops
 (:func:`repro.sim.simulator.simulate_reference`), so routing never
 changes a number and ``ENGINE_VERSION`` never depends on it.
 """
 
 from __future__ import annotations
-
-from repro import telemetry
 
 #: Lanes whose cells themselves run in the C kernel when a compiler
 #: is available (a closed-form cell only reads a summary classified
@@ -65,26 +65,3 @@ def cell_lane(config, warmup: float = 0.0) -> str:
     if config.perfect_cache:
         return "interp"
     return "closed_form" if config.policy.blocking else "replay"
-
-
-_CNATIVE_FALLBACK_METRICS = telemetry.MetricHandles(lambda m: {
-    "total": m.counter("engine.cnative.fallbacks"),
-    "policy": m.counter("engine.cnative.fallback.policy"),
-    "nocc": m.counter("engine.cnative.fallback.nocc"),
-    "build": m.counter("engine.cnative.fallback.build"),
-})
-
-
-def count_cnative_fallback(cause: str) -> None:
-    """Record one cell that did not run in the C kernel, with its cause.
-
-    ``engine.cnative.fallbacks`` is the total;
-    ``engine.cnative.fallback.<cause>`` splits it by reason
-    (``policy`` for machines off the C lanes' contract, such as a
-    finite write buffer, ``nocc`` when no C compiler is available,
-    ``build`` when compilation or loading failed).
-    """
-    if telemetry.enabled():
-        counters = _CNATIVE_FALLBACK_METRICS.get()
-        counters["total"].inc()
-        counters[cause].inc()

@@ -2,7 +2,9 @@
 
 Shared by the simulator's compile/trace caches and the event-stream
 caches (:mod:`repro.sim.stream`); it lives in its own module so the
-two can use one implementation without importing each other.
+two can use one implementation without importing each other.  Each
+cache counts its own hits and misses, whether telemetry is on or not;
+the simulator's telemetry collector reads the counts' growth.
 """
 
 from __future__ import annotations
@@ -20,10 +22,17 @@ class LRUCache:
             raise ConfigurationError(f"cache capacity must be >= 1: {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict" = OrderedDict()
+        #: Lookups that found / missed an entry, never reset (``clear``
+        #: keeps them).
+        self.hits = 0
+        self.misses = 0
 
     def get(self, key):
         entry = self._entries.get(key)
-        if entry is not None:
+        if entry is None:
+            self.misses += 1
+        else:
+            self.hits += 1
             self._entries.move_to_end(key)
         return entry
 

@@ -52,7 +52,6 @@ experiment compiles nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -111,18 +110,6 @@ class PlanReport:
 #: CLI prints it after a sweep.  Purely advisory.
 last_report: Optional[PlanReport] = None
 
-#: The ``plan.*`` metrics, looked up once per registry generation.
-_METRICS = telemetry.MetricHandles(lambda m: SimpleNamespace(
-    runs=m.counter("plan.runs"),
-    cells=m.counter("plan.cells"),
-    unique=m.counter("plan.unique"),
-    deduplicated=m.counter("plan.deduplicated"),
-    store_hits=m.counter("plan.store_hits"),
-    simulated=m.counter("plan.simulated"),
-    cells_per_run=m.histogram("plan.cells_per_run",
-                              bounds=telemetry.SIZE_BUCKETS),
-))
-
 
 def run_plan(
     cells: Sequence[Cell],
@@ -150,14 +137,15 @@ def run_plan(
                          store_hits=report.store_hits,
                          simulated=report.simulated)
     if telemetry.enabled():
-        m = _METRICS.get()
-        m.runs.inc()
-        m.cells.inc(report.cells)
-        m.unique.inc(report.unique)
-        m.deduplicated.inc(report.deduplicated)
-        m.store_hits.inc(report.store_hits)
-        m.simulated.inc(report.simulated)
-        m.cells_per_run.observe(report.cells)
+        m = telemetry.metrics()
+        m.counter("plan.runs").inc()
+        m.counter("plan.cells").inc(report.cells)
+        m.counter("plan.unique").inc(report.unique)
+        m.counter("plan.deduplicated").inc(report.deduplicated)
+        m.counter("plan.store_hits").inc(report.store_hits)
+        m.counter("plan.simulated").inc(report.simulated)
+        m.histogram("plan.cells_per_run",
+                    bounds=telemetry.SIZE_BUCKETS).observe(report.cells)
     last_report = report
     return results, report
 

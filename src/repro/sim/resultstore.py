@@ -115,11 +115,6 @@ COUNTERS = ("hits", "misses", "stores", "corrupt", "gc_removed")
 #: SQLite's primary result codes for a lock another connection holds.
 _SQLITE_BUSY, _SQLITE_LOCKED = 5, 6
 
-#: The ``store.<counter>`` telemetry counters, each registered when
-#: first incremented.
-_METRICS = telemetry.MetricHandles(
-    lambda m: telemetry.CounterFamily(m, "store."))
-
 #: The schema-1 layout kept its lifetime counters at the root in a JSON
 #: file with this stem; ``gc`` reaps it along with the ``v1/`` tree.
 _V1_COUNTERS_STEM = "counters"
@@ -796,7 +791,7 @@ class ResultStore:
             "schema": STORE_SCHEMA,
             "fingerprint": fingerprint,
             **fields,
-        })
+        }, separators=(",", ":"))
         return self._write("INSERT OR REPLACE INTO entries VALUES (?, ?, ?)",
                            (fingerprint, time.time(), payload))
 
@@ -817,10 +812,10 @@ class ResultStore:
         if not self.enabled or not any(amounts):
             return
         if telemetry.enabled():
-            counters = _METRICS.get()
+            m = telemetry.metrics()
             for name, amount in zip(COUNTERS, amounts):
                 if amount:
-                    counters[name].inc(amount)
+                    m.counter(f"store.{name}").inc(amount)
         self._write("UPDATE counters SET hits = hits + ?, "
                     "misses = misses + ?, stores = stores + ?, "
                     "corrupt = corrupt + ?, gc_removed = gc_removed + ?",

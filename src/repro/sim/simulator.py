@@ -28,12 +28,16 @@ oracle every lane is tested against.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-from typing import Optional, Tuple
+import threading
+import time
+from collections import Counter
+from operator import attrgetter
+from typing import List, Optional, Tuple
 
 from repro import telemetry
 from repro.compiler.pipeline import CompiledBody, compile_kernel
 from repro.errors import ConfigurationError
+from repro.cpu import ckernel
 from repro.cpu.pipeline import PerfectCacheHandler
 from repro.cpu.reference import (
     run_dual_issue_reference,
@@ -41,11 +45,13 @@ from repro.cpu.reference import (
 )
 from repro.cpu.replay_cnative import run_dual_issue
 from repro.sim import engines as engines_mod
+from repro.sim import stream as stream_mod
 from repro.sim.config import MachineConfig, baseline_config
 from repro.sim.lru import LRUCache
 from repro.sim.resultstore import compile_key, group_key
 from repro.sim.stats import SimulationResult
 from repro.sim.trace import ExpandedTrace, expand
+from repro.telemetry import spans
 from repro.workloads.workload import Workload
 
 #: Version tag for the engine's *observable* semantics.  The on-disk
@@ -68,65 +74,151 @@ _TRACE_CACHE = LRUCache(64)
 def clear_caches() -> None:
     """Drop cached schedules, traces, and event streams (tests use this)."""
     from repro.sim.bounds import clear_bounds_caches
-    from repro.sim.stream import clear_stream_caches
 
     _COMPILE_CACHE.clear()
     _TRACE_CACHE.clear()
-    clear_stream_caches()
+    stream_mod.clear_stream_caches()
     clear_bounds_caches()
 
 
-#: Cached metric objects for the per-cell emission sites below; a cell
-#: emits over a dozen metrics, and the per-name registry lookups they
-#: would otherwise pay are most of the telemetry overhead budget that
-#: ``tools/perfbench.py --assert-overhead`` enforces.
-_METRICS = telemetry.MetricHandles(lambda m: SimpleNamespace(
-    compile_hits=m.counter("sim.compile_cache.hits"),
-    compile_misses=m.counter("sim.compile_cache.misses"),
-    trace_hits=m.counter("sim.trace_cache.hits"),
-    trace_misses=m.counter("sim.trace_cache.misses"),
-    cells=m.counter("sim.cells"),
-    instructions=m.counter("sim.instructions"),
-    cycles=m.counter("sim.cycles"),
-    truedep=m.counter("sim.stall.truedep_cycles"),
-    structural=m.counter("sim.stall.structural_cycles"),
-    blocking=m.counter("sim.stall.blocking_cycles"),
-    write_allocate=m.counter("sim.stall.write_allocate_cycles"),
-    write_buffer=m.counter("sim.stall.write_buffer_cycles"),
-    closed_form=m.counter("fusion.closed_form"),
-    replays=m.counter("fusion.replays"),
-    cnative_replays=m.counter("engine.cnative.replays"),
-    cnative_dual=m.counter("engine.cnative.dual_issue"),
-    bypasses=m.counter("fusion.bypasses"),
-    cache_compiled=m.gauge("engine.cache.compiled"),
-    cache_traces=m.gauge("engine.cache.traces"),
-    cache_streams=m.gauge("engine.cache.streams"),
-    cache_summaries=m.gauge("engine.cache.summaries"),
-    gauge_sizes=[None],
+# -- per-cell telemetry --------------------------------------------------------
+
+#: Records held before :func:`simulate` folds them itself.
+PENDING_BOUND = 256
+
+#: Records of cells not yet folded into the registry; ``result`` and
+#: ``outcome`` are ``None`` for a cell that raised.
+_PENDING: List[Tuple[float, Optional[SimulationResult], Optional[str]]] = []
+
+#: The registry counters each cell outcome moves.  An outcome names the
+#: lane that served the cell (``closed_form``, ``replay``, ``dual``, or
+#: ``bypass`` for the reference loops) and, for a C lane, ``c`` or the
+#: cause the C kernel was not used: ``policy`` (a finite write buffer,
+#: which no C lane models), ``nocc`` (no compiler) or ``build``.
+OUTCOME_COUNTERS = {
+    "closed_form": ("fusion.closed_form",),
+    "replay.c": ("fusion.replays", "engine.cnative.replays"),
+    "replay.nocc": ("fusion.replays", "engine.cnative.fallbacks",
+                    "engine.cnative.fallback.nocc"),
+    "replay.build": ("fusion.replays", "engine.cnative.fallbacks",
+                     "engine.cnative.fallback.build"),
+    "dual.c": ("engine.cnative.dual_issue",),
+    "bypass": ("fusion.bypasses",),
+    "bypass.policy": ("fusion.bypasses", "engine.cnative.fallbacks",
+                      "engine.cnative.fallback.policy"),
+    "bypass.nocc": ("fusion.bypasses", "engine.cnative.fallbacks",
+                    "engine.cnative.fallback.nocc"),
+    "bypass.build": ("fusion.bypasses", "engine.cnative.fallbacks",
+                     "engine.cnative.fallback.build"),
+}
+
+#: Registered in full, zeros included, once a fold sees a fallback.
+_FALLBACK_COUNTERS = ("engine.cnative.fallbacks",
+                      "engine.cnative.fallback.policy",
+                      "engine.cnative.fallback.nocc",
+                      "engine.cnative.fallback.build")
+
+#: A completed cell's counters, summed over its result.
+_RESULT_COUNTERS = tuple((name, attrgetter(field)) for name, field in (
+    ("sim.instructions", "instructions"),
+    ("sim.cycles", "cycles"),
+    ("sim.stall.truedep_cycles", "truedep_stall_cycles"),
+    ("sim.stall.structural_cycles", "miss.structural_stall_cycles"),
+    ("sim.stall.blocking_cycles", "miss.blocking_stall_cycles"),
+    ("sim.stall.write_allocate_cycles", "miss.write_allocate_stall_cycles"),
+    ("sim.stall.write_buffer_cycles", "miss.write_buffer_stall_cycles"),
 ))
 
+#: The counter prefixes of the caches :func:`_lookups` reads, in order.
+_LOOKUP_PREFIXES = ("sim.compile_cache", "sim.trace_cache",
+                    "sim.stream_cache")
 
-def _update_cache_gauges() -> None:
-    """Publish every in-memory LRU cache's size as a telemetry gauge.
+#: Registered in full, zeros included, once the compile cache is used.
+_CELL_COUNTERS = (
+    "sim.compile_cache.hits", "sim.compile_cache.misses",
+    "sim.trace_cache.hits", "sim.trace_cache.misses", "sim.cells",
+    *(name for name, _ in _RESULT_COUNTERS),
+    "fusion.closed_form", "fusion.replays", "engine.cnative.replays",
+    "engine.cnative.dual_issue", "fusion.bypasses",
+)
+_CACHE_GAUGES = ("engine.cache.compiled", "engine.cache.traces",
+                 "engine.cache.streams", "engine.cache.summaries")
 
-    Skips the gauge writes when nothing changed since the previous
-    cell -- the steady state of a warm sweep -- because this runs once
-    per cell inside the telemetry overhead budget.  The last-published
-    sizes live inside the handle bundle, so a registry reset (which
-    rebuilds the bundle) republishes on the next cell.
+_collect_lock = threading.Lock()
+
+
+def _lookups() -> Tuple[int, ...]:
+    """Hits and misses so far of the compile, trace and stream caches,
+    then the streams built."""
+    return (_COMPILE_CACHE.hits, _COMPILE_CACHE.misses,
+            _TRACE_CACHE.hits, _TRACE_CACHE.misses,
+            stream_mod._STREAM_CACHE.hits, stream_mod._STREAM_CACHE.misses,
+            stream_mod._streams_built)
+
+
+#: The counts the previous collection stopped at.
+_lookups_seen = _lookups()
+
+
+def _collect(registry) -> None:
+    """Fold the pending cell records, cache lookups and stream builds
+    into ``registry``.
+
+    ``None`` drops them instead: lookups and builds made while
+    telemetry is off never reach a counter.  The telemetry package
+    calls this before every read (:func:`repro.telemetry.collect`).
     """
-    from repro.sim.stream import cache_sizes
-
-    streams, summaries = cache_sizes()
-    sizes = (len(_COMPILE_CACHE), len(_TRACE_CACHE), streams, summaries)
-    m = _METRICS.get()
-    if m.gauge_sizes[0] == sizes:
+    global _lookups_seen
+    if not _PENDING and _lookups() == _lookups_seen:
         return
-    m.gauge_sizes[0] = sizes
-    m.cache_compiled.set(sizes[0])
-    m.cache_traces.set(sizes[1])
-    m.cache_streams.set(sizes[2])
-    m.cache_summaries.set(sizes[3])
+    with _collect_lock:
+        records = _PENDING[:]
+        del _PENDING[:len(records)]
+        lookups = _lookups()
+        moved = [now - then for now, then in zip(lookups, _lookups_seen)]
+        _lookups_seen = lookups
+    if registry is None:
+        return
+    if moved[0] or moved[1]:
+        for name in _CELL_COUNTERS:
+            registry.counter(name)
+        for name in _CACHE_GAUGES:
+            registry.gauge(name)
+    for prefix, hits, misses in zip(_LOOKUP_PREFIXES, moved[0:6:2],
+                                    moved[1:6:2]):
+        if hits:
+            registry.counter(f"{prefix}.hits").inc(hits)
+        if misses:
+            registry.counter(f"{prefix}.misses").inc(misses)
+    if moved[6]:
+        registry.counter("fusion.streams_built").inc(moved[6])
+    if not records:
+        return
+    registry.histogram(
+        "span.simulate.seconds", help="wall time inside 'simulate' spans",
+    ).observe_many([seconds for seconds, _, _ in records])
+    results = [result for _, result, _ in records if result is not None]
+    if not results:
+        return
+    registry.counter("sim.cells").inc(len(results))
+    for name, field in _RESULT_COUNTERS:
+        registry.counter(name).inc(sum(map(field, results)))
+    outcomes = Counter(outcome for _, result, outcome in records
+                       if result is not None)
+    for outcome, cells in outcomes.items():
+        names = OUTCOME_COUNTERS[outcome]
+        if "engine.cnative.fallbacks" in names:
+            for name in _FALLBACK_COUNTERS:
+                registry.counter(name)
+        for name in names:
+            registry.counter(name).inc(cells)
+    sizes = ((len(_COMPILE_CACHE), len(_TRACE_CACHE))
+             + stream_mod.cache_sizes())
+    for name, size in zip(_CACHE_GAUGES, sizes):
+        registry.gauge(name).set(size)
+
+
+telemetry.set_collector(_collect)
 
 
 def compile_workload(workload: Workload, load_latency: int) -> CompiledBody:
@@ -134,8 +226,6 @@ def compile_workload(workload: Workload, load_latency: int) -> CompiledBody:
     key = compile_key(workload, load_latency)
     body = _COMPILE_CACHE.get(key)
     if body is None:
-        if telemetry.enabled():
-            _METRICS.get().compile_misses.inc()
         body = compile_kernel(
             workload.kernel,
             load_latency,
@@ -143,8 +233,6 @@ def compile_workload(workload: Workload, load_latency: int) -> CompiledBody:
             software_pipeline=workload.software_pipeline,
         )
         _COMPILE_CACHE.put(key, body)
-    elif telemetry.enabled():
-        _METRICS.get().compile_hits.inc()
     return body
 
 
@@ -156,12 +244,8 @@ def expand_workload(
     key = group_key(workload, load_latency, scale)
     trace = _TRACE_CACHE.get(key)
     if trace is None:
-        if telemetry.enabled():
-            _METRICS.get().trace_misses.inc()
         trace = expand(workload, compiled, scale=scale)
         _TRACE_CACHE.put(key, trace)
-    elif telemetry.enabled():
-        _METRICS.get().trace_hits.inc()
     return compiled, trace
 
 
@@ -185,34 +269,50 @@ def simulate(
     falls back per cell.  Every lane is bit-identical to
     :func:`simulate_reference`.
 
-    When telemetry is enabled each call contributes one ``simulate``
-    span plus the per-cell counters catalogued in
-    ``docs/observability.md``; the result itself is bit-identical
-    either way (the instrumentation only reads the outcome).
+    When telemetry is enabled each call appends one record (its time,
+    result and outcome) that feeds the ``span.simulate.seconds``
+    histogram and the per-cell counters catalogued in
+    ``docs/observability.md`` when telemetry is read, and writes one
+    ``simulate`` trace event while a sink is active; the result itself
+    is bit-identical either way.
     """
     if config is None:
         config = baseline_config()
     if not telemetry.enabled():
-        return _simulate_impl(workload, config, load_latency, scale, warmup)
-    policy_name = "perfect" if config.perfect_cache else config.policy.name
-    with telemetry.span(
-        "simulate", workload=workload.name, policy=policy_name,
-        load_latency=load_latency, scale=scale,
-    ):
-        result = _simulate_impl(workload, config, load_latency, scale,
-                                warmup)
-    miss = result.miss
-    m = _METRICS.get()
-    m.cells.inc()
-    m.instructions.inc(result.instructions)
-    m.cycles.inc(result.cycles)
-    m.truedep.inc(result.truedep_stall_cycles)
-    m.structural.inc(miss.structural_stall_cycles)
-    m.blocking.inc(miss.blocking_stall_cycles)
-    m.write_allocate.inc(miss.write_allocate_stall_cycles)
-    m.write_buffer.inc(miss.write_buffer_stall_cycles)
-    _update_cache_gauges()
+        return _simulate_impl(workload, config, load_latency, scale,
+                              warmup)[0]
+    sink = spans.active_sink()
+    wall_start = time.time() if sink is not None else 0.0
+    result = outcome = None
+    start = time.perf_counter()
+    try:
+        result, outcome = _simulate_impl(workload, config, load_latency,
+                                         scale, warmup)
+    finally:
+        seconds = time.perf_counter() - start
+        _PENDING.append((seconds, result, outcome))
+        if sink is not None:
+            _write_cell_event(sink, wall_start, seconds, workload, config,
+                              load_latency, scale)
+        if len(_PENDING) >= PENDING_BOUND:
+            telemetry.collect()
     return result
+
+
+def _write_cell_event(sink, wall_start: float, seconds: float,
+                      workload: Workload, config: MachineConfig,
+                      load_latency: int, scale: float) -> None:
+    """The cell's ``simulate`` trace event, as a span would write it."""
+    args = {
+        "workload": workload.name,
+        "policy": "perfect" if config.perfect_cache else config.policy.name,
+        "load_latency": load_latency,
+        "scale": scale,
+    }
+    parent = spans.current_span()
+    if parent is not None:
+        args["_parent"] = parent
+    spans.write_event(sink, "simulate", wall_start, seconds, args)
 
 
 def simulate_reference(
@@ -244,19 +344,20 @@ def _try_fused(
     load_latency: int,
     scale: float,
     trace: ExpandedTrace,
-):
+) -> Tuple[Optional[Tuple], str]:
     """Run one ``closed_form`` or ``replay`` cell over the stream pass.
 
-    Returns ``(stats, cycles, instructions, truedep)`` or ``None``
-    when the cell must fall back to full execution (no memory ops in
-    the body, or a stream the builders decline).  Blocking policies
-    collapse to the functional summary's closed form; non-blocking
-    policies replay in the C kernel (:mod:`repro.cpu.replay_cnative`),
-    or in the scalar replay kernel when no C kernel can be had.
+    Returns ``(out, outcome)``: ``out`` is ``(stats, cycles,
+    instructions, truedep)``, or ``None`` when the cell must fall back
+    to full execution (no memory ops in the body, or a stream the
+    builders decline); ``outcome`` is its key in
+    :data:`OUTCOME_COUNTERS`.  Blocking policies collapse to the
+    functional summary's closed form; non-blocking policies replay in
+    the C kernel (:mod:`repro.cpu.replay_cnative`), or in the scalar
+    replay kernel when no C kernel can be had.
     """
     from repro.cpu.replay import run_blocking_summary, run_replay
     from repro.cpu.replay_cnative import run_cnative
-    from repro.sim import stream as stream_mod
 
     if config.policy.blocking:
         summary = stream_mod.functional_summary(
@@ -264,36 +365,29 @@ def _try_fused(
             config.policy.write_allocate_blocking,
         )
         if summary is None:
-            return None
+            return None, "bypass"
         handler = config.make_handler()
         out = run_blocking_summary(summary, handler)
         if out is None:  # pragma: no cover - guards re-checked above
-            return None
-        cycles, instructions, truedep = out
-        stats = handler.stats
-        if telemetry.enabled():
-            _METRICS.get().closed_form.inc()
-    else:
-        stream = stream_mod.event_stream(
-            workload, load_latency, scale, config.geometry.line_size,
-        )
-        if stream is None:
-            return None
-        out = run_cnative(stream, trace, config)
-        cnative_hit = out is not None
-        if out is None:
-            out = run_replay(stream, trace, config)
-        if out is None:
-            return None
-        stats, cycles, instructions, truedep = out
-        if telemetry.enabled():
-            # ``fusion.replays`` counts every replayed cell regardless
-            # of lane; ``engine.cnative.replays`` is the compiled-C
-            # subset.
-            _METRICS.get().replays.inc()
-            if cnative_hit:
-                _METRICS.get().cnative_replays.inc()
-    return stats, cycles, instructions, truedep
+            return None, "bypass"
+        return (handler.stats,) + out, "closed_form"
+    stream = stream_mod.event_stream(
+        workload, load_latency, scale, config.geometry.line_size,
+    )
+    if stream is None:
+        return None, "bypass"
+    out = run_cnative(stream, trace, config)
+    if out is not None:
+        return out, "replay.c"
+    cause = _c_decline_cause()
+    out = run_replay(stream, trace, config)
+    return out, ("bypass." if out is None else "replay.") + cause
+
+
+def _c_decline_cause() -> str:
+    """Why a C entry declined a cell of its own lane: ``nocc`` when no
+    compiler can be found, ``build`` when the kernel failed to build."""
+    return "build" if ckernel.kernels_available() else "nocc"
 
 
 def _expand_cell(
@@ -337,25 +431,27 @@ def _simulate_impl(
     load_latency: int,
     scale: float,
     warmup: float,
-) -> SimulationResult:
+) -> Tuple[SimulationResult, str]:
+    """Run one cell; returns its result and its outcome (the key of
+    :data:`OUTCOME_COUNTERS` naming the lane that served it)."""
     compiled, trace = _expand_cell(workload, config, load_latency, scale,
                                    warmup)
     lane = engines_mod.cell_lane(config, warmup)
-    out = None
     if lane == "dual":
         out = run_dual_issue(trace, config)
-        if out is not None and telemetry.enabled():
-            _METRICS.get().cnative_dual.inc()
+        outcome = "dual.c" if out is not None else (
+            "bypass." + _c_decline_cause())
     elif lane != "interp":
-        out = _try_fused(workload, config, load_latency, scale, trace)
-    elif config.write_buffer_depth is not None:
+        out, outcome = _try_fused(workload, config, load_latency, scale,
+                                  trace)
+    else:
+        out = None
         # The C lanes model only the ideal write buffer.
-        engines_mod.count_cnative_fallback("policy")
+        outcome = ("bypass" if config.write_buffer_depth is None
+                   else "bypass.policy")
     if out is None:
-        if telemetry.enabled():
-            _METRICS.get().bypasses.inc()
         out = _interpret(trace, config, warmup)
-    return _result(workload, config, load_latency, compiled, out)
+    return _result(workload, config, load_latency, compiled, out), outcome
 
 
 def _result(

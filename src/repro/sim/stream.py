@@ -43,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import telemetry
 from repro.cache.geometry import CacheGeometry
 from repro.cache.tags import make_tag_store
 from repro.cpu.replay_cnative import classify_cnative
@@ -51,10 +50,6 @@ from repro.sim.lru import LRUCache
 from repro.sim.resultstore import group_key
 from repro.sim.trace import P_LOAD, P_SCALAR, P_SKIP, P_STORE, ExpandedTrace
 from repro.workloads.workload import Workload
-
-#: The stream cache's and the stream builder's counters, looked up once
-#: per registry generation and each registered when first incremented.
-_METRICS = telemetry.MetricHandles(telemetry.CounterFamily)
 
 
 @dataclass(frozen=True)
@@ -283,8 +278,8 @@ def build_stream(
         )
         for k in range(len(mem_kinds))
     )
-    if telemetry.enabled():
-        _METRICS.get()["fusion.streams_built"].inc()
+    global _streams_built
+    _streams_built += 1
     return EventStream(
         workload_name=trace.workload_name,
         line_size=line_size,
@@ -339,9 +334,14 @@ def _lru_functional(
 
 #: Streams hold line buffers comparable in size to the trace cache's
 #: address buffers, so the bound stays tight; summaries are a few
-#: scalars.
+#: scalars.  The simulator's telemetry collector reads the stream
+#: cache's hit and miss counts (``sim.stream_cache.*``).
 _STREAM_CACHE = LRUCache(16)
 _SUMMARY_CACHE = LRUCache(64)
+
+#: Streams :func:`build_stream` has built, counted whether telemetry is
+#: on or not; the collector reads its growth as ``fusion.streams_built``.
+_streams_built = 0
 
 
 def clear_stream_caches() -> None:
@@ -367,15 +367,11 @@ def event_stream(
     key = (group_key(workload, load_latency, scale), line_size)
     stream = _STREAM_CACHE.get(key)
     if stream is None:
-        if telemetry.enabled():
-            _METRICS.get()["sim.stream_cache.misses"].inc()
         _, trace = expand_workload(workload, load_latency, scale=scale)
         stream = build_stream(trace, line_size)
         if stream is None:
             return None
         _STREAM_CACHE.put(key, stream)
-    elif telemetry.enabled():
-        _METRICS.get()["sim.stream_cache.hits"].inc()
     return stream
 
 

@@ -8,7 +8,7 @@ dependency.  Three pieces:
   histograms, thread-safe in process and aggregated *by value* across
   the sweep worker pool;
 * **span tracing** (:mod:`repro.telemetry.spans`): ``with
-  span("simulate", ...):`` feeds per-phase wall-time histograms and,
+  span("plan", ...):`` feeds per-phase wall-time histograms and,
   when ``REPRO_TRACE_FILE`` names a sink, a Chrome-trace/Perfetto
   compatible JSONL event stream;
 * **surfacing**: an on-disk state file for ``python -m repro telemetry
@@ -17,8 +17,11 @@ dependency.  Three pieces:
 
 Instrumentation rides the coarse layers only (one simulation cell, one
 plan, one pool group, one experiment) -- never the per-instruction hot
-loops -- so results stay bit-identical and the overhead is unmeasurable
-at sweep granularity; ``tools/perfbench.py`` asserts the bound.
+loops -- so results stay bit-identical; ``tools/perfbench.py`` asserts
+the overhead bound.  A simulation cell only appends one record to a
+buffer its module keeps; that module installs a collector
+(:func:`set_collector`) which folds the records into the registry
+before every read below (:func:`collect`).
 
 Environment knobs:
 
@@ -28,6 +31,9 @@ Environment knobs:
 * ``REPRO_TELEMETRY_DIR`` relocates the summary state file (defaults
   to the result store's directory).
 
+The first two are read once per process, and again by
+:func:`set_enabled` and :func:`reset`.
+
 See ``docs/observability.md`` for the metric catalog and span names.
 """
 
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import atexit
 import os
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.telemetry.registry import (
     Counter,
@@ -52,6 +58,7 @@ from repro.telemetry.spans import (
     TRACE_FILE_ENV,
     current_span,
     export_chrome_trace,
+    resolve_sink,
     span,
     validate_trace_file,
     validate_trace_line,
@@ -64,12 +71,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricHandles",
-    "CounterFamily",
     "DURATION_BUCKETS",
     "SIZE_BUCKETS",
     "enabled",
     "set_enabled",
+    "set_collector",
+    "collect",
     "metrics",
     "counter",
     "gauge",
@@ -99,6 +106,10 @@ TELEMETRY_ENV = "REPRO_TELEMETRY"
 #: :func:`set_enabled`.
 _enabled_override: Optional[bool] = None
 
+#: Whether telemetry records anything: the override, else
+#: ``REPRO_TELEMETRY`` as :func:`_resolve` last read it.
+_enabled = True
+
 _REGISTRY = MetricsRegistry()
 
 #: What the registry looked like at the previous :func:`flush`, so
@@ -109,85 +120,82 @@ _last_flushed: Dict = _REGISTRY.snapshot()
 _owner_pid = os.getpid()
 
 
+def _no_records(registry: Optional[MetricsRegistry]) -> None:
+    pass
+
+
+#: Folds records kept outside the registry into ``registry``, or drops
+#: them when it is ``None`` (see :func:`set_collector`).
+_collector: Callable[[Optional[MetricsRegistry]], None] = _no_records
+
+
+def _resolve() -> None:
+    """Read ``REPRO_TELEMETRY`` and ``REPRO_TRACE_FILE`` again."""
+    global _enabled
+    if _enabled_override is not None:
+        _enabled = _enabled_override
+    else:
+        _enabled = os.environ.get(TELEMETRY_ENV, "1") != "0"
+    resolve_sink()
+
+
 def enabled() -> bool:
     """Whether telemetry records anything in this process."""
-    if _enabled_override is not None:
-        return _enabled_override
-    return os.environ.get(TELEMETRY_ENV, "1") != "0"
+    return _enabled
 
 
 def set_enabled(value: Optional[bool]) -> None:
-    """Force telemetry on/off, or ``None`` to follow the environment."""
+    """Force telemetry on/off, or ``None`` to follow the environment.
+
+    Records made so far are folded (or dropped, when telemetry was
+    off) first, and both environment switches are read again.
+    """
     global _enabled_override
+    collect()
     _enabled_override = value
+    _resolve()
+
+
+def set_collector(
+    collector: Callable[[Optional[MetricsRegistry]], None]
+) -> None:
+    """Install the one function that folds deferred records.
+
+    ``collector(registry)`` folds every record made since its previous
+    call into ``registry``; ``collector(None)`` drops them.  It runs
+    before every read of the registry, so it must return at once when
+    nothing is pending.
+    """
+    global _collector
+    _collector = collector
+
+
+def collect() -> None:
+    """Fold deferred records into the registry (drop them while off)."""
+    _collector(_REGISTRY if _enabled else None)
 
 
 def metrics() -> MetricsRegistry:
     """The process-global registry every instrumentation site uses."""
+    collect()
     return _REGISTRY
 
 
-class MetricHandles:
-    """A cached bundle of metric objects for one hot instrumentation site.
-
-    Every registry lookup takes the registry lock; a site that emits a
-    dozen metrics per simulation cell pays that lock-and-hash cost on
-    each one, which is most of the telemetry overhead budget.  This
-    caches whatever ``build(registry)`` returns and revalidates it
-    against :attr:`MetricsRegistry.generation`, which ``reset()``
-    bumps — so a cached handle can never keep feeding a metric that
-    was dropped from the registry.
-    """
-
-    __slots__ = ("_build", "_generation", "_handles")
-
-    def __init__(self, build):
-        self._build = build
-        self._generation = None
-        self._handles = None
-
-    def get(self):
-        generation = _REGISTRY._generation
-        if self._handles is None or self._generation != generation:
-            self._handles = self._build(_REGISTRY)
-            self._generation = generation
-        return self._handles
-
-
-class CounterFamily(dict):
-    """Counters a :class:`MetricHandles` bundle registers on first use.
-
-    ``family[name]`` is the counter ``prefix + name``, looked up in the
-    registry once per bundle.  A site that increments only some of its
-    counters on a call (a cache hit *or* a miss) thereby keeps the
-    untouched names out of snapshots, as a by-name lookup would.
-    """
-
-    def __init__(self, registry: MetricsRegistry, prefix: str = "") -> None:
-        super().__init__()
-        self._registry = registry
-        self._prefix = prefix
-
-    def __missing__(self, name: str) -> Counter:
-        counter = self[name] = self._registry.counter(self._prefix + name)
-        return counter
-
-
 def counter(name: str, help: str = "") -> Counter:
-    return _REGISTRY.counter(name, help=help)
+    return metrics().counter(name, help=help)
 
 
 def gauge(name: str, help: str = "") -> Gauge:
-    return _REGISTRY.gauge(name, help=help)
+    return metrics().gauge(name, help=help)
 
 
 def histogram(name: str, bounds=None, help: str = "") -> Histogram:
-    return _REGISTRY.histogram(name, bounds=bounds, help=help)
+    return metrics().histogram(name, bounds=bounds, help=help)
 
 
 def snapshot() -> Dict:
     """A JSON-compatible copy of the global registry."""
-    return _REGISTRY.snapshot()
+    return metrics().snapshot()
 
 
 def merge(delta: Dict) -> None:
@@ -196,10 +204,13 @@ def merge(delta: Dict) -> None:
 
 
 def reset() -> None:
-    """Drop every in-process metric and the flush baseline (tests)."""
+    """Drop every in-process metric, pending record and the flush
+    baseline, and read both environment switches again (tests)."""
     global _last_flushed
+    _collector(None)
     _REGISTRY.reset()
     _last_flushed = _REGISTRY.snapshot()
+    _resolve()
 
 
 def flush() -> bool:
@@ -213,7 +224,7 @@ def flush() -> bool:
     global _last_flushed
     if not enabled():
         return False
-    current = _REGISTRY.snapshot()
+    current = snapshot()
     delta = snapshot_diff(_last_flushed, current)
     if snapshot_is_empty(current):
         return False
@@ -231,4 +242,5 @@ def _atexit_flush() -> None:
         pass
 
 
+_resolve()
 atexit.register(_atexit_flush)

@@ -27,6 +27,7 @@ Prometheus exposition writer, and the ``BENCH_*.json`` embeds.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -118,15 +119,18 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        index = len(self.bounds)
-        for i, edge in enumerate(self.bounds):
-            if value <= edge:
-                index = i
-                break
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe every value in ``values`` under one lock."""
+        bounds = self.bounds
+        indices = [bisect_left(bounds, value) for value in values]
         with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
+            counts = self._counts
+            for index in indices:
+                counts[index] += 1
+            self._sum += sum(values)
+            self._count += len(indices)
 
     @property
     def count(self) -> int:
@@ -151,27 +155,19 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, object] = {}
-        self._generation = 0
-
-    @property
-    def generation(self) -> int:
-        """Bumped by :meth:`reset`.
-
-        Hot instrumentation sites cache metric objects against this
-        value (:class:`repro.telemetry.MetricHandles`) instead of
-        paying a locked name lookup per emission; the bump is what
-        keeps a cached handle from outliving its registration.
-        """
-        return self._generation
 
     # -- creation ------------------------------------------------------------
 
-    def _get_or_create(self, name: str, kind, factory):
+    def _get_or_create(self, name: str, kind, *args):
+        # A registered metric is returned without the lock: a dict read
+        # is atomic, and metrics are only ever added or all dropped.
+        metric = self._metrics.get(name)
+        if type(metric) is kind:
+            return metric
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = factory()
-                self._metrics[name] = metric
+                metric = self._metrics[name] = kind(name, *args)
             elif not isinstance(metric, kind):
                 raise ConfigurationError(
                     f"metric {name!r} already registered as "
@@ -180,19 +176,15 @@ class MetricsRegistry:
             return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(name, Counter,
-                                   lambda: Counter(name, help))
+        return self._get_or_create(name, Counter, help)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, Gauge, lambda: Gauge(name, help))
+        return self._get_or_create(name, Gauge, help)
 
     def histogram(self, name: str, bounds: Optional[Sequence[float]] = None,
                   help: str = "") -> Histogram:
         chosen = DURATION_BUCKETS if bounds is None else bounds
-        metric = self._get_or_create(
-            name, Histogram, lambda: Histogram(name, chosen, help)
-        )
-        return metric
+        return self._get_or_create(name, Histogram, chosen, help)
 
     # -- introspection -------------------------------------------------------
 
@@ -260,7 +252,6 @@ class MetricsRegistry:
         """Drop every metric (tests and ``telemetry reset`` use this)."""
         with self._lock:
             self._metrics.clear()
-            self._generation += 1
 
 
 def snapshot_diff(before: Dict, after: Dict) -> Dict:

@@ -1,10 +1,12 @@
 """Span-based tracing with a Chrome-trace-compatible JSONL sink.
 
-``with span("simulate", workload="doduc"):`` times a region, feeds the
-duration into the metrics registry (histogram ``span.<name>.seconds``,
-which is where the CLI's per-phase wall-time summary comes from), and
--- when a trace sink is active -- appends one *complete event* line to
-a JSONL file.
+``with span("plan", cells=8):`` times a region, feeds the duration
+into the metrics registry (histogram ``span.<name>.seconds``, which is
+where the CLI's per-phase wall-time summary comes from), and -- when a
+trace sink is active -- appends one *complete event* line to a JSONL
+file.  A simulation cell writes the same ``simulate`` event and feeds
+the same histogram without a span object
+(:func:`repro.sim.simulator.simulate`).
 
 Each line is a standalone JSON object in the Chrome ``traceEvents``
 format (``ph: "X"`` complete events, microsecond ``ts``/``dur``,
@@ -12,9 +14,10 @@ format (``ph: "X"`` complete events, microsecond ``ts``/``dur``,
 telemetry export --trace-in FILE`` wraps the lines into the
 ``{"traceEvents": [...]}`` array that ``chrome://tracing`` and the
 Perfetto UI load directly; Perfetto also ingests the raw line
-stream.  Workers in a sweep pool inherit ``REPRO_TRACE_FILE`` and
-append to the same file -- every event carries its writer's pid, so
-the viewer separates the tracks.
+stream.  ``REPRO_TRACE_FILE`` is read once per process
+(:func:`resolve_sink`).  Workers in a sweep pool inherit it and append
+to the same file -- every event carries its writer's pid, so the
+viewer separates the tracks.
 
 Span nesting is tracked per thread; every event records its parent
 span's name under ``args._parent`` so flattened JSONL consumers can
@@ -27,6 +30,7 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from typing import Dict, IO, List, Optional
 
 #: Environment variable naming the JSONL sink; unset disables tracing.
@@ -89,112 +93,79 @@ class TraceSink:
 
 
 _sink: Optional[TraceSink] = None
-_sink_path: Optional[str] = None
 _sink_lock = threading.Lock()
 
 
-def active_sink() -> Optional[TraceSink]:
-    """The sink the environment selects, opened lazily per process.
+def resolve_sink() -> None:
+    """Open the sink ``REPRO_TRACE_FILE`` names, or close it when unset.
 
-    Re-resolved whenever ``REPRO_TRACE_FILE`` changes (tests flip it),
-    and keyed by pid-independent state: forked pool workers inherit the
-    parent's sink object but ``open(..., "a")`` happens lazily in the
-    child, so each process owns its file handle.
+    Called once per process at import, and again by
+    :func:`repro.telemetry.set_enabled` and :func:`repro.telemetry.reset`
+    (tests flip the variable).  The file itself opens lazily on the
+    first event: forked pool workers inherit the resolved sink and open
+    their own handle, so each process owns its file handle.
     """
-    global _sink, _sink_path
-    path = os.environ.get(TRACE_FILE_ENV)
-    if not path:
+    global _sink
+    path = os.environ.get(TRACE_FILE_ENV) or None
+    with _sink_lock:
+        if _sink is not None and _sink.path == path:
+            return
         if _sink is not None:
-            with _sink_lock:
-                if _sink is not None:
-                    _sink.close()
-                    _sink = None
-                    _sink_path = None
-        return None
-    if _sink is None or _sink_path != path:
-        with _sink_lock:
-            if _sink is None or _sink_path != path:
-                if _sink is not None:
-                    _sink.close()
-                _sink = TraceSink(path)
-                _sink_path = path
+            _sink.close()
+        _sink = None if path is None else TraceSink(path)
+
+
+def active_sink() -> Optional[TraceSink]:
+    """The resolved sink, or ``None`` when tracing is off."""
     return _sink
 
 
-#: ``span.<name>.seconds`` histogram objects cached per span name and
-#: revalidated against the registry generation; a span opens and
-#: closes once per simulation cell, so the locked name lookup it would
-#: otherwise pay on every exit is measurable telemetry overhead.
-_histograms: Dict[str, tuple] = {}
+def write_event(sink: TraceSink, name: str, wall_start: float,
+                duration: float, args: Dict) -> None:
+    """Append one complete event (``ph: "X"``) for a finished region."""
+    sink.write_event({
+        "name": name,
+        "cat": "repro",
+        "ph": "X",
+        "ts": int(wall_start * 1e6),
+        "dur": int(duration * 1e6),
+        "pid": os.getpid(),
+        "tid": threading.get_ident(),
+        "args": args,
+    })
 
 
-def _span_histogram(name: str):
-    from repro import telemetry
-
-    registry = telemetry.metrics()
-    generation = registry.generation
-    cached = _histograms.get(name)
-    if cached is not None and cached[0] == generation:
-        return cached[1]
-    histogram = registry.histogram(
-        f"span.{name}.seconds",
-        help=f"wall time inside '{name}' spans",
-    )
-    _histograms[name] = (generation, histogram)
-    return histogram
-
-
-class span:
+@contextmanager
+def span(name: str, **attrs):
     """Time a region: metrics always, a JSONL trace event when sinked.
 
     ``with span("plan", cells=len(cells)) as args:`` yields the
     (possibly empty) ``args`` dict of the would-be event so callers
-    can attach late attributes (``args["simulated"] = ...``).  A plain
-    context-manager class rather than ``@contextmanager``: spans wrap
-    individual simulation cells, and the generator machinery is a
-    measurable share of the per-cell telemetry budget.
+    can attach late attributes (``args["simulated"] = ...``).  Spans
+    wrap coarse regions (a plan, an experiment); a simulation cell
+    records its time and event itself (:func:`repro.sim.simulator.simulate`).
     """
+    from repro import telemetry
 
-    __slots__ = ("_name", "_args", "_enabled", "_wall_start", "_start")
-
-    def __init__(self, name: str, **attrs):
-        self._name = name
-        self._args = attrs
-
-    def __enter__(self):
-        from repro import telemetry
-
-        self._enabled = telemetry.enabled()
-        if not self._enabled:
-            self._args = {}
-            return self._args
-        stack = _span_stack()
-        if stack:
-            self._args["_parent"] = stack[-1]
-        stack.append(self._name)
-        self._wall_start = time.time()
-        self._start = time.perf_counter()
-        return self._args
-
-    def __exit__(self, exc_type, exc, tb):
-        if not self._enabled:
-            return False
-        duration = time.perf_counter() - self._start
-        _span_stack().pop()
-        _span_histogram(self._name).observe(duration)
-        sink = active_sink()
-        if sink is not None:
-            sink.write_event({
-                "name": self._name,
-                "cat": "repro",
-                "ph": "X",
-                "ts": int(self._wall_start * 1e6),
-                "dur": int(duration * 1e6),
-                "pid": os.getpid(),
-                "tid": threading.get_ident(),
-                "args": self._args,
-            })
-        return False
+    if not telemetry.enabled():
+        yield {}
+        return
+    stack = _span_stack()
+    if stack:
+        attrs["_parent"] = stack[-1]
+    stack.append(name)
+    wall_start = time.time()
+    start = time.perf_counter()
+    try:
+        yield attrs
+    finally:
+        duration = time.perf_counter() - start
+        stack.pop()
+        telemetry.histogram(
+            f"span.{name}.seconds", help=f"wall time inside '{name}' spans",
+        ).observe(duration)
+        if _sink is not None:
+            write_event(_sink, name, wall_start, duration, attrs)
 
 
 # -- JSONL schema validation ---------------------------------------------------

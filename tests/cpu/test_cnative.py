@@ -154,13 +154,11 @@ class TestDualIssueDriver:
             run_dual_issue(trace, config)
 
     @needs_cc
-    def test_ctypes_binding_runs_all_three_entries(self, kernel_dir,
-                                                   monkeypatch):
-        # The stdlib binding (used when cffi is missing) loads the
-        # replay, the dual-issue and the classify entry of the kernel:
-        # a replay cell, a dual-issue cell and a blocking cell, whose
-        # closed form reads a summary classified in C.
-        monkeypatch.setattr(ckernel, "_BINDING", ckernel._CtypesBinding())
+    def test_ctypes_binding_runs_all_three_entries(self, kernel_dir):
+        # The kernel loads the replay, the dual-issue and the classify
+        # entry through ctypes: a replay cell, a dual-issue cell and a
+        # blocking cell, whose closed form reads a summary classified
+        # in C.
         workload = get_benchmark("xlisp")
         for policy, width in ((mc(1), 1), (mc(1), 2),
                               (blocking_cache(), 1)):
@@ -170,26 +168,21 @@ class TestDualIssueDriver:
             c = simulate(workload, config, load_latency=10, scale=0.05)
             assert c == simulate_reference(workload, config,
                                            load_latency=10, scale=0.05)
-        assert [k._binding.name for k in ckernel.loaded_kernels()] == [
-            "ctypes"]
+        assert len(ckernel.loaded_kernels()) == 1
 
 
 class TestPointerCache:
     @needs_cc
-    def test_switching_binding_recasts_cached_pointers(self, kernel_dir,
-                                                       monkeypatch):
+    def test_reloaded_kernel_recasts_cached_pointers(self, kernel_dir):
         # A stream's and a trace's tables are cast once per kernel.
-        # A kernel loaded through another binding must cast them
-        # afresh (ctypes refuses cffi pointers) and give the same
-        # numbers on the same stream and trace objects.
+        # A kernel loaded again must cast them afresh and give the
+        # same numbers on the same stream and trace objects.
         from repro.core.policies import implicit
         from repro.cpu.replay_cnative import (classify_cnative,
                                               run_cnative, run_dual_issue)
         from repro.sim.stream import event_stream
         from repro.sim.simulator import expand_workload
 
-        pytest.importorskip("cffi")
-        monkeypatch.setattr(ckernel, "_BINDING", ckernel._CffiBinding())
         workload = get_benchmark("xlisp")
         _, trace = expand_workload(workload, 10, scale=0.05)
         stream = event_stream(workload, 10, 0.05, ASSOC.line_size)
@@ -205,13 +198,16 @@ class TestPointerCache:
                     + [run_dual_issue(trace, dual)])
 
         first = run_all()
-        monkeypatch.setattr(ckernel, "_BINDING", ckernel._CtypesBinding())
-        monkeypatch.setattr(ckernel, "_KERNEL", None)
+        (kernel,) = ckernel.loaded_kernels()
+        assert stream._cnative_args[0] is kernel
+        ckernel.reset_probe()
         second = run_all()
+        (reloaded,) = ckernel.loaded_kernels()
         assert None not in first
         assert second == first
-        assert [k._binding.name for k in ckernel.loaded_kernels()] == [
-            "ctypes"]
+        assert reloaded is not kernel
+        assert stream._cnative_args[0] is reloaded
+        assert trace._cnative_body[0] is reloaded
 
 
 class TestNoCompilerFallback:

@@ -316,6 +316,20 @@ class TestStore:
         assert store.store(fp, result)
         assert store.load(fp) == result
 
+    def test_rows_are_written_compact_and_read_either_way(self, store):
+        # Rows carry no separator spaces; a row written with json's
+        # default ", " / ": " separators still loads.
+        result = _result()
+        fp = cell_fingerprint(*_cell())
+        store.store(fp, result)
+        with closing(sqlite3.connect(store.path)) as conn:
+            (text,), = conn.execute("SELECT payload FROM entries")
+        assert text == json.dumps(json.loads(text), separators=(",", ":"))
+        _edit(store, "UPDATE entries SET payload = ?",
+              json.dumps(json.loads(text)))
+        assert store.load(fp) == result
+        assert store.stats().corrupt == 0
+
     def test_missing_entry_is_none(self, store):
         assert store.load("0" * 64) is None
 

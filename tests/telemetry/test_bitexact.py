@@ -37,6 +37,7 @@ class TestBitExactness:
         baseline = _simulate_once()
         monkeypatch.setenv(telemetry.TRACE_FILE_ENV,
                            str(tmp_path / "trace.jsonl"))
+        telemetry.set_enabled(None)  # the sink is read once
         traced = _simulate_once()
         monkeypatch.delenv(telemetry.TRACE_FILE_ENV)
         assert traced == baseline

@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.telemetry.registry import (
     DURATION_BUCKETS,
@@ -185,27 +184,3 @@ class TestSnapshotMerge:
         registry.reset()
         assert len(registry) == 0
         assert snapshot_is_empty(registry.snapshot())
-
-
-class TestCounterFamily:
-    @staticmethod
-    def _handles():
-        return telemetry.MetricHandles(
-            lambda m: telemetry.CounterFamily(m, "demo."))
-
-    def test_registers_each_counter_on_first_use(self):
-        handles = self._handles()
-        handles.get()["hits"].inc()
-        handles.get()["hits"].inc(2)
-        counters = telemetry.snapshot()["counters"]
-        assert counters == {"demo.hits": 3}
-        assert handles.get()["hits"] is telemetry.counter("demo.hits")
-
-    def test_reset_rebuilds_the_family(self):
-        handles = self._handles()
-        family = handles.get()
-        family["hits"].inc(5)
-        telemetry.reset()
-        handles.get()["misses"].inc()
-        assert handles.get() is not family
-        assert telemetry.snapshot()["counters"] == {"demo.misses": 1}

@@ -63,6 +63,7 @@ class TestTraceSink:
     def test_span_writes_valid_jsonl_events(self, tmp_path, monkeypatch):
         trace = tmp_path / "trace.jsonl"
         monkeypatch.setenv(telemetry.TRACE_FILE_ENV, str(trace))
+        telemetry.set_enabled(None)  # the sink is read once
         with telemetry.span("outer", benchmark="doduc"):
             with telemetry.span("inner"):
                 pass
@@ -85,6 +86,7 @@ class TestTraceSink:
     def test_validate_trace_file_counts_events(self, tmp_path, monkeypatch):
         trace = tmp_path / "trace.jsonl"
         monkeypatch.setenv(telemetry.TRACE_FILE_ENV, str(trace))
+        telemetry.set_enabled(None)  # the sink is read once
         for _ in range(3):
             with telemetry.span("tick"):
                 pass
@@ -116,6 +118,7 @@ class TestTraceSink:
         trace = tmp_path / "trace.jsonl"
         out = tmp_path / "trace.json"
         monkeypatch.setenv(telemetry.TRACE_FILE_ENV, str(trace))
+        telemetry.set_enabled(None)  # the sink is read once
         with telemetry.span("phase", k="v"):
             pass
         monkeypatch.delenv(telemetry.TRACE_FILE_ENV)
