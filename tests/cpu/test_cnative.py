@@ -19,11 +19,13 @@ import pytest
 from repro import telemetry
 from repro.cache.geometry import CacheGeometry
 from repro.cli import main
-from repro.core.policies import blocking_cache, mc
+from repro.core.policies import blocking_cache, mc, with_layout
 from repro.cpu import ckernel
+from repro.errors import SimulationError
 from repro.sim.config import baseline_config
 from repro.sim.simulator import clear_caches, simulate, simulate_reference
 from repro.workloads.spec92 import get_benchmark
+from tests.helpers import compiler_hidden
 
 needs_cc = pytest.mark.skipif(
     not ckernel.kernels_available(), reason="no C compiler available",
@@ -274,6 +276,54 @@ class TestBuildFailureFallback:
         for (config, latency), result in zip(cells, degraded):
             assert result == simulate_reference(
                 workload, config, load_latency=latency, scale=0.1)
+
+
+#: 16-byte lines hold fewer bytes than the 32 sub-blocks of ``layout
+#: 32x1``, a field layout the miss handler refuses.
+LINE16 = CacheGeometry(size=8192, line_size=16)
+OVERSPLIT = replace(baseline_config(with_layout(32, 1)), geometry=LINE16)
+
+
+class TestMachineGuard:
+    """The C lanes refuse exactly the machines the reference refuses."""
+
+    @staticmethod
+    def _refused(config):
+        workload = get_benchmark("ora")
+        with pytest.raises(SimulationError, match="more sub-blocks"):
+            simulate_reference(workload, config, load_latency=10,
+                               scale=0.05)
+        with pytest.raises(SimulationError, match="more sub-blocks"):
+            simulate(workload, config, load_latency=10, scale=0.05)
+
+    @needs_cc
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_compiled_lanes_refuse_the_layout(self, width):
+        self._refused(replace(OVERSPLIT, issue_width=width))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_fallback_lanes_refuse_the_layout(self, width):
+        with compiler_hidden():
+            self._refused(replace(OVERSPLIT, issue_width=width))
+
+    def test_refused_cell_stores_no_row(self):
+        from repro import api
+        from repro.sim.resultstore import ResultStore
+
+        for width in (1, 2):
+            with pytest.raises(SimulationError, match="more sub-blocks"):
+                api.simulate("ora", scale=0.05,
+                             config=replace(OVERSPLIT, issue_width=width))
+        assert ResultStore.from_env().stats().entries == 0
+
+    def test_perfect_cache_has_no_layout_to_refuse(self):
+        # A perfect cache runs no miss handler, so its layout binds
+        # nothing, on the dual-issue lane as on the reference loop.
+        config = replace(OVERSPLIT, issue_width=2, perfect_cache=True)
+        workload = get_benchmark("ora")
+        assert simulate(workload, config, load_latency=10, scale=0.05) == \
+            simulate_reference(workload, config, load_latency=10,
+                               scale=0.05)
 
 
 class TestCnativeTelemetry:
