@@ -114,14 +114,13 @@ def compile_kernel(
     kernel: Kernel,
     load_latency: int,
     max_unroll: int = 8,
-    unroll_override: int = 0,
     software_pipeline: bool = False,
     validate: bool = False,
 ) -> CompiledBody:
     """Run the full pipeline on ``kernel``.
 
-    ``unroll_override`` forces a specific unroll factor (0 = use
-    :func:`unroll_factor_for`).  ``software_pipeline`` additionally
+    The unroll factor is :func:`unroll_factor_for`'s.
+    ``software_pipeline`` additionally
     rotates single-use streaming loads past their consumers (see
     :mod:`repro.compiler.pipelining`), modelling a trace scheduler that
     issues the next iteration's loads early.  Like the unroll policy,
@@ -133,7 +132,7 @@ def compile_kernel(
     """
     if max_unroll < 1:
         raise CompilationError(f"max_unroll must be >= 1: {max_unroll}")
-    factor = unroll_override or unroll_factor_for(load_latency, max_unroll)
+    factor = unroll_factor_for(load_latency, max_unroll)
     body = unroll(kernel, factor)
     pipelining = software_pipeline and load_latency > 1
     reserve = ROTATION_RESERVE if pipelining else 0

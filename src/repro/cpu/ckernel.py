@@ -19,11 +19,10 @@ Build pipeline: probe for a compiler (``REPRO_CC`` overrides; ``cc`` /
 digest of the source text, the flags, :data:`KERNEL_SCHEMA` and
 :data:`~repro.sim.simulator.ENGINE_VERSION`, so any source, flag or
 semantics change builds a new kernel; ``python -m repro cache gc``
-removes every entry of another digest.  No compiler or a failed
-build: the caller falls back to the scalar replay, the reference
-dual-issue loop or the Python classification
-(:func:`repro.sim.simulator.simulate` names the cause of a replay or
-dual-issue cell's fallback in its telemetry outcome).
+removes every entry of another digest.  Every C entry asks one gate,
+:func:`kernel_or_cause`, for the kernel or the cause there is none,
+and falls back to the scalar replay, the reference dual-issue loop or
+the Python classification without it.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ OUT_SLOTS = 42
 
 #: Flags of every kernel build; they key the cache like the source
 #: does.  ``-O2`` replays faster than ``-O1`` or ``-O3`` and still
-#: builds in well under a second (docs/performance.md).
+#: builds in well under a second (measured in CHANGES.md).
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
@@ -237,12 +236,30 @@ _ARGTYPES = {
 }
 
 
+def pointer(arr):
+    """A C-contiguous int64 array as a ``long long *``.
+
+    The pointer does not keep ``arr`` alive (the caller must), and no
+    load of the kernel owns it, so one cast serves every load.
+    """
+    return ctypes.cast(arr.ctypes.data, _PLL)
+
+
+def pointer_array(arrs):
+    """Int64 arrays as a ``long long **``; a ``None`` entry is NULL.
+
+    The result owns the array of pointers, not the arrays: the caller
+    keeps them alive.  An empty list is NULL.
+    """
+    if not arrs:
+        return None
+    return (_PLL * len(arrs))(*[
+        None if a is None else pointer(a) for a in arrs])
+
+
 class LoadedKernel:
     """The dlopen'd kernel (replay, dual-issue and classify entries)
     plus provenance."""
-
-    #: NULL, as the entries take it.
-    null = None
 
     def __init__(self, family: str, path: Path,
                  compile_seconds: float, built: bool) -> None:
@@ -265,30 +282,10 @@ class LoadedKernel:
         self._replay, self._dual, self._classify = fns
 
     @staticmethod
-    def pointer(arr):
-        """A C-contiguous int64 array as a ``long long *``.
-
-        The pointer does not keep ``arr`` alive; the caller must.
-        """
-        return ctypes.cast(arr.ctypes.data, _PLL)
-
-    @classmethod
-    def pointer_array(cls, arrs):
-        """Int64 arrays as a ``long long **``; a ``None`` entry is NULL.
-
-        The result owns the array of pointers, not the arrays: the
-        caller keeps them alive.  An empty list is NULL.
-        """
-        if not arrs:
-            return None
-        return (_PLL * len(arrs))(*[
-            None if a is None else cls.pointer(a) for a in arrs])
-
-    def _call(self, fn, args) -> int:
+    def _call(fn, args) -> int:
         # A numpy array is passed by pointer; anything else is already
-        # a C argument (from pointer(), pointer_array() or null).
-        cast = self.pointer
-        return int(fn(*[cast(a) if isinstance(a, np.ndarray) else a
+        # a C argument (from pointer(), pointer_array() or None).
+        return int(fn(*[pointer(a) if isinstance(a, np.ndarray) else a
                         for a in args]))
 
     def invoke(self, *args) -> int:
@@ -335,8 +332,21 @@ def ensure_kernel(family: Optional[str] = None) -> LoadedKernel:
 
 
 def kernels_available() -> bool:
-    """Cheap gate for the C entries and the prebuild: can kernels exist?"""
+    """The compiler probe alone: can a kernel be built at all?"""
     return find_compiler() is not None
+
+
+def kernel_or_cause() -> Tuple[Optional[LoadedKernel], Optional[str]]:
+    """``(kernel, None)``, or ``(None, cause)`` when no kernel can be
+    had: ``"nocc"`` when the compiler probe, asked on every call, finds
+    none; ``"build"`` when the build or the load failed (tried once per
+    process by :func:`ensure_kernel`)."""
+    if not kernels_available():
+        return None, "nocc"
+    try:
+        return ensure_kernel(), None
+    except KernelBuildError:
+        return None, "build"
 
 
 def loaded_kernels() -> Tuple[LoadedKernel, ...]:

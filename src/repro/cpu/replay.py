@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core.classify import StructuralCause
 from repro.core.handler import FAR_FUTURE, MissHandler
+from repro.core.policies import UNLIMITED_LAYOUT
 from repro.core.stats import MissStats
 from repro.errors import SimulationError
 from repro.sim.trace import P_LOAD
@@ -86,7 +87,14 @@ def _emit_issue_time(lines: List[str], indent: int, pregap: int, terms) -> None:
 
 
 class _KernelShape:
-    """The build-time constants of one (geometry, policy) machine."""
+    """The constants of one machine, and its guard.
+
+    The one derivation of both: the scalar kernels fold the constants
+    in as literals, and the C kernel reads them from its parameter
+    block (:func:`repro.cpu.replay_cnative._param_block`).  Refuses,
+    with the miss handler's own error, every machine the handler
+    refuses.
+    """
 
     def __init__(self, config: "MachineConfig") -> None:
         geometry = config.geometry
@@ -94,14 +102,17 @@ class _KernelShape:
         self.dm = geometry.is_direct_mapped
         self.setmask = geometry.num_sets - 1
         self.ways = geometry.ways
+        self.offset_bits = geometry.offset_bits
         self.maxm = policy.max_misses
         self.maxf = policy.max_fetches
         self.maxs = policy.max_fetches_per_set
-        layout = policy.layout
+        # A perfect cache runs no miss handler, so no layout binds it.
+        layout = UNLIMITED_LAYOUT if config.perfect_cache else policy.layout
         self.limited = not layout.unlimited
-        self.nsub = layout.n_subblocks
+        # An unlimited layout counts no fields: one sub-block, always 0.
+        self.nsub = layout.n_subblocks if self.limited else 1
         self.sublim = layout.misses_per_subblock
-        if self.limited and self.nsub > geometry.line_size:
+        if self.nsub > geometry.line_size:
             raise SimulationError(
                 "field layout has more sub-blocks than bytes per line"
             )
@@ -110,10 +121,13 @@ class _KernelShape:
         self.line_mask = geometry.line_size - 1
         self.ports = policy.fill_ports
         self.penalty = config.effective_penalty + policy.fill_overhead
-        #: Store grading with the ideal write buffer: 1 -- hits inline
-        #: (write-miss-allocate fetches and stalls); 2 -- hits and
-        #: misses inline (write-around stores never fetch or install).
-        self.smode = 1 if policy.write_allocate_blocking else 2
+        self.blocking = policy.blocking
+        self.perfect = config.perfect_cache
+        #: Store grading with the ideal write buffer: write-miss
+        #: allocate grades only hits inline (its misses fetch and
+        #: stall); write-around grades hits and misses inline (its
+        #: stores never fetch or install).
+        self.wma = policy.write_allocate_blocking
 
 
 def _emit_state_init(w, shape: "_KernelShape", n_loads: int) -> None:
@@ -473,7 +487,7 @@ else:
     store_misses += 1
 wb_pushes += 1
 """)
-    if shape.smode == 1:
+    if shape.wma:
         _emit(w, 3, f"""
 if not hit:
     wa_stall += {shape.penalty}
@@ -590,7 +604,7 @@ else:
                 f"fast_loads += 1\nt += 1\nlr{j} = t\ncycle = t",
                 f"cycle, lr{j} = miss_load(b, t{sub})",
             )
-        elif shape.smode == 2:
+        elif not shape.wma:
             # Write-around: a store miss before the fence launches no
             # fetch and installs nothing, so both outcomes are inline.
             if shape.dm:
@@ -666,31 +680,17 @@ return (cycle, loads, load_hits, primary, secondary, structural,
     return namespace["_factory"](stream.lines, byte_bufs)
 
 
-def replay_supported(config: "MachineConfig") -> bool:
-    """Whether a replay kernel models this machine exactly.
-
-    That is the ``replay`` lane of :func:`repro.sim.engines.cell_lane`:
-    blocking policies take the closed form instead, and a finite write
-    buffer's stalls depend on per-push timing the inline store path
-    cannot absorb, so those cells fall back to full execution.
-    """
-    from repro.sim.engines import cell_lane
-
-    return cell_lane(config) == "replay"
-
-
 def run_replay(
     stream: "EventStream", trace: "ExpandedTrace", config: "MachineConfig"
-) -> Optional[Tuple[MissStats, int, int, int]]:
-    """Replay one machine over the stream; ``None`` means fall back.
+) -> Tuple[MissStats, int, int, int]:
+    """Replay one ``replay``-lane machine over the stream.
 
     Returns ``(stats, cycles, instructions, truedep)`` bit-identical
     to what full execution through
     :func:`repro.cpu.reference.run_single_issue_reference` would
-    produce for the same cell.
+    produce for the same cell.  The lane
+    (:func:`repro.sim.engines.cell_lane`) is the caller's to check.
     """
-    if not replay_supported(config):
-        return None
     key = (config.geometry, config.policy, config.effective_penalty)
     fn = stream._replay_fns.get(key)
     if fn is None:

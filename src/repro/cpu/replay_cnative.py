@@ -3,47 +3,40 @@
 The replay runs the *entire* irregular recurrence -- MSHR occupancy,
 primary/secondary merging, structural arbitration, fill scheduling,
 LRU recency touches -- inside the one C kernel (``kernel.c``, built
-and loaded by :mod:`repro.cpu.ckernel`).  It accepts exactly the
-cells the scalar replay kernel accepts
-(:func:`repro.cpu.replay.replay_supported`): direct-mapped and
-set-associative geometries, write-around and write-miss-allocate
-stores, resident and streaming models alike.  The machine
-configuration reaches the kernel as a runtime parameter block
-(:func:`_param_block`).  Its hit fast path and fence are its own
-transcription of the scalar kernel's, and both are tested against
-the reference loops (:mod:`repro.cpu.reference`).
+and loaded by :mod:`repro.cpu.ckernel`), for every machine of the
+``replay`` lane (:func:`repro.sim.engines.cell_lane`).  A machine
+reaches the kernel as a runtime parameter block (:func:`_param_block`)
+that packs the scalar replay's one derivation of its constants
+(:class:`repro.cpu.replay._KernelShape`), so both replays, and the
+dual-issue driver, refuse exactly the machines the miss handler
+refuses.  The kernel's hit fast path and fence are its own
+transcription of the scalar kernel's, and both are tested against the
+reference loops (:mod:`repro.cpu.reference`).
 
 The stream's static structure (slot kinds, readiness terms, pregaps)
 and its line columns are flattened into int64 tables and cast to C
 pointers once per stream (:func:`_stream_args`), a dual-issue body's
-once per trace (:func:`_body_args`); both casts are cached with the
-loaded kernel they were made for, so a kernel loaded again (after
-:func:`repro.cpu.ckernel.reset_probe`) casts afresh, and no cached
-entry refers back to its stream or trace.  Per call only the parameter block, the load-ready
-registers and the output counter block are fresh, and the kernel
-allocates and frees its own tag store, so a kernel invocation is a
-pure function of ``(stream, machine)``, like the scalar replay.
-Column lengths are checked against the run before any pointer
-reaches C.  The C function returns the same raw 22-counter tuple the
-generated Python kernels produce, folded through
-:func:`repro.cpu.replay.finish_replay`, so bit-identity is checked by
-the same equivalence matrix and accounting identity as every other
-lane.
+once per trace (:func:`_body_args`).  A cast addresses a numpy buffer,
+not the kernel, so it serves every load of the kernel; no cached
+entry refers back to its stream or trace.  Per call only the
+parameter block, the load-ready registers and the output counter
+block are fresh, and the kernel allocates and frees its own tag
+store, so a kernel invocation is a pure function of ``(stream,
+machine)``, like the scalar replay.  Column lengths are checked
+against the run before any pointer reaches C.  The C function returns
+the same raw 22-counter tuple the generated Python kernels produce,
+folded through :func:`repro.cpu.replay.finish_replay`, so bit-identity
+is checked by the same equivalence matrix and accounting identity as
+every other lane.
 
-Fallback is transparent: an entry returns ``None`` for a machine the
-replay contract itself excludes, when no C compiler is available
-(``REPRO_CC`` override included), or when compilation or loading
-failed, and the caller degrades to the scalar replay (or the reference
-dual-issue loop) with bit-identical results.  The entries count
-nothing; :func:`repro.sim.simulator.simulate` names the cause of a
-cell's fallback in its telemetry outcome.
-
-The blocking caches' closed form needs only hit/miss aggregates on an
-immediate-install cache.  :func:`classify_cnative` computes them in
-the same kernel (``repro_classify``) over the stream's cached kind
-and line columns, for :func:`repro.sim.stream.functional_summary`.
-It declines when no compiler is available or the build failed, and
-the caller then classifies in Python.
+Every entry gets its kernel from :func:`repro.cpu.ckernel.kernel_or_cause`
+and hands its cause back when none can be had (no compiler, the
+``REPRO_CC`` override included, or a failed build): the simulator then
+degrades the cell to the scalar replay or the reference dual-issue
+loop, bit-identically, and names the cause in its telemetry outcome.
+:func:`classify_cnative` computes the blocking caches' hit and miss
+aggregates in the same kernel (``repro_classify``) over the stream's
+cached columns; without a kernel the caller classifies in Python.
 """
 
 from __future__ import annotations
@@ -56,7 +49,7 @@ from repro.core.classify import StructuralCause
 from repro.core.stats import MissStats
 from repro.cpu import ckernel
 from repro.cpu.isa import NUM_REGS, OpClass
-from repro.cpu.replay import finish_replay, replay_supported
+from repro.cpu.replay import _KernelShape, finish_replay
 from repro.errors import SimulationError
 from repro.sim.trace import P_LOAD
 
@@ -94,20 +87,19 @@ def _as_i64(buf) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.int64)
 
 
-def _stream_args(stream: "EventStream", kernel: ckernel.LoadedKernel):
-    """The stream's static tables as C pointers, cast once per kernel.
+def _stream_args(stream: "EventStream"):
+    """The stream's static tables as C pointers, cast once per stream.
 
     Returns ``(args, covered)``: ``args`` are ``repro_replay``'s slot
     kinds, load-ready indices, pregaps, the three term arrays and the
     line columns, in its argument order; ``covered`` is how many
     executions every line column covers.  Cached on the stream, with
     the int64 tables the pointers address, so policy siblings and
-    classifications share one flattening and one cast; a kernel loaded
-    again casts afresh.
+    classifications share one flattening and one cast.
     """
     cached = getattr(stream, "_cnative_args", None)
-    if cached is not None and cached[0] is kernel:
-        return cached[1]
+    if cached is not None:
+        return cached[0]
     slots = stream.slots
     n = len(slots)
     kind = np.fromiter(
@@ -133,24 +125,24 @@ def _stream_args(stream: "EventStream", kernel: ckernel.LoadedKernel):
     tdelta = np.asarray(term_delta, dtype=np.int64)
     lines = [_as_i64(buf) for buf in stream.lines]
     tables = (kind, slr, pregap, term_start, tlr, tdelta)
-    args = tuple(kernel.pointer(t) for t in tables) + (
-        kernel.pointer_array(lines),)
+    args = tuple(map(ckernel.pointer, tables)) + (
+        ckernel.pointer_array(lines),)
     entry = (args, _covered(lines, n))
-    stream._cnative_args = (kernel, entry, tables, lines)
+    stream._cnative_args = (entry, tables, lines)
     return entry
 
 
-def _addr_args(stream: "EventStream", trace: "ExpandedTrace",
-               kernel: ckernel.LoadedKernel):
+def _addr_args(stream: "EventStream", trace: "ExpandedTrace"):
     """Per-slot byte-address columns (limited field layouts only) as a
-    C pointer array, cast once per kernel; returns ``(pointer,
+    C pointer array, cast once per stream; returns ``(pointer,
     covered)`` like :func:`_stream_args`."""
     cached = getattr(stream, "_cnative_addrs", None)
-    if cached is not None and cached[0] is kernel:
-        return cached[1]
+    if cached is not None:
+        return cached[0]
     addrs = [_as_i64(trace.addresses[s.body_index]) for s in stream.slots]
-    entry = (kernel.pointer_array(addrs), _covered(addrs, len(stream.slots)))
-    stream._cnative_addrs = (kernel, entry, addrs)
+    entry = (ckernel.pointer_array(addrs),
+             _covered(addrs, len(stream.slots)))
+    stream._cnative_addrs = (entry, addrs)
     return entry
 
 
@@ -163,39 +155,38 @@ def _covered(columns, n: int) -> int:
 
 
 def _param_block(config: "MachineConfig", n: int, tail_gap: int = 0):
-    """The runtime parameter array (layout: ``ckernel.PARAM_SLOTS``).
+    """``config``'s :class:`~repro.cpu.replay._KernelShape`, packed as
+    the runtime parameter array (layout: ``ckernel.PARAM_SLOTS``).
 
     ``n`` counts the stream's slots (replay) or the body's
     instructions (dual issue); the caller sets ``it1``.  An absent
     limit is ``ckernel.NO_LIMIT`` and unported fills are ``ports=0``.
+    Raises what the shape raises for a machine the handler refuses.
     """
-    geometry = config.geometry
-    policy = config.policy
-    layout = policy.layout
+    shape = _KernelShape(config)
 
     def limit(value: Optional[int]) -> int:
         return ckernel.NO_LIMIT if value is None else value
 
-    nsub = 1 if layout.unlimited else layout.n_subblocks
     return _pack({
         "n_slots": n,
         "tail_gap": tail_gap,
-        "setmask": geometry.num_sets - 1,
-        "ways": geometry.ways,
-        "maxm": limit(policy.max_misses),
-        "maxf": limit(policy.max_fetches),
-        "maxs": limit(policy.max_fetches_per_set),
-        "nsub": nsub,
-        "sublim": limit(layout.misses_per_subblock),
-        "line_mask": geometry.line_size - 1,
-        "sub_shift": (geometry.line_size // nsub).bit_length() - 1,
-        "ports": policy.fill_ports or 0,
-        "penalty": config.effective_penalty + policy.fill_overhead,
-        "offset_bits": geometry.offset_bits,
-        "blocking": policy.blocking,
-        "perfect": config.perfect_cache,
-        "limited": not layout.unlimited,
-        "wma": policy.write_allocate_blocking,
+        "setmask": shape.setmask,
+        "ways": shape.ways,
+        "maxm": limit(shape.maxm),
+        "maxf": limit(shape.maxf),
+        "maxs": limit(shape.maxs),
+        "nsub": shape.nsub,
+        "sublim": limit(shape.sublim),
+        "line_mask": shape.line_mask,
+        "sub_shift": shape.sub_shift,
+        "ports": shape.ports or 0,
+        "penalty": shape.penalty,
+        "offset_bits": shape.offset_bits,
+        "blocking": shape.blocking,
+        "perfect": shape.perfect,
+        "limited": shape.limited,
+        "wma": shape.wma,
     })
 
 
@@ -227,15 +218,46 @@ def _fold_raw(out: np.ndarray) -> Tuple:
     )
 
 
-def _replay(stream: "EventStream", trace: "ExpandedTrace",
-            p: np.ndarray) -> Tuple:
-    """Replay ``stream`` in C under parameter block ``p``; returns the
-    raw counter tuple."""
-    kernel = ckernel.ensure_kernel()
-    args, covered = _stream_args(stream, kernel)
-    addrs = kernel.null
+def bind_machine(
+    stream: "EventStream", config: "MachineConfig"
+) -> Tuple[Optional[tuple], Optional[str]]:
+    """``((kernel, parameter block), None)`` for ``config`` on
+    ``stream``, or ``(None, cause)`` when no kernel can be had
+    (:func:`repro.cpu.ckernel.kernel_or_cause`).
+
+    Bound once per stream and kept in its replay-kernel cache under a
+    key of its own, so only a machine's first call asks for the
+    kernel; a declined machine is not kept.
+    """
+    key = ("cnative", config.geometry, config.policy,
+           config.effective_penalty)
+    machine = stream._replay_fns.get(key)
+    if machine is None:
+        kernel, cause = ckernel.kernel_or_cause()
+        if kernel is None:
+            return None, cause
+        machine = (kernel, _param_block(config, len(stream.slots),
+                                        stream.tail_gap))
+        stream._replay_fns[key] = machine
+    return machine, None
+
+
+def run_cnative(
+    stream: "EventStream", trace: "ExpandedTrace", config: "MachineConfig"
+) -> Optional[Tuple[MissStats, int, int, int]]:
+    """Replay one ``replay``-lane machine in the C kernel; ``None``
+    when no kernel can be had (:func:`bind_machine` names the cause).
+
+    Same contract as :func:`repro.cpu.replay.run_replay`.
+    """
+    machine, _ = bind_machine(stream, config)
+    if machine is None:
+        return None
+    kernel, p = machine
+    args, covered = _stream_args(stream)
+    addrs = None
     if p[_LIMITED]:
-        addrs, addr_covered = _addr_args(stream, trace, kernel)
+        addrs, addr_covered = _addr_args(stream, trace)
         covered = min(covered, addr_covered)
     if covered < stream.executions:
         raise SimulationError("stream columns do not cover the run")
@@ -246,38 +268,11 @@ def _replay(stream: "EventStream", trace: "ExpandedTrace",
     if rc != 0:
         raise SimulationError(
             _KERNEL_ERRORS.get(rc, f"replay kernel error {rc}"))
-    return _fold_raw(out)
+    return finish_replay(stream.instructions, _fold_raw(out))
 
 
-def run_cnative(
-    stream: "EventStream", trace: "ExpandedTrace", config: "MachineConfig"
-) -> Optional[Tuple[MissStats, int, int, int]]:
-    """Replay one machine through the C kernel; ``None`` = fall back.
-
-    Same contract as :func:`repro.cpu.replay.run_replay`; the stream
-    caches each machine's parameter block in its replay-kernel cache,
-    under a distinct key.  Declines an unsupported policy, and declines
-    when no compiler is available or the build failed.
-    """
-    if not replay_supported(config):
-        return None
-    key = ("cnative", config.geometry, config.policy,
-           config.effective_penalty)
-    p = stream._replay_fns.get(key)
-    if p is None:
-        if not ckernel.kernels_available():
-            return None
-        try:
-            ckernel.ensure_kernel()
-        except ckernel.KernelBuildError:
-            return None
-        p = _param_block(config, len(stream.slots), stream.tail_gap)
-        stream._replay_fns[key] = p
-    return finish_replay(stream.instructions, _replay(stream, trace, p))
-
-
-def _body_args(trace: "ExpandedTrace", kernel: ckernel.LoadedKernel):
-    """The dual-issue body's tables as C pointers, cast once per kernel.
+def _body_args(trace: "ExpandedTrace"):
+    """The dual-issue body's tables as C pointers, cast once per trace.
 
     Returns ``(args, covered)``: ``args`` are ``repro_dual``'s op
     kinds, destinations, source offsets, sources and address columns
@@ -286,8 +281,8 @@ def _body_args(trace: "ExpandedTrace", kernel: ckernel.LoadedKernel):
     the trace like :func:`_stream_args` on the stream.
     """
     cached = getattr(trace, "_cnative_body", None)
-    if cached is not None and cached[0] is kernel:
-        return cached[1]
+    if cached is not None:
+        return cached[0]
     body = trace.body
     kind = np.array([_MEMORY_KIND.get(op.op, 0) for op in body],
                     dtype=np.int64)
@@ -302,35 +297,29 @@ def _body_args(trace: "ExpandedTrace", kernel: ckernel.LoadedKernel):
                    default=ckernel.NO_LIMIT)
                if len(trace.addresses) == len(body) else -1)
     tables = (kind, dst, src_start, src)
-    args = tuple(kernel.pointer(t) for t in tables) + (
-        kernel.pointer_array(addrs),)
+    args = tuple(map(ckernel.pointer, tables)) + (
+        ckernel.pointer_array(addrs),)
     entry = (args, covered)
-    trace._cnative_body = (kernel, entry, tables, addrs)
+    trace._cnative_body = (entry, tables, addrs)
     return entry
 
 
 def run_dual_issue(
     trace: "ExpandedTrace", config: "MachineConfig"
-) -> Optional[Tuple[MissStats, int, int, int]]:
-    """Run one dual-issue cell in the C driver; ``None`` = fall back.
+) -> Tuple[Optional[Tuple[MissStats, int, int, int]], Optional[str]]:
+    """Run one ``dual``-lane cell in the C driver.
 
-    Returns ``(stats, cycles, instructions, truedep)`` bit-identical to
+    Returns ``(out, None)``, where ``out`` is ``(stats, cycles,
+    instructions, truedep)`` bit-identical to
     :func:`repro.cpu.reference.run_dual_issue_reference` on the cell's
-    handler.  Declines as :func:`run_cnative` does, a cell off the
-    dual-issue lane (such as a finite write buffer) included.
+    handler, or ``(None, cause)`` when no kernel can be had
+    (:func:`repro.cpu.ckernel.kernel_or_cause`).
     """
-    from repro.sim.engines import cell_lane
-
-    if cell_lane(config) != "dual":
-        return None
-    if not ckernel.kernels_available():
-        return None
-    try:
-        kernel = ckernel.ensure_kernel()
-    except ckernel.KernelBuildError:
-        return None
+    kernel, cause = ckernel.kernel_or_cause()
+    if kernel is None:
+        return None, cause
     body = trace.body
-    args, covered = _body_args(trace, kernel)
+    args, covered = _body_args(trace)
     if covered < trace.executions:
         raise SimulationError("trace addresses do not cover the run")
     p = _param_block(config, len(body))
@@ -346,7 +335,7 @@ def run_dual_issue(
     stats.blocking_misses = int(out[41])
     stats.blocking_stall_cycles = stats.blocking_misses * int(
         p[ckernel.PARAM_SLOTS.index("penalty")])
-    return stats, cycles, instructions, int(out[40])
+    return (stats, cycles, instructions, int(out[40])), None
 
 
 def classify_cnative(
@@ -357,16 +346,12 @@ def classify_cnative(
     Returns ``(load_hits, load_misses, store_hits, store_misses,
     evictions)`` -- the aggregates of
     :class:`repro.sim.stream.FunctionalSummary` -- or ``None`` when no
-    kernel can be had (no compiler, failed build), on the same
-    conditions as :func:`run_cnative`.
+    kernel can be had (:func:`repro.cpu.ckernel.kernel_or_cause`).
     """
-    if not ckernel.kernels_available():
+    kernel, _ = ckernel.kernel_or_cause()
+    if kernel is None:
         return None
-    try:
-        kernel = ckernel.ensure_kernel()
-    except ckernel.KernelBuildError:
-        return None
-    (kind, _, _, _, _, _, lines), covered = _stream_args(stream, kernel)
+    (kind, _, _, _, _, _, lines), covered = _stream_args(stream)
     if covered < stream.executions:
         raise SimulationError("stream lines do not cover the run")
     p = _pack({

@@ -26,14 +26,15 @@ A cell's machine fixes its lane (:func:`cell_lane`):
     ops).
 
 The one choice that changes speed -- C kernel or its fallback -- is
-made per cell from the compiler probe
-(:func:`repro.cpu.ckernel.kernels_available`): a C lane that cannot
-get a kernel degrades bit-identically.  ``simulate`` names the cause
-in the cell's telemetry outcome, counted per simulated cell under
-``engine.cnative.fallback.<cause>``
-(:data:`repro.sim.simulator.OUTCOME_COUNTERS`).  A classification
-that cannot get a kernel falls back the same way, uncounted: it is a
-per-summary precompute, like building the stream, not a cell.  Every
+the kernel gate's (:func:`repro.cpu.ckernel.kernel_or_cause`): a C
+lane that cannot get a kernel degrades bit-identically, and
+``simulate`` names the gate's cause in the cell's telemetry outcome,
+counted per simulated cell under ``engine.cnative.fallback.<cause>``
+(:data:`repro.sim.simulator.OUTCOME_COUNTERS`).  A replay asks the
+gate when it first binds a machine to a stream, a dual-issue cell
+once per cell.  A classification that cannot get a kernel falls back
+the same way, uncounted: it is a per-summary precompute, like
+building the stream, not a cell.  Every
 lane is bit-identical to the reference loops
 (:func:`repro.sim.simulator.simulate_reference`), so routing never
 changes a number and ``ENGINE_VERSION`` never depends on it.

@@ -407,21 +407,15 @@ def _prebuild_kernels(cells: Sequence[Cell]) -> None:
     never touch it.  Workers inherit the on-disk kernel cache, so
     building in the parent turns each worker's first use into a plain
     ``dlopen`` of the cached ``.so`` instead of a racing compile.
-    Quietly does nothing when every cell is an interp cell or no
-    compiler exists, and ignores a failed build -- the per-cell and
-    per-summary fallbacks handle those paths.
+    Does nothing when every cell is an interp cell, and leaves no
+    compiler or a failed build to the per-cell and per-summary
+    fallbacks.
     """
     from repro.cpu import ckernel
 
-    if all(engines.cell_lane(config) == "interp"
+    if any(engines.cell_lane(config) != "interp"
            for _workload, config, _latency, _scale in cells):
-        return
-    if not ckernel.kernels_available():
-        return
-    try:
-        ckernel.ensure_kernel()
-    except ckernel.KernelBuildError:
-        pass
+        ckernel.kernel_or_cause()
 
 
 def dispatch(

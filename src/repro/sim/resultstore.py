@@ -708,18 +708,11 @@ class ResultStore:
         """
         return self._read(fingerprints, "result", result_from_row)
 
-    def load_facts(self, fingerprint: str) -> Optional[CompileFacts]:
-        """The compile facts stored under a :func:`compile_fingerprint`.
-
-        ``None`` on any miss; malformed rows are reaped as by :meth:`load`.
-        """
-        return self._read((fingerprint,), "compile",
-                          facts_from_dict).get(fingerprint)
-
     def load_facts_many(
         self, fingerprints: Sequence[str],
     ) -> Dict[str, CompileFacts]:
-        """:meth:`load_facts` for many rows in one read, as :meth:`load_many`."""
+        """The compile facts stored among ``fingerprints`` (each a
+        :func:`compile_fingerprint`), in one read, as :meth:`load_many`."""
         return self._read(fingerprints, "compile", facts_from_dict)
 
     def _read(self, fingerprints: Sequence[str], field: str, decode) -> Dict:

@@ -37,7 +37,6 @@ from typing import List, Optional, Tuple
 from repro import telemetry
 from repro.compiler.pipeline import CompiledBody, compile_kernel
 from repro.errors import ConfigurationError
-from repro.cpu import ckernel
 from repro.cpu.pipeline import PerfectCacheHandler
 from repro.cpu.reference import (
     run_dual_issue_reference,
@@ -338,56 +337,57 @@ def simulate_reference(
     return _result(workload, config, load_latency, compiled, out)
 
 
-def _try_fused(
+def _closed_form(
+    workload: Workload,
+    config: MachineConfig,
+    load_latency: int,
+    scale: float,
+) -> Tuple[Optional[Tuple], str]:
+    """Run one ``closed_form`` cell from its functional summary.
+
+    Returns ``(out, outcome)``: ``out`` is ``(stats, cycles,
+    instructions, truedep)``, or ``None`` when the cell must fall back
+    to full execution (a body without memory ops); ``outcome`` is its
+    key in :data:`OUTCOME_COUNTERS`.
+    """
+    from repro.cpu.replay import run_blocking_summary
+
+    summary = stream_mod.functional_summary(
+        workload, load_latency, scale, config.geometry,
+        config.policy.write_allocate_blocking,
+    )
+    if summary is None:
+        return None, "bypass"
+    handler = config.make_handler()
+    out = run_blocking_summary(summary, handler)
+    if out is None:  # pragma: no cover - the lane guarantees the guards
+        return None, "bypass"
+    return (handler.stats,) + out, "closed_form"
+
+
+def _replay(
     workload: Workload,
     config: MachineConfig,
     load_latency: int,
     scale: float,
     trace: ExpandedTrace,
 ) -> Tuple[Optional[Tuple], str]:
-    """Run one ``closed_form`` or ``replay`` cell over the stream pass.
+    """Run one ``replay`` cell over the group's event stream, as
+    :func:`_closed_form` does: in the C kernel
+    (:mod:`repro.cpu.replay_cnative`), or in the scalar replay kernel,
+    under the cause, when no C kernel can be had."""
+    from repro.cpu.replay import run_replay
+    from repro.cpu.replay_cnative import bind_machine, run_cnative
 
-    Returns ``(out, outcome)``: ``out`` is ``(stats, cycles,
-    instructions, truedep)``, or ``None`` when the cell must fall back
-    to full execution (no memory ops in the body, or a stream the
-    builders decline); ``outcome`` is its key in
-    :data:`OUTCOME_COUNTERS`.  Blocking policies collapse to the
-    functional summary's closed form; non-blocking policies replay in
-    the C kernel (:mod:`repro.cpu.replay_cnative`), or in the scalar
-    replay kernel when no C kernel can be had.
-    """
-    from repro.cpu.replay import run_blocking_summary, run_replay
-    from repro.cpu.replay_cnative import run_cnative
-
-    if config.policy.blocking:
-        summary = stream_mod.functional_summary(
-            workload, load_latency, scale, config.geometry,
-            config.policy.write_allocate_blocking,
-        )
-        if summary is None:
-            return None, "bypass"
-        handler = config.make_handler()
-        out = run_blocking_summary(summary, handler)
-        if out is None:  # pragma: no cover - guards re-checked above
-            return None, "bypass"
-        return (handler.stats,) + out, "closed_form"
     stream = stream_mod.event_stream(
         workload, load_latency, scale, config.geometry.line_size,
     )
     if stream is None:
         return None, "bypass"
-    out = run_cnative(stream, trace, config)
-    if out is not None:
-        return out, "replay.c"
-    cause = _c_decline_cause()
-    out = run_replay(stream, trace, config)
-    return out, ("bypass." if out is None else "replay.") + cause
-
-
-def _c_decline_cause() -> str:
-    """Why a C entry declined a cell of its own lane: ``nocc`` when no
-    compiler can be found, ``build`` when the kernel failed to build."""
-    return "build" if ckernel.kernels_available() else "nocc"
+    machine, cause = bind_machine(stream, config)
+    if machine is None:
+        return run_replay(stream, trace, config), "replay." + cause
+    return run_cnative(stream, trace, config), "replay.c"
 
 
 def _expand_cell(
@@ -437,13 +437,13 @@ def _simulate_impl(
     compiled, trace = _expand_cell(workload, config, load_latency, scale,
                                    warmup)
     lane = engines_mod.cell_lane(config, warmup)
-    if lane == "dual":
-        out = run_dual_issue(trace, config)
-        outcome = "dual.c" if out is not None else (
-            "bypass." + _c_decline_cause())
-    elif lane != "interp":
-        out, outcome = _try_fused(workload, config, load_latency, scale,
-                                  trace)
+    if lane == "closed_form":
+        out, outcome = _closed_form(workload, config, load_latency, scale)
+    elif lane == "replay":
+        out, outcome = _replay(workload, config, load_latency, scale, trace)
+    elif lane == "dual":
+        out, cause = run_dual_issue(trace, config)
+        outcome = "dual.c" if out is not None else "bypass." + cause
     else:
         out = None
         # The C lanes model only the ideal write buffer.

@@ -98,11 +98,12 @@ class EventStream:
     lines: List[array]
     #: Compiled replay kernels, built lazily by
     #: :mod:`repro.cpu.replay` and cached here with the stream, keyed
-    #: by ``(geometry, policy, effective_penalty)``; the C lane
-    #: (:mod:`repro.cpu.replay_cnative`) keeps each machine's parameter
-    #: block here under ``("cnative", geometry, policy,
-    #: effective_penalty)``.  No entry may refer back to the stream:
-    #: the stream cache frees an evicted stream by reference count.
+    #: by ``(geometry, policy, effective_penalty)``; the C lane keeps
+    #: each machine's kernel and parameter block here under
+    #: ``("cnative", geometry, policy, effective_penalty)``
+    #: (:func:`repro.cpu.replay_cnative.bind_machine`).  No entry may
+    #: refer back to the stream: the stream cache frees an evicted
+    #: stream by reference count.
     _replay_fns: Dict[object, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

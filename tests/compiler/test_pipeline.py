@@ -50,10 +50,6 @@ class TestCompileKernel:
         assert loads10 == pytest.approx(loads1)
         assert stores10 == pytest.approx(stores1)
 
-    def test_unroll_override(self):
-        body = compile_kernel(kernel(), 10, unroll_override=3)
-        assert body.unroll_factor == 3
-
     def test_num_streams_without_spills(self):
         body = compile_kernel(kernel(), 10)
         assert body.spill_count == 0

@@ -175,10 +175,10 @@ class TestDualIssueDriver:
 
 class TestPointerCache:
     @needs_cc
-    def test_reloaded_kernel_recasts_cached_pointers(self, kernel_dir):
-        # A stream's and a trace's tables are cast once per kernel.
-        # A kernel loaded again must cast them afresh and give the
-        # same numbers on the same stream and trace objects.
+    def test_reloaded_kernel_reuses_cached_casts(self, kernel_dir):
+        # A stream's and a trace's tables are cast once, whichever load
+        # of the kernel runs on them.  A kernel loaded again must run
+        # on the same casts and give the same numbers.
         from repro.core.policies import implicit
         from repro.cpu.replay_cnative import (classify_cnative,
                                               run_cnative, run_dual_issue)
@@ -197,19 +197,25 @@ class TestPointerCache:
             return ([run_cnative(stream, trace, c) for c in replays]
                     + [classify_cnative(stream, ASSOC, wa)
                        for wa in (False, True)]
-                    + [run_dual_issue(trace, dual)])
+                    + [run_dual_issue(trace, dual)[0]])
+
+        def casts():
+            return (stream._cnative_args, stream._cnative_addrs,
+                    trace._cnative_body)
 
         first = run_all()
         (kernel,) = ckernel.loaded_kernels()
-        assert stream._cnative_args[0] is kernel
+        cast = casts()
         ckernel.reset_probe()
+        stream._replay_fns.clear()  # the replays bind the new kernel
         second = run_all()
         (reloaded,) = ckernel.loaded_kernels()
         assert None not in first
         assert second == first
         assert reloaded is not kernel
-        assert stream._cnative_args[0] is reloaded
-        assert trace._cnative_body[0] is reloaded
+        assert all(now is then for now, then in zip(casts(), cast))
+        assert {m[0] for key, m in stream._replay_fns.items()
+                if key[0] == "cnative"} == {reloaded}
 
 
 class TestNoCompilerFallback:

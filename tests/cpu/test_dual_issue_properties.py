@@ -129,4 +129,4 @@ def test_c_driver_matches_reference(trace, policy, ways, penalty, perfect):
     handler = PerfectCacheHandler() if perfect else config.make_handler()
     cycles, instructions, truedep = run_dual_issue_reference(trace, handler)
     assert run_dual_issue(trace, config) == (
-        handler.stats, cycles, instructions, truedep)
+        (handler.stats, cycles, instructions, truedep), None)

@@ -15,10 +15,11 @@ from repro.workloads.patterns import Strided
 def compiler_hidden():
     """Run the block on the no-compiler path, as on a host without ``cc``.
 
-    ``REPRO_CC`` naming no compiler is the forced-fallback hook: every
-    C lane asks the compiler probe (memoized per ``REPRO_CC`` value)
-    before it touches the kernel, so a kernel this process already
-    loaded stays loaded but unused.  Streams keep the C kernels they
+    ``REPRO_CC`` naming no compiler is the forced-fallback hook: the
+    kernel gate, ``ckernel.kernel_or_cause``, asks the compiler probe
+    (memoized per ``REPRO_CC`` value) on every call, before it hands
+    out the kernel, so a kernel this process already loaded stays
+    loaded but unused.  Streams keep the kernel each replay machine
     bound, so the in-memory caches are dropped on entry.
     """
     with mock.patch.dict(os.environ, {"REPRO_CC": "no-such-compiler-xyz"}):

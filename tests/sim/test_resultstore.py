@@ -581,9 +581,12 @@ class TestCompileFacts:
                  for name in BENCHMARK_ORDER for latency in range(1, 21)]
         written = compile_facts(pairs, store=store)
         assert store.stats().entries == store.stats().stores == len(pairs)
-        for (workload, latency), facts in zip(pairs, written):
+        fingerprints = [compile_fingerprint(*pair) for pair in pairs]
+        rows = store.load_facts_many(fingerprints)
+        for (workload, latency), fingerprint, facts in zip(
+                pairs, fingerprints, written):
             body = simulator.compile_workload(workload, latency)
-            stored = store.load_facts(compile_fingerprint(workload, latency))
+            stored = rows[fingerprint]
             assert stored == facts == (
                 body.num_instructions, body.num_loads, body.num_stores,
                 body.unroll_factor, body.spill_count)
@@ -611,7 +614,7 @@ class TestCompileFacts:
         compile_facts([pair], store=store)
         monkeypatch.setattr(simulator, "ENGINE_VERSION", version)
         assert store.stats().entries == 1
-        assert store.load_facts(compile_fingerprint(*pair)) is None
+        assert store.load_facts_many([compile_fingerprint(*pair)]) == {}
         simulator.clear_caches()
         compiles = count_calls(monkeypatch, simulator, "compile_kernel")
         compile_facts([pair], store=store)
@@ -641,11 +644,11 @@ class TestCompileFacts:
             (text,), = conn.execute("SELECT payload FROM entries")
         _edit(store, "UPDATE entries SET payload = ?",
               corrupt(json.loads(text)))
-        assert store.load_facts(fingerprint) is None
+        assert store.load_facts_many([fingerprint]) == {}
         assert store.stats().entries == 0
         assert store.stats().corrupt == 1
         assert compile_facts([pair], store=store) == [expected]
-        assert store.load_facts(fingerprint) == expected
+        assert store.load_facts_many([fingerprint]) == {fingerprint: expected}
 
     def test_unusable_store_compiles_every_body(self, tmp_path, monkeypatch):
         blocker = tmp_path / "a-file"

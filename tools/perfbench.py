@@ -145,11 +145,7 @@ def bench_fusion(scale: float, repeats: int, smoke: bool):
     scale = max(scale, 0.5)
     # Load (or build) the C kernel before timing, as a pooled sweep's
     # prebuild does: the gate measures fusion, never compilation.
-    if ckernel.kernels_available():
-        try:
-            ckernel.ensure_kernel()
-        except ckernel.KernelBuildError:
-            pass
+    ckernel.kernel_or_cause()
     names = FUSION_SMOKE_BENCHMARKS if smoke else tuple(BENCHMARK_ORDER)
     policies = baseline_policies()
     base = baseline_config()
@@ -210,15 +206,17 @@ def bench_cnative(scale: float, repeats: int, smoke: bool):
     """
     from repro.cache.geometry import FULLY_ASSOCIATIVE, CacheGeometry
     from repro.cpu import ckernel
-    from repro.cpu.replay import replay_supported, run_replay
+    from repro.cpu.replay import run_replay
     from repro.cpu.replay_cnative import run_cnative
     from repro.sim import stream as stream_mod
     from repro.sim.config import MachineConfig
+    from repro.sim.engines import cell_lane
     from repro.sim.simulator import expand_workload
 
-    if not ckernel.kernels_available():
+    _, cause = ckernel.kernel_or_cause()
+    if cause is not None:
         raise SystemExit(
-            "bench_cnative needs a C compiler (none found; set REPRO_CC)"
+            f"bench_cnative needs the C kernel ({cause}; set REPRO_CC)"
         )
     scale = max(scale, 0.5)
     base = baseline_config()
@@ -246,7 +244,7 @@ def bench_cnative(scale: float, repeats: int, smoke: bool):
                                          geometry.line_size)
         configs = [MachineConfig(geometry=geometry, policy=p)
                    for p in policies]
-        assert all(replay_supported(c) for c in configs)
+        assert all(cell_lane(c) == "replay" for c in configs)
         # Compiles/loads every kernel the sweep needs, so the timed
         # passes below never pay a build.
         for config in configs:
